@@ -6,9 +6,9 @@ fixed reference kernel, timed right before and right after every
 measurement, shows how fast the machine ran.  Each timing is reported
 scaled by REFERENCE_S / (mean of its two probes): the time the call would
 take on a machine where the kernel takes REFERENCE_S.  A measurement whose
-two probes disagree by more than STABLE saw the machine change speed; a
-call without lasting effect is then retimed.  The kernel never touches the
-package under test.
+two probes disagree by more than STABLE saw the machine change speed; the
+call is then retimed, after its lasting effects are undone.  The kernel
+never touches the package under test.
 """
 
 from __future__ import annotations
@@ -55,14 +55,17 @@ def timed(fn, *args):
     return result, elapsed, scale(elapsed, before, after), stable
 
 
-def retimed(fn, *args, attempts: int = 3):
+def retimed(fn, *args, undo=None, attempts: int = 3):
     """timed(), repeated until the machine kept its speed during the call.
 
-    Only for calls with no lasting effect and the same result every time;
-    the previous result is released before the next call, so that two are
+    Only for calls with the same result every time; ``undo`` (untimed)
+    takes back a call's lasting effects before the next attempt.  The
+    previous result is released before the next call, so that two are
     never alive at once.
     """
-    for _ in range(attempts):
+    for attempt in range(attempts):
+        if attempt and undo:
+            undo()
         measured = None
         measured = timed(fn, *args)
         if measured[3]:

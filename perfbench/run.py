@@ -12,10 +12,11 @@ process, no threads: the next item starts when the previous one returned.
 The seed picks the inputs; the program sees only those inputs.
 
 A run takes, in order: the timed loop (checks run between items, outside
-the timing), an output digest recomputed in a fresh process, set-up times
-of fresh processes, and a fixed sample of CLI subprocess calls.  Timings
-are scaled to a reference machine speed measured next to each of them
-(``gate.py``), so that a shared host's slow spells do not show.  With
+the timing), an output digest recomputed in a fresh process, the
+workload's probe of known defects, set-up times of fresh processes, and a
+fixed sample of CLI subprocess calls.  Timings are scaled to a reference
+machine speed measured next to each of them (``gate.py``), so that a
+shared host's slow spells do not show.  With
 ``--trace 1``, two more fresh processes repeat the loop's items, one with
 spans around the package's public functions (``tracing.py``), and the
 per-layer metrics are reported instead of the end-to-end ones.
@@ -49,7 +50,6 @@ SRC = ROOT / "src"
 BENCH = Path(__file__).resolve().parent
 SETUP_RUNS = 5          # set-up times reported, as their median
 CLI_ATTEMPTS = 3
-MAX_LOOP_FACTOR = 3
 CHILD_TIMEOUT_S = 150
 
 # metric names and units are defined once, in BENCHMARK.json
@@ -117,7 +117,7 @@ def role_digest(args) -> dict:
     import workloads
     wl = workloads.WORKLOADS[args.workload](args.seed)
     wl.setup()
-    return {"digest": workloads.digest_of_rounds(wl)}
+    return {"digest": workloads.digest_of_first_items(wl)}
 
 
 def role_replay(args) -> dict:
@@ -130,21 +130,25 @@ def role_replay(args) -> dict:
         tracer.install()
     wl = workloads.WORKLOADS[args.workload](args.seed)
     wl.setup()
-    cached = len(charalg._char_cache)
+    misses = 0          # the growth of the character cache, round by round
     wall_s = scaled_s = 0.0
     tracer.item = 0     # spans of set-up keep item -1
-    items = [item for k in range(args.rounds) for item in wl.round(k)] + wl.tail()
-    for item in items:
-        _, elapsed, scaled, _ = gate.timed(workloads.safe_run, wl, item)
-        wall_s += elapsed
-        scaled_s += scaled
-        tracer.item += 1
+    for k, items in enumerate([wl.round(k) for k in range(args.rounds)] + [wl.tail()]):
+        if k < args.rounds:
+            wl.start_round()
+        cached = len(charalg._char_cache)
+        for item in items:
+            _, elapsed, scaled, _ = gate.timed(workloads.safe_run, wl, item)
+            wall_s += elapsed
+            scaled_s += scaled
+            tracer.item += 1
+        misses += len(charalg._char_cache) - cached
     out = {"wall_s": wall_s, "scaled_s": scaled_s}
     if args.role == "traced":
         if args.spans:
             tracing.write_spans(tracer.spans, args.spans)
         out["per_layer"] = tracing.aggregate(PER_LAYER, tracer.spans, tracer.cache_lookups,
-                                             len(charalg._char_cache) - cached)
+                                             misses)
         out["module_shares"] = tracing.module_shares(tracer.spans, wall_s)
     return out
 
@@ -154,40 +158,41 @@ def role_replay(args) -> dict:
 
 
 def timed_loop(wl, seconds: float):
-    """Whole rounds until the scaled item times add up to ``seconds``.
+    """Whole rounds until the loop's wall time, checks and probes
+    included, reaches ``seconds``, and at least the digest items.
 
-    Times are scaled to the reference speed (``gate.py``).  When the
-    machine changed speed during a call, a repeatable item is retimed and
-    any other item's time is left out of the statistics.  The loop ends
-    early, after the digest rounds, when the run's own time (checks and
-    probes included) reaches MAX_LOOP_FACTOR * seconds.  The workload's
-    tail items run once after the last round.
+    Item times are scaled to the reference speed (``gate.py``); when the
+    machine changed speed during a call, the item is retimed.  A
+    slow spell of the machine thus costs items, not run time.  The
+    workload's tail items run once after the last round; their times are
+    returned apart from the rounds' item times.
     """
     import workloads
     times, walls, outcomes, sizes = [], [], [], []
     digest = hashlib.sha256()
 
-    def run_one(item, digested: bool) -> float:
-        timer = gate.retimed if wl.repeatable else gate.timed
-        out, elapsed, scaled, stable = timer(workloads.safe_run, wl, item)
-        if stable or wl.repeatable:
-            times.append(scaled)
+    def run_one(item, retime: bool = True) -> float:
+        if retime:
+            out, elapsed, scaled, _ = gate.retimed(workloads.safe_run, wl, item,
+                                                   undo=wl.checkpoint())
+        else:
+            out, elapsed, scaled, _ = gate.timed(workloads.safe_run, wl, item)
         walls.append(elapsed)
         outcomes.append(wl.check(item, out))
         sizes.append(wl.size(item))
-        if digested:
+        if len(walls) <= wl.digest_items:
             digest.update(workloads.output_bytes(wl, item, out))
         return scaled
 
-    start, k, measured = time.perf_counter(), 0, 0.0
-    while k < wl.digest_rounds or (measured < seconds
-                                   and time.perf_counter() - start < MAX_LOOP_FACTOR * seconds):
-        for item in wl.round(k):
-            measured += run_one(item, k < wl.digest_rounds)
+    start, k = time.perf_counter(), 0
+    while len(walls) < wl.digest_items or time.perf_counter() - start < seconds:
+        wl.start_round()
+        times += [run_one(item) for item in wl.round(k)]
         k += 1
-    for item in wl.tail():
-        run_one(item, False)
-    return times, walls, outcomes, sizes, digest.hexdigest(), k
+    # timed once, as a call of seconds rarely keeps the machine's speed, and
+    # kept out of the item statistics, which one such time would swamp
+    tail = [run_one(item, retime=False) for item in wl.tail()]
+    return times, tail, walls, outcomes, sizes, digest.hexdigest(), k
 
 
 def setup_times(args) -> list[float]:
@@ -219,7 +224,7 @@ def cli_calls(wl):
 def seed_checks(wl) -> list[str]:
     same = wl.with_seed(wl.seed)
     other = wl.with_seed(wl.seed + 1)
-    rounds = range(3)
+    rounds = range(1)
     problems = []
     if [wl.round(k) for k in rounds] != [same.round(k) for k in rounds]:
         problems.append("the same seed drew different items")
@@ -239,7 +244,7 @@ def measure(args) -> dict:
     wl.setup()
     problems = seed_checks(wl)
 
-    times, walls, outcomes, sizes, digest, rounds = timed_loop(wl, args.seconds)
+    times, tail, walls, outcomes, sizes, digest, rounds = timed_loop(wl, args.seconds)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     rebound = tracing.changed_since(imported)
     if rebound:
@@ -248,6 +253,10 @@ def measure(args) -> dict:
     fresh = _child("digest", args, env=_child_env(PYTHONHASHSEED=str(1 + args.seed % 4000)))
     if fresh["digest"] != digest:
         problems.append(f"output digest {digest} differs from a fresh process's {fresh['digest']}")
+
+    probed = [wl.check(item, workloads.safe_run(wl, item)) for item in wl.defect_probe()]
+    known_defects = [d for status, d in probed if status == workloads.MISHANDLED]
+    problems += [d for status, d in probed if status == workloads.WRONG]
 
     setups = setup_times(args)
     cli_times, cli_outcomes = cli_calls(wl)
@@ -269,7 +278,7 @@ def measure(args) -> dict:
         "trace": args.trace, "started": started,
         "python": platform.python_version(), "commit": _commit(),
         "nproc": os.cpu_count(),
-        "rounds": rounds, "loop_wall_s": sum(walls), "kept_items": len(times),
+        "rounds": rounds, "loop_wall_s": sum(walls), "tail_ms": [t * 1e3 for t in tail],
         "inputs": {
             "items": len(sizes),
             **{f"{key}_{agg.__name__}": agg(s.get(key, 0) for s in sizes)
@@ -279,7 +288,10 @@ def measure(args) -> dict:
         "digest": digest,
         "metrics": {name: {"value": metrics[name][0], "unit": unit, "n": metrics[name][1]}
                     for name, unit in END_TO_END.items()},
-        "error_rate": {"value": len(failed) / len(outcomes), "n": len(outcomes)},
+        # error_rate counts the probe's inputs too; failed only the workload's
+        "error_rate": {"value": (len(failed) + len(known_defects)) / (len(outcomes) + len(probed)),
+                       "n": len(outcomes) + len(probed)},
+        "known_defects": known_defects, "probed": len(probed),
         "attempted": len(outcomes), "failed": len(failed),
         "correct": not wrong and not problems,
         "problems": problems + wrong[:20],
@@ -288,6 +300,7 @@ def measure(args) -> dict:
     if args.trace:
         args.rounds = rounds
         result.update(traced_run(args, started))
+        result["per_layer"]["cli.main.invalid_not_refused"] = len(known_defects)
     return result
 
 
@@ -316,12 +329,20 @@ def report(result: dict) -> dict:
     print("inputs " + " ".join(f"{k}={v}" for k, v in result["inputs"].items())
           + f" rounds={result['rounds']}")
     print(f"digest {result['digest']}")
+    if result["tail_ms"]:
+        print("tail items (not in the item metrics) "
+              + " ".join(f"{t:.6g}" for t in result["tail_ms"]) + " ms")
     for name, m in result["metrics"].items():
         print(f"metric {name} {m['value']:.6g} {m['unit']} n={m['n']}")
     er = result["error_rate"]
     print(f"metric error_rate {er['value']:.6g} ratio n={er['n']}")
     for detail in result["mishandled"][:3]:
         print(f"mishandled: {detail}")
+    if result["probed"]:
+        print(f"known defects: {len(result['known_defects'])} of {result['probed']} probed "
+              f"invalid inputs not refused with exit 2")
+    for detail in result["known_defects"]:
+        print(f"known defect: {detail}")
     for detail in result["problems"]:
         print(f"FAILED: {detail}")
     if result["trace"]:

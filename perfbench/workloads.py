@@ -59,16 +59,17 @@ class Workload:
     """Base: items come in rounds drawn from ``random.Random(name:seed:round)``."""
 
     name = ""
-    digest_rounds = 1   # rounds whose outputs go into the output digest
-    repeatable = True   # whether an item may be retimed without changing state
+    digest_items = 20   # the run's first items, whose outputs go into the digest
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
+        self._rounds: dict[int, list] = {}
 
     def with_seed(self, seed: int) -> "Workload":
         other = object.__new__(type(self))
         other.__dict__.update(self.__dict__)
         other.seed = seed
+        other._rounds = {}
         return other
 
     def rng(self, k: int) -> random.Random:
@@ -78,7 +79,20 @@ class Workload:
         raise NotImplementedError
 
     def round(self, k: int) -> list:
+        """Round k's items, drawn once."""
+        if k not in self._rounds:
+            self._rounds[k] = self.draw_round(k)
+        return self._rounds[k]
+
+    def draw_round(self, k: int) -> list:
         raise NotImplementedError
+
+    def start_round(self) -> None:
+        """Called before the first item of every round, outside the timing."""
+
+    def checkpoint(self):
+        """A function that takes the state back to now, for retiming a call."""
+        return None
 
     def tail(self) -> list:
         """Items run once, after the last round."""
@@ -101,6 +115,10 @@ class Workload:
     def cli_sample(self) -> list:
         """[(argv, check(returncode, stdout, stderr) -> (status, detail))]."""
         raise NotImplementedError
+
+    def defect_probe(self) -> list:
+        """Items the program is known to mishandle: run once, outside the loop."""
+        return []
 
 
 def _captured_main(argv):
@@ -129,36 +147,64 @@ BRANCH_EMBEDDINGS = (
     ("levi", ("A5", (1, 2, 4, 5))), ("levi", ("F4", (1, 2, 3))),
 )
 
-# G-side dimension strata; every round rotates each embedding through them
-DIM_BINS = ((50, 300), (300, 2000), (2000, 10000), (10000, 30000))
+# G-side dimension bands, and how many weights of each embedding every round
+# draws from each band.  Narrow bands make the items of one embedding and
+# band cost alike whatever the seed.  The median item falls in the middle
+# band, which gets three draws, so that it sits among many items of like
+# cost rather than on a gap between two bands.
+DIM_BANDS = (((50, 150), 1), ((300, 700), 1), ((1200, 2700), 3),
+             ((6000, 10000), 1), ((15000, 25000), 1))
 BOX = {2: 180, 3: 30, 4: 7, 5: 4, 6: 2, 7: 2}  # coordinate bound by G rank
 MAX_DRAWS = 100_000
 
 
 class BranchSweep(Workload):
+    """Each round is 140 queries, seven on every embedding, that
+    starts with an empty character cache: rounds cost alike however many
+    came before, and queries on one embedding share their H-characters."""
+
     name = "branch-sweep"
-    repeatable = False  # a second call finds its H-characters cached
 
     def setup(self) -> None:
         self.embeddings = [build(b, a) for b, a in BRANCH_EMBEDDINGS]
         self.g_data = [rootdata.root_data(e.g.spec_string()) for e in self.embeddings]
         self.h_data = [rootdata.root_data(e.h.spec_string()) for e in self.embeddings]
+        # dimensions seen by the draws: a narrow band in a small box takes
+        # thousands of draws, mostly of weights drawn before
+        self.g_dims = [{} for _ in self.embeddings]
 
     def _draw(self, rng, e: int, lo: int, hi: int) -> tuple[int, ...]:
         """A dominant weight in the box of embedding e with lo <= dim < hi."""
-        rd = self.g_data[e]
+        rd, dims = self.g_data[e], self.g_dims[e]
         for _ in range(MAX_DRAWS):
             coords = tuple(rng.randint(0, BOX[rd.rank]) for _ in range(rd.rank))
-            if lo <= rd.weyl_dim(coords) < hi:
+            dim = dims.get(coords)
+            if dim is None:
+                dim = dims[coords] = rd.weyl_dim(coords)
+            if lo <= dim < hi:
                 return coords
         raise AssertionError(f"no weight of dimension in [{lo}, {hi}) for {BRANCH_EMBEDDINGS[e]}")
 
-    def round(self, k: int) -> list:
+    def draw_round(self, k: int) -> list:
         rng = self.rng(k)
-        items = [(e, self._draw(rng, e, *DIM_BINS[(k + e) % len(DIM_BINS)]))
-                 for e in range(len(BRANCH_EMBEDDINGS))]
+        items = [(e, self._draw(rng, e, lo, hi))
+                 for e in range(len(BRANCH_EMBEDDINGS))
+                 for (lo, hi), draws in DIM_BANDS for _ in range(draws)]
         rng.shuffle(items)
         return items
+
+    def start_round(self) -> None:
+        charalg._char_cache.clear()
+
+    def checkpoint(self):
+        # a retimed call must not find the H-characters of its first attempt
+        cache = charalg._char_cache
+        size = len(cache)
+
+        def undo():
+            for key in list(cache)[size:]:
+                del cache[key]
+        return undo
 
     def run(self, item):
         e, coords = item
@@ -188,8 +234,8 @@ class BranchSweep(Workload):
         return {"g_dim": self.g_data[e].weyl_dim(coords)}
 
     def cli_sample(self) -> list:
-        cheap = [item for k in range(4) for item in self.round(k)
-                 if self.size(item)["g_dim"] < DIM_BINS[1][1]][:11]
+        cheap = [item for item in self.round(0)
+                 if self.size(item)["g_dim"] < DIM_BANDS[1][0][1]][:11]
         sample = []
         for e, coords in cheap:
             argv = ["branch", json.dumps(descriptor(*BRANCH_EMBEDDINGS[e])),
@@ -217,13 +263,18 @@ class BranchSweep(Workload):
 WEYL_SYSTEMS = tuple([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]
                      + [f"C{r}" for r in range(3, 9)] + [f"D{r}" for r in range(4, 9)]
                      + ["E6", "E7", "E8", "F4", "G2"])
-# One item per cost bin each round.  The matrix BFS costs about
-# |W_J| * |J| * rank^2, and bins of ratio 2 make the round's cost profile
-# the same for every seed, so that p50 and p90 do not hinge on the draw.
-COST_BINS = tuple((100 * 2 ** b, 100 * 2 ** (b + 1)) for b in range(3, 13))
+# Items drawn per cost bin each round.  The matrix BFS costs about
+# |W_J| * |J| * rank^2, and narrow bins make the round's cost profile the
+# same for every seed, so that p50 and p90 do not hinge on the draw.  The
+# extra draws put p50 in the middle of bin 7 and p90 in the middle of bin
+# 13, among many items of like cost rather than on the edge of a bin.
+COST_BINS = tuple((round(800 * 2 ** (2 * b / 3)), round(800 * 2 ** (2 * (b + 1) / 3)))
+                  for b in range(15))
+BIN_DRAWS = (1, 1, 1, 1, 1, 1, 2, 4, 1, 1, 1, 1, 1, 2, 1)
 MIN_ORDER = 10
 # one item of 51840 elements per run, after the rounds: the number of
-# rounds that fit in a run must not depend on this item's time
+# rounds that fit in a run must not depend on this item's time, and its
+# time is reported apart from the item metrics, which it would swamp
 ANCHOR = ("E6", (1, 2, 3, 4, 5, 6))
 FROM_WORD_SAMPLE = 8
 
@@ -245,9 +296,10 @@ class WeylSweep(Workload):
                 return spec, J
         raise AssertionError(f"no (system, J) in the cost bin [{lo}, {hi})")
 
-    def round(self, k: int) -> list:
+    def draw_round(self, k: int) -> list:
         rng = self.rng(k)
-        items = [self._draw(rng, lo, hi) for lo, hi in COST_BINS]
+        items = [self._draw(rng, lo, hi)
+                 for (lo, hi), draws in zip(COST_BINS, BIN_DRAWS) for _ in range(draws)]
         rng.shuffle(items)
         return items
 
@@ -327,9 +379,17 @@ SMALL_PRIMES = tuple(p for p in range(2, 98) if rootdata.is_prime(p))
 LARGE_P = (10 ** 11, 10 ** 12)
 # per round of 20: 15 ordinary items, 4 with a large prime, 1 invalid
 ROUND_KINDS = ("valid",) * 15 + ("large-p",) * 4 + ("invalid",)
+# invalid inputs that the CLI refuses with exit 2; one kind per round
 INVALID_KINDS = ("non-prime-p", "J-out-of-range", "unknown-builder", "missing-key",
-                 "bad-json", "bad-lie-flag", "bad-source", "J-not-int",
-                 "p-not-int", "param-null", "matrix-entry-object")
+                 "bad-json", "bad-lie-flag", "bad-source")
+# invalid inputs that the CLI does not refuse with exit 2: malformed J, p or
+# parameters raise, and an unknown lie_separability flag passes when J is
+# full or the embedding is Frobenius-twisted.  Every run sends each of them
+# once, outside the timed loop, and reports the ones still not refused as
+# known defects; they are not operations of the workload, so that its
+# failure count stays that of the loop's own items.
+DEFECT_KINDS = ("J-not-int", "p-not-int", "param-null", "matrix-entry-object",
+                "lie-flag-twisted", "lie-flag-full-J")
 TAG_ORDER = ("SPLIT_PJ", "CANONICAL_SPLIT", "GLOBALLY_F_REGULAR", "COR72_HPJ",
              "COR73_FLAG", "COHOMOLOGY_VANISHING")
 
@@ -361,6 +421,15 @@ class CriterionSweep(Workload):
                 "min_p": rootdata.large_p_bound(h, rows),
             })
 
+    @staticmethod
+    def _twisted(t, p) -> bool:
+        """Whether the criterion sees a Frobenius twist at p."""
+        return t["twisted"] or any(
+            any(row[j] != 0 for row in t["rows"] for j in range(lo, hi))
+            and all(row[j].denominator == 1 and row[j].numerator % p == 0
+                    for row in t["rows"] for j in range(lo, hi))
+            for lo, hi in t["spans"])
+
     # the criterion, restated on weight data for the checks
     def model(self, t, J, p, source, flag):
         res = [sum(row[j - 1] for j in J) for row in t["rows"]]
@@ -369,12 +438,7 @@ class CriterionSweep(Workload):
         regular = all(c > 0 for c in cond1)
         canonical = all(1 - x >= 0 for x in res)
         full = len(J) == t["rank"]
-        twisted = t["twisted"] or any(
-            any(row[j] != 0 for row in t["rows"] for j in range(lo, hi))
-            and all(row[j].denominator == 1 and row[j].numerator % p == 0
-                    for row in t["rows"] for j in range(lo, hi))
-            for lo, hi in t["spans"])
-        lie = "holds" if full else "fails" if twisted else flag or "unknown"
+        lie = "holds" if full else "fails" if self._twisted(t, p) else flag or "unknown"
         holds = [tag for tag, on in (
             ("SPLIT_PJ", True), ("CANONICAL_SPLIT", canonical),
             ("GLOBALLY_F_REGULAR", regular), ("COR72_HPJ", lie == "holds"),
@@ -432,6 +496,11 @@ class CriterionSweep(Workload):
     def _invalid(self, rng, kind: str):
         t = rng.choice([t for t in self.targets if "builder" in t["desc"]])
         data = {"embedding": t["desc"], "J": [1], "p": rng.choice(SMALL_PRIMES)}
+        if kind == "bad-lie-flag":
+            # J not full and no twist, so that the flag is read and refused
+            while t["rank"] == 1 or self._twisted(t, data["p"]):
+                t = rng.choice([t for t in self.targets if "builder" in t["desc"]])
+            data["embedding"] = t["desc"]
         if kind == "non-prime-p":
             data["p"] = rng.choice((0, 1, 4, 9, 15, 21, 25, 91, 100))
         elif kind == "J-out-of-range":
@@ -455,9 +524,18 @@ class CriterionSweep(Workload):
         elif kind == "matrix-entry-object":
             data["embedding"] = {"custom": {"g": "A1,A1", "h": "A1",
                                             "matrix": [[{"a": 1}, "1"]]}}
+        elif kind == "lie-flag-twisted":
+            t = rng.choice([t for t in self.targets if t["twisted"]])
+            data.update(embedding=t["desc"], lie_separability="maybe")
+        elif kind == "lie-flag-full-J":
+            data.update(J=list(range(1, t["rank"] + 1)), lie_separability="maybe")
         return json.dumps(data), 2, None
 
-    def round(self, k: int) -> list:
+    def defect_probe(self) -> list:
+        rng = random.Random(f"{self.name}:{self.seed}:probe")
+        return [self._invalid(rng, kind) for kind in DEFECT_KINDS]
+
+    def draw_round(self, k: int) -> list:
         rng = self.rng(k)
         offset = random.Random(f"{self.name}:{self.seed}").randrange(len(INVALID_KINDS))
         kinds = list(ROUND_KINDS)
@@ -548,10 +626,15 @@ def output_bytes(wl: Workload, item, out) -> bytes:
     return wl.digest_bytes(item, out)
 
 
-def digest_of_rounds(wl: Workload) -> str:
-    """sha256 over the outputs of the digest rounds, computed from scratch."""
+def digest_of_first_items(wl: Workload) -> str:
+    """sha256 over the outputs of the run's first digest_items items,
+    computed from scratch."""
     h = hashlib.sha256()
-    for k in range(wl.digest_rounds):
-        for item in wl.round(k):
+    done, k = 0, 0
+    while done < wl.digest_items:
+        wl.start_round()
+        for item in wl.round(k)[:wl.digest_items - done]:
             h.update(output_bytes(wl, item, safe_run(wl, item)))
+            done += 1
+        k += 1
     return h.hexdigest()
