@@ -2,8 +2,11 @@
 
 Multiplicities come from Freudenthal's recursion evaluated over the
 dominant weights of the module; full characters are recovered by Weyl-orbit
-expansion.  Branching through an embedding pushes the character along the
-restriction matrix and strips highest weights greedily from the top.
+expansion when asked for.  Branching through an embedding never builds one:
+it walks each W_G-orbit of the dominant multiplicities on integer tuples,
+carrying the restricted coordinates along, checks that the restricted
+multiset is integral and W_H-invariant, and then strips H-characters
+greedily from the top on the H-dominant weights only.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Iterable
 
 from .embed import Embedding
@@ -225,63 +229,110 @@ def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
 
     Returns {H-highest-weight: multiplicity}, insertion-ordered from the
     top.  Raises when the restricted character is not a character of H
-    (non-integral weights, a non-dominant leading term, or a negative
-    residual multiplicity), which is how inconsistent embeddings surface.
+    (non-integral weights, a multiset that is not W_H-invariant, or a
+    negative residual multiplicity), which is how inconsistent embeddings
+    surface.
     """
-    # G-side characters are rarely revisited between calls, so the full
-    # product character is not cached; its single-type factors and the
-    # H-side constituents below repeat heavily and are.  All bookkeeping
-    # runs on raw coordinate tuples; Weight only crosses the API edges.
-    full = freudenthal(emb.g, lam).weights()
-    h = emb.h
-    rows = emb.restriction
-    gn = emb.g.rank
-    residual: dict[tuple, int] = {}
-    for w, m in full.items():
-        wc = w.coords
-        rw = tuple(sum(row[j] * wc[j] for j in range(gn)) for row in rows)
-        if not all(c.denominator == 1 for c in rw):
-            raise ValueError(
-                f"restriction of the weight {tuple(wc)} is the non-integral "
-                f"H-weight {rw}")
-        residual[rw] = residual.get(rw, 0) + m
+    # The restricted character is summed over each W_G-orbit of the dominant
+    # multiplicities without building a Weight: s_i mu = mu - mu_i alpha_i, so
+    # Res(s_i mu) = Res(mu) - mu_i Res(alpha_i).  The walk is a tree: the
+    # parent of a non-dominant mu is s_j mu, j its first negative coordinate,
+    # so no weight is visited twice and no seen-set is kept.  A fractional
+    # restriction matrix is scaled to integers for the walk and the scale is
+    # divided out after it, which is where non-integral weights show up.
+    g, h = emb.g, emb.h
+    gn, hn = g.rank, h.rank
+    scale = math.lcm(*(x.denominator for row in emb.restriction for x in row))
+    rows = [[int(x * scale) for x in row] for row in emb.restriction]
+    alphas = [[g.cartan[k][i] for k in range(gn)] for i in range(gn)]
+    res_alphas = [[sum(row[k] * alpha[k] for k in range(gn)) for row in rows]
+                  for alpha in alphas]
+    steps: dict[tuple, tuple] = {}  # (i, c) -> (c alpha_i, c Res(alpha_i))
+    restricted: dict[tuple, int] = {}
+    for mu, m in freudenthal(g, lam).multiplicities.items():
+        start = mu.coords
+        stack = [(start, tuple([sum(row[k] * start[k] for k in range(gn))
+                                for row in rows]), gn)]
+        while stack:
+            nu, r, first = stack.pop()
+            restricted[r] = restricted.get(r, 0) + m
+            for i, c in enumerate(nu):
+                if c <= 0:
+                    continue
+                step = steps.get((i, c))
+                if step is None:
+                    step = steps[i, c] = (tuple(c * a for a in alphas[i]),
+                                          tuple(c * a for a in res_alphas[i]))
+                down, res_down = step
+                # nu is the parent of s_i nu only if i is the first negative
+                # coordinate of s_i nu; below `first` that holds by itself
+                if i > first and nu[first] < down[first]:
+                    continue
+                child = tuple(map(sub, nu, down))
+                if i > first and min(child[:i]) < 0:
+                    continue
+                stack.append((child, tuple(map(sub, r, res_down)), i))
+    if scale != 1:
+        for r in restricted:
+            if any(x % scale for x in r):
+                raise ValueError(
+                    f"restriction of the module with highest weight "
+                    f"{lam.coords} has the non-integral H-weight "
+                    f"{tuple(Fraction(x, scale) for x in r)}")
+        restricted = {tuple(x // scale for x in r): m
+                      for r, m in restricted.items()}
 
     heights = []
-    for j in range(h.rank):
-        basis = Weight([1 if k == j else 0 for k in range(h.rank)])
+    for j in range(hn):
+        basis = Weight([1 if k == j else 0 for k in range(hn)])
         heights.append(sum(h.root_coordinates(basis), Fraction(0)))
     hscale = math.lcm(*(x.denominator for x in heights))
     hv = tuple(int(x * hscale) for x in heights)
 
-    def height(t: tuple):
-        return sum(hv[j] * t[j] for j in range(h.rank))
+    def key(t: tuple):
+        return (sum(a * b for a, b in zip(hv, t)), t)
+
+    # H-characters are W_H-invariant, so a sum of them is too; checking that
+    # first lets the subtraction below look at H-dominant weights only
+    h_alphas = [[h.cartan[k][i] for k in range(hn)] for i in range(hn)]
+    broken = []  # (nu, s_i nu) with nu_i < 0 and unequal multiplicities
+    for nu, m in restricted.items():
+        for i, c in enumerate(nu):
+            if c:
+                image = tuple([x - c * a for x, a in zip(nu, h_alphas[i])])
+                if restricted.get(image, 0) != m:
+                    broken.append((nu, image) if c < 0 else (image, nu))
+    if broken:
+        low, up = max(broken, key=lambda pair: key(pair[0]))
+        raise ValueError(
+            f"weight {low} of the restricted character is not dominant and "
+            f"has multiplicity {restricted.get(low, 0)}, but its reflection "
+            f"{up} has {restricted.get(up, 0)}; restriction is not a "
+            f"character of H")
 
     # subtracting a character only touches weights strictly lower in the
-    # (height, coords) order, so one descending pass visits every top that
-    # the repeated-argmax formulation would
+    # (height, coords) order, so one descending pass over the dominant
+    # weights visits every top that the repeated-argmax formulation would;
+    # the residual stays W_H-invariant, so its dominant part determines it
+    residual = {t: m for t, m in restricted.items() if min(t) >= 0}
     out: dict[Weight, int] = {}
-    residual = {t: m for t, m in residual.items() if m != 0}
-    for top in sorted(residual, key=lambda t: (height(t), t), reverse=True):
+    for top in sorted(residual, key=key, reverse=True):
         mult = residual.get(top, 0)
         if mult == 0:
             continue
-        if min(top) < 0:
-            raise ValueError(
-                f"maximal weight {top} of the restricted character "
-                f"is not dominant; restriction is not a character of H")
         if mult < 0:
             raise ValueError(
                 f"negative residual multiplicity {mult} at {top}")
-        for w, m in _cached_character(h, Weight(top)).weights().items():
-            key = w.coords
-            left = residual.get(key, 0) - mult * m
+        for w, k in _cached_character(h, Weight(top)).multiplicities.items():
+            wc = w.coords
+            left = residual.get(wc, 0) - mult * k
             if left == 0:
-                residual.pop(key, None)
+                residual.pop(wc, None)
             else:
-                residual[key] = left
+                residual[wc] = left
         out[Weight(top)] = mult
     if residual:
-        worst = max(residual, key=lambda t: (height(t), t))
+        worst = max(residual, key=key)
         raise ValueError(
             f"negative residual multiplicity {residual[worst]} at {worst}")
     return out

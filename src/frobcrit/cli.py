@@ -181,8 +181,12 @@ def _load_json_arg(arg: str, what: str) -> dict:
 
 
 def embedding_from_descriptor(desc: dict) -> embed.Embedding:
+    if not isinstance(desc, dict):
+        raise InputError("embedding descriptor must be a JSON object")
     if "custom" in desc:
         c = desc["custom"]
+        if not isinstance(c, dict):
+            raise InputError("custom embedding descriptor must be a JSON object")
         for key in ("g", "h", "matrix"):
             if key not in c:
                 raise InputError(f"custom embedding descriptor is missing {key!r}")
@@ -194,20 +198,22 @@ def embedding_from_descriptor(desc: dict) -> embed.Embedding:
                 c.get("label", "custom"),
                 c.get("twist_exponent"),
             )
-        except (ValueError, ZeroDivisionError) as err:
+        except (ValueError, TypeError, ZeroDivisionError) as err:
             raise InputError(f"bad custom embedding: {err}")
     name = desc.get("builder")
-    if name not in _BUILDERS:
+    if not isinstance(name, str) or name not in _BUILDERS:
         raise InputError(
             f"unknown builder {name!r}; expected one of {', '.join(sorted(_BUILDERS))}")
     required, make = _BUILDERS[name]
     params = desc.get("params", {})
+    if not isinstance(params, dict):
+        raise InputError(f"builder {name!r}: params must be a JSON object")
     missing = [k for k in required if k not in params]
     if missing:
         raise InputError(f"builder {name!r} is missing parameters: {', '.join(missing)}")
     try:
         return make(params)
-    except ValueError as err:
+    except (ValueError, TypeError) as err:
         raise InputError(f"builder {name!r}: {err}")
 
 
@@ -230,12 +236,18 @@ def _cmd_check(args) -> int:
     for key in ("embedding", "J", "p"):
         if key not in data:
             raise InputError(f"criterion input is missing {key!r}")
+    expect = data.get("expect")
+    if expect is not None and not isinstance(expect, dict):
+        raise InputError("expect must be a JSON object")
     emb = embedding_from_descriptor(data["embedding"])
-    inp = CriterionInput(
-        emb, tuple(data["J"]), data["p"],
-        data.get("surjectivity_source", "donkin-registry"),
-        data.get("lie_separability"),
-    )
+    try:
+        inp = CriterionInput(
+            emb, tuple(data["J"]), data["p"],
+            data.get("surjectivity_source", "donkin-registry"),
+            data.get("lie_separability"),
+        )
+    except (ValueError, TypeError) as err:
+        raise InputError(f"J must be a list of integers and p an integer: {err}")
     try:
         report = check_main(inp)
     except ValueError as err:
@@ -244,7 +256,6 @@ def _cmd_check(args) -> int:
         sys.stdout.write(_report_text(report))
     else:
         _emit_json(report_to_json(report), sys.stdout)
-    expect = data.get("expect")
     if expect:
         failures = _check_expectations(report, expect)
         if failures:

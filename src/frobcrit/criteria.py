@@ -156,16 +156,16 @@ def _resolve_surjectivity(inp: CriterionInput, min_p: int) -> SurjectivityStatus
 
 
 def _resolve_lie(inp: CriterionInput) -> LieSeparabilityStatus:
+    if inp.lie_separability not in (None, "holds", "fails"):
+        raise ValueError(
+            f"lie_separability flag must be 'holds' or 'fails', got {inp.lie_separability!r}")
     if len(inp.J) == inp.embedding.g.rank:
         # p_J = g, the containment of Lie algebras is the definition of H in G
         return LieSeparabilityStatus("holds", "parabolic-is-full")
     if detect_twist(inp.embedding, inp.p):
         return LieSeparabilityStatus("fails", "frobenius-twist")
-    if inp.lie_separability in ("holds", "fails"):
-        return LieSeparabilityStatus(inp.lie_separability, "user-flag")
     if inp.lie_separability is not None:
-        raise ValueError(
-            f"lie_separability flag must be 'holds' or 'fails', got {inp.lie_separability!r}")
+        return LieSeparabilityStatus(inp.lie_separability, "user-flag")
     return LieSeparabilityStatus("unknown", "undetermined")
 
 

@@ -15,6 +15,7 @@ from frobcrit.embed import (
     diagonal,
     folding_B3G2,
     folding_E6F4,
+    frobenius_twisted_diagonal,
     identity,
     levi,
     so_in_sl,
@@ -27,6 +28,7 @@ from oracles import (
     brute_weyl_with_signs,
     character_multiplicity_oracle,
 )
+from test_acceptance import dominant_weights_upto, registry_embeddings
 
 
 def W(*coords):
@@ -200,6 +202,101 @@ def test_branch_rejects_non_dominant_top():
                     [[1, -1]], label="skew")
     with pytest.raises(ValueError, match="not dominant"):
         branch(emb, W(1, 0))
+
+
+def reference_branch(emb, lam):
+    """Greedy branching on full characters: expand the G-character, restrict
+    every weight, and strip whole H-characters from the top."""
+    h = emb.h
+    residual = {}
+    for w, m in freudenthal(emb.g, lam).weights().items():
+        rw = tuple(sum(row[j] * w.coords[j] for j in range(emb.g.rank))
+                   for row in emb.restriction)
+        if not all(Fraction(c).denominator == 1 for c in rw):
+            raise ValueError(f"restriction of the weight {w.coords} is the "
+                             f"non-integral H-weight {rw}")
+        residual[rw] = residual.get(rw, 0) + m
+    heights = []
+    for j in range(h.rank):
+        basis = Weight([1 if k == j else 0 for k in range(h.rank)])
+        heights.append(sum(h.root_coordinates(basis), Fraction(0)))
+
+    def key(t):
+        return (sum(a * b for a, b in zip(heights, t)), t)
+
+    out = {}
+    for top in sorted(residual, key=key, reverse=True):
+        mult = residual.get(top, 0)
+        if mult == 0:
+            continue
+        if min(top) < 0:
+            raise ValueError(f"maximal weight {top} of the restricted character "
+                             f"is not dominant; restriction is not a character of H")
+        if mult < 0:
+            raise ValueError(f"negative residual multiplicity {mult} at {top}")
+        for w, m in freudenthal(h, Weight(top)).weights().items():
+            left = residual.get(w.coords, 0) - mult * m
+            if left == 0:
+                residual.pop(w.coords, None)
+            else:
+                residual[w.coords] = left
+        out[Weight(top)] = mult
+    if residual:
+        worst = max(residual, key=key)
+        raise ValueError(f"negative residual multiplicity {residual[worst]} at {worst}")
+    return out
+
+
+@pytest.mark.parametrize("emb", registry_embeddings(), ids=lambda e: e.label)
+def test_branch_matches_full_character_reference(emb):
+    for lam in dominant_weights_upto(emb.g, 200):
+        got = branch(emb, lam)
+        expect = reference_branch(emb, lam)
+        assert list(got.items()) == list(expect.items()), (emb.label, lam)
+
+
+EDGE_EMBEDDINGS = [
+    (Embedding(build_root_system("A1"), build_root_system("A1"), [[Fraction(1, 2)]],
+               label="half"), [(1,), (2,)]),
+    (Embedding(build_root_system("A1"), build_root_system("A1"), [[2]],
+               label="double"), [(1,), (2,), (3,)]),
+    (Embedding(build_root_system("A2"), build_root_system("A1"), [[1, -1]],
+               label="skew"), [(1, 0), (1, 1), (2, 1)]),
+    (Embedding(build_root_system("A2"), build_root_system("A1"),
+               [[Fraction(1, 2), Fraction(1, 2)]], label="halves"), [(1, 0), (1, 1)]),
+    (Embedding(build_root_system("A2"), build_root_system("A1"), [[1, 1]],
+               label="sum"), [(1, 0), (1, 1), (2, 1)]),
+    (Embedding(build_root_system("B2"), build_root_system("A1"), [[1, 0]],
+               label="first"), [(1, 0), (0, 1)]),
+    (diagonal("A1", 2), [(0, 0), (3, 2)]),
+    (frobenius_twisted_diagonal("A1", 2), [(1, 1), (0, 1), (3, 1)]),
+    (frobenius_twisted_diagonal("A2", 3), [(1, 0, 1, 0), (0, 0, 1, 1)]),
+]
+
+
+@pytest.mark.parametrize("emb,weights", EDGE_EMBEDDINGS,
+                         ids=[emb.label for emb, _ in EDGE_EMBEDDINGS])
+def test_branch_raises_exactly_where_reference_raises(emb, weights):
+    for coords in weights:
+        lam = Weight(coords)
+        try:
+            expect = reference_branch(emb, lam)
+        except ValueError as err:
+            with pytest.raises(ValueError) as caught:
+                branch(emb, lam)
+            for text in ("non-integral", "not a character of H",
+                         "negative residual multiplicity"):
+                assert (text in str(err)) == (text in str(caught.value)), coords
+        else:
+            assert list(branch(emb, lam).items()) == list(expect.items())
+
+
+def test_branch_rejects_invariant_non_character():
+    # Res is doubling: {2, -2} is W_H-invariant, yet stripping L(2) leaves -1 at 0
+    emb = Embedding(build_root_system("A1"), build_root_system("A1"), [[2]],
+                    label="double")
+    with pytest.raises(ValueError, match="negative residual multiplicity"):
+        branch(emb, W(1))
 
 
 # -- surjectivity scan -------------------------------------------------------------

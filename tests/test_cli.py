@@ -107,6 +107,44 @@ def test_check_malformed_json(capsys):
     assert code == 2 and "invalid JSON" in err
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.update(J=["x"]),
+    lambda d: d.update(p="two"),
+    lambda d: d.update(embedding={"builder": "folding_AC", "params": {"m": None}}),
+    lambda d: d.update(embedding={"custom": {"g": "A1,A1", "h": "A1",
+                                             "matrix": [[{"a": 1}, "1"]]}}),
+    lambda d: d.update(expect=["SPLIT_PJ"]),
+    lambda d: d.update(embedding=5),
+    lambda d: d.update(embedding={"custom": 5}),
+    lambda d: d.update(embedding={"builder": ["so_in_sl"]}),
+    lambda d: d.update(embedding={"builder": "so_in_sl", "params": 6}),
+], ids=["J-not-int", "p-not-int", "param-null", "matrix-entry-object",
+        "expect-not-object", "embedding-not-object", "custom-not-object",
+        "builder-not-string", "params-not-object"])
+def test_check_malformed_values_are_refused(capsys, mutate):
+    data = json.loads(json.dumps(CHECK_INPUT))
+    mutate(data)
+    code, out, err = run(capsys, "check", json.dumps(data))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_check_bad_lie_flag_refused_with_full_J(capsys):
+    data = {"embedding": {"builder": "folding_B3G2"}, "J": [1, 2, 3], "p": 5,
+            "lie_separability": "maybe"}
+    code, _, err = run(capsys, "check", json.dumps(data))
+    assert code == 2 and "lie_separability" in err
+
+
+def test_check_bad_lie_flag_refused_with_frobenius_twist(capsys):
+    data = {"embedding": {"builder": "frobenius_twisted_diagonal",
+                          "params": {"h": "A1", "p": 5}},
+            "J": [1], "p": 5, "lie_separability": "maybe"}
+    code, _, err = run(capsys, "check", json.dumps(data))
+    assert code == 2 and "lie_separability" in err
+
+
 def test_check_missing_file(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/input.json")
     assert code == 2 and "cannot read" in err
