@@ -180,6 +180,13 @@ def _load_json_arg(arg: str, what: str) -> dict:
     return data
 
 
+def _exact_entry(x) -> Fraction:
+    # a JSON float is a binary approximation, and a bool is not a number here
+    if isinstance(x, (bool, float)):
+        raise TypeError(f"matrix entry {x!r} must be an integer or an exact string such as \"1/2\"")
+    return Fraction(x)
+
+
 def embedding_from_descriptor(desc: dict) -> embed.Embedding:
     if not isinstance(desc, dict):
         raise InputError("embedding descriptor must be a JSON object")
@@ -194,7 +201,7 @@ def embedding_from_descriptor(desc: dict) -> embed.Embedding:
             return embed.Embedding(
                 build_root_system(c["g"]),
                 build_root_system(c["h"]),
-                [[Fraction(x) for x in row] for row in c["matrix"]],
+                [[_exact_entry(x) for x in row] for row in c["matrix"]],
                 c.get("label", "custom"),
                 c.get("twist_exponent"),
             )

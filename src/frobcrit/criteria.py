@@ -33,19 +33,43 @@ ORBIT_LABEL_CAP = 100
 SURJECTIVITY_SOURCES = ("donkin-registry", "large-p", "user-asserted", "none")
 
 
+# Miller-Rabin on the first 13 prime bases decides primality exactly below
+# this bound (Sorenson and Webster, 2015)
+PRIMALITY_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality test; raises ValueError at or above PRIMALITY_BOUND."""
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(
+            f"p = {n} is too large: primality is decided only below {PRIMALITY_BOUND}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def _require_int(value, what: str) -> int:
+    # bools are ints to Python but not to a JSON reader; floats would truncate
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass
@@ -58,8 +82,8 @@ class CriterionInput:
     lie_separability: str | None = None  # optional caller assertion: holds/fails
 
     def __post_init__(self) -> None:
-        self.J = tuple(sorted(set(int(j) for j in self.J)))
-        self.p = int(self.p)
+        self.J = tuple(sorted(set(_require_int(j, "J entry") for j in self.J)))
+        self.p = _require_int(self.p, "p")
 
 
 @dataclass

@@ -2,9 +2,11 @@
 
 An element is stored as its integer matrix acting on fundamental-weight
 coordinates; that matrix is the canonical form used for equality and
-hashing.  Words are tuples of 1-based simple-root indices and compose left
-to right, i.e. ``from_word(rs, (1, 2))`` is s_1 composed with s_2, applied
-as s_1(s_2(v)).
+hashing.  Enumeration deduplicates on the integer tuple w^{-1}(rho) instead,
+which determines w because rho is regular, and builds each element's matrix
+once, from its parent's.  Words are tuples of 1-based simple-root indices
+and compose left to right, i.e. ``from_word(rs, (1, 2))`` is s_1 composed
+with s_2, applied as s_1(s_2(v)).
 """
 
 from __future__ import annotations
@@ -142,6 +144,13 @@ class WeylElement:
         return f"WeylElement(matrix={self.matrix})"
 
 
+def _element(rs: RootSystem, matrix, word) -> WeylElement:
+    """A WeylElement from a matrix that is already a tuple of int tuples."""
+    el = object.__new__(WeylElement)
+    el.rs, el.matrix, el.word, el._root_matrix = rs, matrix, word, None
+    return el
+
+
 def identity(rs: RootSystem) -> WeylElement:
     return WeylElement(rs, _identity_matrix(rs.rank), ())
 
@@ -165,9 +174,15 @@ def _resolve_cap(cap: int | None) -> int:
     if cap is not None:
         return int(cap)
     env = os.environ.get(_ENUM_CAP_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_ENUM_CAP
+    if env is None:
+        return DEFAULT_ENUM_CAP
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0  # refused below, like any value under 1
+    if value < 1:
+        raise ValueError(f"{_ENUM_CAP_ENV} must be a positive integer, got {env!r}")
+    return value
 
 
 def enumerate_parabolic(rs: RootSystem, J: Iterable[int] | None = None,
@@ -183,20 +198,37 @@ def enumerate_parabolic(rs: RootSystem, J: Iterable[int] | None = None,
     eff_cap = _resolve_cap(cap)
     if order > eff_cap:
         raise EnumerationCapExceeded(rs, members, order, eff_cap)
+    # Breadth-first on v = w^{-1} rho: w s_j has v' = s_j v, and rho is
+    # regular, so v determines w.  w s_j is longer than w exactly when
+    # v_j > 0, so only those candidates can be new, and each lands on the
+    # next layer: a seen-set per layer suffices.
+    n = rs.rank
+    alpha = [tuple(rs.cartan[k][j] for k in range(n)) for j in range(n)]
+    # column j of w s_j is -col_j - sum_{c != j} a_cj col_c; keep the nonzero a_cj
+    others = {j: [(c, a) for c, a in enumerate(alpha[j - 1]) if a and c != j - 1]
+              for j in members}
     start = identity(rs)
-    seen = {start.matrix: start}
     out = [start]
-    frontier = [start]
+    frontier = [((1,) * n, tuple(zip(*start.matrix)), ())]
     while frontier:
         nxt = []
-        for w in frontier:
+        seen = set()
+        for v, cols, word in frontier:
             for j in members:
-                mat = _right_multiply_generator(rs, w.matrix, j - 1)
-                if mat not in seen:
-                    elem = WeylElement(rs, mat, w.word + (j,))
-                    seen[mat] = elem
-                    out.append(elem)
-                    nxt.append(elem)
+                c = v[j - 1]
+                if c < 0:
+                    continue
+                sv = tuple(x - c * a for x, a in zip(v, alpha[j - 1]))
+                if sv in seen:
+                    continue
+                seen.add(sv)
+                col = [-x for x in cols[j - 1]]
+                for k, a in others[j]:
+                    col = [x - a * y for x, y in zip(col, cols[k])]
+                new_cols = cols[:j - 1] + (tuple(col),) + cols[j:]
+                new_word = word + (j,)
+                out.append(_element(rs, tuple(zip(*new_cols)), new_word))
+                nxt.append((sv, new_cols, new_word))
         frontier = nxt
     if len(out) != order:
         raise AssertionError(

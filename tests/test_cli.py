@@ -1,6 +1,7 @@
 import importlib.resources
 import io
 import json
+import time
 
 import jsonschema
 import pytest
@@ -118,9 +119,17 @@ def test_check_malformed_json(capsys):
     lambda d: d.update(embedding={"custom": 5}),
     lambda d: d.update(embedding={"builder": ["so_in_sl"]}),
     lambda d: d.update(embedding={"builder": "so_in_sl", "params": 6}),
+    lambda d: d.update(p=5.9),
+    lambda d: d.update(J=[1.7]),
+    lambda d: d.update(J=[True]),
+    lambda d: d.update(embedding={"custom": {"g": "A1,A1", "h": "A1",
+                                             "matrix": [[0.5, 0.5]]}}),
+    lambda d: d.update(embedding={"custom": {"g": "A1,A1", "h": "A1",
+                                             "matrix": [[True, 1]]}}),
 ], ids=["J-not-int", "p-not-int", "param-null", "matrix-entry-object",
         "expect-not-object", "embedding-not-object", "custom-not-object",
-        "builder-not-string", "params-not-object"])
+        "builder-not-string", "params-not-object", "p-float", "J-float", "J-bool",
+        "matrix-entry-float", "matrix-entry-bool"])
 def test_check_malformed_values_are_refused(capsys, mutate):
     data = json.loads(json.dumps(CHECK_INPUT))
     mutate(data)
@@ -128,6 +137,39 @@ def test_check_malformed_values_are_refused(capsys, mutate):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_check_large_prime_is_decided_quickly(capsys):
+    data = dict(CHECK_INPUT, p=10 ** 18 + 3)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "check", json.dumps(data))
+    assert code == 0 and json.loads(out)["input"]["p"] == 10 ** 18 + 3
+    assert time.perf_counter() - start < 10  # trial division took minutes
+
+
+def test_check_p_above_bound_names_the_bound(capsys):
+    data = dict(CHECK_INPUT, p=3317044064679887385961981)
+    code, out, err = run(capsys, "check", json.dumps(data))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert "3317044064679887385961981" in err
+
+
+def test_check_bad_cap_env_is_one_error_line(capsys, monkeypatch):
+    monkeypatch.setenv("FROBCRIT_ENUM_CAP", "abc")
+    code, out, err = run(capsys, "check", json.dumps(CHECK_INPUT))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert "FROBCRIT_ENUM_CAP must be a positive integer" in err
+
+
+def test_custom_matrix_floats_refused_exact_strings_accepted(capsys):
+    code, out, err = run(capsys, "min-p", json.dumps(
+        {"custom": {"g": "A1", "h": "A1", "matrix": [[0.1]]}}))
+    assert code == 2 and out == "" and "0.1" in err
+    exact = {"custom": {"g": "A1,A1", "h": "A1", "matrix": [["2/2", "1"]]}}
+    plain = {"custom": {"g": "A1,A1", "h": "A1", "matrix": [[1, 1]]}}
+    code, out_exact, _ = run(capsys, "min-p", json.dumps(exact))
+    assert code == 0
+    assert run(capsys, "min-p", json.dumps(plain))[1] == out_exact
 
 
 def test_check_bad_lie_flag_refused_with_full_J(capsys):

@@ -1,7 +1,11 @@
+import math
+
 import pytest
 
 from frobcrit.criteria import (
+    PRIMALITY_BOUND,
     CriterionInput,
+    _is_prime,
     check_main,
     conjugated_borel_check,
     divisor_weights,
@@ -177,6 +181,37 @@ def test_user_lie_flag():
 def test_rejects_non_prime(p):
     with pytest.raises(ValueError, match="prime"):
         check_main(CriterionInput(identity("A2"), (1, 2), p))
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == \
+        [n for n in range(10 ** 5) if _trial_division(n)]
+
+
+@pytest.mark.parametrize("n", [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041,
+                               825265, 321197185, 3215031751, 2152302898747,
+                               3474749660383, 341550071728321, 3825123056546413051,
+                               318665857834031151167461])
+def test_is_prime_rejects_carmichael_and_strong_pseudoprimes(n):
+    assert not _is_prime(n)
+
+
+def test_is_prime_large_primes_and_bound():
+    assert _is_prime(10 ** 18 + 3) and _is_prime(2 ** 61 - 1) and _is_prime(2 ** 79 - 67)
+    assert not _is_prime((2 ** 61 - 1) * (2 ** 19 - 1))
+    with pytest.raises(ValueError, match=str(PRIMALITY_BOUND)):
+        _is_prime(PRIMALITY_BOUND)
+
+
+@pytest.mark.parametrize("J,p", [((1.7,), 2), ((True,), 2), ((1,), 5.9), ((1,), True),
+                                 (("1",), 2)])
+def test_rejects_non_integer_J_and_p(J, p):
+    with pytest.raises(TypeError, match="must be an integer"):
+        CriterionInput(identity("A2"), J, p)
 
 
 def test_rejects_bad_J():

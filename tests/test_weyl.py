@@ -6,6 +6,7 @@ from frobcrit.weyl import (
     DEFAULT_ENUM_CAP,
     EnumerationCapExceeded,
     WeylElement,
+    _right_multiply_generator,
     enumerate_parabolic,
     from_word,
     identity,
@@ -99,6 +100,64 @@ def test_enumerate_full_group(spec, order):
     assert len({w.matrix for w in elems}) == order
 
 
+def reference_enumerate(rs, J=None):
+    """The matrix breadth-first search that enumerate_parabolic replaced."""
+    members = tuple(range(1, rs.rank + 1)) if J is None else tuple(sorted(set(J)))
+    start = identity(rs)
+    seen = {start.matrix: start}
+    out = [start]
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for j in members:
+                mat = _right_multiply_generator(rs, w.matrix, j - 1)
+                if mat not in seen:
+                    elem = WeylElement(rs, mat, w.word + (j,))
+                    seen[mat] = elem
+                    out.append(elem)
+                    nxt.append(elem)
+        frontier = nxt
+    return out
+
+
+def _systems_up_to_rank(max_rank):
+    simple = [f"{letter}{r}" for letter, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+              for r in range(low, max_rank + 1)] + ["G2", "F4"]
+    simple = [c for c in simple if int(c[1:]) <= max_rank]
+    found = []
+
+    def extend(prefix, start, rank):
+        if prefix:
+            found.append(",".join(prefix))
+        for i in range(start, len(simple)):
+            if rank + int(simple[i][1:]) <= max_rank:
+                extend(prefix + [simple[i]], i, rank + int(simple[i][1:]))
+    extend([], 0, 0)
+    return found
+
+
+def _words_and_matrices(elements):
+    return [(w.word, w.matrix) for w in elements]
+
+
+@pytest.mark.parametrize("spec", _systems_up_to_rank(5))
+def test_enumeration_matches_reference_for_every_J(spec):
+    rs = build_root_system(spec)
+    for mask in range(2 ** rs.rank):
+        J = tuple(j + 1 for j in range(rs.rank) if mask >> j & 1)
+        assert _words_and_matrices(enumerate_parabolic(rs, J)) == \
+            _words_and_matrices(reference_enumerate(rs, J)), (spec, J)
+
+
+@pytest.mark.parametrize("spec", ["F4", "E6"])
+def test_enumeration_matches_reference_full_group(spec):
+    rs = build_root_system(spec)
+    ours = enumerate_parabolic(rs)
+    assert _words_and_matrices(ours) == _words_and_matrices(reference_enumerate(rs))
+    assert all(type(x) is int for w in ours[:50] for row in w.matrix for x in row)
+
+
 def test_enumeration_matches_brute_closure():
     for spec in ("A2", "C2", "G2", "B3"):
         rs = build_root_system(spec)
@@ -155,6 +214,13 @@ def test_cap_argument_and_env(monkeypatch):
     # explicit argument wins over the environment
     with pytest.raises(EnumerationCapExceeded):
         enumerate_parabolic(rs, cap=5)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5", ""])
+def test_bad_cap_env_names_the_variable(monkeypatch, value):
+    monkeypatch.setenv("FROBCRIT_ENUM_CAP", value)
+    with pytest.raises(ValueError, match="FROBCRIT_ENUM_CAP must be a positive integer"):
+        enumerate_parabolic(build_root_system("A2"))
 
 
 # -- longest elements --------------------------------------------------------
