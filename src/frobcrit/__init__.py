@@ -5,16 +5,17 @@ arithmetic.  Modules:
 
 - ``rootsys``: root systems, weights, pairings
 - ``weyl``: Weyl group elements, enumeration, Steinberg-type identities
-- ``embed``: subgroup embeddings as restriction matrices, plus builders
+- ``embed``: subgroup embeddings as restriction matrices, builders, and the
+  criterion input (embedding, J, p)
 - ``charalg``: weight multiplicities, dimensions, branching
 - ``criteria``: the splitting criteria and their reports
-- ``registry``: known good-filtration pairs and worked examples
+- ``registry``: known good-filtration pairs, and the worked examples as
+  records of inputs and expectations, their one source of truth
 - ``cli``: the ``frobcrit`` command
 """
 
 from .charalg import branch, freudenthal, fundamental_weight_surjectivity_scan, weyl_dim
 from .criteria import (
-    CriterionInput,
     CriterionReport,
     check_main,
     conjugated_borel_check,
@@ -22,7 +23,7 @@ from .criteria import (
     lemma53_min_p,
     thm41_hypotheses,
 )
-from .embed import Embedding, detect_twist, restrict, rho_h, validate
+from .embed import CriterionInput, Embedding, detect_twist, restrict, rho_h, validate
 from .registry import lookup_donkin
 from .rootsys import (
     RootSystem,

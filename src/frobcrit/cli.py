@@ -28,35 +28,39 @@ from fractions import Fraction
 
 from . import embed, registry
 from .criteria import (
-    CriterionInput,
     CriterionReport,
     check_main,
     conjugated_borel_check,
     lemma53_min_p,
 )
 from .charalg import branch
+from .embed import CriterionInput, _require_int
 from .rootsys import Weight, build_root_system
 from .weyl import verify_st_decomp
 
-_EXAMPLE_NAMES = (
-    "minimal-rank",
-    "sp4",
-    "sln-son:<n>",
-    "triple-diagonal:<type><rank>",
-    "frobenius-twist",
-)
-
+# builder name -> its parameters in call order; "g" and "h" name root
+# systems, "J" is a list of integers and every other parameter an integer
 _BUILDERS = {
-    "identity": (("h",), lambda p: embed.identity(p["h"])),
-    "levi": (("g", "J"), lambda p: embed.levi(p["g"], p["J"])),
-    "diagonal": (("h", "k"), lambda p: embed.diagonal(p["h"], p["k"])),
-    "folding_AC": (("m",), lambda p: embed.folding_AC(p["m"])),
-    "folding_DB": (("n",), lambda p: embed.folding_DB(p["n"])),
-    "folding_E6F4": ((), lambda p: embed.folding_E6F4()),
-    "folding_B3G2": ((), lambda p: embed.folding_B3G2()),
-    "so_in_sl": (("n",), lambda p: embed.so_in_sl(p["n"])),
-    "frobenius_twisted_diagonal": (
-        ("h", "p"), lambda p: embed.frobenius_twisted_diagonal(p["h"], p["p"])),
+    "identity": ("h",),
+    "levi": ("g", "J"),
+    "diagonal": ("h", "k"),
+    "folding_AC": ("m",),
+    "folding_DB": ("n",),
+    "folding_E6F4": (),
+    "folding_B3G2": (),
+    "so_in_sl": ("n",),
+    "frobenius_twisted_diagonal": ("h", "p"),
+}
+
+# key of an expect block -> (test of its value, what the value must be)
+_TAG_LIST = (lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v),
+             "a list of tag strings")
+_EXPECT_KEYS = {
+    "condition1_dominant": (lambda v: isinstance(v, bool), "true or false"),
+    "lie_separability": (lambda v: v in ("holds", "fails", "unknown"),
+                         "'holds', 'fails' or 'unknown'"),
+    "tags_include": _TAG_LIST,
+    "tags_exclude": _TAG_LIST,
 }
 
 
@@ -197,13 +201,16 @@ def embedding_from_descriptor(desc: dict) -> embed.Embedding:
         for key in ("g", "h", "matrix"):
             if key not in c:
                 raise InputError(f"custom embedding descriptor is missing {key!r}")
+        twist = c.get("twist_exponent")
         try:
+            if twist is not None and _require_int(twist, "twist_exponent") < 1:
+                raise ValueError(f"twist_exponent must be positive, got {twist}")
             return embed.Embedding(
                 build_root_system(c["g"]),
                 build_root_system(c["h"]),
                 [[_exact_entry(x) for x in row] for row in c["matrix"]],
                 c.get("label", "custom"),
-                c.get("twist_exponent"),
+                twist,
             )
         except (ValueError, TypeError, ZeroDivisionError) as err:
             raise InputError(f"bad custom embedding: {err}")
@@ -211,7 +218,7 @@ def embedding_from_descriptor(desc: dict) -> embed.Embedding:
     if not isinstance(name, str) or name not in _BUILDERS:
         raise InputError(
             f"unknown builder {name!r}; expected one of {', '.join(sorted(_BUILDERS))}")
-    required, make = _BUILDERS[name]
+    required = _BUILDERS[name]
     params = desc.get("params", {})
     if not isinstance(params, dict):
         raise InputError(f"builder {name!r}: params must be a JSON object")
@@ -219,9 +226,17 @@ def embedding_from_descriptor(desc: dict) -> embed.Embedding:
     if missing:
         raise InputError(f"builder {name!r} is missing parameters: {', '.join(missing)}")
     try:
-        return make(params)
+        return getattr(embed, name)(*(_builder_arg(k, params[k]) for k in required))
     except (ValueError, TypeError) as err:
         raise InputError(f"builder {name!r}: {err}")
+
+
+def _builder_arg(key: str, value):
+    if key in ("g", "h"):
+        return value
+    if key == "J":
+        return [_require_int(j, "J entry") for j in value]
+    return _require_int(value, key)
 
 
 def _parse_weight_arg(arg: str, rank: int) -> Weight:
@@ -244,8 +259,8 @@ def _cmd_check(args) -> int:
         if key not in data:
             raise InputError(f"criterion input is missing {key!r}")
     expect = data.get("expect")
-    if expect is not None and not isinstance(expect, dict):
-        raise InputError("expect must be a JSON object")
+    if expect is not None:
+        _validate_expect(expect)
     emb = embedding_from_descriptor(data["embedding"])
     try:
         inp = CriterionInput(
@@ -263,62 +278,49 @@ def _cmd_check(args) -> int:
         sys.stdout.write(_report_text(report))
     else:
         _emit_json(report_to_json(report), sys.stdout)
-    if expect:
-        failures = _check_expectations(report, expect)
-        if failures:
-            for f in failures:
-                print(f"expectation failed: {f}", file=sys.stderr)
-            return 1
-    return 0
+    return 0 if _check_expectations(report, expect or {}) else 1
 
 
-def _check_expectations(report: CriterionReport, expect: dict) -> list[str]:
+def _validate_expect(expect) -> None:
+    if not isinstance(expect, dict):
+        raise InputError("expect must be a JSON object")
+    for key, value in expect.items():
+        if key not in _EXPECT_KEYS:
+            raise InputError(
+                f"unknown expect key {key!r}; expected one of {', '.join(_EXPECT_KEYS)}")
+        valid, what = _EXPECT_KEYS[key]
+        if not valid(value):
+            raise InputError(f"expect {key!r} must be {what}, got {json.dumps(value)}")
+
+
+def _check_expectations(report: CriterionReport, expect: dict) -> bool:
+    """Judge a report against an expect block, naming each failure on stderr."""
     failures = []
     tags = report.tags()
-    if "condition1_dominant" in expect:
-        if report.condition1_dominant != bool(expect["condition1_dominant"]):
-            failures.append(
-                f"condition1_dominant is {report.condition1_dominant}, "
-                f"expected {expect['condition1_dominant']}")
+    for key, actual in (("condition1_dominant", report.condition1_dominant),
+                        ("lie_separability", report.lie_separability.status)):
+        if key in expect and actual != expect[key]:
+            failures.append(f"{key} is {actual}, expected {expect[key]}")
     for tag in expect.get("tags_include", []):
         if tag not in tags:
             failures.append(f"missing conclusion tag {tag}")
     for tag in expect.get("tags_exclude", []):
         if tag in tags:
             failures.append(f"unexpected conclusion tag {tag}")
-    return failures
-
-
-def _full_J(e: embed.Embedding) -> tuple[int, ...]:
-    return tuple(range(1, e.g.rank + 1))
+    for f in failures:
+        print(f"expectation failed: {f}", file=sys.stderr)
+    return not failures
 
 
 def _cmd_examples_list(args) -> int:
     if args.format == "text":
-        for name in _EXAMPLE_NAMES:
-            print(name)
+        print("\n".join(registry.EXAMPLES))
     else:
-        _emit_json({"examples": list(_EXAMPLE_NAMES)}, sys.stdout)
+        _emit_json({"examples": list(registry.EXAMPLES)}, sys.stdout)
     return 0
 
 
-def _cmd_examples_run(args) -> int:
-    return _run_example(args.name, args.format)
-
-
 def _run_example(name: str, fmt: str) -> int:
-    if name == "minimal-rank":
-        results, ok = [], True
-        for emb, expected in registry.minimal_rank_suite():
-            report = check_main(CriterionInput(emb, _full_J(emb), 3))
-            met = report.condition1_dominant == expected
-            ok = ok and met
-            results.append({"report": report_to_json(report),
-                            "expected_dominant": expected,
-                            "expectation_met": met})
-        _emit_example(name, results, ok, fmt)
-        return 0 if ok else 1
-
     if name == "sp4":
         ex = registry.example_sp4()
         verdicts = [conjugated_borel_check(ex.embedding, x, ex.J)
@@ -326,93 +328,61 @@ def _run_example(name: str, fmt: str) -> int:
         ok = tuple(verdicts) == ex.expected_verdicts
         if fmt == "dot":
             sys.stdout.write(_sp4_dot(ex, verdicts))
-            return 0 if ok else 1
-        results = [{
-            "embedding": embedding_to_json(ex.embedding),
-            "J": list(ex.J),
-            "conjugator_words": [list(x.word) for x in ex.conjugators],
-            "verdicts": verdicts,
-            "expected_verdicts": list(ex.expected_verdicts),
-            "diagram": _diagram_json(ex.diagram),
-        }]
-        _emit_example(name, results, ok, fmt)
+        else:
+            expected = list(ex.expected_verdicts)
+            _emit_example(name, [{
+                "embedding": embedding_to_json(ex.embedding),
+                "J": list(ex.J),
+                "conjugator_words": [list(x.word) for x in ex.conjugators],
+                "verdicts": verdicts,
+                "expected_verdicts": expected,
+                "diagram": _diagram_json(ex.diagram),
+            }], [f"conjugated Borel verdicts: {verdicts} expected {expected}"], ok, fmt)
         return 0 if ok else 1
-
-    if name.startswith("sln-son:"):
-        n = _int_suffix(name, "sln-son:")
-        try:
-            inputs = registry.example_sln_son(n)
-        except ValueError as err:
-            raise InputError(str(err))
-        results, ok = [], True
-        for inp in inputs:
-            report = check_main(inp)
-            met = report.condition1_dominant
-            ok = ok and met
-            results.append({"report": report_to_json(report),
-                            "expected_dominant": True,
-                            "expectation_met": met})
-        _emit_example(name, results, ok, fmt)
-        return 0 if ok else 1
-
-    if name.startswith("triple-diagonal:"):
-        spec = name.split(":", 1)[1]
-        try:
-            inp = registry.example_triple_diagonal(spec)
-        except ValueError as err:
-            raise InputError(str(err))
-        report = check_main(inp)
-        ok = not report.condition1_dominant and not report.conclusions
-        results = [{"report": report_to_json(report),
-                    "expected_dominant": False,
-                    "expectation_met": ok}]
-        _emit_example(name, results, ok, fmt)
-        return 0 if ok else 1
-
-    if name == "frobenius-twist":
-        results, ok = [], True
-        for inp in registry.example_frobenius_twist():
-            report = check_main(inp)
-            tags = report.tags()
-            met = (report.lie_separability.status == "fails"
-                   and "SPLIT_PJ" in tags and "GLOBALLY_F_REGULAR" in tags
-                   and "COR72_HPJ" not in tags)
-            ok = ok and met
-            results.append({"report": report_to_json(report),
-                            "expected": {"lie_separability": "fails",
-                                         "tags_include": ["SPLIT_PJ", "GLOBALLY_F_REGULAR"],
-                                         "tags_exclude": ["COR72_HPJ"]},
-                            "expectation_met": met})
-        _emit_example(name, results, ok, fmt)
-        return 0 if ok else 1
-
-    raise InputError(
-        f"unknown example {name!r}; available: {', '.join(_EXAMPLE_NAMES)}")
-
-
-def _int_suffix(name: str, prefix: str) -> int:
-    tail = name[len(prefix):]
+    record, args = _match_example(name)
     try:
-        return int(tail)
-    except ValueError:
-        raise InputError(f"expected an integer after {prefix!r}, got {tail!r}")
+        inputs = record.inputs(*args)
+    except ValueError as err:
+        raise InputError(str(err))
+    # an expectation on dominance alone is shown as "expected_dominant"
+    shown = ({"expected_dominant": record.expect["condition1_dominant"]}
+             if set(record.expect) == {"condition1_dominant"} else {"expected": record.expect})
+    results, lines, ok = [], [], True
+    for inp in inputs:
+        report = check_main(inp)
+        met = _check_expectations(report, record.expect)
+        ok = ok and met
+        results.append({"report": report_to_json(report), **shown, "expectation_met": met})
+        lines.append(f"{inp.embedding.label} J={list(inp.J)} p={inp.p}"
+                     f" dominant={report.condition1_dominant} tags={list(report.tags())}")
+    _emit_example(name, results, lines, ok, fmt)
+    return 0 if ok else 1
 
 
-def _emit_example(name: str, results: list, ok: bool, fmt: str) -> None:
+def _match_example(name: str) -> tuple[registry.ExampleRecord, tuple]:
+    """The record a name runs, and the argument its ``:<...>`` part gives."""
+    for listed, record in registry.EXAMPLES.items():
+        if name == listed and record.param is None:
+            return record, ()
+        prefix = listed.split(":", 1)[0] + ":"
+        if record.param is not None and name.startswith(prefix):
+            tail = name[len(prefix):]
+            try:
+                return record, (record.param(tail),)
+            except ValueError:  # only an int parameter can fail to parse
+                raise InputError(f"expected an integer after {prefix!r}, got {tail!r}")
+    raise InputError(
+        f"unknown example {name!r}; available: {', '.join(registry.EXAMPLES)}")
+
+
+def _emit_example(name: str, results: list, lines: list[str], ok: bool, fmt: str) -> None:
+    """Print an example's results as JSON, or as one text line per result."""
     if fmt == "dot":
         raise InputError("dot output is only available for the sp4 example")
     if fmt == "text":
         print(f"example: {name}")
-        for r in results:
-            if "verdicts" in r:
-                print(f"  conjugated Borel verdicts: {r['verdicts']}"
-                      f" expected {r['expected_verdicts']}")
-            else:
-                rep = r["report"]
-                print(f"  {rep['input']['embedding']['label']}"
-                      f" J={rep['input']['J']} p={rep['input']['p']}"
-                      f" dominant={rep['condition1']['dominant']}"
-                      f" tags={[c['tag'] for c in rep['conclusions']]}")
+        for line in lines:
+            print(f"  {line}")
         print(f"expectations met: {ok}")
     else:
         _emit_json({"example": name, "results": results, "expectations_met": ok},
@@ -475,9 +445,8 @@ def _cmd_verify_identities(args) -> int:
     failures = []
     for spec in specs:
         rs = build_root_system(spec)
-        indices = list(range(1, rs.rank + 1))
         for mask in range(1 << rs.rank):
-            J = [indices[i] for i in range(rs.rank) if mask >> i & 1]
+            J = [i + 1 for i in range(rs.rank) if mask >> i & 1]
             lhs, rhs, equal = verify_st_decomp(rs, J)
             checked += 1
             if not equal:
@@ -558,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = ex_sub.add_parser("run", help="run one example and verify expectations")
     p_run.add_argument("name")
     add_format(p_run, ("json", "text", "dot"))
-    p_run.set_defaults(func=_cmd_examples_run)
+    p_run.set_defaults(func=lambda args: _run_example(args.name, args.format))
 
     p_ver = sub.add_parser("verify-identities",
                            help="sweep the Steinberg-type decomposition identity")

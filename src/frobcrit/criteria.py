@@ -19,7 +19,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .embed import Embedding, detect_twist, restrict, rho_h, root_fiber, validate
+from .embed import (CriterionInput, Embedding, detect_twist, restrict, rho_h,
+                    root_fiber, validate)
+from .registry import lookup_donkin
 from .rootsys import (
     Weight,
     cartan_pairing,
@@ -63,27 +65,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _require_int(value, what: str) -> int:
-    # bools are ints to Python but not to a JSON reader; floats would truncate
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-@dataclass
-class CriterionInput:
-    """One criterion instance: embedding, parabolic index set, prime."""
-    embedding: Embedding
-    J: tuple[int, ...]
-    p: int
-    surjectivity_source: str = "donkin-registry"
-    lie_separability: str | None = None  # optional caller assertion: holds/fails
-
-    def __post_init__(self) -> None:
-        self.J = tuple(sorted(set(_require_int(j, "J entry") for j in self.J)))
-        self.p = _require_int(self.p, "p")
 
 
 @dataclass
@@ -167,7 +148,6 @@ def _resolve_surjectivity(inp: CriterionInput, min_p: int) -> SurjectivityStatus
     if source == "none":
         return SurjectivityStatus("unknown", "none", "no surjectivity source requested")
     # donkin-registry, falling through to the large-p bound on a miss
-    from .registry import lookup_donkin
     hit = lookup_donkin(inp.embedding, p)
     if hit.status == "yes":
         return SurjectivityStatus("holds", "donkin-registry", hit.detail)
@@ -218,9 +198,10 @@ def check_main(inp: CriterionInput) -> CriterionReport:
             raise ValueError(f"J index {j} outside 1..{emb.g.rank}")
 
     p, J = inp.p, inp.J
+    rh = rho_h(emb)
     rj = rho_J(emb.g, J)
     rj_res = restrict(emb, rj)
-    cond1 = 2 * rho_h(emb) - rj_res
+    cond1 = 2 * rh - rj_res
     dominant = cond1.is_dominant()
     regular = cond1.is_regular_dominant()
     min_p = lemma53_min_p(emb)
@@ -239,70 +220,61 @@ def check_main(inp: CriterionInput) -> CriterionReport:
     if not dominant:
         return report
 
+    # which conclusions hold once the splitting exists, in the order the
+    # CONDITIONAL statement lists them
+    canonical = rh - rj_res
+    full = len(J) == emb.g.rank
+    holds = {
+        "SPLIT_PJ": True,
+        "GLOBALLY_F_REGULAR": regular,
+        "CANONICAL_SPLIT": canonical.is_dominant(),
+        "COR72_HPJ": lie.status == "holds",
+        "COR73_FLAG": full,
+        "COHOMOLOGY_VANISHING": full,
+    }
     count, words = _orbit_words(emb, J)
-    jset = list(J)
-
-    def conclude(tag: str, statement: str, theorem: str) -> None:
-        report.conclusions.append(Conclusion(tag, statement, theorem, count, words))
-
     if not surjectivity.holds:
-        would = ["SPLIT_PJ"]
-        if regular:
-            would.append("GLOBALLY_F_REGULAR")
-        if (rho_h(emb) - rj_res).is_dominant():
-            would.append("CANONICAL_SPLIT")
-        if lie.status == "holds":
-            would.append("COR72_HPJ")
-        if len(J) == emb.g.rank:
-            would.extend(["COR73_FLAG", "COHOMOLOGY_VANISHING"])
-        conclude(
+        would = ", ".join(tag for tag, on in holds.items() if on)
+        statements = [(
             "CONDITIONAL",
             f"2 rho_H - rho_J|_H = {_coords(cond1)} is dominant, but surjectivity of "
             f"restriction on sections of weight (p-1) rho_J is unresolved "
-            f"({surjectivity.detail}); if it holds, these follow: {', '.join(would)}",
-            "pending-surjectivity")
-        return report
-
-    conclude(
-        "SPLIT_PJ",
-        f"the induced variety H x_BH (P_J/B) is Frobenius split by a splitting of "
-        f"weight (p-1)(2 rho_H - rho_J|_H) with p={p}, J={jset}, compatibly with "
-        f"every induced Schubert variety H x_BH X(w), w in W_J",
-        "induced-parabolic-splitting")
-    report.divisor = DivisorData((p - 1) * rj, p - 1, J)
-    if (rho_h(emb) - rj_res).is_dominant():
-        conclude(
-            "CANONICAL_SPLIT",
-            f"rho_H - rho_J|_H = {_coords(rho_h(emb) - rj_res)} is dominant, so the "
-            f"splitting of H x_BH (P_J/B) can be chosen B_H-canonical",
-            "canonical-splitting")
-    if regular:
-        conclude(
-            "GLOBALLY_F_REGULAR",
-            f"2 rho_H - rho_J|_H = {_coords(cond1)} is regular dominant, so "
-            f"H x_BH (P_J/B) and every induced Schubert variety H x_BH X(w), "
-            f"w in W_J, is globally F-regular",
-            "induced-parabolic-splitting")
-    if lie.status == "holds":
-        extra = ("; each orbit closure is globally F-regular" if regular else "")
-        conclude(
-            "COR72_HPJ",
-            f"Lie(H) + Lie(P_J) separability holds ({lie.source}), so the splitting "
-            f"descends: H P_J/B is Frobenius split compatibly with the H-orbit "
-            f"closures H.X(w) for all w in W_J{extra}",
-            "separable-descent")
-    if len(J) == emb.g.rank:
-        conclude(
-            "COR73_FLAG",
-            f"J is the full index set, so G/B itself is Frobenius split compatibly "
-            f"with the closure of every H-orbit H.X(w), w in W",
-            "full-flag-descent")
-        conclude(
-            "COHOMOLOGY_VANISHING",
-            f"for every dominant lambda and every w in W: H^i of the orbit closure "
-            f"H.X(w) with coefficients in L(lambda) vanishes for i > 0, and "
-            f"H^0(G/B, L(lambda)) -> H^0 of the orbit closure is surjective",
-            "full-flag-descent")
+            f"({surjectivity.detail}); if it holds, these follow: {would}",
+            "pending-surjectivity")]
+    else:
+        report.divisor = DivisorData((p - 1) * rj, p - 1, J)
+        extra = "; each orbit closure is globally F-regular" if regular else ""
+        statements = [(tag, statement, theorem) for tag, statement, theorem in (
+            ("SPLIT_PJ",
+             f"the induced variety H x_BH (P_J/B) is Frobenius split by a splitting of "
+             f"weight (p-1)(2 rho_H - rho_J|_H) with p={p}, J={list(J)}, compatibly with "
+             f"every induced Schubert variety H x_BH X(w), w in W_J",
+             "induced-parabolic-splitting"),
+            ("CANONICAL_SPLIT",
+             f"rho_H - rho_J|_H = {_coords(canonical)} is dominant, so the "
+             f"splitting of H x_BH (P_J/B) can be chosen B_H-canonical",
+             "canonical-splitting"),
+            ("GLOBALLY_F_REGULAR",
+             f"2 rho_H - rho_J|_H = {_coords(cond1)} is regular dominant, so "
+             f"H x_BH (P_J/B) and every induced Schubert variety H x_BH X(w), "
+             f"w in W_J, is globally F-regular",
+             "induced-parabolic-splitting"),
+            ("COR72_HPJ",
+             f"Lie(H) + Lie(P_J) separability holds ({lie.source}), so the splitting "
+             f"descends: H P_J/B is Frobenius split compatibly with the H-orbit "
+             f"closures H.X(w) for all w in W_J{extra}",
+             "separable-descent"),
+            ("COR73_FLAG",
+             "J is the full index set, so G/B itself is Frobenius split compatibly "
+             "with the closure of every H-orbit H.X(w), w in W",
+             "full-flag-descent"),
+            ("COHOMOLOGY_VANISHING",
+             "for every dominant lambda and every w in W: H^i of the orbit closure "
+             "H.X(w) with coefficients in L(lambda) vanishes for i > 0, and "
+             "H^0(G/B, L(lambda)) -> H^0 of the orbit closure is surjective",
+             "full-flag-descent"),
+        ) if holds[tag]]
+    report.conclusions = [Conclusion(*s, count, words) for s in statements]
     return report
 
 

@@ -10,10 +10,14 @@ coroot of H.
 
 Each builder stamps a structured ``label`` used by the Donkin-pair registry
 for provenance matching, e.g. ``"levi:C2:J=[1]"`` or ``"so_in_sl:n=6"``.
+
+``CriterionInput`` adds the index set J and the prime p; it sits here so that
+``registry`` can build inputs while ``criteria`` imports ``registry``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -55,6 +59,27 @@ class Embedding:
 
     def __repr__(self) -> str:
         return f"Embedding({self.label!r})"
+
+
+def _require_int(value, what: str) -> int:
+    # bools are ints to Python but not to a JSON reader; floats would truncate
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+@dataclass
+class CriterionInput:
+    """One criterion instance: embedding, parabolic index set, prime."""
+    embedding: Embedding
+    J: tuple[int, ...]
+    p: int
+    surjectivity_source: str = "donkin-registry"
+    lie_separability: str | None = None  # optional caller assertion: holds/fails
+
+    def __post_init__(self) -> None:
+        self.J = tuple(sorted(set(_require_int(j, "J entry") for j in self.J)))
+        self.p = _require_int(self.p, "p")
 
 
 def restrict(emb: Embedding, weight: Weight) -> Weight:

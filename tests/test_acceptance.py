@@ -9,6 +9,7 @@ narrow unit tests live next to their subjects; nothing below reaches into
 private helpers.
 """
 
+import itertools
 import json
 import time
 from importlib import resources
@@ -214,6 +215,38 @@ def test_branch_conserves_dimension(emb):
         parts = sum(mult * weyl_dim(emb.h, top)
                     for top, mult in branch(emb, lam).items())
         assert parts == weyl_dim(emb.g, lam), (emb.label, lam)
+
+
+def _J_spread(rank):
+    """Every J up to rank 4; above it, the full set and the full set less its middle node."""
+    full = tuple(range(1, rank + 1))
+    if rank > 4:
+        return [full, tuple(j for j in full if j != (rank + 1) // 2)]
+    return [J for k in range(rank + 1) for J in itertools.combinations(full, k)]
+
+
+def test_conditional_lists_exactly_the_user_asserted_tags():
+    # metamorphic: asserting surjectivity must yield what CONDITIONAL promised
+    embs = registry_embeddings() + [embed.frobenius_twisted_diagonal(h, q)
+                                    for h, q in (("A1", 2), ("A1", 3), ("A2", 5))]
+    start = time.monotonic()
+    conditional = 0
+    for emb in embs:
+        for J in _J_spread(emb.g.rank):
+            for p in (2, 3, 5):
+                for flag in (None, "holds", "fails"):
+                    report = check_main(CriterionInput(emb, J, p, "none", flag))
+                    if not report.condition1_dominant:
+                        continue
+                    [pending] = report.conclusions
+                    assert pending.tag == "CONDITIONAL"
+                    follow = pending.statement.split("these follow: ")[1].split(", ")
+                    asserted = check_main(CriterionInput(emb, J, p, "user-asserted", flag))
+                    assert len(set(follow)) == len(follow)
+                    assert set(follow) == set(asserted.tags()), (emb.label, J, p, flag)
+                    conditional += 1
+    assert conditional > 500  # not vacuous
+    assert time.monotonic() - start < 30.0
 
 
 def test_large_p_bound_yields_split():

@@ -6,6 +6,7 @@ import time
 import jsonschema
 import pytest
 
+from frobcrit import cli, registry
 from frobcrit.cli import main
 
 CHECK_INPUT = {
@@ -88,6 +89,32 @@ def test_check_expectations_fail(capsys):
     assert "expectation failed" in err
 
 
+def test_check_lie_separability_expectation(capsys):
+    data = {"embedding": {"builder": "frobenius_twisted_diagonal",
+                          "params": {"h": "A1", "p": 3}},
+            "J": [1], "p": 3, "surjectivity_source": "user-asserted",
+            "expect": {"lie_separability": "fails", "tags_exclude": ["COR72_HPJ"]}}
+    code, _, err = run(capsys, "check", json.dumps(data))
+    assert code == 0 and err == ""
+    data["expect"] = {"lie_separability": "holds"}
+    code, out, err = run(capsys, "check", json.dumps(data))
+    assert code == 1 and json.loads(out)["lie_separability"]["status"] == "fails"
+    assert err == "expectation failed: lie_separability is fails, expected holds\n"
+
+
+def test_builder_integer_parameters_still_accepted(capsys):
+    data = {"embedding": {"builder": "levi", "params": {"g": "C3", "J": [1, 3]}},
+            "J": [1], "p": 3}
+    code, out, _ = run(capsys, "check", json.dumps(data))
+    assert code == 0
+    assert json.loads(out)["input"]["embedding"]["label"] == "levi:C3:J=[1, 3]"
+    data["embedding"] = {"custom": {"g": "A1,A1", "h": "A1", "matrix": [[1, 3]],
+                                    "twist_exponent": 3}}
+    code, out, _ = run(capsys, "check", json.dumps(data))
+    assert code == 0
+    assert json.loads(out)["input"]["embedding"]["twist_exponent"] == 3
+
+
 @pytest.mark.parametrize("mutate,fragment", [
     (lambda d: d.update(p=4), "prime"),
     (lambda d: d.pop("J"), "missing"),
@@ -126,10 +153,38 @@ def test_check_malformed_json(capsys):
                                              "matrix": [[0.5, 0.5]]}}),
     lambda d: d.update(embedding={"custom": {"g": "A1,A1", "h": "A1",
                                              "matrix": [[True, 1]]}}),
+    lambda d: d.update(embedding={"builder": "levi", "params": {"g": "C3", "J": [1.5]}}),
+    lambda d: d.update(embedding={"builder": "diagonal", "params": {"h": "A1", "k": 2.7}}),
+    lambda d: d.update(embedding={"builder": "diagonal", "params": {"h": "A1", "k": True}},
+                       J=[1]),
+    lambda d: d.update(embedding={"builder": "folding_AC", "params": {"m": 2.5}}),
+    lambda d: d.update(embedding={"builder": "folding_DB", "params": {"n": 4.0}}),
+    lambda d: d.update(embedding={"builder": "so_in_sl", "params": {"n": "4"}}),
+    lambda d: d.update(embedding={"builder": "frobenius_twisted_diagonal",
+                                  "params": {"h": "A1", "p": 3.5}}),
+    lambda d: d.update(embedding={"custom": {"g": "A1,A1", "h": "A1", "matrix": [[1, 1]],
+                                             "twist_exponent": "x"}}),
+    lambda d: d.update(embedding={"custom": {"g": "A1,A1", "h": "A1", "matrix": [[1, 1]],
+                                             "twist_exponent": 1.5}}),
+    lambda d: d.update(embedding={"custom": {"g": "A1,A1", "h": "A1", "matrix": [[1, 1]],
+                                             "twist_exponent": True}}),
+    lambda d: d.update(embedding={"custom": {"g": "A1,A1", "h": "A1", "matrix": [[1, 1]],
+                                             "twist_exponent": 0}}),
+    lambda d: d.update(expect={"tags_include": 5}),
+    lambda d: d.update(expect={"tags_include": "SPLIT_PJ"}),
+    lambda d: d.update(expect={"tags_exclude": [1]}),
+    lambda d: d.update(expect={"condition1_dominant": "false"}),
+    lambda d: d.update(expect={"lie_separability": "maybe"}),
+    lambda d: d.update(expect={"tag_include": ["SPLIT_PJ"]}),
 ], ids=["J-not-int", "p-not-int", "param-null", "matrix-entry-object",
         "expect-not-object", "embedding-not-object", "custom-not-object",
         "builder-not-string", "params-not-object", "p-float", "J-float", "J-bool",
-        "matrix-entry-float", "matrix-entry-bool"])
+        "matrix-entry-float", "matrix-entry-bool", "levi-J-float", "diagonal-k-float",
+        "diagonal-k-bool", "folding_AC-m-float", "folding_DB-n-float",
+        "so_in_sl-n-string", "twisted-p-float", "twist-exponent-string",
+        "twist-exponent-float", "twist-exponent-bool", "twist-exponent-zero",
+        "expect-tags-int", "expect-tags-string", "expect-tags-not-strings",
+        "expect-dominant-string", "expect-lie-unknown-value", "expect-unknown-key"])
 def test_check_malformed_values_are_refused(capsys, mutate):
     data = json.loads(json.dumps(CHECK_INPUT))
     mutate(data)
@@ -270,6 +325,31 @@ def test_examples_run_unknown(capsys):
     assert code == 2
     code, _, err = run(capsys, "examples", "run", "triple-diagonal:Q9")
     assert code == 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_example_with_a_wrong_expectation_exits_1(capsys, monkeypatch, fmt):
+    # the failing side of the example loop: same judge as `check`
+    record = registry.EXAMPLES["triple-diagonal:<type><rank>"]
+    wrong = record._replace(expect={"condition1_dominant": True})
+    monkeypatch.setitem(registry.EXAMPLES, record.name, wrong)
+    code, out, err = run(capsys, "examples", "run", "triple-diagonal:A1", "--format", fmt)
+    assert code == 1
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["expectations_met"] is False
+        assert [r["expectation_met"] for r in payload["results"]] == [False]
+        assert payload["results"][0]["expected_dominant"] is True
+    else:
+        assert "expectations met: False" in out
+    assert err == "expectation failed: condition1_dominant is False, expected True\n"
+
+
+def test_example_records_use_the_check_vocabulary():
+    for name, record in registry.EXAMPLES.items():
+        assert record.name == name
+        cli._validate_expect(record.expect)  # raises on a key `check` would refuse
+        assert (record.inputs is None) == (name == "sp4")
 
 
 def test_examples_run_text(capsys):

@@ -1,0 +1,92 @@
+"""Import structure of the package.
+
+Every import in ``src/frobcrit`` sits at module level, the intra-package
+imports form no cycle, each module imports on its own, and the names the
+benchmark's tracer wraps (``perfbench/tracing.py``, read here, never
+imported or changed) are still bound where it looks for them.
+"""
+
+import ast
+import importlib
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "frobcrit"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def _tree(name):
+    path = PACKAGE / f"{name}.py"
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_import_inside_a_function(name):
+    nested = []
+    for func in ast.walk(_tree(name)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            nested += [(getattr(func, "name", "<lambda>"), node.lineno)
+                       for node in ast.walk(func)
+                       if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert nested == []
+
+
+def test_package_imports_form_no_cycle():
+    edges = {}
+    for name in MODULES:
+        edges[name] = set()
+        for node in _tree(name).body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    edges[name].add(node.module)
+                else:  # from . import x, y
+                    edges[name] |= {a.name for a in node.names}
+    state = {}
+
+    def visit(name, path):
+        if state.get(name) == "done":
+            return
+        assert state.get(name) != "open", f"import cycle: {' -> '.join(path + [name])}"
+        state[name] = "open"
+        for dep in sorted(edges.get(name, ())):
+            visit(dep, path + [name])
+        state[name] = "done"
+
+    for name in MODULES:
+        visit(name, [])
+    assert edges["criteria"] >= {"registry"} and "criteria" not in edges["registry"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_imports_alone_in_a_fresh_interpreter(name):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import frobcrit.{name}"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _tracer_targets():
+    source = (ROOT / "perfbench" / "tracing.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            return [(elt.elts[0].value, elt.elts[1].value) for elt in node.value.elts]
+    raise AssertionError("perfbench/tracing.py defines no TARGETS")
+
+
+def test_tracer_targets_still_resolve():
+    targets = _tracer_targets()
+    assert ("registry", "lookup_donkin") in targets
+    assert ("charalg", "weyl_orbit") in targets
+    assert ("charalg", "DominantCharacter.weights") in targets
+    for module, path in targets:
+        obj = importlib.import_module(f"frobcrit.{module}")
+        for part in path.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), (module, path)
