@@ -6,7 +6,8 @@ expansion when asked for.  Branching through an embedding never builds one:
 it walks each W_G-orbit of the dominant multiplicities on integer tuples,
 carrying the restricted coordinates along, checks that the restricted
 multiset is integral and W_H-invariant, and then strips H-characters
-greedily from the top on the H-dominant weights only.
+greedily from the top on the H-dominant weights only.  Every reflection
+here is ``rootsys.descend`` or ``rootsys.orbit_walk``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
 from typing import Iterable
 
 from .embed import Embedding
@@ -24,6 +24,8 @@ from .rootsys import (
     Weight,
     build_root_system,
     cartan_pairing,
+    descend,
+    orbit_walk,
     rho,
     root_to_weight,
 )
@@ -34,36 +36,12 @@ _factor_systems: dict[tuple, RootSystem] = {}
 
 def dominant_conjugate(rs: RootSystem, weight: Weight) -> Weight:
     """The unique dominant element of the Weyl orbit."""
-    coords = list(weight.coords)
-    n = rs.rank
-    while True:
-        i = next((i for i in range(n) if coords[i] < 0), None)
-        if i is None:
-            return Weight(coords)
-        c = coords[i]
-        for k in range(n):
-            coords[k] -= c * rs.cartan[k][i]
+    return Weight(descend(rs, weight.coords)[0])
 
 
 def weyl_orbit(rs: RootSystem, weight: Weight) -> set[tuple[Fraction, ...]]:
     """All coordinate tuples in the Weyl orbit of the weight."""
-    start = weight.coords
-    seen = {start}
-    frontier = [start]
-    n = rs.rank
-    while frontier:
-        nxt = []
-        for coords in frontier:
-            for i in range(n):
-                if coords[i] == 0:
-                    continue
-                c = coords[i]
-                image = tuple(coords[k] - c * rs.cartan[k][i] for k in range(n))
-                if image not in seen:
-                    seen.add(image)
-                    nxt.append(image)
-        frontier = nxt
-    return seen
+    return set(orbit_walk(rs, descend(rs, weight.coords)[0]))
 
 
 class DominantCharacter:
@@ -129,7 +107,6 @@ def freudenthal(rs: RootSystem, lam: Weight) -> DominantCharacter:
     # of the recursion scale together and everything below is plain integer
     # arithmetic on coordinate tuples
     n = rs.rank
-    cartan = rs.cartan
     scale = math.lcm(*(d.denominator for d in rs.symmetrizer))
     isym = [int(d * scale) for d in rs.symmetrizer]
     pos = []
@@ -170,20 +147,7 @@ def freudenthal(rs: RootSystem, lam: Weight) -> DominantCharacter:
             k = 1
             nu = tuple(mu_t[j] + bw[j] for j in range(n))
             while True:
-                if min(nu) >= 0:
-                    key = nu
-                else:
-                    v = list(nu)
-                    lowered = True
-                    while lowered:
-                        lowered = False
-                        for i in range(n):
-                            c = v[i]
-                            if c < 0:
-                                for j in range(n):
-                                    v[j] -= c * cartan[j][i]
-                                lowered = True
-                    key = tuple(v)
+                key = nu if min(nu) >= 0 else descend(rs, nu)[0]
                 m = mults.get(key)
                 if m is None:
                     break  # weight strings are saturated, nothing further up
@@ -224,6 +188,19 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     return int(out)
 
 
+def _is_invariant(rs: RootSystem, mults: dict[tuple, int]) -> bool:
+    """Whether a multiset of weights is W-invariant: constant on the orbit of
+    each of its dominant weights, with those orbits covering it."""
+    covered = 0
+    for t, m in mults.items():
+        if min(t) >= 0:
+            for u in orbit_walk(rs, t):
+                if mults.get(u) != m:
+                    return False
+                covered += 1
+    return covered == len(mults)
+
+
 def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
     """Decompose the restriction of the irreducible G-module to H.
 
@@ -234,44 +211,25 @@ def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
     surface.
     """
     # The restricted character is summed over each W_G-orbit of the dominant
-    # multiplicities without building a Weight: s_i mu = mu - mu_i alpha_i, so
-    # Res(s_i mu) = Res(mu) - mu_i Res(alpha_i).  The walk is a tree: the
-    # parent of a non-dominant mu is s_j mu, j its first negative coordinate,
-    # so no weight is visited twice and no seen-set is kept.  A fractional
-    # restriction matrix is scaled to integers for the walk and the scale is
-    # divided out after it, which is where non-integral weights show up.
+    # multiplicities without building a Weight: the orbit walk carries
+    # Res(mu) along on alpha_i || Res(alpha_i), since Res(s_i mu) =
+    # Res(mu) - mu_i Res(alpha_i).  A fractional restriction matrix is
+    # scaled to integers for the walk and the scale is divided out after it,
+    # which is where non-integral weights show up.
     g, h = emb.g, emb.h
-    gn, hn = g.rank, h.rank
+    gn = g.rank
     scale = math.lcm(*(x.denominator for row in emb.restriction for x in row))
     rows = [[int(x * scale) for x in row] for row in emb.restriction]
-    alphas = [[g.cartan[k][i] for k in range(gn)] for i in range(gn)]
-    res_alphas = [[sum(row[k] * alpha[k] for k in range(gn)) for row in rows]
-                  for alpha in alphas]
-    steps: dict[tuple, tuple] = {}  # (i, c) -> (c alpha_i, c Res(alpha_i))
+
+    def res(v):
+        return tuple([sum(r * x for r, x in zip(row, v)) for row in rows])
+
+    extended = [alpha + res(alpha) for alpha in g.alphas]
     restricted: dict[tuple, int] = {}
     for mu, m in freudenthal(g, lam).multiplicities.items():
-        start = mu.coords
-        stack = [(start, tuple([sum(row[k] * start[k] for k in range(gn))
-                                for row in rows]), gn)]
-        while stack:
-            nu, r, first = stack.pop()
+        for nu in orbit_walk(g, mu.coords + res(mu.coords), extended):
+            r = nu[gn:]
             restricted[r] = restricted.get(r, 0) + m
-            for i, c in enumerate(nu):
-                if c <= 0:
-                    continue
-                step = steps.get((i, c))
-                if step is None:
-                    step = steps[i, c] = (tuple(c * a for a in alphas[i]),
-                                          tuple(c * a for a in res_alphas[i]))
-                down, res_down = step
-                # nu is the parent of s_i nu only if i is the first negative
-                # coordinate of s_i nu; below `first` that holds by itself
-                if i > first and nu[first] < down[first]:
-                    continue
-                child = tuple(map(sub, nu, down))
-                if i > first and min(child[:i]) < 0:
-                    continue
-                stack.append((child, tuple(map(sub, r, res_down)), i))
     if scale != 1:
         for r in restricted:
             if any(x % scale for x in r):
@@ -282,10 +240,8 @@ def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
         restricted = {tuple(x // scale for x in r): m
                       for r, m in restricted.items()}
 
-    heights = []
-    for j in range(hn):
-        basis = Weight([1 if k == j else 0 for k in range(hn)])
-        heights.append(sum(h.root_coordinates(basis), Fraction(0)))
+    # the height of omega_j is the sum of column j of the inverse Cartan matrix
+    heights = [sum(col) for col in zip(*h.cartan_inverse)]
     hscale = math.lcm(*(x.denominator for x in heights))
     hv = tuple(int(x * hscale) for x in heights)
 
@@ -293,16 +249,18 @@ def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
         return (sum(a * b for a, b in zip(hv, t)), t)
 
     # H-characters are W_H-invariant, so a sum of them is too; checking that
-    # first lets the subtraction below look at H-dominant weights only
-    h_alphas = [[h.cartan[k][i] for k in range(hn)] for i in range(hn)]
-    broken = []  # (nu, s_i nu) with nu_i < 0 and unequal multiplicities
-    for nu, m in restricted.items():
-        for i, c in enumerate(nu):
-            if c:
-                image = tuple([x - c * a for x, a in zip(nu, h_alphas[i])])
-                if restricted.get(image, 0) != m:
-                    broken.append((nu, image) if c < 0 else (image, nu))
-    if broken:
+    # first lets the subtraction below look at H-dominant weights only (the
+    # witness search, two descents per coordinate, only names a failure)
+    if not _is_invariant(h, restricted):
+        broken = []  # (nu, s_i nu) with nu_i < 0 and unequal multiplicities
+        for nu, m in restricted.items():
+            for i, c in enumerate(nu, 1):
+                if c:  # s_i nu is one descent step, from -nu when nu_i > 0
+                    sign = -1 if c > 0 else 1
+                    image = tuple([sign * x for x in
+                                   descend(h, [sign * x for x in nu], (i,))[0]])
+                    if restricted.get(image, 0) != m:
+                        broken.append((nu, image) if c < 0 else (image, nu))
         low, up = max(broken, key=lambda pair: key(pair[0]))
         raise ValueError(
             f"weight {low} of the restricted character is not dominant and "

@@ -34,8 +34,8 @@ from .criteria import (
     lemma53_min_p,
 )
 from .charalg import branch
-from .embed import CriterionInput, _require_int
-from .rootsys import Weight, build_root_system
+from .embed import CriterionInput
+from .rootsys import Weight, _require_int, build_root_system
 from .weyl import verify_st_decomp
 
 # builder name -> its parameters in call order; "g" and "h" name root

@@ -25,6 +25,7 @@ from .registry import lookup_donkin
 from .rootsys import (
     Weight,
     cartan_pairing,
+    index_set,
     parabolic_weyl_order,
     rho_J,
 )
@@ -352,10 +353,7 @@ def conjugated_borel_check(emb: Embedding, x: WeylElement, J: Iterable[int]) -> 
         raise ValueError("embedding fails validation: " + "; ".join(problems))
     if x.rs != emb.g:
         raise ValueError("conjugating element does not act on the source group")
-    members = sorted(set(int(j) for j in J))
-    for j in members:
-        if not 1 <= j <= emb.g.rank:
-            raise ValueError(f"J index {j} outside 1..{emb.g.rank}")
+    members = index_set(emb.g, J)
 
     x_positive = {x.act_root(beta) for beta in emb.g.positive_roots}
     signs: dict[tuple[int, ...], int] = {}

@@ -26,7 +26,9 @@ from .rootsys import (
     RootVector,
     Weight,
     _exact,
+    _require_int,
     build_root_system,
+    index_set,
     root_to_weight,
     subsystem_components,
 )
@@ -59,13 +61,6 @@ class Embedding:
 
     def __repr__(self) -> str:
         return f"Embedding({self.label!r})"
-
-
-def _require_int(value, what: str) -> int:
-    # bools are ints to Python but not to a JSON reader; floats would truncate
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 @dataclass
@@ -175,7 +170,7 @@ def levi(rs, J: Iterable[int]) -> Embedding:
     root spaces of G, recorded in ``root_lift``.
     """
     g = _as_root_system(rs)
-    members = sorted(set(int(j) for j in J))
+    members = index_set(g, J)
     if not members:
         raise ValueError("a Levi embedding needs a nonempty index set J")
     pieces = subsystem_components(g, members)
@@ -192,7 +187,7 @@ def levi(rs, J: Iterable[int]) -> Embedding:
         if beta_t not in gpos:  # subsystem closure guarantees this
             raise AssertionError(f"Levi lift of {gamma} is not a root of G")
         lift[gamma] = (beta_t,)
-    label = f"levi:{g.spec_string()}:J={members}"
+    label = f"levi:{g.spec_string()}:J={list(members)}"
     return Embedding(g, h, rows, label, root_lift=lift)
 
 

@@ -9,11 +9,13 @@ its criterion inputs, and what every report on them must show, in the
 vocabulary of the ``check`` command's expect block.  The records are the one
 source of truth: ``frobcrit examples`` judges them with the same code as
 ``check``, and the tests read the same table.
+
+Every record type here is a NamedTuple: a frozen dataclass costs about
+1.5 ms of import time, paid on every ``frobcrit`` start.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import embed
@@ -25,8 +27,7 @@ _INVOLUTION_BUILDERS = (
 )
 
 
-@dataclass(frozen=True)
-class DonkinPairRecord:
+class DonkinPairRecord(NamedTuple):
     name: str
     min_p: int
     citation: str
@@ -57,8 +58,7 @@ DONKIN_RECORDS: tuple[DonkinPairRecord, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class DonkinLookup:
+class DonkinLookup(NamedTuple):
     status: str                      # "yes" | "unknown"
     record: DonkinPairRecord | None
     detail: str
@@ -102,8 +102,7 @@ def minimal_rank_suite() -> list[tuple[Embedding, bool]]:
     return [(e, dominant) for e in suite]
 
 
-@dataclass(frozen=True)
-class OrbitDiagram:
+class OrbitDiagram(NamedTuple):
     """Closure diagram of the orbit poset: nodes, covers, and annotations."""
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str, str], ...]      # (upper, lower, single|double)
@@ -113,8 +112,7 @@ class OrbitDiagram:
     unresolved: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Sp4Example:
+class Sp4Example(NamedTuple):
     embedding: Embedding
     J: tuple[int, ...]
     conjugators: tuple[WeylElement, ...]
@@ -201,8 +199,7 @@ class ExampleRecord(NamedTuple):
     """A worked example: its criterion inputs and what each report must show.
 
     A name ending in ``:<...>`` takes one argument, parsed by ``param``.  Only
-    sp4 has no ``inputs``: its conjugated Borel checks are not reports.  (A
-    frozen dataclass would add ~1.5 ms to every ``frobcrit`` start.)
+    sp4 has no ``inputs``: its conjugated Borel checks are not reports.
     """
     name: str
     inputs: Callable[..., list[CriterionInput]] | None

@@ -9,7 +9,8 @@ coords[i] is the pairing with the i-th simple coroot.  Everything is exact
 Simple roots are numbered 1..rank in all public interfaces.  The Cartan
 matrix convention is ``cartan[i][j] = <alpha_j, alpha_i_vee>`` (0-based
 internally), so the j-th column of the Cartan matrix is alpha_j written in
-fundamental-weight coordinates.
+fundamental-weight coordinates (``RootSystem.alphas``).  Every Weyl-group
+loop reflects s_i mu = mu - mu_i alpha_i by ``descend`` or ``orbit_walk``.
 """
 
 from __future__ import annotations
@@ -207,6 +208,13 @@ class Weight:
         return "Weight(%s)" % ", ".join(str(c) for c in self.coords)
 
 
+def _require_int(value, what: str) -> int:
+    # bools are ints to Python but not to a JSON reader; floats would truncate
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 class RootSystem:
     """A reduced root system, possibly a product of simple components."""
 
@@ -217,7 +225,9 @@ class RootSystem:
                 letter, rank = comp
             except (TypeError, ValueError):
                 raise ValueError(f"component must be a (letter, rank) pair, got {comp!r}")
-            comps.append((str(letter).upper(), int(rank)))
+            if not isinstance(letter, str):
+                raise TypeError(f"root-system letter must be a string, got {letter!r}")
+            comps.append((letter.upper(), _require_int(rank, "rank")))
         if not comps:
             raise ValueError("a root system needs at least one component")
         self.components: tuple[tuple[str, int], ...] = tuple(comps)
@@ -238,6 +248,11 @@ class RootSystem:
             spans.append((offset, offset + rank))
             offset += rank
         self.cartan: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in cartan)
+        # alphas[j] is alpha_{j+1} in fundamental-weight coordinates, and
+        # alpha_support[j] its nonzero entries (k, a): j and its neighbours
+        self.alphas: tuple[tuple[int, ...], ...] = tuple(zip(*self.cartan))
+        self.alpha_support = tuple(tuple((k, a) for k, a in enumerate(alpha) if a)
+                                   for alpha in self.alphas)
         self.positive_roots: tuple[RootVector, ...] = tuple(
             sorted(positives, key=lambda r: (sum(r), r)))
         self.component_spans: tuple[tuple[int, int], ...] = tuple(spans)
@@ -327,13 +342,70 @@ def rho(rs: RootSystem) -> Weight:
     return Weight([1] * rs.rank)
 
 
+def index_set(rs: RootSystem, J: Iterable[int] | None = None) -> tuple[int, ...]:
+    """J as a sorted tuple of distinct 1-based nodes, None meaning all; a
+    float, bool or out-of-range entry is refused, never truncated."""
+    members = tuple(range(1, rs.rank + 1) if J is None else J)
+    for j in members:
+        if not 1 <= _require_int(j, "J entry") <= rs.rank:
+            raise ValueError(f"index {j} outside 1..{rs.rank}")
+    return tuple(sorted(set(members)))
+
+
+def descend(rs: RootSystem, v: Sequence, J: Iterable[int] | None = None):
+    """Reflect v by s_j, j the first member of J with v_j < 0, until none is left.
+
+    Returns the end point, a tuple, and the 1-based letters applied, in
+    order.  J is an ``index_set``, by default all nodes, when the end point
+    is the dominant conjugate; J = (j,) reflects once, exactly when v_j < 0.
+    """
+    support = rs.alpha_support
+    order = range(rs.rank) if J is None else [j - 1 for j in J]
+    v = list(v)
+    letters = []
+    while True:
+        for j in order:
+            c = v[j]
+            if c < 0:
+                break
+        else:
+            return tuple(v), letters
+        for k, a in support[j]:
+            v[k] -= c * a
+        letters.append(j + 1)
+
+
+def orbit_walk(rs: RootSystem, start: Sequence, alphas=None):
+    """Yield each element of the W-orbit of the dominant ``start`` once.
+
+    A tree walk (Stembridge, MSJ Memoirs 11, 2001): the parent of a
+    non-dominant mu is s_j mu, j its first negative coordinate, so no
+    seen-set is kept.  Coordinates that ``start`` and ``alphas`` (default
+    ``rs.alphas``) carry past the rank follow linearly, e.g. Res(mu).
+    """
+    n = rs.rank
+    alphas = rs.alphas if alphas is None else alphas
+    stack = [(tuple(start), n)]
+    while stack:
+        nu, first = stack.pop()
+        yield nu
+        for i in range(n):
+            c = nu[i]
+            if c <= 0:
+                continue
+            # nu is the parent of s_i nu only if i is the first negative
+            # coordinate of s_i nu; below `first` that holds by itself
+            if i > first and nu[first] < c * alphas[i][first]:
+                continue
+            child = tuple([x - c * a for x, a in zip(nu, alphas[i])])
+            if i > first and min(child[:i]) < 0:
+                continue
+            stack.append((child, i))
+
+
 def rho_J(rs: RootSystem, J: Iterable[int]) -> Weight:
     """Sum of the fundamental weights indexed by J (1-based indices)."""
-    members = set()
-    for j in J:
-        if not 1 <= int(j) <= rs.rank:
-            raise ValueError(f"index {j} outside 1..{rs.rank}")
-        members.add(int(j))
+    members = index_set(rs, J)
     return Weight([1 if i + 1 in members else 0 for i in range(rs.rank)])
 
 
@@ -352,14 +424,10 @@ def subsystem_components(rs: RootSystem, J: Iterable[int]):
     0-based original indices arranged in Bourbaki order for the detected
     type.  The arrangement is checked against the reference Cartan matrix.
     """
-    verts0 = set()
-    for j in J:
-        if not 1 <= int(j) <= rs.rank:
-            raise ValueError(f"index {j} outside 1..{rs.rank}")
-        verts0.add(int(j) - 1)
+    verts0 = [j - 1 for j in index_set(rs, J)]
     pieces = []
     seen: set[int] = set()
-    for v in sorted(verts0):
+    for v in verts0:
         if v in seen:
             continue
         comp = {v}

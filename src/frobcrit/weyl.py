@@ -2,9 +2,10 @@
 
 An element is stored as its integer matrix acting on fundamental-weight
 coordinates; that matrix is the canonical form used for equality and
-hashing.  Enumeration deduplicates on the integer tuple w^{-1}(rho) instead,
+hashing.  Enumeration deduplicates on the integer tuple w^{-1}(-rho) instead,
 which determines w because rho is regular, and builds each element's matrix
-once, from its parent's.  Words are tuples of 1-based simple-root indices
+once, from its parent's, by ``_times_reflection`` (as ``from_word`` does);
+the step on v is ``rootsys.descend``.  Words are tuples of 1-based indices
 and compose left to right, i.e. ``from_word(rs, (1, 2))`` is s_1 composed
 with s_2, applied as s_1(s_2(v)).
 """
@@ -20,6 +21,8 @@ from .rootsys import (
     RootVector,
     Weight,
     _invert,
+    descend,
+    index_set,
     parabolic_weyl_order,
     rho_J,
     root_to_weight,
@@ -50,12 +53,14 @@ def _mat_mul(a, b):
                  for i in range(n))
 
 
-def _right_multiply_generator(rs: RootSystem, mat, j0: int):
-    """mat @ S_j in O(rank^2): only column j changes."""
-    n = rs.rank
-    col = [sum(mat[k][c] * rs.cartan[c][j0] for c in range(n)) for k in range(n)]
-    return tuple(tuple(mat[k][b] - col[k] if b == j0 else mat[k][b] for b in range(n))
-                 for k in range(n))
+def _times_reflection(rs: RootSystem, cols, j: int):
+    """The columns of w s_j from those of w: as s_j omega_k = omega_k -
+    delta_jk alpha_j, only column j changes, to -col_j - sum_{c != j} a_cj col_c."""
+    col = [-x for x in cols[j - 1]]
+    for c, a in rs.alpha_support[j - 1]:
+        if c != j - 1:
+            col = [x - a * y for x, y in zip(col, cols[c])]
+    return cols[:j - 1] + (tuple(col),) + cols[j:]
 
 
 class WeylElement:
@@ -164,10 +169,10 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     for i in letters:
         if not 1 <= i <= rs.rank:
             raise ValueError(f"simple reflection index {i} outside 1..{rs.rank}")
-    mat = _identity_matrix(rs.rank)
+    cols = _identity_matrix(rs.rank)
     for i in letters:  # I @ S_{i_1} @ ... @ S_{i_k}
-        mat = _right_multiply_generator(rs, mat, i - 1)
-    return WeylElement(rs, mat, letters)
+        cols = _times_reflection(rs, cols, i)
+    return WeylElement(rs, tuple(zip(*cols)), letters)
 
 
 def _resolve_cap(cap: int | None) -> int:
@@ -193,39 +198,31 @@ def enumerate_parabolic(rs: RootSystem, J: Iterable[int] | None = None,
     (argument, else FROBCRIT_ENUM_CAP, else 10^6) the enumeration is refused
     and the exception carries the exact order.
     """
-    members = tuple(range(1, rs.rank + 1)) if J is None else tuple(sorted(set(int(j) for j in J)))
+    members = index_set(rs, J)
     order = parabolic_weyl_order(rs, members)
     eff_cap = _resolve_cap(cap)
     if order > eff_cap:
         raise EnumerationCapExceeded(rs, members, order, eff_cap)
-    # Breadth-first on v = w^{-1} rho: w s_j has v' = s_j v, and rho is
+    # Breadth-first on v = w^{-1}(-rho): w s_j has v' = s_j v, and rho is
     # regular, so v determines w.  w s_j is longer than w exactly when
-    # v_j > 0, so only those candidates can be new, and each lands on the
-    # next layer: a seen-set per layer suffices.
-    n = rs.rank
-    alpha = [tuple(rs.cartan[k][j] for k in range(n)) for j in range(n)]
-    # column j of w s_j is -col_j - sum_{c != j} a_cj col_c; keep the nonzero a_cj
-    others = {j: [(c, a) for c, a in enumerate(alpha[j - 1]) if a and c != j - 1]
-              for j in members}
+    # v_j < 0, where s_j v is one descent step, so only those candidates
+    # can be new, and each lands on the next layer: a seen-set per layer
+    # suffices.
     start = identity(rs)
     out = [start]
-    frontier = [((1,) * n, tuple(zip(*start.matrix)), ())]
+    frontier = [((-1,) * rs.rank, _identity_matrix(rs.rank), ())]
     while frontier:
         nxt = []
         seen = set()
         for v, cols, word in frontier:
             for j in members:
-                c = v[j - 1]
-                if c < 0:
+                if v[j - 1] > 0:
                     continue
-                sv = tuple(x - c * a for x, a in zip(v, alpha[j - 1]))
+                sv = descend(rs, v, (j,))[0]
                 if sv in seen:
                     continue
                 seen.add(sv)
-                col = [-x for x in cols[j - 1]]
-                for k, a in others[j]:
-                    col = [x - a * y for x, y in zip(col, cols[k])]
-                new_cols = cols[:j - 1] + (tuple(col),) + cols[j:]
+                new_cols = _times_reflection(rs, cols, j)
                 new_word = word + (j,)
                 out.append(_element(rs, tuple(zip(*new_cols)), new_word))
                 nxt.append((sv, new_cols, new_word))
@@ -236,42 +233,27 @@ def enumerate_parabolic(rs: RootSystem, J: Iterable[int] | None = None,
     return out
 
 
+def _positive_roots_of(rs: RootSystem, members: tuple[int, ...]) -> list[RootVector]:
+    """R_J^+: the positive roots supported on J."""
+    outside = [k for k in range(rs.rank) if k + 1 not in members]
+    return [beta for beta in rs.positive_roots if not any(beta[k] for k in outside)]
+
+
 def longest_element(rs: RootSystem, J: Iterable[int] | None = None) -> WeylElement:
     """w_0^J, by the greedy descent: repeatedly reflect -rho_J toward dominance."""
-    members = sorted(set(int(j) for j in (J if J is not None else range(1, rs.rank + 1))))
-    for j in members:
-        if not 1 <= j <= rs.rank:
-            raise ValueError(f"index {j} outside 1..{rs.rank}")
-    mu = list((-rho_J(rs, members)).coords)
-    applied: list[int] = []
-    n = rs.rank
-    while True:
-        j = next((j for j in members if mu[j - 1] < 0), None)
-        if j is None:
-            break
-        c = mu[j - 1]
-        for k in range(n):
-            mu[k] -= c * rs.cartan[k][j - 1]
-        applied.append(j)
-    w = from_word(rs, tuple(reversed(applied)))
-    expected = sum(1 for beta in rs.positive_roots
-                   if all(beta[k] == 0 for k in range(n) if k + 1 not in members))
-    if w.length() != expected:
+    members = index_set(rs, J)
+    _, applied = descend(rs, (-rho_J(rs, members)).coords, members)
+    w = from_word(rs, reversed(applied))
+    if w.length() != len(_positive_roots_of(rs, members)):
         raise AssertionError("greedy longest element has wrong length")
     return w
 
 
 def verify_st_decomp(rs: RootSystem, J: Iterable[int]) -> tuple[Weight, Weight, bool]:
     """Check sum of R_J^+ == rho_J - w_0^J(rho_J); returns (lhs, rhs, equal)."""
-    members = sorted(set(int(j) for j in J))
-    memberset = set(members)
-    n = rs.rank
-    total = [0] * n
-    for beta in rs.positive_roots:
-        if all(beta[k] == 0 for k in range(n) if k + 1 not in memberset):
-            for k in range(n):
-                total[k] += beta[k]
-    lhs = root_to_weight(rs, tuple(total))
+    members = index_set(rs, J)
+    total = [sum(col) for col in zip((0,) * rs.rank, *_positive_roots_of(rs, members))]
+    lhs = root_to_weight(rs, total)
     rj = rho_J(rs, members)
     rhs = rj - longest_element(rs, members).act(rj)
     return lhs, rhs, lhs == rhs
@@ -282,6 +264,6 @@ def steinberg_weights(rs: RootSystem, J: Iterable[int], p: int) -> tuple[Weight,
     if int(p) < 2:
         raise ValueError(f"p must be at least 2, got {p}")
     p = int(p)
-    members = sorted(set(int(j) for j in J))
+    members = index_set(rs, J)
     rj = rho_J(rs, members)
     return (p - 1) * rj, (1 - p) * longest_element(rs, members).act(rj)

@@ -176,6 +176,12 @@ def test_check_malformed_json(capsys):
     lambda d: d.update(expect={"condition1_dominant": "false"}),
     lambda d: d.update(expect={"lie_separability": "maybe"}),
     lambda d: d.update(expect={"tag_include": ["SPLIT_PJ"]}),
+    lambda d: d.update(embedding={"builder": "identity", "params": {"h": [["A", 2.5]]}}),
+    lambda d: d.update(embedding={"builder": "identity", "params": {"h": [["A", True]]}}),
+    lambda d: d.update(embedding={"builder": "identity", "params": {"h": [["A", "2"]]}}),
+    lambda d: d.update(embedding={"builder": "identity", "params": {"h": [[1, 2]]}}),
+    lambda d: d.update(embedding={"custom": {"g": [["A", 1.0], ["A", 1]], "h": "A1",
+                                             "matrix": [[1, 1]]}}, J=[1]),
 ], ids=["J-not-int", "p-not-int", "param-null", "matrix-entry-object",
         "expect-not-object", "embedding-not-object", "custom-not-object",
         "builder-not-string", "params-not-object", "p-float", "J-float", "J-bool",
@@ -184,7 +190,8 @@ def test_check_malformed_json(capsys):
         "so_in_sl-n-string", "twisted-p-float", "twist-exponent-string",
         "twist-exponent-float", "twist-exponent-bool", "twist-exponent-zero",
         "expect-tags-int", "expect-tags-string", "expect-tags-not-strings",
-        "expect-dominant-string", "expect-lie-unknown-value", "expect-unknown-key"])
+        "expect-dominant-string", "expect-lie-unknown-value", "expect-unknown-key",
+        "h-rank-float", "h-rank-bool", "h-rank-str", "h-letter-int", "custom-g-rank-float"])
 def test_check_malformed_values_are_refused(capsys, mutate):
     data = json.loads(json.dumps(CHECK_INPUT))
     mutate(data)

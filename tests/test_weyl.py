@@ -6,7 +6,6 @@ from frobcrit.weyl import (
     DEFAULT_ENUM_CAP,
     EnumerationCapExceeded,
     WeylElement,
-    _right_multiply_generator,
     enumerate_parabolic,
     from_word,
     identity,
@@ -100,8 +99,20 @@ def test_enumerate_full_group(spec, order):
     assert len({w.matrix for w in elems}) == order
 
 
+def _right_multiply_generator(rs, mat, j0):
+    """mat @ S_j in O(rank^2): only column j changes."""
+    n = rs.rank
+    col = [sum(mat[k][c] * rs.cartan[c][j0] for c in range(n)) for k in range(n)]
+    return tuple(tuple(mat[k][b] - col[k] if b == j0 else mat[k][b] for b in range(n))
+                 for k in range(n))
+
+
 def reference_enumerate(rs, J=None):
-    """The matrix breadth-first search that enumerate_parabolic replaced."""
+    """The matrix breadth-first search that enumerate_parabolic replaced.
+
+    It keeps its own matrix step, so the package's shared one is checked
+    against an independent copy.
+    """
     members = tuple(range(1, rs.rank + 1)) if J is None else tuple(sorted(set(J)))
     start = identity(rs)
     seen = {start.matrix: start}
