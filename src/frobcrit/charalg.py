@@ -7,7 +7,7 @@ it walks each W_G-orbit of the dominant multiplicities on integer tuples,
 carrying the restricted coordinates along, checks that the restricted
 multiset is integral and W_H-invariant, and then strips H-characters
 greedily from the top on the H-dominant weights only.  Every reflection
-here is ``rootsys.descend`` or ``rootsys.orbit_walk``.
+here is ``rootsys.reflect``, ``rootsys.descend`` or ``rootsys.orbit_walk``.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .rootsys import (
     cartan_pairing,
     descend,
     orbit_walk,
+    reflect,
     rho,
     root_to_weight,
 )
@@ -188,19 +189,6 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     return int(out)
 
 
-def _is_invariant(rs: RootSystem, mults: dict[tuple, int]) -> bool:
-    """Whether a multiset of weights is W-invariant: constant on the orbit of
-    each of its dominant weights, with those orbits covering it."""
-    covered = 0
-    for t, m in mults.items():
-        if min(t) >= 0:
-            for u in orbit_walk(rs, t):
-                if mults.get(u) != m:
-                    return False
-                covered += 1
-    return covered == len(mults)
-
-
 def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
     """Decompose the restriction of the irreducible G-module to H.
 
@@ -240,8 +228,10 @@ def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
         restricted = {tuple(x // scale for x in r): m
                       for r, m in restricted.items()}
 
-    # the height of omega_j is the sum of column j of the inverse Cartan matrix
-    heights = [sum(col) for col in zip(*h.cartan_inverse)]
+    heights = []
+    for j in range(h.rank):
+        basis = Weight([1 if k == j else 0 for k in range(h.rank)])
+        heights.append(sum(h.root_coordinates(basis), Fraction(0)))
     hscale = math.lcm(*(x.denominator for x in heights))
     hv = tuple(int(x * hscale) for x in heights)
 
@@ -249,18 +239,15 @@ def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
         return (sum(a * b for a, b in zip(hv, t)), t)
 
     # H-characters are W_H-invariant, so a sum of them is too; checking that
-    # first lets the subtraction below look at H-dominant weights only (the
-    # witness search, two descents per coordinate, only names a failure)
-    if not _is_invariant(h, restricted):
-        broken = []  # (nu, s_i nu) with nu_i < 0 and unequal multiplicities
-        for nu, m in restricted.items():
-            for i, c in enumerate(nu, 1):
-                if c:  # s_i nu is one descent step, from -nu when nu_i > 0
-                    sign = -1 if c > 0 else 1
-                    image = tuple([sign * x for x in
-                                   descend(h, [sign * x for x in nu], (i,))[0]])
-                    if restricted.get(image, 0) != m:
-                        broken.append((nu, image) if c < 0 else (image, nu))
+    # first lets the subtraction below look at H-dominant weights only
+    broken = []  # (nu, s_i nu) with nu_i < 0 and unequal multiplicities
+    for nu, m in restricted.items():
+        for i, c in enumerate(nu, 1):
+            if c:
+                image = reflect(h, nu, i)
+                if restricted.get(image, 0) != m:
+                    broken.append((nu, image) if c < 0 else (image, nu))
+    if broken:
         low, up = max(broken, key=lambda pair: key(pair[0]))
         raise ValueError(
             f"weight {low} of the restricted character is not dominant and "

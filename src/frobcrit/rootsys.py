@@ -10,7 +10,8 @@ Simple roots are numbered 1..rank in all public interfaces.  The Cartan
 matrix convention is ``cartan[i][j] = <alpha_j, alpha_i_vee>`` (0-based
 internally), so the j-th column of the Cartan matrix is alpha_j written in
 fundamental-weight coordinates (``RootSystem.alphas``).  Every Weyl-group
-loop reflects s_i mu = mu - mu_i alpha_i by ``descend`` or ``orbit_walk``.
+step s_i mu = mu - mu_i alpha_i is ``reflect``; ``descend`` repeats it toward
+dominance and ``orbit_walk`` walks a whole orbit.
 """
 
 from __future__ import annotations
@@ -352,27 +353,33 @@ def index_set(rs: RootSystem, J: Iterable[int] | None = None) -> tuple[int, ...]
     return tuple(sorted(set(members)))
 
 
+def reflect(rs: RootSystem, v: Sequence, j: int) -> tuple:
+    """s_j v = v - v_j alpha_j (j 1-based), on the nonzero entries of alpha_j."""
+    out = list(v)
+    c = out[j - 1]
+    for k, a in rs.alpha_support[j - 1]:
+        out[k] -= c * a
+    return tuple(out)
+
+
 def descend(rs: RootSystem, v: Sequence, J: Iterable[int] | None = None):
     """Reflect v by s_j, j the first member of J with v_j < 0, until none is left.
 
     Returns the end point, a tuple, and the 1-based letters applied, in
     order.  J is an ``index_set``, by default all nodes, when the end point
-    is the dominant conjugate; J = (j,) reflects once, exactly when v_j < 0.
+    is the dominant conjugate.
     """
-    support = rs.alpha_support
-    order = range(rs.rank) if J is None else [j - 1 for j in J]
-    v = list(v)
+    order = range(1, rs.rank + 1) if J is None else J
+    v = tuple(v)
     letters = []
     while True:
         for j in order:
-            c = v[j]
-            if c < 0:
+            if v[j - 1] < 0:
                 break
         else:
-            return tuple(v), letters
-        for k, a in support[j]:
-            v[k] -= c * a
-        letters.append(j + 1)
+            return v, letters
+        v = reflect(rs, v, j)
+        letters.append(j)
 
 
 def orbit_walk(rs: RootSystem, start: Sequence, alphas=None):

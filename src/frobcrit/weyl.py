@@ -2,10 +2,10 @@
 
 An element is stored as its integer matrix acting on fundamental-weight
 coordinates; that matrix is the canonical form used for equality and
-hashing.  Enumeration deduplicates on the integer tuple w^{-1}(-rho) instead,
+hashing.  Enumeration deduplicates on the integer tuple w^{-1}(rho) instead,
 which determines w because rho is regular, and builds each element's matrix
 once, from its parent's, by ``_times_reflection`` (as ``from_word`` does);
-the step on v is ``rootsys.descend``.  Words are tuples of 1-based indices
+the step on v is ``rootsys.reflect``.  Words are tuples of 1-based indices
 and compose left to right, i.e. ``from_word(rs, (1, 2))`` is s_1 composed
 with s_2, applied as s_1(s_2(v)).
 """
@@ -24,6 +24,7 @@ from .rootsys import (
     descend,
     index_set,
     parabolic_weyl_order,
+    reflect,
     rho_J,
     root_to_weight,
 )
@@ -203,22 +204,21 @@ def enumerate_parabolic(rs: RootSystem, J: Iterable[int] | None = None,
     eff_cap = _resolve_cap(cap)
     if order > eff_cap:
         raise EnumerationCapExceeded(rs, members, order, eff_cap)
-    # Breadth-first on v = w^{-1}(-rho): w s_j has v' = s_j v, and rho is
+    # Breadth-first on v = w^{-1} rho: w s_j has v' = s_j v, and rho is
     # regular, so v determines w.  w s_j is longer than w exactly when
-    # v_j < 0, where s_j v is one descent step, so only those candidates
-    # can be new, and each lands on the next layer: a seen-set per layer
-    # suffices.
+    # v_j > 0, so only those candidates can be new, and each lands on the
+    # next layer: a seen-set per layer suffices.
     start = identity(rs)
     out = [start]
-    frontier = [((-1,) * rs.rank, _identity_matrix(rs.rank), ())]
+    frontier = [((1,) * rs.rank, _identity_matrix(rs.rank), ())]
     while frontier:
         nxt = []
         seen = set()
         for v, cols, word in frontier:
             for j in members:
-                if v[j - 1] > 0:
+                if v[j - 1] < 0:
                     continue
-                sv = descend(rs, v, (j,))[0]
+                sv = reflect(rs, v, j)
                 if sv in seen:
                     continue
                 seen.add(sv)
@@ -252,8 +252,11 @@ def longest_element(rs: RootSystem, J: Iterable[int] | None = None) -> WeylEleme
 def verify_st_decomp(rs: RootSystem, J: Iterable[int]) -> tuple[Weight, Weight, bool]:
     """Check sum of R_J^+ == rho_J - w_0^J(rho_J); returns (lhs, rhs, equal)."""
     members = index_set(rs, J)
-    total = [sum(col) for col in zip((0,) * rs.rank, *_positive_roots_of(rs, members))]
-    lhs = root_to_weight(rs, total)
+    total = [0] * rs.rank
+    for beta in _positive_roots_of(rs, members):
+        for k in range(rs.rank):
+            total[k] += beta[k]
+    lhs = root_to_weight(rs, tuple(total))
     rj = rho_J(rs, members)
     rhs = rj - longest_element(rs, members).act(rj)
     return lhs, rhs, lhs == rhs

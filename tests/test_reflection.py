@@ -1,9 +1,9 @@
 """The shared reflection primitives against closed forms, and the J normaliser.
 
-``orbit_walk`` and ``descend`` in ``rootsys`` carry every Weyl-group loop of
-the package, so they are checked here against |W| / |W_{J0}| and against
-``from_word``, on every root system of rank at most 4 (products included)
-at each dominant weight of a small box.
+``reflect``, ``orbit_walk`` and ``descend`` in ``rootsys`` carry every
+Weyl-group loop of the package, so they are checked here against
+|W| / |W_{J0}| and against ``from_word``, on every root system of rank at
+most 4 (products included) at each dominant weight of a small box.
 """
 
 import itertools
@@ -20,6 +20,7 @@ from frobcrit.rootsys import (
     index_set,
     orbit_walk,
     parabolic_weyl_order,
+    reflect,
     rho_J,
     subsystem_components,
 )
@@ -55,6 +56,16 @@ def test_walk_and_descent_match_closed_forms(spec):
             # rebuild mu from lam, and reversed they take mu back to lam
             assert from_word(rs, letters).act(Weight(lam)).coords == mu
             assert from_word(rs, reversed(letters)).act(Weight(mu)).coords == lam
+
+
+@pytest.mark.parametrize("spec", ["A1", "B3", "C2,G2", "D4", "F4"])
+def test_reflect_is_the_matrix_of_s_j(spec):
+    rs = build_root_system(spec)
+    for v in itertools.product((-2, 0, 1), repeat=rs.rank):
+        for j in range(1, rs.rank + 1):
+            image = reflect(rs, v, j)
+            assert image == from_word(rs, (j,)).act(Weight(v)).coords
+            assert image[j - 1] == -v[j - 1] and reflect(rs, image, j) == v
 
 
 def test_walk_carries_extra_coordinates_linearly():
