@@ -14,7 +14,13 @@ arithmetic.  Modules:
 - ``cli``: the ``frobcrit`` command
 """
 
-from .charalg import branch, freudenthal, fundamental_weight_surjectivity_scan, weyl_dim
+from .charalg import (
+    BranchCapExceeded,
+    branch,
+    freudenthal,
+    fundamental_weight_surjectivity_scan,
+    weyl_dim,
+)
 from .criteria import (
     CriterionReport,
     check_main,
@@ -49,7 +55,8 @@ from .weyl import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "branch", "freudenthal", "fundamental_weight_surjectivity_scan", "weyl_dim",
+    "BranchCapExceeded", "branch", "freudenthal",
+    "fundamental_weight_surjectivity_scan", "weyl_dim",
     "CriterionInput", "CriterionReport", "check_main", "conjugated_borel_check",
     "divisor_weights", "lemma53_min_p", "thm41_hypotheses",
     "Embedding", "detect_twist", "restrict", "rho_h", "validate",

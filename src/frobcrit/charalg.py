@@ -2,12 +2,13 @@
 
 Multiplicities come from Freudenthal's recursion evaluated over the
 dominant weights of the module; full characters are recovered by Weyl-orbit
-expansion when asked for.  Branching through an embedding never builds one:
-it walks each W_G-orbit of the dominant multiplicities on integer tuples,
-carrying the restricted coordinates along, checks that the restricted
-multiset is integral and W_H-invariant, and then strips H-characters
-greedily from the top on the H-dominant weights only.  Every reflection
-here is ``rootsys.reflect``, ``rootsys.descend`` or ``rootsys.orbit_walk``.
+expansion when asked for.  Branching through an embedding never builds a
+full character: it walks each W_G-orbit of the dominant multiplicities on
+integer tuples, carrying the restricted coordinates along, checks that the
+restricted multiset is integral and W_H-invariant, and then decomposes it
+by the Racah-Speiser (Brauer-Klimyk) count, which needs no H-character at
+all.  Every reflection here is ``rootsys.reflect``, ``rootsys.descend`` or
+``rootsys.orbit_walk``.
 """
 
 from __future__ import annotations
@@ -23,16 +24,29 @@ from .rootsys import (
     RootSystem,
     Weight,
     build_root_system,
-    cartan_pairing,
     descend,
     orbit_walk,
     reflect,
-    rho,
     root_to_weight,
 )
+from .weyl import _resolve_cap
+
+DEFAULT_BRANCH_CAP = 50_000
+_BRANCH_CAP_ENV = "FROBCRIT_BRANCH_CAP"
 
 _char_cache: dict[tuple, "DominantCharacter"] = {}
 _factor_systems: dict[tuple, RootSystem] = {}
+
+
+class BranchCapExceeded(ValueError):
+    """Raised instead of branching a G-module above the dimension cap."""
+
+    def __init__(self, rs: RootSystem, lam: "Weight", dim: int, cap: int) -> None:
+        self.dim = dim
+        self.cap = cap
+        super().__init__(
+            f"refusing to branch the module of {rs.spec_string()} with highest "
+            f"weight {lam.coords}: dimension is {dim}, cap is {cap}")
 
 
 def dominant_conjugate(rs: RootSystem, weight: Weight) -> Weight:
@@ -86,6 +100,12 @@ def freudenthal(rs: RootSystem, lam: Weight) -> DominantCharacter:
         raise ValueError("highest weight rank mismatch")
     if not lam.is_integral() or not lam.is_dominant():
         raise ValueError(f"highest weight must be dominant integral, got {lam!r}")
+
+    if rs.components == (("A", 1),):
+        # every weight of an sl2-module has multiplicity one; the recursion
+        # would sum a string up to the top at each of them, O(lam^2) in all
+        return DominantCharacter(rs, lam, {Weight((c,)): 1
+                                           for c in range(lam.coords[0], -1, -2)})
 
     if len(rs.components) > 1:
         # characters of product systems factor, so combine the per-component
@@ -177,16 +197,24 @@ def _cached_character(rs: RootSystem, lam: Weight) -> DominantCharacter:
 
 
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
-    """Dimension by the Weyl dimension formula; independent of freudenthal."""
+    """Dimension by the Weyl dimension formula; independent of freudenthal.
+
+    prod <lam + rho, beta_vee> / prod <rho, beta_vee> over the positive
+    roots, on the integer coroot table, with one exact division.
+    """
+    if len(lam) != rs.rank:
+        raise ValueError("highest weight rank mismatch")
     if not lam.is_integral() or not lam.is_dominant():
         raise ValueError(f"highest weight must be dominant integral, got {lam!r}")
-    rho_w = rho(rs)
-    out = Fraction(1)
-    for beta in rs.positive_roots:
-        out *= cartan_pairing(rs, lam + rho_w, beta) / cartan_pairing(rs, rho_w, beta)
-    if out.denominator != 1:
+    shifted = [c + 1 for c in lam.coords]
+    numer = denom = 1
+    for co in rs.coroots:
+        numer *= sum(x * c for x, c in zip(shifted, co))
+        denom *= sum(co)
+    dim, remainder = divmod(numer, denom)
+    if remainder:
         raise AssertionError("Weyl dimension formula returned a non-integer")
-    return int(out)
+    return dim
 
 
 def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
@@ -195,9 +223,17 @@ def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
     Returns {H-highest-weight: multiplicity}, insertion-ordered from the
     top.  Raises when the restricted character is not a character of H
     (non-integral weights, a multiset that is not W_H-invariant, or a
-    negative residual multiplicity), which is how inconsistent embeddings
-    surface.
+    negative coefficient in its decomposition, named at the highest such
+    weight), which is how inconsistent embeddings surface.  A module whose
+    dimension exceeds FROBCRIT_BRANCH_CAP (default 50 000) is refused before
+    any multiplicity is computed, and the exception carries the exact
+    dimension.
     """
+    cap = _resolve_cap(None, _BRANCH_CAP_ENV, DEFAULT_BRANCH_CAP)
+    dim = weyl_dim(emb.g, lam)
+    if dim > cap:
+        raise BranchCapExceeded(emb.g, lam, dim, cap)
+
     # The restricted character is summed over each W_G-orbit of the dominant
     # multiplicities without building a Weight: the orbit walk carries
     # Res(mu) along on alpha_i || Res(alpha_i), since Res(s_i mu) =
@@ -238,8 +274,8 @@ def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
     def key(t: tuple):
         return (sum(a * b for a, b in zip(hv, t)), t)
 
-    # H-characters are W_H-invariant, so a sum of them is too; checking that
-    # first lets the subtraction below look at H-dominant weights only
+    # H-characters are W_H-invariant, so a sum of them is too; the count
+    # below decomposes an invariant multiset only, so this is checked first
     broken = []  # (nu, s_i nu) with nu_i < 0 and unequal multiplicities
     for nu, m in restricted.items():
         for i, c in enumerate(nu, 1):
@@ -255,32 +291,27 @@ def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
             f"{up} has {restricted.get(up, 0)}; restriction is not a "
             f"character of H")
 
-    # subtracting a character only touches weights strictly lower in the
-    # (height, coords) order, so one descending pass over the dominant
-    # weights visits every top that the repeated-argmax formulation would;
-    # the residual stays W_H-invariant, so its dominant part determines it
-    residual = {t: m for t, m in restricted.items() if min(t) >= 0}
-    out: dict[Weight, int] = {}
-    for top in sorted(residual, key=key, reverse=True):
-        mult = residual.get(top, 0)
-        if mult == 0:
+    # Racah-Speiser: a W_H-invariant multiset is sum_nu n_nu ch V(nu) with
+    # n_nu = sum_w eps(w) m(nu + rho - w rho), so each weight kappa adds its
+    # multiplicity, signed by the parity of the reflections that bring
+    # kappa + rho to nu + rho, and nothing when kappa + rho lies on a wall
+    virtual: dict[tuple, int] = {}
+    for kappa, m in restricted.items():
+        shifted = tuple([x + 1 for x in kappa])
+        if 0 in shifted:
+            continue  # fixed by a simple reflection, so on a wall
+        end, letters = descend(h, shifted)
+        if 0 in end:
             continue
-        if mult < 0:
-            raise ValueError(
-                f"negative residual multiplicity {mult} at {top}")
-        for w, k in _cached_character(h, Weight(top)).multiplicities.items():
-            wc = w.coords
-            left = residual.get(wc, 0) - mult * k
-            if left == 0:
-                residual.pop(wc, None)
-            else:
-                residual[wc] = left
-        out[Weight(top)] = mult
-    if residual:
-        worst = max(residual, key=key)
+        nu = tuple([x - 1 for x in end])
+        virtual[nu] = virtual.get(nu, 0) + (-m if len(letters) % 2 else m)
+    negative = [nu for nu, n in virtual.items() if n < 0]
+    if negative:
+        worst = max(negative, key=key)
         raise ValueError(
-            f"negative residual multiplicity {residual[worst]} at {worst}")
-    return out
+            f"negative residual multiplicity {virtual[worst]} at {worst}")
+    return {Weight(nu): virtual[nu]
+            for nu in sorted(virtual, key=key, reverse=True) if virtual[nu]}
 
 
 @dataclass

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Sequence
 
 RootVector = tuple[int, ...]
@@ -259,12 +259,33 @@ class RootSystem:
         self.component_spans: tuple[tuple[int, int], ...] = tuple(spans)
         self.symmetrizer: tuple[Fraction, ...] = tuple(_symmetrizer(self.cartan))
         self._cartan_inv: tuple[tuple[Fraction, ...], ...] | None = None
+        self._coroots: tuple[RootVector, ...] | None = None
 
     @property
     def cartan_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
         if self._cartan_inv is None:
             self._cartan_inv = _invert(self.cartan)
         return self._cartan_inv
+
+    @property
+    def coroots(self) -> tuple[RootVector, ...]:
+        """beta_vee in simple-coroot coordinates for each positive root beta,
+        so <lam, beta_vee> = sum_k lam_k c_k(beta) on integers."""
+        if self._coroots is None:
+            # beta_vee = 2 beta / (beta, beta), and (alpha_k, alpha_k) is 2 d_k;
+            # one common denominator makes d integral, as in cartan_pairing
+            scale = lcm(*(x.denominator for x in self.symmetrizer))
+            d = [int(x * scale) for x in self.symmetrizer]
+            table = []
+            for beta in self.positive_roots:
+                norm = sum(beta[j] * d[j] * sum(c * b for c, b in zip(self.cartan[j], beta))
+                           for j in range(self.rank))
+                co = [divmod(2 * beta[k] * d[k], norm) for k in range(self.rank)]
+                if any(r for _, r in co):
+                    raise AssertionError(f"non-integral coroot of {beta}")
+                table.append(tuple(q for q, _ in co))
+            self._coroots = tuple(table)
+        return self._coroots
 
     def spec_string(self) -> str:
         return ",".join(f"{letter}{rank}" for letter, rank in self.components)

@@ -21,6 +21,7 @@ from .rootsys import (
     RootVector,
     Weight,
     _invert,
+    _require_int,
     descend,
     index_set,
     parabolic_weyl_order,
@@ -166,9 +167,9 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
 
     ``from_word(rs, (1, 2)).act(v)`` is s_1(s_2(v)).
     """
-    letters = tuple(int(i) for i in word)
+    letters = tuple(word)
     for i in letters:
-        if not 1 <= i <= rs.rank:
+        if not 1 <= _require_int(i, "simple reflection index") <= rs.rank:
             raise ValueError(f"simple reflection index {i} outside 1..{rs.rank}")
     cols = _identity_matrix(rs.rank)
     for i in letters:  # I @ S_{i_1} @ ... @ S_{i_k}
@@ -176,18 +177,20 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     return WeylElement(rs, tuple(zip(*cols)), letters)
 
 
-def _resolve_cap(cap: int | None) -> int:
+def _resolve_cap(cap: int | None, env_name: str = _ENUM_CAP_ENV,
+                 default: int = DEFAULT_ENUM_CAP) -> int:
+    """The cap argument, else the positive integer in env_name, else default."""
     if cap is not None:
-        return int(cap)
-    env = os.environ.get(_ENUM_CAP_ENV)
+        return _require_int(cap, "cap")
+    env = os.environ.get(env_name)
     if env is None:
-        return DEFAULT_ENUM_CAP
+        return default
     try:
         value = int(env)
     except ValueError:
         value = 0  # refused below, like any value under 1
     if value < 1:
-        raise ValueError(f"{_ENUM_CAP_ENV} must be a positive integer, got {env!r}")
+        raise ValueError(f"{env_name} must be a positive integer, got {env!r}")
     return value
 
 
@@ -264,9 +267,8 @@ def verify_st_decomp(rs: RootSystem, J: Iterable[int]) -> tuple[Weight, Weight, 
 
 def steinberg_weights(rs: RootSystem, J: Iterable[int], p: int) -> tuple[Weight, Weight]:
     """((p-1) rho_J, (1-p) w_0^J rho_J); requires p >= 2."""
-    if int(p) < 2:
+    if _require_int(p, "p") < 2:
         raise ValueError(f"p must be at least 2, got {p}")
-    p = int(p)
     members = index_set(rs, J)
     rj = rho_J(rs, members)
     return (p - 1) * rj, (1 - p) * longest_element(rs, members).act(rj)

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from frobcrit.charalg import (
+    DEFAULT_BRANCH_CAP,
+    BranchCapExceeded,
     branch,
     dominant_conjugate,
     freudenthal,
@@ -20,7 +23,7 @@ from frobcrit.embed import (
     levi,
     so_in_sl,
 )
-from frobcrit.rootsys import Weight, build_root_system
+from frobcrit.rootsys import Weight, build_root_system, cartan_pairing, rho
 
 from oracles import (
     KostantCounter,
@@ -73,6 +76,32 @@ def test_dimension_table(spec, lam, dim):
     rs = build_root_system(spec)
     assert freudenthal(rs, Weight(lam)).dimension() == dim
     assert weyl_dim(rs, Weight(lam)) == dim
+
+
+def fraction_weyl_dim(rs, lam):
+    """prod <lam + rho, beta_vee> / <rho, beta_vee> on Fractions."""
+    out = Fraction(1)
+    for beta in rs.positive_roots:
+        out *= (cartan_pairing(rs, lam + rho(rs), beta)
+                / cartan_pairing(rs, rho(rs), beta))
+    return out
+
+
+@pytest.mark.parametrize("spec", ["A1", "A4", "B3", "C4", "D5", "G2", "F4",
+                                  "E6", "E7", "A2,A2,A2", "B2,G2"])
+def test_integer_weyl_dim_matches_fraction_formula(spec):
+    rs = build_root_system(spec)
+    rng = random.Random(spec)
+    for _ in range(60):
+        lam = Weight([rng.randint(0, 12) for _ in range(rs.rank)])
+        assert weyl_dim(rs, lam) == fraction_weyl_dim(rs, lam), lam
+
+
+def test_weyl_dim_rejects_bad_input():
+    rs = build_root_system("A2")
+    for bad in (W(-1, 0), Weight([Fraction(1, 2), 0]), W(1,)):
+        with pytest.raises(ValueError):
+            weyl_dim(rs, bad)
 
 
 def test_zero_weight_is_trivial_character():
@@ -297,6 +326,137 @@ def test_branch_rejects_invariant_non_character():
                     label="double")
     with pytest.raises(ValueError, match="negative residual multiplicity"):
         branch(emb, W(1))
+
+
+# -- Racah-Speiser against independent oracles -------------------------------------
+
+@pytest.mark.parametrize("a,b", [(180, 180), (180, 0), (0, 180), (179, 1),
+                                 (97, 180), (150, 151), (123, 57)])
+def test_branch_clebsch_gordan_at_benchmark_sizes(a, b):
+    got = branch(diagonal("A1", 2), Weight([a, b]))
+    expect = [(Weight([c]), 1) for c in reversed(a1_tensor(a, b))]
+    assert list(got.items()) == expect
+
+
+def virtual_coefficients(emb, lam):
+    """{nu: n_nu} for every H-dominant nu with n_nu != 0, where
+    n_nu = sum_{w in W_H} eps(w) m(nu + rho - w rho) and m is the
+    restriction of the full G-character, weight by weight."""
+    h = emb.h
+    restricted = {}
+    for w, m in freudenthal(emb.g, lam).weights().items():
+        rw = tuple(sum(row[j] * w.coords[j] for j in range(emb.g.rank))
+                   for row in emb.restriction)
+        assert all(Fraction(c).denominator == 1 for c in rw)
+        rw = tuple(int(c) for c in rw)
+        restricted[rw] = restricted.get(rw, 0) + m
+    n = h.rank
+    shifts = []  # (rho - w rho, eps(w)); rho has every coordinate 1
+    for matrix, sign in brute_weyl_with_signs(h).items():
+        shifts.append((tuple(1 - sum(matrix[r]) for r in range(n)), sign))
+    out = {}
+    for kappa in restricted:
+        for shift, _ in shifts:
+            nu = tuple(k - s for k, s in zip(kappa, shift))
+            if min(nu) < 0 or nu in out:
+                continue
+            out[nu] = sum(sign * restricted.get(
+                tuple(x + s for x, s in zip(nu, shift)), 0) for shift, sign in shifts)
+    return {nu: c for nu, c in out.items() if c}
+
+
+def h_height(h, nu):
+    return sum(h.root_coordinates(Weight(nu)))
+
+
+NON_CHARACTERS = [
+    (Embedding(build_root_system("A1"), build_root_system("A1"), [[2]],
+               label="double"), [(1,), (2,), (5,)]),
+    (Embedding(build_root_system("A1"), build_root_system("A1"), [[3]],
+               label="triple"), [(1,), (2,), (4,)]),
+    (Embedding(build_root_system("A2"), build_root_system("A1"), [[3, 2]],
+               label="A2:[3,2]"), [(1, 1), (2, 2)]),
+    (Embedding(build_root_system("A2"), build_root_system("A1"), [[2, 1]],
+               label="A2:[2,1]"), [(1, 1), (2, 2)]),
+    (Embedding(build_root_system("B2"), build_root_system("A1"), [[3, 1]],
+               label="B2:[3,1]"), [(0, 1)]),
+    (Embedding(build_root_system("A1,A1"), build_root_system("A1"), [[1, 3]],
+               label="A1xA1:[1,3]"), [(0, 1), (0, 2), (1, 2)]),
+    (Embedding(build_root_system("A3"), build_root_system("A1,A1"),
+               [[1, 0, 1], [0, 1, 1]], label="A3:A1xA1"),
+     [(0, 1, 0), (1, 0, 1), (2, 0, 2)]),
+    (Embedding(build_root_system("A2"), build_root_system("A2"),
+               [[2, 0], [0, 2]], label="A2:double"), [(1, 1), (2, 2)]),
+    (Embedding(build_root_system("G2"), build_root_system("G2"),
+               [[2, 0], [0, 2]], label="G2:double"), [(1, 0), (0, 1)]),
+]
+
+
+@pytest.mark.parametrize("emb,weights", NON_CHARACTERS,
+                         ids=[emb.label for emb, _ in NON_CHARACTERS])
+def test_refusal_names_the_highest_negative_virtual_coefficient(emb, weights):
+    for coords in weights:
+        virtual = virtual_coefficients(emb, Weight(coords))
+        negative = [nu for nu, c in virtual.items() if c < 0]
+        assert negative, coords  # each case is an invariant non-character
+        top = max(negative, key=lambda nu: (h_height(emb.h, nu), nu))
+        with pytest.raises(ValueError) as caught:
+            branch(emb, Weight(coords))
+        assert str(caught.value) == \
+            f"negative residual multiplicity {virtual[top]} at {top}", coords
+
+
+@pytest.mark.parametrize("emb,lam", [
+    (diagonal("A1", 3), (2, 1, 3)),
+    (so_in_sl(5), (1, 0, 1, 0)),
+    (folding_B3G2(), (1, 1, 0)),
+    (levi(build_root_system("C3"), (2, 3)), (1, 1, 1)),
+    (diagonal("A2", 2), (1, 0, 1, 1)),
+], ids=lambda x: getattr(x, "label", str(x)))
+def test_branch_equals_virtual_coefficients_on_characters(emb, lam):
+    virtual = virtual_coefficients(emb, Weight(lam))
+    assert all(c > 0 for c in virtual.values())
+    assert branch(emb, Weight(lam)) == {Weight(nu): c for nu, c in virtual.items()}
+
+
+def test_refusal_text_names_the_highest_weight():
+    # n_7 = -1, no higher weight has a negative coefficient, and 7 is not a
+    # weight of the restriction, so stripping from the top never visits it
+    emb = Embedding(build_root_system("A2"), build_root_system("A1"), [[3, 2]],
+                    label="custom")
+    with pytest.raises(ValueError) as caught:
+        branch(emb, W(2, 2))
+    assert str(caught.value) == "negative residual multiplicity -1 at (7,)"
+
+
+# -- bounded work -------------------------------------------------------------------
+
+def test_branch_cap_refuses_before_freudenthal_with_the_exact_dimension():
+    emb = folding_E6F4()
+    lam = W(5, 5, 5, 5, 5, 5)
+    dim = weyl_dim(emb.g, lam)
+    assert dim > DEFAULT_BRANCH_CAP
+    with pytest.raises(BranchCapExceeded) as caught:
+        branch(emb, lam)
+    assert caught.value.dim == dim and caught.value.cap == DEFAULT_BRANCH_CAP
+    assert f"dimension is {dim}, cap is {DEFAULT_BRANCH_CAP}" in str(caught.value)
+
+
+def test_branch_cap_env(monkeypatch):
+    emb = diagonal("A1", 2)
+    lam = W(2, 2)  # dimension 9
+    monkeypatch.setenv("FROBCRIT_BRANCH_CAP", "8")
+    with pytest.raises(BranchCapExceeded, match="dimension is 9, cap is 8"):
+        branch(emb, lam)
+    monkeypatch.setenv("FROBCRIT_BRANCH_CAP", "9")
+    assert branch(emb, lam) == {W(4): 1, W(2): 1, W(0): 1}
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5", ""])
+def test_bad_branch_cap_env_names_the_variable(monkeypatch, value):
+    monkeypatch.setenv("FROBCRIT_BRANCH_CAP", value)
+    with pytest.raises(ValueError, match="FROBCRIT_BRANCH_CAP must be a positive integer"):
+        branch(diagonal("A1", 2), W(1, 1))
 
 
 # -- surjectivity scan -------------------------------------------------------------

@@ -6,7 +6,7 @@ import time
 import jsonschema
 import pytest
 
-from frobcrit import cli, registry
+from frobcrit import charalg, cli, registry
 from frobcrit.cli import main
 
 CHECK_INPUT = {
@@ -425,6 +425,25 @@ def test_branch_bad_weight(capsys):
     assert code == 2
     code, _, err = run(capsys, "branch", json.dumps(desc), "0,-1")
     assert code == 2  # freudenthal needs a dominant weight
+
+
+def test_branch_above_cap_is_refused_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "branch", json.dumps({"builder": "folding_E6F4"}),
+                         "5,5,5,5,5,5")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: refusing to branch")
+    assert (f"dimension is 10314424798490535546171949056, "
+            f"cap is {charalg.DEFAULT_BRANCH_CAP}") in err
+
+
+def test_branch_bad_cap_env_is_one_error_line(capsys, monkeypatch):
+    monkeypatch.setenv("FROBCRIT_BRANCH_CAP", "abc")
+    code, out, err = run(capsys, "branch", json.dumps({"builder": "identity",
+                                                       "params": {"h": "A2"}}), "1,1")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert "FROBCRIT_BRANCH_CAP must be a positive integer" in err
 
 
 # -- schema -----------------------------------------------------------------------------

@@ -280,6 +280,17 @@ def test_pairing_linear_in_first_argument(spec, data):
             == cartan_pairing(rs, lam, beta) + cartan_pairing(rs, mu, beta))
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS + ["A1,C2", "A2,G2"])
+def test_coroot_table_gives_the_pairing(spec):
+    rs = build_root_system(spec)
+    assert len(rs.coroots) == len(rs.positive_roots)
+    for beta, co in zip(rs.positive_roots, rs.coroots):
+        assert all(type(c) is int and c >= 0 for c in co)
+        for i in range(rs.rank):
+            omega = Weight([int(k == i) for k in range(rs.rank)])
+            assert cartan_pairing(rs, omega, beta) == co[i]
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_simple_coroot_pairing_integrality(spec):
     rs = build_root_system(spec)

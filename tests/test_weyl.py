@@ -53,6 +53,20 @@ def test_from_word_rejects_bad_letters():
             from_word(rs, bad)
 
 
+@pytest.mark.parametrize("bad", [(1.5, 2.9), (True,), (1, 2.0), ("1",)])
+def test_from_word_refuses_non_int_letters(bad):
+    # int() would truncate (1.5, 2.9) to the word (1, 2)
+    with pytest.raises(TypeError, match="simple reflection index must be an integer"):
+        from_word(build_root_system("C2"), bad)
+
+
+@pytest.mark.parametrize("p", [2.9, 3.0, True, "3"])
+def test_steinberg_weights_refuses_non_int_p(p):
+    # int() would truncate 2.9 to 2 and return the p = 2 weights
+    with pytest.raises(TypeError, match="p must be an integer"):
+        steinberg_weights(build_root_system("C2"), [1], p)
+
+
 def test_braid_relations():
     a2 = build_root_system("A2")
     assert from_word(a2, (1, 2, 1)) == from_word(a2, (2, 1, 2))
@@ -225,6 +239,11 @@ def test_cap_argument_and_env(monkeypatch):
     # explicit argument wins over the environment
     with pytest.raises(EnumerationCapExceeded):
         enumerate_parabolic(rs, cap=5)
+
+
+def test_cap_argument_must_be_an_int():
+    with pytest.raises(TypeError, match="cap must be an integer"):
+        enumerate_parabolic(build_root_system("A3"), cap=23.9)
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5", ""])
