@@ -35,7 +35,7 @@ from .criteria import (
 )
 from .charalg import branch
 from .embed import CriterionInput
-from .rootsys import Weight, _require_int, build_root_system
+from .rootsys import MAX_RANK, Weight, _require_int, build_root_system
 from .weyl import verify_st_decomp
 
 # builder name -> its parameters in call order; "g" and "h" name root
@@ -262,14 +262,16 @@ def _cmd_check(args) -> int:
     if expect is not None:
         _validate_expect(expect)
     emb = embedding_from_descriptor(data["embedding"])
+    if not isinstance(data["J"], list):
+        raise InputError(f"J must be a list of integers, got {json.dumps(data['J'])}")
     try:
         inp = CriterionInput(
-            emb, tuple(data["J"]), data["p"],
+            emb, data["J"], data["p"],
             data.get("surjectivity_source", "donkin-registry"),
             data.get("lie_separability"),
         )
     except (ValueError, TypeError) as err:
-        raise InputError(f"J must be a list of integers and p an integer: {err}")
+        raise InputError(str(err))
     try:
         report = check_main(inp)
     except ValueError as err:
@@ -426,6 +428,8 @@ def _sp4_dot(ex: registry.Sp4Example, verdicts: list[bool]) -> str:
 
 
 def _cmd_verify_identities(args) -> int:
+    if args.max_rank > MAX_RANK:
+        raise InputError(f"--max-rank {args.max_rank} is above the rank cap of {MAX_RANK}")
     if args.max_rank > 6 and not args.force:
         raise InputError(
             f"--max-rank {args.max_rank} is above the default ceiling of 6; "

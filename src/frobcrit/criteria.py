@@ -194,9 +194,6 @@ def check_main(inp: CriterionInput) -> CriterionReport:
         raise ValueError("embedding fails validation: " + "; ".join(problems))
     if not _is_prime(inp.p):
         raise ValueError(f"p must be prime, got {inp.p}")
-    for j in inp.J:
-        if not 1 <= j <= emb.g.rank:
-            raise ValueError(f"J index {j} outside 1..{emb.g.rank}")
 
     p, J = inp.p, inp.J
     rh = rho_h(emb)

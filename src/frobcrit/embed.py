@@ -29,6 +29,7 @@ from .rootsys import (
     _require_int,
     build_root_system,
     index_set,
+    require_rank,
     root_to_weight,
     subsystem_components,
 )
@@ -73,7 +74,7 @@ class CriterionInput:
     lie_separability: str | None = None  # optional caller assertion: holds/fails
 
     def __post_init__(self) -> None:
-        self.J = tuple(sorted(set(_require_int(j, "J entry") for j in self.J)))
+        self.J = index_set(self.embedding.g, tuple(self.J))
         self.p = _require_int(self.p, "p")
 
 
@@ -197,6 +198,7 @@ def diagonal(h, k: int) -> Embedding:
     k = int(k)
     if k < 1:
         raise ValueError("diagonal embedding needs k >= 1")
+    require_rank(h.rank * k)  # before the k-fold component list is made
     g = build_root_system(list(h.components) * k)
     eye = [[1 if i == j else 0 for j in range(h.rank)] for i in range(h.rank)]
     rows = [row * k for row in eye]

@@ -33,6 +33,10 @@ _EXCEPTIONAL_ORDERS = {
 
 _SPEC_RE = re.compile(r"^([A-G])([0-9]+)$")
 
+# the largest rank of a root system that is built at all: a check's cost
+# grows about as rank^5 (1.3 s for identity:B16, 24 s for levi:B32, 2 vCPUs)
+MAX_RANK = 16
+
 
 def _simple_cartan(letter: str, rank: int) -> list[list[int]]:
     """Cartan matrix of one simple component, Bourbaki numbering."""
@@ -216,6 +220,13 @@ def _require_int(value, what: str) -> int:
     return value
 
 
+def require_rank(rank: int) -> int:
+    """The rank of a root system about to be built, refused above MAX_RANK."""
+    if rank > MAX_RANK:
+        raise ValueError(f"refusing a root system of rank {rank}: the cap is {MAX_RANK}")
+    return rank
+
+
 class RootSystem:
     """A reduced root system, possibly a product of simple components."""
 
@@ -228,11 +239,13 @@ class RootSystem:
                 raise ValueError(f"component must be a (letter, rank) pair, got {comp!r}")
             if not isinstance(letter, str):
                 raise TypeError(f"root-system letter must be a string, got {letter!r}")
-            comps.append((letter.upper(), _require_int(rank, "rank")))
+            if _require_int(rank, "rank") < 1:  # else a negative rank could offset a large one
+                raise ValueError(f"invalid simple component {letter}{rank}")
+            comps.append((letter.upper(), require_rank(rank)))
         if not comps:
             raise ValueError("a root system needs at least one component")
         self.components: tuple[tuple[str, int], ...] = tuple(comps)
-        self.rank: int = sum(r for _, r in self.components)
+        self.rank: int = require_rank(sum(r for _, r in self.components))
 
         cartan = [[0] * self.rank for _ in range(self.rank)]
         positives: list[RootVector] = []
@@ -370,16 +383,18 @@ def index_set(rs: RootSystem, J: Iterable[int] | None = None) -> tuple[int, ...]
     members = tuple(range(1, rs.rank + 1) if J is None else J)
     for j in members:
         if not 1 <= _require_int(j, "J entry") <= rs.rank:
-            raise ValueError(f"index {j} outside 1..{rs.rank}")
+            raise ValueError(f"J index {j} outside 1..{rs.rank}")
     return tuple(sorted(set(members)))
 
 
-def reflect(rs: RootSystem, v: Sequence, j: int) -> tuple:
-    """s_j v = v - v_j alpha_j (j 1-based), on the nonzero entries of alpha_j."""
+def reflect(rs: RootSystem, v: Sequence, *letters: int) -> tuple:
+    """s_{j_k} ... s_{j_1} v for the letters j_1, ..., j_k (1-based), one step
+    s_j v = v - v_j alpha_j at a time, on the nonzero entries of alpha_j."""
     out = list(v)
-    c = out[j - 1]
-    for k, a in rs.alpha_support[j - 1]:
-        out[k] -= c * a
+    for j in letters:
+        c = out[j - 1]
+        for k, a in rs.alpha_support[j - 1]:
+            out[k] -= c * a
     return tuple(out)
 
 

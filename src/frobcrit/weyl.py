@@ -1,19 +1,18 @@
 """Weyl group elements, enumeration and Steinberg-type weight identities.
 
-An element is stored as its integer matrix acting on fundamental-weight
-coordinates; that matrix is the canonical form used for equality and
-hashing.  Enumeration deduplicates on the integer tuple w^{-1}(rho) instead,
-which determines w because rho is regular, and builds each element's matrix
-once, from its parent's, by ``_times_reflection`` (as ``from_word`` does);
-the step on v is ``rootsys.reflect``.  Words are tuples of 1-based indices
-and compose left to right, i.e. ``from_word(rs, (1, 2))`` is s_1 composed
-with s_2, applied as s_1(s_2(v)).
+An element w is keyed by the integer tuple v = w^{-1}(rho), which determines
+w because rho is regular (Stembridge, MSJ Memoirs 11, 2001): equality,
+hashing, ``length`` and ``is_identity`` read v, and enumeration and
+``from_word`` step on it by ``rootsys.reflect``.  The integer matrix of w on
+fundamental-weight coordinates is built from the word, by
+``_times_reflection``, only when ``.matrix`` is read.  Words are tuples of
+1-based indices and compose left to right, i.e. ``from_word(rs, (1, 2))`` is
+s_1 composed with s_2, applied as s_1(s_2(v)).
 """
 
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .rootsys import (
@@ -45,105 +44,104 @@ class EnumerationCapExceeded(ValueError):
             f"order is {order}, cap is {cap}")
 
 
-def _identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
 def _mat_mul(a, b):
     n = len(a)
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
                  for i in range(n))
 
 
-def _times_reflection(rs: RootSystem, cols, j: int):
-    """The columns of w s_j from those of w: as s_j omega_k = omega_k -
+def _times_reflection(rs: RootSystem, cols: list, j: int) -> None:
+    """Turn the columns of w into those of w s_j: as s_j omega_k = omega_k -
     delta_jk alpha_j, only column j changes, to -col_j - sum_{c != j} a_cj col_c."""
     col = [-x for x in cols[j - 1]]
     for c, a in rs.alpha_support[j - 1]:
         if c != j - 1:
             col = [x - a * y for x, y in zip(col, cols[c])]
-    return cols[:j - 1] + (tuple(col),) + cols[j:]
+    cols[j - 1] = col
 
 
 class WeylElement:
-    """Group element of W(rs) with matrix canonical form."""
+    """An element w of W(rs), keyed by v = w^{-1} rho.
 
-    __slots__ = ("rs", "matrix", "word", "_root_matrix")
+    ``WeylElement(rs, matrix, word)`` takes w's integer matrix on fundamental
+    coordinates and keeps the word it is given; it refuses a matrix outside
+    W(rs), or one that the word does not build.
+    """
+
+    __slots__ = ("rs", "v", "word", "_matrix", "_root_matrix")
 
     def __init__(self, rs: RootSystem, matrix, word: tuple[int, ...] | None = None) -> None:
-        self.rs = rs
-        self.matrix = tuple(tuple(int(x) for x in row) for row in matrix)
-        self.word = word  # some reduced word when produced by enumerate/from_word
-        self._root_matrix = None
+        matrix = tuple(tuple(_require_int(x, "matrix entry") for x in row) for row in matrix)
+        # descending w rho to rho spells w, so a matrix that those letters
+        # (or the given word) do not rebuild is not w's
+        built = from_word(rs, descend(rs, [sum(row) for row in matrix])[1]
+                          if word is None else word)
+        if built.matrix != matrix:
+            raise ValueError(f"{matrix} is not the matrix of "
+                             + (f"an element of W({rs.spec_string()})" if word is None
+                                else f"the word {word}"))
+        self.rs, self.v, self.word = rs, built.v, word
+        self._matrix, self._root_matrix = matrix, None
+
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """w on fundamental-weight coordinates, built from the word when first read."""
+        if self._matrix is None:
+            n = self.rs.rank
+            cols = [[int(i == j) for j in range(n)] for i in range(n)]
+            for i in self.word:  # I @ S_{i_1} @ ... @ S_{i_k}
+                _times_reflection(self.rs, cols, i)
+            self._matrix = tuple(zip(*cols))
+        return self._matrix
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, WeylElement)
-                and self.rs == other.rs and self.matrix == other.matrix)
+                and self.rs == other.rs and self.v == other.v)
 
     def __hash__(self) -> int:
-        return hash((self.rs.components, self.matrix))
+        return hash((self.rs.components, self.v))
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.rs != other.rs:
             raise ValueError("cannot multiply elements of different Weyl groups")
-        word = None
         if self.word is not None and other.word is not None:
-            word = self.word + other.word  # not necessarily reduced
-        return WeylElement(self.rs, _mat_mul(self.matrix, other.matrix), word)
+            return from_word(self.rs, self.word + other.word)  # not necessarily reduced
+        return WeylElement(self.rs, _mat_mul(self.matrix, other.matrix))
 
     def act(self, weight: Weight) -> Weight:
         if len(weight) != self.rs.rank:
             raise ValueError("weight rank mismatch")
+        if self._matrix is None:  # s_{i_1}(...(s_{i_k}(lam))), caching no matrix
+            return Weight(reflect(self.rs, weight.coords, *reversed(self.word)))
         n = self.rs.rank
-        return Weight(sum(self.matrix[i][j] * weight.coords[j] for j in range(n))
+        return Weight(sum(self._matrix[i][j] * weight.coords[j] for j in range(n))
                       for i in range(n))
-
-    def _ensure_root_matrix(self):
-        # action on root coordinates: A^{-1} M A, integral for Weyl matrices
-        if self._root_matrix is None:
-            n = self.rs.rank
-            inv = self.rs.cartan_inverse
-            ma = _mat_mul(self.matrix, self.rs.cartan)
-            rm = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    x = sum(inv[i][k] * ma[k][j] for k in range(n))
-                    if isinstance(x, Fraction):
-                        if x.denominator != 1:
-                            raise AssertionError("non-integral root action")
-                        x = x.numerator
-                    row.append(int(x))
-                rm.append(tuple(row))
-            self._root_matrix = tuple(rm)
-        return self._root_matrix
 
     def act_root(self, root: Sequence[int]) -> RootVector:
         """Image of a vector given in root coordinates."""
         if len(root) != self.rs.rank:
             raise ValueError("root rank mismatch")
-        rm = self._ensure_root_matrix()
-        n = self.rs.rank
-        return tuple(sum(rm[i][j] * root[j] for j in range(n)) for i in range(n))
+        if self._root_matrix is None:
+            # M_ik = <w omega_k, alpha_i_vee> = <omega_k, w^{-1} alpha_i_vee>, so
+            # M(w^{-1})^T is w on coroot coordinates; and alpha_k = d_k alpha_k_vee
+            m, d, n = self.inverse().matrix, self.rs.symmetrizer, self.rs.rank
+            self._root_matrix = tuple(tuple(int(m[k][i] * d[k] / d[i]) for k in range(n))
+                                      for i in range(n))
+        return tuple(sum(a * b for a, b in zip(row, root)) for row in self._root_matrix)
 
     def length(self) -> int:
-        """Number of positive roots sent to negative roots."""
-        count = 0
-        for beta in self.rs.positive_roots:
-            image = self.act_root(beta)
-            if all(c <= 0 for c in image):
-                count += 1
-        return count
+        """Number of positive roots beta sent to negative roots: as
+        <v, beta_vee> = <rho, (w beta)_vee>, those with <v, beta_vee> < 0."""
+        v = self.v
+        return sum(1 for c in self.rs.coroots if sum(x * y for x, y in zip(v, c)) < 0)
 
     def inverse(self) -> "WeylElement":
-        word = tuple(reversed(self.word)) if self.word is not None else None
-        inv = _invert(self.matrix)
-        return WeylElement(self.rs,
-                           tuple(tuple(int(x) for x in row) for row in inv),
-                           word)
+        if self.word is not None:
+            return from_word(self.rs, reversed(self.word))
+        return WeylElement(self.rs, [[int(x) for x in row] for row in _invert(self.matrix)])
 
     def is_identity(self) -> bool:
-        return self.matrix == _identity_matrix(self.rs.rank)
+        return self.v == (1,) * self.rs.rank
 
     def __repr__(self) -> str:
         if self.word is not None:
@@ -151,30 +149,28 @@ class WeylElement:
         return f"WeylElement(matrix={self.matrix})"
 
 
-def _element(rs: RootSystem, matrix, word) -> WeylElement:
-    """A WeylElement from a matrix that is already a tuple of int tuples."""
+def _element(rs: RootSystem, v: tuple[int, ...], word: tuple[int, ...]) -> WeylElement:
+    """The WeylElement with w^{-1} rho = v and the word that spells it."""
     el = object.__new__(WeylElement)
-    el.rs, el.matrix, el.word, el._root_matrix = rs, matrix, word, None
+    el.rs, el.v, el.word, el._matrix, el._root_matrix = rs, v, word, None, None
     return el
 
 
 def identity(rs: RootSystem) -> WeylElement:
-    return WeylElement(rs, _identity_matrix(rs.rank), ())
+    return _element(rs, (1,) * rs.rank, ())
 
 
 def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     """Compose simple reflections; indices are 1-based, leftmost applied last.
 
-    ``from_word(rs, (1, 2)).act(v)`` is s_1(s_2(v)).
+    ``from_word(rs, (1, 2)).act(v)`` is s_1(s_2(v)).  No matrix is built:
+    w^{-1} rho = s_{i_k} ... s_{i_1} rho is reflected letter by letter.
     """
     letters = tuple(word)
     for i in letters:
         if not 1 <= _require_int(i, "simple reflection index") <= rs.rank:
             raise ValueError(f"simple reflection index {i} outside 1..{rs.rank}")
-    cols = _identity_matrix(rs.rank)
-    for i in letters:  # I @ S_{i_1} @ ... @ S_{i_k}
-        cols = _times_reflection(rs, cols, i)
-    return WeylElement(rs, tuple(zip(*cols)), letters)
+    return _element(rs, reflect(rs, (1,) * rs.rank, *letters), letters)
 
 
 def _resolve_cap(cap: int | None, env_name: str = _ENUM_CAP_ENV,
@@ -211,13 +207,13 @@ def enumerate_parabolic(rs: RootSystem, J: Iterable[int] | None = None,
     # regular, so v determines w.  w s_j is longer than w exactly when
     # v_j > 0, so only those candidates can be new, and each lands on the
     # next layer: a seen-set per layer suffices.
-    start = identity(rs)
-    out = [start]
-    frontier = [((1,) * rs.rank, _identity_matrix(rs.rank), ())]
+    out = [identity(rs)]
+    frontier = out[:]
     while frontier:
         nxt = []
         seen = set()
-        for v, cols, word in frontier:
+        for w in frontier:
+            v = w.v
             for j in members:
                 if v[j - 1] < 0:
                     continue
@@ -225,10 +221,8 @@ def enumerate_parabolic(rs: RootSystem, J: Iterable[int] | None = None,
                 if sv in seen:
                     continue
                 seen.add(sv)
-                new_cols = _times_reflection(rs, cols, j)
-                new_word = word + (j,)
-                out.append(_element(rs, tuple(zip(*new_cols)), new_word))
-                nxt.append((sv, new_cols, new_word))
+                nxt.append(_element(rs, sv, w.word + (j,)))
+        out += nxt
         frontier = nxt
     if len(out) != order:
         raise AssertionError(
@@ -255,10 +249,7 @@ def longest_element(rs: RootSystem, J: Iterable[int] | None = None) -> WeylEleme
 def verify_st_decomp(rs: RootSystem, J: Iterable[int]) -> tuple[Weight, Weight, bool]:
     """Check sum of R_J^+ == rho_J - w_0^J(rho_J); returns (lhs, rhs, equal)."""
     members = index_set(rs, J)
-    total = [0] * rs.rank
-    for beta in _positive_roots_of(rs, members):
-        for k in range(rs.rank):
-            total[k] += beta[k]
+    total = map(sum, zip((0,) * rs.rank, *_positive_roots_of(rs, members)))
     lhs = root_to_weight(rs, tuple(total))
     rj = rho_J(rs, members)
     rhs = rj - longest_element(rs, members).act(rj)

@@ -8,6 +8,7 @@ import pytest
 
 from frobcrit import charalg, cli, registry
 from frobcrit.cli import main
+from frobcrit.rootsys import MAX_RANK
 
 CHECK_INPUT = {
     "embedding": {"builder": "identity", "params": {"h": "A2"}},
@@ -182,6 +183,14 @@ def test_check_malformed_json(capsys):
     lambda d: d.update(embedding={"builder": "identity", "params": {"h": [[1, 2]]}}),
     lambda d: d.update(embedding={"custom": {"g": [["A", 1.0], ["A", 1]], "h": "A1",
                                              "matrix": [[1, 1]]}}, J=[1]),
+    lambda d: d.update(J=[3]),
+    lambda d: d.update(J=2),
+    lambda d: d.update(J="12"),
+    lambda d: d.update(J=None),
+    lambda d: d.update(embedding={"builder": "identity", "params": {"h": [["A", 3], ["B", -1]]}}),
+    lambda d: d.update(embedding={"builder": "folding_AC", "params": {"m": 300}}),
+    lambda d: d.update(embedding={"builder": "diagonal", "params": {"h": "A2", "k": 10 ** 12}}),
+    lambda d: d.update(embedding={"custom": {"g": "A40", "h": "A1", "matrix": [[1] * 40]}}),
 ], ids=["J-not-int", "p-not-int", "param-null", "matrix-entry-object",
         "expect-not-object", "embedding-not-object", "custom-not-object",
         "builder-not-string", "params-not-object", "p-float", "J-float", "J-bool",
@@ -191,7 +200,9 @@ def test_check_malformed_json(capsys):
         "twist-exponent-float", "twist-exponent-bool", "twist-exponent-zero",
         "expect-tags-int", "expect-tags-string", "expect-tags-not-strings",
         "expect-dominant-string", "expect-lie-unknown-value", "expect-unknown-key",
-        "h-rank-float", "h-rank-bool", "h-rank-str", "h-letter-int", "custom-g-rank-float"])
+        "h-rank-float", "h-rank-bool", "h-rank-str", "h-letter-int", "custom-g-rank-float",
+        "J-out-of-range", "J-not-list", "J-string", "J-null", "h-rank-negative",
+        "folding_AC-rank-599", "diagonal-rank-2e12", "custom-g-rank-40"])
 def test_check_malformed_values_are_refused(capsys, mutate):
     data = json.loads(json.dumps(CHECK_INPUT))
     mutate(data)
@@ -199,6 +210,37 @@ def test_check_malformed_values_are_refused(capsys, mutate):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("embedding,J,text", [
+    ({"builder": "so_in_sl", "params": {"n": 5}}, [9], "error: J index 9 outside 1..4"),
+    ({"builder": "so_in_sl", "params": {"n": 5}}, [0, 1], "error: J index 0 outside 1..4"),
+    ({"builder": "so_in_sl", "params": {"n": 5}}, ["x"],
+     "error: J entry must be an integer, got 'x'"),
+    ({"builder": "so_in_sl", "params": {"n": 5}}, 2, "error: J must be a list of integers, got 2"),
+    ({"builder": "levi", "params": {"g": "C3", "J": [4]}}, [1],
+     "error: builder 'levi': J index 4 outside 1..3"),
+])
+def test_J_is_checked_once_with_one_text(capsys, embedding, J, text):
+    code, out, err = run(capsys, "check", json.dumps({"embedding": embedding, "J": J, "p": 3}))
+    assert (code, out, err) == (2, "", text + "\n")
+
+
+@pytest.mark.parametrize("embedding,rank", [
+    ({"builder": "folding_AC", "params": {"m": 300}}, 599),
+    ({"builder": "folding_AC", "params": {"m": 3000}}, 5999),
+    ({"builder": "so_in_sl", "params": {"n": MAX_RANK + 2}}, MAX_RANK + 1),
+    ({"builder": "diagonal", "params": {"h": "A2", "k": 10 ** 12}}, 2 * 10 ** 12),
+    ({"builder": "identity", "params": {"h": [["A", 10 ** 9], ["A", 1 - 10 ** 9]]}}, 10 ** 9),
+    ({"custom": {"g": f"A{MAX_RANK},A1", "h": "A1", "matrix": [[1] * (MAX_RANK + 1)]}},
+     MAX_RANK + 1),
+])
+def test_rank_above_the_cap_is_refused_quickly(capsys, embedding, rank):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", json.dumps({"embedding": embedding, "J": [1], "p": 3}))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert f"refusing a root system of rank {rank}: the cap is {MAX_RANK}" in err
 
 
 def test_check_large_prime_is_decided_quickly(capsys):
@@ -385,6 +427,12 @@ def test_verify_identities_ceiling(capsys):
     assert "--force" in err
     code, _, err = run(capsys, "verify-identities", "--max-rank", "0")
     assert code == 2
+
+
+def test_verify_identities_above_the_rank_cap_is_one_error_line(capsys):
+    code, out, err = run(capsys, "verify-identities", "--max-rank", str(MAX_RANK + 1), "--force")
+    assert (code, out) == (2, "")
+    assert err == f"error: --max-rank {MAX_RANK + 1} is above the rank cap of {MAX_RANK}\n"
 
 
 def test_verify_identities_text(capsys):

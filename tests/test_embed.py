@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from frobcrit.embed import (
+    CriterionInput,
     Embedding,
     detect_twist,
     diagonal,
@@ -19,7 +20,7 @@ from frobcrit.embed import (
     so_in_sl,
     validate,
 )
-from frobcrit.rootsys import Weight, build_root_system, rho, root_to_weight
+from frobcrit.rootsys import Weight, build_root_system, index_set, rho, root_to_weight
 
 
 def all_registry_builders():
@@ -248,3 +249,18 @@ def test_detect_twist_ignores_zero_blocks():
     # second factor acts trivially: a zero block is not a twist
     emb = Embedding(g, h, [[1, 0]], label="projection")
     assert not detect_twist(emb, 2)
+
+
+# -- one J normaliser ------------------------------------------------------------
+
+def test_criterion_input_normalises_J_like_index_set():
+    emb = so_in_sl(5)
+    assert CriterionInput(emb, [3, 1, 3], 5).J == index_set(emb.g, [3, 1, 3]) == (1, 3)
+    for J, error in (([9], ValueError), ([0], ValueError), ([1.0], TypeError),
+                     ([True], TypeError), (["1"], TypeError), (None, TypeError)):
+        with pytest.raises(error) as raised:
+            CriterionInput(emb, J, 5)
+        if J is not None:
+            with pytest.raises(error) as direct:
+                index_set(emb.g, J)
+            assert str(raised.value) == str(direct.value)

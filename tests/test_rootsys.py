@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from frobcrit.rootsys import (
+    MAX_RANK,
     RootSystem,
     Weight,
     build_root_system,
@@ -300,3 +301,19 @@ def test_simple_coroot_pairing_integrality(spec):
             v = cartan_pairing(rs, omega, beta)
             assert isinstance(v, int) or v.denominator == 1
             assert v >= 0
+
+
+# -- the rank cap ----------------------------------------------------------------
+
+def test_rank_cap_admits_max_rank_and_refuses_above():
+    assert MAX_RANK >= 8  # E8 and every bundled input
+    assert build_root_system(f"A{MAX_RANK}").rank == MAX_RANK
+    for spec in (f"A{MAX_RANK + 1}", f"A{MAX_RANK},A1", [("A", 10 ** 9), ("A", 1 - 10 ** 9)]):
+        with pytest.raises(ValueError, match=r"refusing a root system of rank \d+: the cap is"):
+            build_root_system(spec)
+
+
+@pytest.mark.parametrize("spec", [[("A", 3), ("B", -1)], [("A", 0)], [("C", -2), ("A", 3)]])
+def test_non_positive_component_rank_refused(spec):
+    with pytest.raises(ValueError, match="invalid simple component"):
+        build_root_system(spec)

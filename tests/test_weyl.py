@@ -387,3 +387,92 @@ def test_stabilizer_of_regular_weight_is_trivial():
     r = rho(rs)
     fixers = [w for w in enumerate_parabolic(rs) if w.act(r) == r]
     assert len(fixers) == 1 and fixers[0].is_identity()
+
+
+# -- the canonical form v = w^{-1} rho ---------------------------------------
+
+def test_enumeration_builds_no_matrix():
+    rs = build_root_system("F4")
+    elements = enumerate_parabolic(rs)
+    assert all(w._matrix is None for w in elements)
+    for w in elements:
+        w.act(rho(rs))  # act on a word caches no matrix either
+    assert all(w._matrix is None for w in elements)
+    last = elements[-1]
+    assert last.matrix is last._matrix is not None
+    assert all(w._matrix is None for w in elements[:-1])
+
+
+def _length_through_root_matrix(w):
+    return sum(1 for beta in w.rs.positive_roots if all(c <= 0 for c in w.act_root(beta)))
+
+
+def _check_canonical_form(rs, w):
+    lam = Weight([k - 2 for k in range(rs.rank)])
+    assert w._matrix is None
+    image = w.act(lam)
+    assert w._matrix is None
+    m = w.matrix
+    assert image.coords == tuple(sum(m[i][j] * lam.coords[j] for j in range(rs.rank))
+                                 for i in range(rs.rank))
+    assert w.length() == _length_through_root_matrix(w) == len(w.word)
+    again = from_word(rs, w.word)
+    assert again == w and hash(again) == hash(w)
+    rebuilt = WeylElement(rs, m)
+    assert rebuilt == w and hash(rebuilt) == hash(w) and rebuilt.word is None
+    assert w.is_identity() == (w.word == ())
+
+
+@pytest.mark.parametrize("spec", _systems_up_to_rank(4))
+def test_canonical_form_on_every_J(spec):
+    rs = build_root_system(spec)
+    for mask in range(2 ** rs.rank):
+        J = tuple(j + 1 for j in range(rs.rank) if mask >> j & 1)
+        for w in enumerate_parabolic(rs, J):
+            _check_canonical_form(rs, w)
+
+
+def test_canonical_form_on_e6():
+    rs = build_root_system("E6")
+    elements = enumerate_parabolic(rs)
+    assert all(from_word(rs, w.word) == w for w in elements)
+    assert len(set(elements)) == len(elements)
+    # the matrix checks cost ~1 ms an element: every 61st, and w_0
+    for w in elements[::61] + elements[-1:]:
+        _check_canonical_form(rs, w)
+
+
+@pytest.mark.parametrize("spec,matrix", [
+    ("A1,A1", [[2, 0], [0, 2]]),    # w rho = 2 rho descends to no rho
+    ("A1,A1", [[0, 1], [1, 0]]),    # fixes rho, but is not the identity
+    ("A2", [[0, 1], [1, 0]]),       # the diagram automorphism
+    ("C2", [[1, 0], [1, 1]]),
+])
+def test_constructor_refuses_non_weyl_matrices(spec, matrix):
+    with pytest.raises(ValueError, match="is not the matrix of an element of W"):
+        WeylElement(build_root_system(spec), matrix)
+
+
+@pytest.mark.parametrize("entry", [1.0, 1.5, True, "1"])
+def test_constructor_refuses_non_int_entries(entry):
+    # int() would truncate [[1.5, 0], [0, 1]] to the identity
+    with pytest.raises(TypeError, match="matrix entry must be an integer"):
+        WeylElement(build_root_system("A1,A1"), [[entry, 0], [0, 1]])
+
+
+def test_constructor_checks_the_word_and_keeps_it():
+    rs = build_root_system("A2")
+    w0 = from_word(rs, (2, 1, 2)).matrix
+    kept = WeylElement(rs, w0, (1, 2, 1))  # another reduced word of w_0
+    assert kept.word == (1, 2, 1) and kept == longest_element(rs)
+    with pytest.raises(ValueError, match=r"is not the matrix of the word \(1, 2\)"):
+        WeylElement(rs, w0, (1, 2))
+
+
+def test_products_and_inverses_without_words():
+    rs = build_root_system("B3")
+    x = WeylElement(rs, from_word(rs, (1, 2, 3)).matrix)
+    y = from_word(rs, (3, 2))
+    assert x * y == from_word(rs, (1, 2, 3, 3, 2)) == from_word(rs, (1,))
+    assert (x * x.inverse()).is_identity() and x.inverse().word is None
+    assert x.inverse() == from_word(rs, (3, 2, 1))
