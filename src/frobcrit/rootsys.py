@@ -387,9 +387,18 @@ def index_set(rs: RootSystem, J: Iterable[int] | None = None) -> tuple[int, ...]
     return tuple(sorted(set(members)))
 
 
-def reflect(rs: RootSystem, v: Sequence, *letters: int) -> tuple:
-    """s_{j_k} ... s_{j_1} v for the letters j_1, ..., j_k (1-based), one step
-    s_j v = v - v_j alpha_j at a time, on the nonzero entries of alpha_j."""
+def reflect(rs: RootSystem, v: Sequence, j: int) -> tuple:
+    """s_j v = v - v_j alpha_j (j 1-based), on the nonzero entries of alpha_j."""
+    out = list(v)
+    c = out[j - 1]
+    for k, a in rs.alpha_support[j - 1]:
+        out[k] -= c * a
+    return tuple(out)
+
+
+def reflect_word(rs: RootSystem, v: Sequence, letters: Iterable[int]) -> tuple:
+    """s_{j_k} ... s_{j_1} v: the ``reflect`` step by each letter in turn, on
+    one list (a letter loop in ``reflect`` cost ~3 % on branch-sweep)."""
     out = list(v)
     for j in letters:
         c = out[j - 1]

@@ -3,11 +3,11 @@
 An element w is keyed by the integer tuple v = w^{-1}(rho), which determines
 w because rho is regular (Stembridge, MSJ Memoirs 11, 2001): equality,
 hashing, ``length`` and ``is_identity`` read v, and enumeration and
-``from_word`` step on it by ``rootsys.reflect``.  The integer matrix of w on
-fundamental-weight coordinates is built from the word, by
-``_times_reflection``, only when ``.matrix`` is read.  Words are tuples of
-1-based indices and compose left to right, i.e. ``from_word(rs, (1, 2))`` is
-s_1 composed with s_2, applied as s_1(s_2(v)).
+``from_word`` step on it by ``rootsys.reflect`` and ``reflect_word``.  The
+integer matrix of w on fundamental-weight coordinates is built from the
+word, by ``_times_reflection``, only when ``.matrix`` is read.  Words are
+tuples of 1-based indices and compose left to right, i.e.
+``from_word(rs, (1, 2))`` is s_1 composed with s_2, applied as s_1(s_2(v)).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .rootsys import (
     index_set,
     parabolic_weyl_order,
     reflect,
+    reflect_word,
     rho_J,
     root_to_weight,
 )
@@ -42,12 +43,6 @@ class EnumerationCapExceeded(ValueError):
         super().__init__(
             f"refusing to enumerate W_J of {rs.spec_string()} with J={sorted(J)}: "
             f"order is {order}, cap is {cap}")
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                 for i in range(n))
 
 
 def _times_reflection(rs: RootSystem, cols: list, j: int) -> None:
@@ -106,13 +101,15 @@ class WeylElement:
             raise ValueError("cannot multiply elements of different Weyl groups")
         if self.word is not None and other.word is not None:
             return from_word(self.rs, self.word + other.word)  # not necessarily reduced
-        return WeylElement(self.rs, _mat_mul(self.matrix, other.matrix))
+        # column k of M(xy) is x applied to column k of M(y)
+        images = (self.act(Weight(col)).coords for col in zip(*other.matrix))
+        return WeylElement(self.rs, tuple(zip(*images)))
 
     def act(self, weight: Weight) -> Weight:
         if len(weight) != self.rs.rank:
             raise ValueError("weight rank mismatch")
         if self._matrix is None:  # s_{i_1}(...(s_{i_k}(lam))), caching no matrix
-            return Weight(reflect(self.rs, weight.coords, *reversed(self.word)))
+            return Weight(reflect_word(self.rs, weight.coords, reversed(self.word)))
         n = self.rs.rank
         return Weight(sum(self._matrix[i][j] * weight.coords[j] for j in range(n))
                       for i in range(n))
@@ -170,7 +167,7 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     for i in letters:
         if not 1 <= _require_int(i, "simple reflection index") <= rs.rank:
             raise ValueError(f"simple reflection index {i} outside 1..{rs.rank}")
-    return _element(rs, reflect(rs, (1,) * rs.rank, *letters), letters)
+    return _element(rs, reflect_word(rs, (1,) * rs.rank, letters), letters)
 
 
 def _resolve_cap(cap: int | None, env_name: str = _ENUM_CAP_ENV,
