@@ -17,7 +17,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .embed import Embedding
 from .rootsys import (
@@ -124,12 +123,10 @@ def freudenthal(rs: RootSystem, lam: Weight) -> DominantCharacter:
             mults[Weight(coords)] = m
         return DominantCharacter(rs, lam, mults)
 
-    # one common denominator clears the symmetrizer, after which both sides
-    # of the recursion scale together and everything below is plain integer
-    # arithmetic on coordinate tuples
+    # the symmetrizer is integral, so both sides of the recursion scale
+    # together and everything below is plain integer arithmetic on tuples
     n = rs.rank
-    scale = math.lcm(*(d.denominator for d in rs.symmetrizer))
-    isym = [int(d * scale) for d in rs.symmetrizer]
+    isym = rs.symmetrizer
     pos = []
     for beta in rs.positive_roots:
         bw = tuple(int(c) for c in root_to_weight(rs, beta).coords)
@@ -264,12 +261,8 @@ def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
         restricted = {tuple(x // scale for x in r): m
                       for r, m in restricted.items()}
 
-    heights = []
-    for j in range(h.rank):
-        basis = Weight([1 if k == j else 0 for k in range(h.rank)])
-        heights.append(sum(h.root_coordinates(basis), Fraction(0)))
-    hscale = math.lcm(*(x.denominator for x in heights))
-    hv = tuple(int(x * hscale) for x in heights)
+    # <nu, 2 rho_vee> = sum_gamma <nu, gamma_vee> is twice the height of nu
+    hv = tuple(map(sum, zip(*h.coroots)))
 
     def key(t: tuple):
         return (sum(a * b for a, b in zip(hv, t)), t)

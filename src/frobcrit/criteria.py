@@ -16,19 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable
 
 from .embed import (CriterionInput, Embedding, detect_twist, restrict, rho_h,
                     root_fiber, validate)
 from .registry import lookup_donkin
-from .rootsys import (
-    Weight,
-    cartan_pairing,
-    index_set,
-    parabolic_weyl_order,
-    rho_J,
-)
+from .rootsys import Weight, _require_int, index_set, parabolic_weyl_order, rho_J
 from .weyl import EnumerationCapExceeded, WeylElement, enumerate_parabolic
 
 ORBIT_LABEL_CAP = 100
@@ -121,16 +114,14 @@ def lemma53_min_p(emb: Embedding) -> int:
     """Prime bound above which restriction surjectivity holds unconditionally.
 
     The bound is the ceiling of max <rho_H + omega_i|_H, gamma_vee> over the
-    fundamental weights omega_i of G and positive roots gamma of H.
+    fundamental weights omega_i of G and positive roots gamma of H (and 0):
+    omega_i|_H is column i of the restriction matrix, and each pairing is
+    read off the coroot table.
     """
-    rh = rho_h(emb)
-    best = Fraction(0)
-    for i in range(emb.g.rank):
-        omega = Weight([1 if k == i else 0 for k in range(emb.g.rank)])
-        shifted = rh + restrict(emb, omega)
-        for gamma in emb.h.positive_roots:
-            best = max(best, cartan_pairing(emb.h, shifted, gamma))
-    return math.ceil(best)
+    shifted = [[1 + x for x in col] for col in zip(*emb.restriction)]
+    best = max(sum(x * c for x, c in zip(col, co))
+               for col in shifted for co in emb.h.coroots)
+    return math.ceil(max(best, 0))
 
 
 def _resolve_surjectivity(inp: CriterionInput, min_p: int) -> SurjectivityStatus:
@@ -308,9 +299,9 @@ def thm41_hypotheses(emb: Embedding, lam: Weight, p: int) -> Thm41Report:
     Condition (1) is supplied automatically when lam has Steinberg shape
     (p-1) rho_J for some J; otherwise the caller must argue it separately.
     """
-    if not _is_prime(int(p)):
+    p = _require_int(p, "p")
+    if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    p = int(p)
     if len(lam) != emb.g.rank:
         raise ValueError("weight rank mismatch")
     if not lam.is_integral() or not lam.is_dominant():
@@ -353,7 +344,7 @@ def conjugated_borel_check(emb: Embedding, x: WeylElement, J: Iterable[int]) -> 
     members = index_set(emb.g, J)
 
     x_positive = {x.act_root(beta) for beta in emb.g.positive_roots}
-    signs: dict[tuple[int, ...], int] = {}
+    signs = []  # one per positive H-root, in the order of the coroot table
     for gamma in emb.h.positive_roots:
         fiber = root_fiber(emb, gamma)
         plus = all(r in x_positive for r in fiber)
@@ -362,11 +353,11 @@ def conjugated_borel_check(emb: Embedding, x: WeylElement, J: Iterable[int]) -> 
             raise ValueError(
                 f"B_x cap H is not a Borel subgroup of H: the root spaces over "
                 f"{gamma} are split by x (word {x.word})")
-        signs[gamma] = 1 if plus else -1
+        signs.append(1 if plus else -1)
 
     target = 2 * rho_h(emb) - restrict(emb, x.act(rho_J(emb.g, members)))
-    return all(sign * cartan_pairing(emb.h, target, gamma) >= 0
-               for gamma, sign in signs.items())
+    return all(sign * sum(t * c for t, c in zip(target.coords, co)) >= 0
+               for sign, co in zip(signs, emb.h.coroots))
 
 
 def _coords(w: Weight) -> str:

@@ -141,9 +141,9 @@ def detect_twist(emb: Embedding, p: int) -> bool:
     columns of an entire component of G are nonzero integers all divisible
     by p (the weight-level shadow of a p-th power map).
     """
+    p = _require_int(p, "p")
     if emb.twist_exponent is not None:
         return True
-    p = int(p)
     for lo, hi in emb.g.component_spans:
         block = [emb.restriction[i][j] for i in range(emb.h.rank) for j in range(lo, hi)]
         if all(x == 0 for x in block):
@@ -195,7 +195,7 @@ def levi(rs, J: Iterable[int]) -> Embedding:
 def diagonal(h, k: int) -> Embedding:
     """H diagonally inside H x ... x H (k factors); k = 1 is the identity."""
     h = _as_root_system(h)
-    k = int(k)
+    k = _require_int(k, "k")
     if k < 1:
         raise ValueError("diagonal embedding needs k >= 1")
     require_rank(h.rank * k)  # before the k-fold component list is made
@@ -207,7 +207,7 @@ def diagonal(h, k: int) -> Embedding:
 
 def folding_AC(m: int) -> Embedding:
     """Sp_2m inside SL_2m: fold A_{2m-1} by its diagram involution."""
-    m = int(m)
+    m = _require_int(m, "m")
     if m < 2:
         raise ValueError("folding_AC needs m >= 2")
     g = build_root_system([("A", 2 * m - 1)])
@@ -221,7 +221,7 @@ def folding_AC(m: int) -> Embedding:
 
 def folding_DB(n: int) -> Embedding:
     """SO_{2n-1} inside SO_2n: fold D_n by the swap of the fork vertices."""
-    n = int(n)
+    n = _require_int(n, "n")
     if n < 4:
         raise ValueError("folding_DB needs n >= 4")
     g = build_root_system([("D", n)])
@@ -275,7 +275,7 @@ def so_in_sl(n: int) -> Embedding:
     H is the semisimple type B_{(n-1)/2} or D_{n/2}, with the low-rank
     aliases so_3 = A1, so_4 = A1 x A1, so_6 = D3.
     """
-    n = int(n)
+    n = _require_int(n, "n")
     if n < 3:
         raise ValueError("so_in_sl needs n >= 3")
     g = build_root_system([("A", n - 1)])
@@ -297,7 +297,7 @@ def so_in_sl(n: int) -> Embedding:
 def frobenius_twisted_diagonal(h, p: int) -> Embedding:
     """H in H x H by (id, Frobenius^p) on the weight level: lam + p mu."""
     h = _as_root_system(h)
-    p = int(p)
+    p = _require_int(p, "p")
     if p < 2:
         raise ValueError("frobenius twist needs p >= 2")
     g = build_root_system(list(h.components) * 2)

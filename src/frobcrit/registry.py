@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple
 
 from . import embed
 from .embed import CriterionInput, Embedding
+from .rootsys import _require_int
 from .weyl import WeylElement, from_word
 
 _INVOLUTION_BUILDERS = (
@@ -65,7 +66,7 @@ class DonkinLookup(NamedTuple):
 
 
 def lookup_donkin(emb: Embedding, p: int) -> DonkinLookup:
-    p = int(p)
+    p = _require_int(p, "p")
     for record in DONKIN_RECORDS:
         if record.matches(emb.label):
             if p >= record.min_p:
@@ -165,7 +166,7 @@ def example_sln_son(n: int, p: int = 3) -> list[CriterionInput]:
     For odd n both near-middle choices are returned.  Expected outcome:
     condition (1) holds with equality (the difference is the zero weight).
     """
-    n = int(n)
+    n = _require_int(n, "n")
     if n < 4:
         raise ValueError("example needs n >= 4")
     e = embed.so_in_sl(n)

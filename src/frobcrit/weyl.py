@@ -19,7 +19,6 @@ from .rootsys import (
     RootSystem,
     RootVector,
     Weight,
-    _invert,
     _require_int,
     descend,
     index_set,
@@ -56,27 +55,28 @@ def _times_reflection(rs: RootSystem, cols: list, j: int) -> None:
 
 
 class WeylElement:
-    """An element w of W(rs), keyed by v = w^{-1} rho.
+    """An element w of W(rs), keyed by v = w^{-1} rho, with a word spelling it.
 
     ``WeylElement(rs, matrix, word)`` takes w's integer matrix on fundamental
-    coordinates and keeps the word it is given; it refuses a matrix outside
-    W(rs), or one that the word does not build.
+    coordinates and keeps the word it is given, or else the reduced word that
+    ``descend`` reads off w rho; it refuses a matrix outside W(rs), or one
+    that the word does not build.  Every element carries a word, and
+    products, inverses and both actions step along it.
     """
 
-    __slots__ = ("rs", "v", "word", "_matrix", "_root_matrix")
+    __slots__ = ("rs", "v", "word", "_matrix")
 
     def __init__(self, rs: RootSystem, matrix, word: tuple[int, ...] | None = None) -> None:
         matrix = tuple(tuple(_require_int(x, "matrix entry") for x in row) for row in matrix)
         # descending w rho to rho spells w, so a matrix that those letters
         # (or the given word) do not rebuild is not w's
-        built = from_word(rs, descend(rs, [sum(row) for row in matrix])[1]
-                          if word is None else word)
+        built = from_word(rs, word if word is not None
+                          else descend(rs, [sum(row) for row in matrix])[1])
         if built.matrix != matrix:
             raise ValueError(f"{matrix} is not the matrix of "
-                             + (f"an element of W({rs.spec_string()})" if word is None
-                                else f"the word {word}"))
-        self.rs, self.v, self.word = rs, built.v, word
-        self._matrix, self._root_matrix = matrix, None
+                             + (f"the word {word}" if word is not None
+                                else f"an element of W({rs.spec_string()})"))
+        self.rs, self.v, self.word, self._matrix = rs, built.v, built.word, matrix
 
     @property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -99,32 +99,23 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.rs != other.rs:
             raise ValueError("cannot multiply elements of different Weyl groups")
-        if self.word is not None and other.word is not None:
-            return from_word(self.rs, self.word + other.word)  # not necessarily reduced
-        # column k of M(xy) is x applied to column k of M(y)
-        images = (self.act(Weight(col)).coords for col in zip(*other.matrix))
-        return WeylElement(self.rs, tuple(zip(*images)))
+        return from_word(self.rs, self.word + other.word)  # not necessarily reduced
 
     def act(self, weight: Weight) -> Weight:
         if len(weight) != self.rs.rank:
             raise ValueError("weight rank mismatch")
-        if self._matrix is None:  # s_{i_1}(...(s_{i_k}(lam))), caching no matrix
-            return Weight(reflect_word(self.rs, weight.coords, reversed(self.word)))
-        n = self.rs.rank
-        return Weight(sum(self._matrix[i][j] * weight.coords[j] for j in range(n))
-                      for i in range(n))
+        # s_{i_1}(...(s_{i_k}(lam)))
+        return Weight(reflect_word(self.rs, weight.coords, reversed(self.word)))
 
     def act_root(self, root: Sequence[int]) -> RootVector:
-        """Image of a vector given in root coordinates."""
+        """Image of a vector given in root coordinates, reflected along the
+        word: s_j beta changes only beta_j, by -<beta, alpha_j_vee>."""
         if len(root) != self.rs.rank:
             raise ValueError("root rank mismatch")
-        if self._root_matrix is None:
-            # M_ik = <w omega_k, alpha_i_vee> = <omega_k, w^{-1} alpha_i_vee>, so
-            # M(w^{-1})^T is w on coroot coordinates; and alpha_k = d_k alpha_k_vee
-            m, d, n = self.inverse().matrix, self.rs.symmetrizer, self.rs.rank
-            self._root_matrix = tuple(tuple(int(m[k][i] * d[k] / d[i]) for k in range(n))
-                                      for i in range(n))
-        return tuple(sum(a * b for a, b in zip(row, root)) for row in self._root_matrix)
+        out = list(root)
+        for j in reversed(self.word):
+            out[j - 1] -= sum(a * b for a, b in zip(self.rs.cartan[j - 1], out))
+        return tuple(out)
 
     def length(self) -> int:
         """Number of positive roots beta sent to negative roots: as
@@ -133,23 +124,19 @@ class WeylElement:
         return sum(1 for c in self.rs.coroots if sum(x * y for x, y in zip(v, c)) < 0)
 
     def inverse(self) -> "WeylElement":
-        if self.word is not None:
-            return from_word(self.rs, reversed(self.word))
-        return WeylElement(self.rs, [[int(x) for x in row] for row in _invert(self.matrix)])
+        return from_word(self.rs, reversed(self.word))
 
     def is_identity(self) -> bool:
         return self.v == (1,) * self.rs.rank
 
     def __repr__(self) -> str:
-        if self.word is not None:
-            return f"WeylElement(word={self.word})"
-        return f"WeylElement(matrix={self.matrix})"
+        return f"WeylElement(word={self.word})"
 
 
 def _element(rs: RootSystem, v: tuple[int, ...], word: tuple[int, ...]) -> WeylElement:
     """The WeylElement with w^{-1} rho = v and the word that spells it."""
     el = object.__new__(WeylElement)
-    el.rs, el.v, el.word, el._matrix, el._root_matrix = rs, v, word, None, None
+    el.rs, el.v, el.word, el._matrix = rs, v, word, None
     return el
 
 

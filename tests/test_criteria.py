@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,7 @@ from frobcrit.criteria import (
 )
 from frobcrit.embed import (
     Embedding,
+    detect_twist,
     diagonal,
     folding_AC,
     folding_B3G2,
@@ -22,11 +24,16 @@ from frobcrit.embed import (
     frobenius_twisted_diagonal,
     identity,
     levi,
+    restrict,
+    rho_h,
     so_in_sl,
 )
-from frobcrit.rootsys import Weight, build_root_system, rho_J
+from frobcrit.registry import example_sln_son, lookup_donkin
+from frobcrit.rootsys import Weight, build_root_system, cartan_pairing, rho_J
 from frobcrit.weyl import from_word
 from frobcrit.weyl import identity as weyl_identity
+
+from test_acceptance import registry_embeddings
 
 
 def full_J(emb):
@@ -52,6 +59,63 @@ def test_min_p_frozen(emb, expected):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_min_p_twisted_diagonal_is_p_plus_one(p):
     assert lemma53_min_p(frobenius_twisted_diagonal("A1", p)) == p + 1
+
+
+def _min_p_reference(emb):
+    """The bound by Fraction pairings, one cartan_pairing per (omega_i, gamma)."""
+    rh = rho_h(emb)
+    best = Fraction(0)
+    for i in range(emb.g.rank):
+        omega = Weight([1 if k == i else 0 for k in range(emb.g.rank)])
+        shifted = rh + restrict(emb, omega)
+        for gamma in emb.h.positive_roots:
+            best = max(best, cartan_pairing(emb.h, shifted, gamma))
+    return math.ceil(best)
+
+
+def _custom(g, h, matrix, label):
+    return Embedding(build_root_system(g), build_root_system(h), matrix, label)
+
+
+_FRACTIONAL_MATRICES = [
+    _custom("A1", "A1", [["1/2"]], "half"),
+    _custom("A1", "A1", [["-7/2"]], "negative"),  # every pairing < 0: the bound is 0
+    _custom("A2", "A1", [["1/2", "3/2"]], "A2-A1"),
+    _custom("B3", "G2", [["1/3", 0, "5/2"], [0, "-7/4", 1]], "B3-G2"),
+    _custom("C2", "A1,A1", [["-1/2", 2], ["2/3", "1/5"]], "C2-A1A1"),
+    _custom("G2", "B2", [["5/3", 1], ["-1/6", "9/4"]], "G2-B2"),
+]
+
+
+# registry_embeddings() starts with every embedding of minimal_rank_suite()
+@pytest.mark.parametrize(
+    "emb", registry_embeddings()
+    + [frobenius_twisted_diagonal("B2", 3), levi("F4", [2, 3]), so_in_sl(7)]
+    + _FRACTIONAL_MATRICES, ids=lambda e: e.label)
+def test_min_p_matches_the_fraction_reference(emb):
+    assert lemma53_min_p(emb) == _min_p_reference(emb)
+
+
+# -- integer parameters are refused, never truncated ------------------------------
+
+_INTEGER_PARAMETERS = {
+    "thm41_hypotheses:p": lambda x: thm41_hypotheses(identity("A2"), Weight([4, 4]), x),
+    "detect_twist:p": lambda x: detect_twist(identity("A2"), x),
+    "lookup_donkin:p": lambda x: lookup_donkin(levi("C2", [1]), x),
+    "diagonal:k": lambda x: diagonal("A1", x),
+    "folding_AC:m": folding_AC,
+    "folding_DB:n": folding_DB,
+    "so_in_sl:n": so_in_sl,
+    "frobenius_twisted_diagonal:p": lambda x: frobenius_twisted_diagonal("A1", x),
+    "example_sln_son:n": example_sln_son,
+}
+
+
+@pytest.mark.parametrize("value", [2.7, True, "3"], ids=repr)
+@pytest.mark.parametrize("call", sorted(_INTEGER_PARAMETERS))
+def test_integer_parameters_are_refused_not_truncated(call, value):
+    with pytest.raises(TypeError, match="must be an integer"):
+        _INTEGER_PARAMETERS[call](value)
 
 
 # -- check_main: tag outcomes ----------------------------------------------------

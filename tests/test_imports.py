@@ -1,7 +1,8 @@
 """Import structure of the package.
 
-Every import in ``src/frobcrit`` sits at module level, the intra-package
-imports form no cycle, each module imports on its own, and the names the
+Every import in ``src/frobcrit`` sits at module level, no module but
+``__init__`` imports a name it never uses, the intra-package imports form
+no cycle, each module imports on its own, and the names the
 benchmark's tracer wraps (``perfbench/tracing.py``, read here, never
 imported or changed) are still bound where it looks for them.
 """
@@ -34,6 +35,20 @@ def test_no_import_inside_a_function(name):
                        for node in ast.walk(func)
                        if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert nested == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_import(name):
+    tree = _tree(name)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({(a.asname or a.name).split(".")[0]: node.lineno
+                             for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({a.asname or a.name: node.lineno for a in node.names})
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted((line, n) for n, line in imported.items() if n not in used) == []
 
 
 def test_package_imports_form_no_cycle():

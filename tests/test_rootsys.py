@@ -26,6 +26,7 @@ from oracles import (
     eps_vector_of_root,
     reflection_orbit_positive_roots,
 )
+from test_weyl import _systems_up_to_rank
 
 ALL_SPECS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
              "D3", "D4", "D5", "G2", "F4", "E6"]
@@ -301,6 +302,16 @@ def test_simple_coroot_pairing_integrality(spec):
             v = cartan_pairing(rs, omega, beta)
             assert isinstance(v, int) or v.denominator == 1
             assert v >= 0
+
+
+@pytest.mark.parametrize("spec", _systems_up_to_rank(4) + ["E6", "E7", "E8", "G2,F4"])
+def test_symmetrizer_is_positive_ints_symmetrizing_the_cartan_matrix(spec):
+    rs = build_root_system(spec)
+    d, a = rs.symmetrizer, rs.cartan
+    assert type(d) is tuple and len(d) == rs.rank
+    assert all(type(x) is int and x > 0 for x in d)
+    assert all(d[i] * a[i][j] == d[j] * a[j][i]
+               for i in range(rs.rank) for j in range(rs.rank))
 
 
 # -- the rank cap ----------------------------------------------------------------

@@ -359,6 +359,14 @@ def test_action_preserves_pairing(spec, data):
         cartan_pairing(rs, lam, beta)
 
 
+@pytest.mark.parametrize("spec", _systems_up_to_rank(3))
+def test_act_root_matches_the_action_on_weights(spec):
+    rs = build_root_system(spec)
+    for w in enumerate_parabolic(rs):
+        for beta in rs.positive_roots:
+            assert w.act_root(beta) == rs.root_coordinates(w.act(root_to_weight(rs, beta)))
+
+
 @pytest.mark.parametrize("spec", SMALL_SPECS)
 def test_simple_reflection_permutes_other_positives(spec):
     rs = build_root_system(spec)
@@ -419,7 +427,8 @@ def _check_canonical_form(rs, w):
     again = from_word(rs, w.word)
     assert again == w and hash(again) == hash(w)
     rebuilt = WeylElement(rs, m)
-    assert rebuilt == w and hash(rebuilt) == hash(w) and rebuilt.word is None
+    assert rebuilt == w and hash(rebuilt) == hash(w)
+    assert len(rebuilt.word) == rebuilt.length() and from_word(rs, rebuilt.word) == rebuilt
     assert w.is_identity() == (w.word == ())
 
 
@@ -474,5 +483,7 @@ def test_products_and_inverses_without_words():
     x = WeylElement(rs, from_word(rs, (1, 2, 3)).matrix)
     y = from_word(rs, (3, 2))
     assert x * y == from_word(rs, (1, 2, 3, 3, 2)) == from_word(rs, (1,))
-    assert (x * x.inverse()).is_identity() and x.inverse().word is None
+    assert (x * x.inverse()).is_identity()
+    inv = x.inverse()
+    assert len(inv.word) == inv.length() and from_word(rs, inv.word) == inv
     assert x.inverse() == from_word(rs, (3, 2, 1))
