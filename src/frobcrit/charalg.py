@@ -26,7 +26,6 @@ from .rootsys import (
     descend,
     orbit_walk,
     reflect,
-    root_to_weight,
 )
 from .weyl import _resolve_cap
 
@@ -34,7 +33,6 @@ DEFAULT_BRANCH_CAP = 50_000
 _BRANCH_CAP_ENV = "FROBCRIT_BRANCH_CAP"
 
 _char_cache: dict[tuple, "DominantCharacter"] = {}
-_factor_systems: dict[tuple, RootSystem] = {}
 
 
 class BranchCapExceeded(ValueError):
@@ -86,13 +84,6 @@ class DominantCharacter:
         return self._full
 
 
-def _factor_system(component: tuple) -> RootSystem:
-    sub = _factor_systems.get(component)
-    if sub is None:
-        sub = _factor_systems[component] = build_root_system([component])
-    return sub
-
-
 def freudenthal(rs: RootSystem, lam: Weight) -> DominantCharacter:
     """Weight multiplicities of the irreducible module with highest weight lam."""
     if len(lam) != rs.rank:
@@ -112,7 +103,7 @@ def freudenthal(rs: RootSystem, lam: Weight) -> DominantCharacter:
         factor_maps = []
         for (lo, hi), comp in zip(rs.component_spans, rs.components):
             piece = Weight(lam.coords[lo:hi])
-            factor_maps.append(_cached_character(_factor_system(comp), piece)
+            factor_maps.append(_cached_character(build_root_system([comp]), piece)
                                .multiplicities)
         mults: dict[Weight, int] = {}
         for combo in itertools.product(*(fm.items() for fm in factor_maps)):
@@ -128,8 +119,7 @@ def freudenthal(rs: RootSystem, lam: Weight) -> DominantCharacter:
     n = rs.rank
     isym = rs.symmetrizer
     pos = []
-    for beta in rs.positive_roots:
-        bw = tuple(int(c) for c in root_to_weight(rs, beta).coords)
+    for beta, bw in zip(rs.positive_roots, rs.positive_weights):
         # root coordinates of bw are beta itself, so (bw, bw) is immediate
         coef = tuple(beta[k] * isym[k] for k in range(n))
         ip_bb = sum(coef[k] * bw[k] for k in range(n))

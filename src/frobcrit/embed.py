@@ -30,7 +30,6 @@ from .rootsys import (
     build_root_system,
     index_set,
     require_rank,
-    root_to_weight,
     subsystem_components,
 )
 
@@ -60,6 +59,10 @@ class Embedding:
         self.twist_exponent = twist_exponent
         self.root_lift = root_lift
 
+    def restrict_coords(self, coords: Sequence) -> tuple:
+        """The restriction matrix times G fundamental-weight coordinates."""
+        return tuple(sum(r * c for r, c in zip(row, coords)) for row in self.restriction)
+
     def __repr__(self) -> str:
         return f"Embedding({self.label!r})"
 
@@ -83,8 +86,7 @@ def restrict(emb: Embedding, weight: Weight) -> Weight:
     if len(weight) != emb.g.rank:
         raise ValueError(
             f"weight has rank {len(weight)}, embedding source has rank {emb.g.rank}")
-    return Weight(sum(row[j] * weight.coords[j] for j in range(emb.g.rank))
-                  for row in emb.restriction)
+    return Weight(emb.restrict_coords(weight.coords))
 
 
 def rho_h(emb: Embedding) -> Weight:
@@ -100,10 +102,8 @@ def validate(emb: Embedding) -> list[str]:
     (B_H = B cap H) is broken and every criterion downstream is meaningless.
     """
     violations: list[str] = []
-    g_restrictions = {restrict(emb, root_to_weight(emb.g, beta))
-                      for beta in emb.g.positive_roots}
-    for gamma in emb.h.positive_roots:
-        target = root_to_weight(emb.h, gamma)
+    g_restrictions = {emb.restrict_coords(bw) for bw in emb.g.positive_weights}
+    for gamma, target in zip(emb.h.positive_roots, emb.h.positive_weights):
         if target not in g_restrictions:
             violations.append(
                 f"positive root {gamma} of {emb.h.spec_string()} is not the "
@@ -123,12 +123,17 @@ def root_fiber(emb: Embedding, gamma: RootVector) -> tuple[RootVector, ...]:
     """
     if emb.root_lift is not None and gamma in emb.root_lift:
         return emb.root_lift[gamma]
-    target = root_to_weight(emb.h, gamma)
+    if len(gamma) != emb.h.rank:
+        raise ValueError("root rank mismatch")
+    target = tuple(sum(a * b for a, b in zip(row, gamma)) for row in emb.h.cartan)
+    negated = tuple(-c for c in target)
     fiber = []
-    for beta in emb.g.positive_roots:
-        for signed in (beta, tuple(-c for c in beta)):
-            if restrict(emb, root_to_weight(emb.g, signed)) == target:
-                fiber.append(signed)
+    for beta, bw in zip(emb.g.positive_roots, emb.g.positive_weights):
+        image = emb.restrict_coords(bw)
+        if image == target:
+            fiber.append(beta)
+        if image == negated:
+            fiber.append(tuple(-c for c in beta))
     if not fiber:
         raise ValueError(f"no G-root restricts to the H-root {gamma}")
     return tuple(fiber)
@@ -139,9 +144,10 @@ def detect_twist(emb: Embedding, p: int) -> bool:
 
     True when the builder recorded a twist exponent, or when the restriction
     columns of an entire component of G are nonzero integers all divisible
-    by p (the weight-level shadow of a p-th power map).
+    by p (the weight-level shadow of a p-th power map); requires p >= 2.
     """
-    p = _require_int(p, "p")
+    if _require_int(p, "p") < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
     if emb.twist_exponent is not None:
         return True
     for lo, hi in emb.g.component_spans:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm
 from typing import Iterable, Sequence
 
@@ -208,9 +209,6 @@ class Weight:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coords)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.coords)
 
@@ -235,25 +233,32 @@ def require_rank(rank: int) -> int:
     return rank
 
 
+def _components(spec: Sequence[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
+    """The (letter, rank) pairs of a root system about to be built, letters
+    upper-cased; a malformed pair or a total rank above MAX_RANK is refused."""
+    comps = []
+    for comp in spec:
+        try:
+            letter, rank = comp
+        except (TypeError, ValueError):
+            raise ValueError(f"component must be a (letter, rank) pair, got {comp!r}")
+        if not isinstance(letter, str):
+            raise TypeError(f"root-system letter must be a string, got {letter!r}")
+        if _require_int(rank, "rank") < 1:  # else a negative rank could offset a large one
+            raise ValueError(f"invalid simple component {letter}{rank}")
+        comps.append((letter.upper(), require_rank(rank)))
+    if not comps:
+        raise ValueError("a root system needs at least one component")
+    require_rank(sum(r for _, r in comps))
+    return tuple(comps)
+
+
 class RootSystem:
     """A reduced root system, possibly a product of simple components."""
 
     def __init__(self, components: Sequence[tuple[str, int]]) -> None:
-        comps = []
-        for comp in components:
-            try:
-                letter, rank = comp
-            except (TypeError, ValueError):
-                raise ValueError(f"component must be a (letter, rank) pair, got {comp!r}")
-            if not isinstance(letter, str):
-                raise TypeError(f"root-system letter must be a string, got {letter!r}")
-            if _require_int(rank, "rank") < 1:  # else a negative rank could offset a large one
-                raise ValueError(f"invalid simple component {letter}{rank}")
-            comps.append((letter.upper(), require_rank(rank)))
-        if not comps:
-            raise ValueError("a root system needs at least one component")
-        self.components: tuple[tuple[str, int], ...] = tuple(comps)
-        self.rank: int = require_rank(sum(r for _, r in self.components))
+        self.components: tuple[tuple[str, int], ...] = _components(components)
+        self.rank: int = sum(r for _, r in self.components)
 
         cartan = [[0] * self.rank for _ in range(self.rank)]
         positives: list[RootVector] = []
@@ -277,34 +282,30 @@ class RootSystem:
                                    for alpha in self.alphas)
         self.positive_roots: tuple[RootVector, ...] = tuple(
             sorted(positives, key=lambda r: (sum(r), r)))
+        # positive_weights[i] is positive_roots[i] in fundamental-weight coordinates
+        self.positive_weights: tuple[RootVector, ...] = tuple(
+            tuple(sum(a * b for a, b in zip(row, beta)) for row in self.cartan)
+            for beta in self.positive_roots)
         self.component_spans: tuple[tuple[int, int], ...] = tuple(spans)
         self.symmetrizer: tuple[int, ...] = _symmetrizer(self.cartan)
+        # coroots[i] is beta_vee = 2 beta / (beta, beta) in simple-coroot coordinates,
+        # with (alpha_k, alpha_k) = 2 d_k, so <lam, beta_vee> = sum_k lam_k c_k(beta)
+        d = self.symmetrizer
+        coroots = []
+        for beta, bw in zip(self.positive_roots, self.positive_weights):
+            norm = sum(b * dk * w for b, dk, w in zip(beta, d, bw))
+            co = [divmod(2 * b * dk, norm) for b, dk in zip(beta, d)]
+            if any(r for _, r in co):
+                raise AssertionError(f"non-integral coroot of {beta}")
+            coroots.append(tuple(q for q, _ in co))
+        self.coroots: tuple[RootVector, ...] = tuple(coroots)
         self._cartan_inv: tuple[tuple[Fraction, ...], ...] | None = None
-        self._coroots: tuple[RootVector, ...] | None = None
 
     @property
     def cartan_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
         if self._cartan_inv is None:
             self._cartan_inv = _invert(self.cartan)
         return self._cartan_inv
-
-    @property
-    def coroots(self) -> tuple[RootVector, ...]:
-        """beta_vee in simple-coroot coordinates for each positive root beta,
-        so <lam, beta_vee> = sum_k lam_k c_k(beta) on integers."""
-        if self._coroots is None:
-            # beta_vee = 2 beta / (beta, beta), and (alpha_k, alpha_k) is 2 d_k
-            d = self.symmetrizer
-            table = []
-            for beta in self.positive_roots:
-                norm = sum(beta[j] * d[j] * sum(c * b for c, b in zip(self.cartan[j], beta))
-                           for j in range(self.rank))
-                co = [divmod(2 * beta[k] * d[k], norm) for k in range(self.rank)]
-                if any(r for _, r in co):
-                    raise AssertionError(f"non-integral coroot of {beta}")
-                table.append(tuple(q for q, _ in co))
-            self._coroots = tuple(table)
-        return self._coroots
 
     def spec_string(self) -> str:
         return ",".join(f"{letter}{rank}" for letter, rank in self.components)
@@ -344,11 +345,14 @@ def parse_spec(spec: str) -> list[tuple[str, int]]:
     return comps
 
 
+# one system per component tuple; 30 rounds of any benchmark workload build at most 31
+_shared_root_system = lru_cache(maxsize=64)(RootSystem)
+
+
 def build_root_system(spec) -> RootSystem:
-    """Build a root system from a spec string or a list of (letter, rank)."""
-    if isinstance(spec, str):
-        return RootSystem(parse_spec(spec))
-    return RootSystem(spec)
+    """The root system of a spec string or a list of (letter, rank), one
+    shared object per component tuple; ``RootSystem(...)`` builds a fresh one."""
+    return _shared_root_system(_components(parse_spec(spec) if isinstance(spec, str) else spec))
 
 
 def root_to_weight(rs: RootSystem, root: Sequence[int]) -> Weight:

@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 from frobcrit import charalg, cli, registry
-from frobcrit.cli import main
+from frobcrit.cli import VERIFY_PAIR_CAP, main
 from frobcrit.rootsys import MAX_RANK
 
 CHECK_INPUT = {
@@ -433,6 +433,16 @@ def test_verify_identities_above_the_rank_cap_is_one_error_line(capsys):
     code, out, err = run(capsys, "verify-identities", "--max-rank", str(MAX_RANK + 1), "--force")
     assert (code, out) == (2, "")
     assert err == f"error: --max-rank {MAX_RANK + 1} is above the rank cap of {MAX_RANK}\n"
+
+
+@pytest.mark.parametrize("max_rank, pairs", [(11, 16_450), (16, 524_354)])
+def test_verify_identities_refuses_above_the_pair_cap_before_building(capsys, monkeypatch,
+                                                                    max_rank, pairs):
+    monkeypatch.setattr(cli, "build_root_system", None)  # a build would raise TypeError
+    code, out, err = run(capsys, "verify-identities", "--max-rank", str(max_rank), "--force")
+    assert (code, out) == (2, "")
+    assert err == (f"error: --max-rank {max_rank} would check {pairs} (system, J) pairs, "
+                   f"above the cap of {VERIFY_PAIR_CAP}\n")
 
 
 def test_verify_identities_text(capsys):

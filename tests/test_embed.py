@@ -22,6 +22,8 @@ from frobcrit.embed import (
 )
 from frobcrit.rootsys import Weight, build_root_system, index_set, rho, root_to_weight
 
+from test_acceptance import registry_embeddings
+
 
 def all_registry_builders():
     out = [
@@ -53,6 +55,66 @@ def test_validate_flags_sign_flip():
     emb = Embedding(h, h, [[Fraction(-1)]], label="flip")
     problems = validate(emb)
     assert len(problems) == 1 and "not the restriction" in problems[0]
+
+
+# validate and root_fiber as they were on Weight, restricting every G-root
+# on every call, kept as references for the coordinate tables
+
+def _restrict_reference(emb, weight):
+    return Weight(sum(row[j] * weight.coords[j] for j in range(emb.g.rank))
+                  for row in emb.restriction)
+
+
+def _validate_reference(emb):
+    violations = []
+    g_restrictions = {_restrict_reference(emb, root_to_weight(emb.g, beta))
+                      for beta in emb.g.positive_roots}
+    for gamma in emb.h.positive_roots:
+        target = root_to_weight(emb.h, gamma)
+        if target not in g_restrictions:
+            violations.append(
+                f"positive root {gamma} of {emb.h.spec_string()} is not the "
+                f"restriction of any positive root of {emb.g.spec_string()}")
+    if emb.root_lift is not None:
+        for gamma in emb.h.positive_roots:
+            if gamma not in emb.root_lift:
+                violations.append(f"root_lift is missing the positive root {gamma}")
+    return violations
+
+
+def _root_fiber_reference(emb, gamma):
+    if emb.root_lift is not None and gamma in emb.root_lift:
+        return emb.root_lift[gamma]
+    target = root_to_weight(emb.h, gamma)
+    fiber = []
+    for beta in emb.g.positive_roots:
+        for signed in (beta, tuple(-c for c in beta)):
+            if _restrict_reference(emb, root_to_weight(emb.g, signed)) == target:
+                fiber.append(signed)
+    if not fiber:
+        raise ValueError(f"no G-root restricts to the H-root {gamma}")
+    return tuple(fiber)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+_A1 = build_root_system("A1")
+
+
+@pytest.mark.parametrize("emb", registry_embeddings() + [
+    Embedding(_A1, _A1, [[Fraction(-1)]], label="flip"),
+    Embedding(build_root_system("A2"), _A1, [["1/2", "3/2"]], label="half-integral"),
+    Embedding(build_root_system("A2"), _A1, [["1/2", "1/2"]], label="half-broken"),
+], ids=lambda e: e.label)
+def test_validate_and_root_fiber_match_the_weight_reference(emb):
+    assert validate(emb) == _validate_reference(emb)
+    for gamma in emb.h.positive_roots:
+        assert _outcome(root_fiber, emb, gamma) == _outcome(_root_fiber_reference, emb, gamma)
 
 
 def test_restriction_shape_is_checked():
@@ -241,6 +303,12 @@ def test_detect_twist_negative_cases():
     assert not detect_twist(identity("A2"), 2)
     assert not detect_twist(diagonal("A1", 3), 3)
     assert not detect_twist(so_in_sl(6), 2)
+
+
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_detect_twist_refuses_p_below_2(p):
+    with pytest.raises(ValueError, match=rf"^p must be at least 2, got {p}$"):
+        detect_twist(identity("A2"), p)
 
 
 def test_detect_twist_ignores_zero_blocks():

@@ -51,6 +51,29 @@ def test_build_accepts_pairs():
     assert build_root_system([("A", 1), ("C", 2)]) == build_root_system("A1,C2")
 
 
+def test_build_root_system_shares_one_system_per_component_tuple():
+    rs = build_root_system("A2")
+    assert all(build_root_system(spec) is rs
+               for spec in ([("A", 2)], [["a", 2]], (("A", 2),), "A2"))
+    assert build_root_system("A1,C2") is build_root_system([("a", 1), ["C", 2]])
+    fresh = RootSystem([("A", 2)])
+    assert fresh is not rs and fresh == rs
+
+
+@pytest.mark.parametrize("spec, error, message", [
+    ("A17", ValueError, "refusing a root system of rank 17: the cap is 16"),
+    ([("A", 0)], ValueError, "invalid simple component A0"),
+    ([("A", True)], TypeError, "rank must be an integer, got True"),
+    ([], ValueError, "a root system needs at least one component"),
+    ("X2", ValueError, "cannot parse root-system component 'X2'"),
+], ids=repr)
+def test_refused_spec_raises_on_every_call(spec, error, message):
+    for _ in range(2):
+        with pytest.raises(error) as caught:
+            build_root_system(spec)
+        assert str(caught.value) == message
+
+
 def test_spec_string_roundtrip():
     for spec in ("A1", "C2", "A1,C2", "A1,A1"):
         assert build_root_system(spec).spec_string() == spec
@@ -282,11 +305,13 @@ def test_pairing_linear_in_first_argument(spec, data):
             == cartan_pairing(rs, lam, beta) + cartan_pairing(rs, mu, beta))
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS + ["A1,C2", "A2,G2"])
+@pytest.mark.parametrize("spec", list(dict.fromkeys(
+    ALL_SPECS + ["A1,C2", "A2,G2", "E7", "E8"] + _systems_up_to_rank(4))))
 def test_coroot_table_gives_the_pairing(spec):
     rs = build_root_system(spec)
-    assert len(rs.coroots) == len(rs.positive_roots)
-    for beta, co in zip(rs.positive_roots, rs.coroots):
+    assert len(rs.coroots) == len(rs.positive_weights) == len(rs.positive_roots)
+    for beta, bw, co in zip(rs.positive_roots, rs.positive_weights, rs.coroots):
+        assert bw == root_to_weight(rs, beta).coords and all(type(c) is int for c in bw)
         assert all(type(c) is int and c >= 0 for c in co)
         for i in range(rs.rank):
             omega = Weight([int(k == i) for k in range(rs.rank)])
