@@ -3,11 +3,13 @@
 Multiplicities come from Freudenthal's recursion evaluated over the
 dominant weights of the module; full characters are recovered by Weyl-orbit
 expansion when asked for.  Branching through an embedding never builds a
-full character: it walks each W_G-orbit of the dominant multiplicities on
-integer tuples, carrying the restricted coordinates along, checks that the
-restricted multiset is integral and W_H-invariant, and then decomposes it
-by the Racah-Speiser (Brauer-Klimyk) count, which needs no H-character at
-all.  Every reflection here is ``rootsys.reflect``, ``rootsys.descend`` or
+full character: the W_G-orbit of each dominant weight is read off the
+orbit table of its stabiliser type (``rootsys.orbit_table``, kept across
+calls), with every restricted weight packed into one int, so restricting
+an orbit is one integer combination per element.  The restricted multiset
+is checked to be integral and W_H-invariant and then decomposed by the
+Racah-Speiser (Brauer-Klimyk) count, which needs no H-character at all.
+Every reflection here is ``rootsys.reflect``, ``rootsys.descend`` or
 ``rootsys.orbit_walk``.
 """
 
@@ -15,6 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +28,11 @@ from .rootsys import (
     Weight,
     build_root_system,
     descend,
+    fundamental_orbit,
+    index_set,
+    orbit_table,
     orbit_walk,
+    parabolic_weyl_order,
     reflect,
 )
 from .weyl import _resolve_cap
@@ -32,7 +40,11 @@ from .weyl import _resolve_cap
 DEFAULT_BRANCH_CAP = 50_000
 _BRANCH_CAP_ENV = "FROBCRIT_BRANCH_CAP"
 
+# factor characters of product systems; a plain dict in insertion order,
+# whose oldest entries are dropped past _CHAR_CACHE_SIZE (a branch-sweep
+# round of 140 queries holds at most 70)
 _char_cache: dict[tuple, "DominantCharacter"] = {}
+_CHAR_CACHE_SIZE = 512
 
 
 class BranchCapExceeded(ValueError):
@@ -68,9 +80,14 @@ class DominantCharacter:
         self._dim: int | None = None
 
     def dimension(self) -> int:
+        """sum_mu m(mu) |W| / |W_{J0(mu)}|, J0(mu) the zero coordinates of mu."""
         if self._dim is None:
-            self._dim = sum(m * len(weyl_orbit(self.rs, mu))
-                            for mu, m in self.multiplicities.items())
+            by_zeros: Counter = Counter()
+            for mu, m in self.multiplicities.items():
+                by_zeros[tuple([i for i, c in enumerate(mu.coords, 1) if not c])] += m
+            order = parabolic_weyl_order(self.rs, index_set(self.rs))
+            self._dim = sum(m * (order // parabolic_weyl_order(self.rs, zeros))
+                            for zeros, m in by_zeros.items())
         return self._dim
 
     def weights(self) -> dict[Weight, int]:
@@ -180,6 +197,8 @@ def _cached_character(rs: RootSystem, lam: Weight) -> DominantCharacter:
     char = _char_cache.get(key)
     if char is None:
         char = _char_cache[key] = freudenthal(rs, lam)
+        if len(_char_cache) > _CHAR_CACHE_SIZE:
+            del _char_cache[next(iter(_char_cache))]
     return char
 
 
@@ -204,6 +223,124 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     return dim
 
 
+def _orbit_counts(g: RootSystem, f: list[int], mults: dict[Weight, int]) -> Counter:
+    """{sum_k f_k (w mu)_k: multiplicity} over every W_G-orbit of ``mults``,
+    read off the orbit tables: w mu = sum_k mu_k w omega_k, so each orbit
+    element is one integer combination of the fundamental orbits' values."""
+    values: dict[tuple, list[int]] = {}  # (k, c) -> c f(w omega_k) over its orbit
+    tables: dict[tuple, list] = {}
+    by_mult: dict[int, list[int]] = {}
+    for weight, m in mults.items():
+        mu = weight.coords
+        support = tuple([k for k, c in enumerate(mu) if c])
+        cols = tables.get(support)
+        if cols is None:
+            cols = tables[support] = orbit_table(g, support)
+        keys = None
+        for k, col in zip(support, cols):
+            vk = values.get((k, mu[k]))
+            if vk is None:
+                if (k, 1) not in values:
+                    values[k, 1] = [sum(map(operator.mul, f, p))
+                                    for p in fundamental_orbit(g, k)[0]]
+                vk = values[k, mu[k]] = list(map(mu[k].__mul__, values[k, 1]))
+            term = map(vk.__getitem__, col)
+            keys = term if keys is None else map(operator.add, keys, term)
+        by_mult.setdefault(m, []).extend((0,) if keys is None else keys)
+    counts = Counter(by_mult.pop(1, ()))
+    for m, keys in by_mult.items():
+        for key, c in Counter(keys).items():
+            counts[key] += m * c
+    return counts
+
+
+def _convolve(a: dict[int, int], b: dict[int, int]) -> Counter:
+    """{x + y: sum of a[x] b[y]}, counted by pairs of multiplicities."""
+    def by_mult(counts):
+        groups: dict[int, list[int]] = {}
+        for key, m in counts.items():
+            groups.setdefault(m, []).append(key)
+        return groups.items()
+
+    out: Counter = Counter()
+    for ma, xs in by_mult(a):
+        for mb, ys in by_mult(b):
+            pairs = Counter(itertools.starmap(operator.add, itertools.product(xs, ys)))
+            for key, c in pairs.items():
+                out[key] += ma * mb * c
+    return out
+
+
+def restricted_character(emb: Embedding, lam: Weight,
+                         walk_order: bool = False) -> dict[tuple, int]:
+    """The restriction to H of the irreducible G-module with highest weight
+    lam, as {H-weight coordinates: multiplicity}.
+
+    Each restricted weight is packed into one int, in base 2 bound + 1 with
+    bound at least every coordinate: |<w mu, alpha_k_vee>| <= max_gamma
+    <lam, gamma_vee> for every weight mu of the module.  Packing is linear,
+    so pack(Res(v)) = sum_k f_k v_k, and ``_orbit_counts`` counts those ints.
+    The weights come in no particular order, or with ``walk_order`` in the
+    order in which ``orbit_walk`` meets them, in which errors name their
+    witness.  A fractional restriction matrix is scaled to integers and the
+    scale divided out at the end, which raises at a non-integral weight.
+    """
+    g, hn = emb.g, emb.h.rank
+    scale = math.lcm(*(x.denominator for row in emb.restriction for x in row))
+    rows = [[int(x * scale) for x in row] for row in emb.restriction]
+    top = max(sum(map(operator.mul, lam.coords, co)) for co in g.coroots)
+    bound = top * max(sum(map(abs, row)) for row in rows)
+    radix = 2 * bound + 1
+    f = [sum(row[k] * radix ** j for j, row in enumerate(rows)) for k in range(g.rank)]
+    if walk_order:
+        counts: dict[int, int] = {}
+        for mu, m in freudenthal(g, lam).multiplicities.items():
+            for nu in orbit_walk(g, mu.coords):
+                key = sum(map(operator.mul, f, nu))
+                counts[key] = counts.get(key, 0) + m
+    elif len(g.components) == 1:
+        counts = _orbit_counts(g, f, freudenthal(g, lam).multiplicities)
+    else:
+        # a product's character is the product of its factors', and packing
+        # adds over the factors, so the factors' counts convolve
+        counts = Counter({0: 1})
+        for (lo, hi), comp in zip(g.component_spans, g.components):
+            factor = _cached_character(build_root_system([comp]), Weight(lam.coords[lo:hi]))
+            counts = _convolve(counts, _orbit_counts(factor.rs, f[lo:hi],
+                                                     factor.multiplicities))
+
+    # digit j of key + offset is coordinate j + bound, in 0..2 bound
+    rest = list(map((sum(bound * radix ** j for j in range(hn))).__add__, counts))
+    digits = []
+    for _ in range(hn):
+        digits.append(map(bound.__rsub__, map(radix.__rmod__, rest)))
+        rest = list(map(radix.__rfloordiv__, rest))
+    restricted = dict(zip(zip(*digits), counts.values()))
+    if scale == 1:
+        return restricted
+    for r in restricted:
+        if any(x % scale for x in r):
+            if not walk_order:
+                return restricted_character(emb, lam, walk_order=True)
+            raise ValueError(
+                f"restriction of the module with highest weight "
+                f"{lam.coords} has the non-integral H-weight "
+                f"{tuple(Fraction(x, scale) for x in r)}")
+    return {tuple(x // scale for x in r): m for r, m in restricted.items()}
+
+
+def _broken_pairs(h: RootSystem, restricted: dict) -> list:
+    """(nu, s_i nu) with nu_i < 0 where the two multiplicities differ."""
+    broken = []
+    for nu, m in restricted.items():
+        for i, c in enumerate(nu, 1):
+            if c:
+                image = reflect(h, nu, i)
+                if restricted.get(image, 0) != m:
+                    broken.append((nu, image) if c < 0 else (image, nu))
+    return broken
+
+
 def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
     """Decompose the restriction of the irreducible G-module to H.
 
@@ -220,36 +357,8 @@ def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
     dim = weyl_dim(emb.g, lam)
     if dim > cap:
         raise BranchCapExceeded(emb.g, lam, dim, cap)
-
-    # The restricted character is summed over each W_G-orbit of the dominant
-    # multiplicities without building a Weight: the orbit walk carries
-    # Res(mu) along on alpha_i || Res(alpha_i), since Res(s_i mu) =
-    # Res(mu) - mu_i Res(alpha_i).  A fractional restriction matrix is
-    # scaled to integers for the walk and the scale is divided out after it,
-    # which is where non-integral weights show up.
-    g, h = emb.g, emb.h
-    gn = g.rank
-    scale = math.lcm(*(x.denominator for row in emb.restriction for x in row))
-    rows = [[int(x * scale) for x in row] for row in emb.restriction]
-
-    def res(v):
-        return tuple([sum(r * x for r, x in zip(row, v)) for row in rows])
-
-    extended = [alpha + res(alpha) for alpha in g.alphas]
-    restricted: dict[tuple, int] = {}
-    for mu, m in freudenthal(g, lam).multiplicities.items():
-        for nu in orbit_walk(g, mu.coords + res(mu.coords), extended):
-            r = nu[gn:]
-            restricted[r] = restricted.get(r, 0) + m
-    if scale != 1:
-        for r in restricted:
-            if any(x % scale for x in r):
-                raise ValueError(
-                    f"restriction of the module with highest weight "
-                    f"{lam.coords} has the non-integral H-weight "
-                    f"{tuple(Fraction(x, scale) for x in r)}")
-        restricted = {tuple(x // scale for x in r): m
-                      for r, m in restricted.items()}
+    h = emb.h
+    restricted = restricted_character(emb, lam)
 
     # <nu, 2 rho_vee> = sum_gamma <nu, gamma_vee> is twice the height of nu
     hv = tuple(map(sum, zip(*h.coroots)))
@@ -259,15 +368,9 @@ def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
 
     # H-characters are W_H-invariant, so a sum of them is too; the count
     # below decomposes an invariant multiset only, so this is checked first
-    broken = []  # (nu, s_i nu) with nu_i < 0 and unequal multiplicities
-    for nu, m in restricted.items():
-        for i, c in enumerate(nu, 1):
-            if c:
-                image = reflect(h, nu, i)
-                if restricted.get(image, 0) != m:
-                    broken.append((nu, image) if c < 0 else (image, nu))
-    if broken:
-        low, up = max(broken, key=lambda pair: key(pair[0]))
+    if _broken_pairs(h, restricted):
+        restricted = restricted_character(emb, lam, walk_order=True)
+        low, up = max(_broken_pairs(h, restricted), key=lambda pair: key(pair[0]))
         raise ValueError(
             f"weight {low} of the restricted character is not dominant and "
             f"has multiplicity {restricted.get(low, 0)}, but its reflection "

@@ -11,7 +11,9 @@ matrix convention is ``cartan[i][j] = <alpha_j, alpha_i_vee>`` (0-based
 internally), so the j-th column of the Cartan matrix is alpha_j written in
 fundamental-weight coordinates (``RootSystem.alphas``).  Every Weyl-group
 step s_i mu = mu - mu_i alpha_i is ``reflect``; ``descend`` repeats it toward
-dominance and ``orbit_walk`` walks a whole orbit.
+dominance and ``orbit_walk`` walks a whole orbit.  ``orbit_table`` lists the
+orbit of every dominant weight with a given support at once, as indices into
+the fundamental orbits (``fundamental_orbit``), and keeps it across calls.
 
 The symmetrizer and the coroot table are integers, and every pairing
 <lam, gamma_vee> in the package reads ``RootSystem.coroots`` as
@@ -21,6 +23,7 @@ Fraction definitions, kept as public API and as test references.
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -463,6 +466,109 @@ def orbit_walk(rs: RootSystem, start: Sequence, alphas=None):
             if i > first and min(child[:i]) < 0:
                 continue
             stack.append((child, i))
+
+
+# Root data of G kept across calls, as (value, ints stored): fundamental
+# orbits under (components, k) and orbit tables under (components, support).
+# Past _TABLE_BUDGET ints in all, the oldest are dropped; a dropped entry is
+# rebuilt the same, so the indices of a table still kept stay valid.
+_orbit_tables: dict[tuple, tuple] = {}
+_TABLE_BUDGET = 2_000_000
+_table_total = 0
+
+
+def _keep(key: tuple, value, size: int):
+    global _table_total
+    if size <= _TABLE_BUDGET:
+        _orbit_tables[key] = (value, size)
+        _table_total += size
+        while _table_total > _TABLE_BUDGET:
+            _table_total -= _orbit_tables.pop(next(iter(_orbit_tables)))[1]
+    return value
+
+
+def fundamental_orbit(rs: RootSystem, k: int):
+    """The W-orbit of omega_{k+1} (k 0-based) breadth first from omega_{k+1},
+    and its action table: ``act[i][x]`` is the index of s_{i+1} applied to
+    point x."""
+    key = (rs.components, k)
+    if key in _orbit_tables:
+        return _orbit_tables[key][0]
+    start = tuple([int(i == k) for i in range(rs.rank)])
+    points, index = [start], {start: 0}
+    act = [[0] for _ in range(rs.rank)]
+    x = 0
+    while x < len(points):
+        p = points[x]
+        for i, c in enumerate(p):
+            if c > 0:
+                # every edge once, from the end where coordinate i is positive
+                q = tuple([v - c * a for v, a in zip(p, rs.alphas[i])])
+                y = index.get(q)
+                if y is None:
+                    y = index[q] = len(points)
+                    points.append(q)
+                    for row in act:
+                        row.append(y)
+                act[i][x] = y
+                act[i][y] = x
+        x += 1
+    return _keep(key, (points, act), (rs.rank + 1) * len(points))
+
+
+def _orbit_columns(rs: RootSystem, J: tuple[int, ...], S: tuple[int, ...]):
+    """(rows, columns) of the W_J-orbit of (omega_k)_{k in S}, S inside J:
+    column k holds the index of w omega_k in ``fundamental_orbit(rs, k)``.
+
+    The stabiliser of omega_{S[0]} in W_J is W_{J - S[0]}, so the orbit is
+    u times the W_{J - S[0]}-orbit of the rest of S, for u over the W_J-orbit
+    of omega_{S[0]}; each u is one reflection from a u found before it, and
+    the columns of the rest move by one action-table lookup per entry.
+    """
+    if not S:
+        return 1, []
+    k, rest = S[0], S[1:]
+    act = fundamental_orbit(rs, k)[1]
+    reps = [(0, 0, 0)]  # (index of u omega_k, position of u's parent, letter)
+    seen = {0}
+    pos = 0
+    while pos < len(reps):
+        x = reps[pos][0]
+        for i in J:
+            y = act[i][x]
+            if y not in seen:
+                seen.add(y)
+                reps.append((y, pos, i))
+        pos += 1
+    nfib, fibre = _orbit_columns(rs, tuple([i for i in J if i != k]), rest)
+    acts = [fundamental_orbit(rs, j)[1] for j in rest]
+    blocks = [fibre]
+    for _, parent, i in reps[1:]:
+        blocks.append([list(map(a[i].__getitem__, col))
+                       for a, col in zip(acts, blocks[parent])])
+    first = [x for x, _, _ in reps for _ in range(nfib)]
+    return len(reps) * nfib, [first] + [
+        list(itertools.chain.from_iterable(block[j] for block in blocks))
+        for j in range(len(rest))]
+
+
+def orbit_table(rs: RootSystem, support: tuple[int, ...]):
+    """The orbit of a dominant weight mu whose nonzero coordinates are
+    ``support`` (0-based, increasing): one column per k in ``support``,
+    holding the index of w omega_{k+1} in ``fundamental_orbit(rs, k)`` for
+    each coset w W_{J0}, J0 the nodes outside ``support``, so that
+    w mu = sum_k mu_k w omega_{k+1} row by row.  Rows come in no particular
+    order; the table is root data of rs, kept across calls.
+    """
+    key = (rs.components, support)
+    if key in _orbit_tables:
+        return _orbit_tables[key][0]
+    if len(support) == 1:
+        # a single fundamental orbit is its own table
+        cols = [range(len(fundamental_orbit(rs, support[0])[0]))]
+    else:
+        _, cols = _orbit_columns(rs, tuple(range(rs.rank)), support)
+    return _keep(key, cols, len(cols[0]) * len(cols) if cols else 0)
 
 
 def rho_J(rs: RootSystem, J: Iterable[int]) -> Weight:

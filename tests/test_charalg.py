@@ -78,6 +78,13 @@ def test_dimension_table(spec, lam, dim):
     assert weyl_dim(rs, Weight(lam)) == dim
 
 
+@pytest.mark.parametrize("emb", registry_embeddings(), ids=lambda e: e.label)
+def test_closed_form_dimension_matches_weyl_dim(emb):
+    # sum of m(mu) |W| / |W_{J0(mu)}| against the Weyl dimension formula
+    for lam in dominant_weights_upto(emb.g, 200):
+        assert freudenthal(emb.g, lam).dimension() == weyl_dim(emb.g, lam), lam
+
+
 def fraction_weyl_dim(rs, lam):
     """prod <lam + rho, beta_vee> / <rho, beta_vee> on Fractions."""
     out = Fraction(1)

@@ -1,6 +1,11 @@
+import contextlib
 import importlib.resources
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import jsonschema
@@ -532,3 +537,38 @@ def test_reports_validate_across_formats_and_examples(capsys):
         code, out, _ = run(capsys, "check", json.dumps(inp))
         assert code == 0
         validate_report(json.loads(out))
+
+
+# -- one parser for every call ------------------------------------------------------
+
+_SUCCESSIVE_CALLS = [
+    ["check", json.dumps(CHECK_INPUT)],
+    ["check", json.dumps(CHECK_INPUT), "--format", "text"],
+    ["examples", "list", "--format", "text"],
+    ["examples", "run", "sp4", "--format", "dot"],
+    ["branch", '{"builder": "folding_B3G2"}', "1,0,1", "--format", "text"],
+    ["branch", '{"builder": "folding_B3G2"}', "1,0,1"],
+    ["min-p", '{"builder": "so_in_sl", "params": {"n": 5}}', "--format", "text"],
+    ["check", '{"embedding": {"builder": "nope"}, "J": [1], "p": 2}'],
+    ["branch", '{"builder": "folding_B3G2"}'],
+    ["check", json.dumps(CHECK_INPUT), "--format", "dot"],
+    ["verify-identities", "--max-rank", "2"],
+]
+
+
+def test_successive_main_calls_match_fresh_processes():
+    # the parser is built once and reused; a call must not see what an
+    # earlier one parsed, whatever its subcommand, format or exit path
+    assert cli._build_parser() is cli._build_parser()
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    for argv in _SUCCESSIVE_CALLS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own usage errors
+                code = exc.code
+        fresh = subprocess.run([sys.executable, "-m", "frobcrit.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert (code, out.getvalue(), err.getvalue()) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr), argv

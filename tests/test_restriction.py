@@ -1,0 +1,278 @@
+"""The orbit-table restriction in ``charalg`` against the orbit walk it replaced.
+
+``walk_restriction`` and ``walk_branch`` below are ``charalg.branch`` as it
+was while every W_G-orbit of the dominant multiplicities was walked by
+``rootsys.orbit_walk`` on (G-weight || Res(G-weight)) tuples.  They are kept
+here as the reference for the restricted multiset, for the order in which
+the walk meets its weights, and for every error text.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+import pytest
+
+from frobcrit import charalg, rootsys
+from frobcrit.charalg import branch, freudenthal, restricted_character, weyl_dim
+from frobcrit.embed import Embedding, diagonal, folding_E6F4, so_in_sl
+from frobcrit.rootsys import (
+    Weight,
+    build_root_system,
+    descend,
+    fundamental_orbit,
+    index_set,
+    orbit_table,
+    orbit_walk,
+    parabolic_weyl_order,
+    reflect,
+)
+
+from test_acceptance import dominant_weights_upto, registry_embeddings
+from test_charalg import EDGE_EMBEDDINGS, NON_CHARACTERS
+from test_weyl import _systems_up_to_rank
+
+
+def walk_restriction(emb, lam):
+    g = emb.g
+    gn = g.rank
+    scale = math.lcm(*(x.denominator for row in emb.restriction for x in row))
+    rows = [[int(x * scale) for x in row] for row in emb.restriction]
+
+    def res(v):
+        return tuple([sum(r * x for r, x in zip(row, v)) for row in rows])
+
+    extended = [alpha + res(alpha) for alpha in g.alphas]
+    restricted = {}
+    for mu, m in freudenthal(g, lam).multiplicities.items():
+        for nu in orbit_walk(g, mu.coords + res(mu.coords), extended):
+            r = nu[gn:]
+            restricted[r] = restricted.get(r, 0) + m
+    if scale != 1:
+        for r in restricted:
+            if any(x % scale for x in r):
+                raise ValueError(
+                    f"restriction of the module with highest weight "
+                    f"{lam.coords} has the non-integral H-weight "
+                    f"{tuple(Fraction(x, scale) for x in r)}")
+        restricted = {tuple(x // scale for x in r): m
+                      for r, m in restricted.items()}
+    return restricted
+
+
+def walk_branch(emb, lam):
+    h = emb.h
+    restricted = walk_restriction(emb, lam)
+    hv = tuple(map(sum, zip(*h.coroots)))
+
+    def key(t):
+        return (sum(a * b for a, b in zip(hv, t)), t)
+
+    broken = []
+    for nu, m in restricted.items():
+        for i, c in enumerate(nu, 1):
+            if c:
+                image = reflect(h, nu, i)
+                if restricted.get(image, 0) != m:
+                    broken.append((nu, image) if c < 0 else (image, nu))
+    if broken:
+        low, up = max(broken, key=lambda pair: key(pair[0]))
+        raise ValueError(
+            f"weight {low} of the restricted character is not dominant and "
+            f"has multiplicity {restricted.get(low, 0)}, but its reflection "
+            f"{up} has {restricted.get(up, 0)}; restriction is not a "
+            f"character of H")
+    virtual = {}
+    for kappa, m in restricted.items():
+        shifted = tuple([x + 1 for x in kappa])
+        if 0 in shifted:
+            continue
+        end, letters = descend(h, shifted)
+        if 0 in end:
+            continue
+        nu = tuple([x - 1 for x in end])
+        virtual[nu] = virtual.get(nu, 0) + (-m if len(letters) % 2 else m)
+    negative = [nu for nu, n in virtual.items() if n < 0]
+    if negative:
+        worst = max(negative, key=key)
+        raise ValueError(f"negative residual multiplicity {virtual[worst]} at {worst}")
+    return {Weight(nu): virtual[nu]
+            for nu in sorted(virtual, key=key, reverse=True) if virtual[nu]}
+
+
+def outcome(fn, emb, lam):
+    """The result as an ordered list of items, or the exception's type and text."""
+    try:
+        return list(fn(emb, lam).items())
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def in_walk_order(emb, lam):
+    return restricted_character(emb, lam, walk_order=True)
+
+
+def as_multiset(fn):
+    def call(emb, lam):
+        return dict(sorted(fn(emb, lam).items()))
+    return call
+
+
+def assert_matches_walk(emb, lam):
+    expect = walk_restriction(emb, lam)
+    assert restricted_character(emb, lam) == expect, (emb.label, lam)
+    assert list(in_walk_order(emb, lam).items()) == list(expect.items()), (emb.label, lam)
+    assert outcome(branch, emb, lam) == outcome(walk_branch, emb, lam), (emb.label, lam)
+
+
+def _custom(g, h, matrix, label):
+    return Embedding(build_root_system(g), build_root_system(h),
+                     [[Fraction(x) for x in row] for row in matrix], label)
+
+
+def _fundamental(rank):
+    return [Weight([int(k == i) for k in range(rank)]) for i in range(rank)]
+
+
+def _heavy(rs, bound):
+    """The largest multiples of rho, omega_1 and omega_1 + omega_rank whose
+    modules have dimension at most ``bound``."""
+    steps = {(1,) * rs.rank, (1,) + (0,) * (rs.rank - 1),
+             (1,) + (0,) * (rs.rank - 2) + (1,) if rs.rank > 1 else (1,)}
+    out = []
+    for step in sorted(steps):
+        t = 0
+        while weyl_dim(rs, Weight([(t + 1) * c for c in step])) <= bound:
+            t += 1
+        if t:
+            out.append(Weight([t * c for c in step]))
+    return out
+
+
+@pytest.mark.parametrize("emb", registry_embeddings(), ids=lambda e: e.label)
+def test_restriction_matches_the_walk_on_registry_embeddings(emb):
+    for lam in _fundamental(emb.g.rank) + _heavy(emb.g, 4000):
+        assert_matches_walk(emb, lam)
+
+
+@pytest.mark.parametrize("emb", registry_embeddings(), ids=lambda e: e.label)
+def test_zero_weight_restricts_to_the_zero_weight(emb):
+    lam = Weight([0] * emb.g.rank)
+    assert restricted_character(emb, lam) == {(0,) * emb.h.rank: 1}
+    assert_matches_walk(emb, lam)
+
+
+FRACTIONAL = [
+    _custom("A1", "A1", [["1/2"]], "half"),
+    _custom("A1", "A1", [["-7/2"]], "negative"),
+    _custom("A2", "A1", [["1/2", "3/2"]], "A2-A1"),
+    _custom("B3", "G2", [["1/3", 0, "5/2"], [0, "-7/4", 1]], "B3-G2"),
+    _custom("C2", "A1,A1", [["-1/2", 2], ["2/3", "1/5"]], "C2-A1A1"),
+    _custom("G2", "B2", [["5/3", 1], ["-1/6", "9/4"]], "G2-B2"),
+    _custom("B3", "A2", [["1/2", 0, 1], [0, 1, "-1/2"]], "B3-A2"),
+    _custom("A3", "A2", [["1/2", "1/2", 0], [0, "1/2", "1/2"]], "A3-A2"),
+    # the unordered count meets another non-integral weight first on these
+    _custom("B2", "A2", [["2/3", "-2/3"], [0, 1]], "B2-A2"),
+    _custom("A1,A2", "A1", [[-1, 0, "2/3"]], "A1A2-A1"),
+]
+
+
+@pytest.mark.parametrize("emb", FRACTIONAL + [e for e, _ in EDGE_EMBEDDINGS + NON_CHARACTERS],
+                         ids=lambda e: e.label)
+def test_custom_matrices_keep_every_result_and_error_text(emb):
+    for lam in dominant_weights_upto(emb.g, 60):
+        assert outcome(as_multiset(restricted_character), emb, lam) == \
+            outcome(as_multiset(walk_restriction), emb, lam), (emb.label, lam)
+        assert outcome(in_walk_order, emb, lam) == outcome(walk_restriction, emb, lam)
+        assert outcome(branch, emb, lam) == outcome(walk_branch, emb, lam), (emb.label, lam)
+
+
+NEGATIVE = [
+    _custom("A2", "A1", [[1, -1]], "skew"),
+    _custom("A3", "A2", [[1, -2, 0], [0, 1, 1]], "A3-A2"),
+    _custom("C3", "A1,A1", [[-1, 2, 0], [0, -1, -3]], "C3-A1A1"),
+    _custom("G2", "A2", [[-2, 1], [3, -1]], "G2-A2"),
+]
+
+
+@pytest.mark.parametrize("emb", NEGATIVE, ids=lambda e: e.label)
+def test_negative_restriction_entries(emb):
+    for lam in _fundamental(emb.g.rank) + _heavy(emb.g, 400):
+        assert_matches_walk(emb, lam)
+
+
+def test_entries_near_a_million_at_a_weight_near_the_cap():
+    big = 10 ** 6
+    emb = _custom("A3", "A3", [[big, 1 - big, 0], [0, 3, big + 1], [big, 0, -big]], "big")
+    lam = Weight([5, 5, 5])
+    assert 45_000 < weyl_dim(emb.g, lam) <= charalg.DEFAULT_BRANCH_CAP
+    expect = walk_restriction(emb, lam)
+    # every digit of the packed weight spans at least the coordinates seen,
+    # so the packed ints are wider than 64 bits
+    assert (2 * max(abs(x) for r in expect for x in r) + 1) ** 3 > 2 ** 64
+    assert restricted_character(emb, lam) == expect
+    assert outcome(branch, emb, lam) == outcome(walk_branch, emb, lam)
+    half = _custom("A3", "A1", [[f"{big}/2", f"{1 - big}/2", 7]], "big-half")
+    assert outcome(as_multiset(restricted_character), half, lam) == \
+        outcome(as_multiset(walk_restriction), half, lam)
+    assert outcome(in_walk_order, half, lam) == outcome(walk_restriction, half, lam)
+
+
+# -- the orbit tables --------------------------------------------------------------
+
+def _supports(rank):
+    for size in range(1, rank + 1):
+        yield from itertools.combinations(range(rank), size)
+
+
+@pytest.mark.parametrize("spec", _systems_up_to_rank(4) + ["E6", "B5"])
+def test_orbit_tables_list_each_orbit_once(spec):
+    rs = build_root_system(spec)
+    order = parabolic_weyl_order(rs, index_set(rs))
+    for support in _supports(rs.rank):
+        if spec in ("E6", "B5") and len(support) > 3:
+            continue
+        cols = orbit_table(rs, support)
+        points = [fundamental_orbit(rs, k)[0] for k in support]
+        # the same dominant weight with other nonzero coordinates
+        mu = [0] * rs.rank
+        for k in support:
+            mu[k] = 1 + k % 3
+        rows = [tuple(sum(mu[k] * pts[x][i] for k, pts, x in zip(support, points, row))
+                      for i in range(rs.rank)) for row in zip(*cols)]
+        zeros = [i + 1 for i in range(rs.rank) if i not in support]
+        assert len(rows) == order // parabolic_weyl_order(rs, zeros), (spec, support)
+        assert set(rows) == set(orbit_walk(rs, mu)) and len(set(rows)) == len(rows)
+
+
+def test_fundamental_orbit_actions_are_the_reflections():
+    for spec in ["A3", "C3", "G2", "F4", "A1,B2"]:
+        rs = build_root_system(spec)
+        for k in range(rs.rank):
+            points, act = fundamental_orbit(rs, k)
+            assert len(set(points)) == len(points)
+            for i in range(rs.rank):
+                assert [points[y] for y in act[i]] == [reflect(rs, p, i + 1) for p in points]
+
+
+def test_orbit_table_cache_stays_inside_its_budget(monkeypatch):
+    cases = [(folding_E6F4(), (0, 1, 0, 0, 0, 1)), (so_in_sl(6), (1, 1, 0, 1, 0)),
+             (diagonal("A2", 3), (1, 0, 2, 1, 1, 1)), (folding_E6F4(), (1, 0, 0, 0, 1, 0))]
+    expect = [branch(emb, Weight(lam)) for emb, lam in cases]
+    monkeypatch.setattr(rootsys, "_orbit_tables", {})
+    monkeypatch.setattr(rootsys, "_table_total", 0)
+    monkeypatch.setattr(rootsys, "_TABLE_BUDGET", 3000)
+    for _ in range(2):
+        assert [branch(emb, Weight(lam)) for emb, lam in cases] == expect
+        held = sum(size for _, size in rootsys._orbit_tables.values())
+        assert held == rootsys._table_total <= 3000
+
+
+def test_char_cache_stays_at_its_bound(monkeypatch):
+    emb = diagonal("A2", 3)
+    weights = [Weight(lam) for lam in itertools.product(range(2), repeat=6)]
+    expect = [branch(emb, lam) for lam in weights]
+    monkeypatch.setattr(charalg, "_char_cache", {})
+    monkeypatch.setattr(charalg, "_CHAR_CACHE_SIZE", 3)
+    assert [branch(emb, lam) for lam in weights] == expect
+    assert len(charalg._char_cache) == 3
