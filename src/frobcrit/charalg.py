@@ -9,8 +9,11 @@ calls), with every restricted weight packed into one int, so restricting
 an orbit is one integer combination per element.  The restricted multiset
 is checked to be integral and W_H-invariant and then decomposed by the
 Racah-Speiser (Brauer-Klimyk) count, which needs no H-character at all.
-Every reflection here is ``rootsys.reflect``, ``rootsys.descend`` or
-``rootsys.orbit_walk``.
+A refused restriction names its witness by ``_height_order``, the order in
+which constituents are listed, so the witness does not depend on the order
+in which the tables list an orbit.  Every reflection here is
+``rootsys.reflect`` or ``rootsys.descend``; ``weyl_orbit`` reads the orbit
+tables too.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .rootsys import (
     fundamental_orbit,
     index_set,
     orbit_table,
-    orbit_walk,
     parabolic_weyl_order,
     reflect,
 )
@@ -64,8 +66,25 @@ def dominant_conjugate(rs: RootSystem, weight: Weight) -> Weight:
 
 
 def weyl_orbit(rs: RootSystem, weight: Weight) -> set[tuple[Fraction, ...]]:
-    """All coordinate tuples in the Weyl orbit of the weight."""
-    return set(orbit_walk(rs, descend(rs, weight.coords)[0]))
+    """All coordinate tuples in the Weyl orbit of the weight: with mu its
+    dominant conjugate, w mu = sum_k mu_k w omega_k row by row of the orbit
+    table of mu's support."""
+    mu = descend(rs, weight.coords)[0]
+    support = tuple([k for k, c in enumerate(mu) if c])
+    if not support:
+        return {mu}
+    scaled = [[tuple([mu[k] * x for x in p]) for p in fundamental_orbit(rs, k)[0]]
+              for k in support]
+    return {tuple(map(sum, zip(*map(list.__getitem__, scaled, row))))
+            for row in zip(*orbit_table(rs, support))}
+
+
+def _height_order(h: RootSystem):
+    """The key (<nu, 2 rho_vee>, nu) on H-weight tuples, in which ``branch``
+    lists constituents and names the witness of a refusal; <nu, 2 rho_vee> =
+    sum_gamma <nu, gamma_vee> is twice the height of nu."""
+    hv = tuple(map(sum, zip(*h.coroots)))
+    return lambda t: (sum(map(operator.mul, hv, t)), t)
 
 
 class DominantCharacter:
@@ -271,19 +290,17 @@ def _convolve(a: dict[int, int], b: dict[int, int]) -> Counter:
     return out
 
 
-def restricted_character(emb: Embedding, lam: Weight,
-                         walk_order: bool = False) -> dict[tuple, int]:
+def restricted_character(emb: Embedding, lam: Weight) -> dict[tuple, int]:
     """The restriction to H of the irreducible G-module with highest weight
-    lam, as {H-weight coordinates: multiplicity}.
+    lam, as {H-weight coordinates: multiplicity}, in no particular order.
 
     Each restricted weight is packed into one int, in base 2 bound + 1 with
     bound at least every coordinate: |<w mu, alpha_k_vee>| <= max_gamma
     <lam, gamma_vee> for every weight mu of the module.  Packing is linear,
     so pack(Res(v)) = sum_k f_k v_k, and ``_orbit_counts`` counts those ints.
-    The weights come in no particular order, or with ``walk_order`` in the
-    order in which ``orbit_walk`` meets them, in which errors name their
-    witness.  A fractional restriction matrix is scaled to integers and the
-    scale divided out at the end, which raises at a non-integral weight.
+    A fractional restriction matrix is scaled to integers and the scale
+    divided out at the end, which raises at the non-integral weight highest
+    in ``_height_order`` (the same order on the scaled weights, scale > 0).
     """
     g, hn = emb.g, emb.h.rank
     scale = math.lcm(*(x.denominator for row in emb.restriction for x in row))
@@ -292,13 +309,7 @@ def restricted_character(emb: Embedding, lam: Weight,
     bound = top * max(sum(map(abs, row)) for row in rows)
     radix = 2 * bound + 1
     f = [sum(row[k] * radix ** j for j, row in enumerate(rows)) for k in range(g.rank)]
-    if walk_order:
-        counts: dict[int, int] = {}
-        for mu, m in freudenthal(g, lam).multiplicities.items():
-            for nu in orbit_walk(g, mu.coords):
-                key = sum(map(operator.mul, f, nu))
-                counts[key] = counts.get(key, 0) + m
-    elif len(g.components) == 1:
+    if len(g.components) == 1:
         counts = _orbit_counts(g, f, freudenthal(g, lam).multiplicities)
     else:
         # a product's character is the product of its factors', and packing
@@ -318,14 +329,12 @@ def restricted_character(emb: Embedding, lam: Weight,
     restricted = dict(zip(zip(*digits), counts.values()))
     if scale == 1:
         return restricted
-    for r in restricted:
-        if any(x % scale for x in r):
-            if not walk_order:
-                return restricted_character(emb, lam, walk_order=True)
-            raise ValueError(
-                f"restriction of the module with highest weight "
-                f"{lam.coords} has the non-integral H-weight "
-                f"{tuple(Fraction(x, scale) for x in r)}")
+    fractional = [r for r in restricted if any(x % scale for x in r)]
+    if fractional:
+        r = max(fractional, key=_height_order(emb.h))
+        raise ValueError(
+            f"restriction of the module with highest weight {lam.coords} has "
+            f"the non-integral H-weight ({', '.join(str(Fraction(x, scale)) for x in r)})")
     return {tuple(x // scale for x in r): m for r, m in restricted.items()}
 
 
@@ -347,11 +356,11 @@ def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
     Returns {H-highest-weight: multiplicity}, insertion-ordered from the
     top.  Raises when the restricted character is not a character of H
     (non-integral weights, a multiset that is not W_H-invariant, or a
-    negative coefficient in its decomposition, named at the highest such
-    weight), which is how inconsistent embeddings surface.  A module whose
-    dimension exceeds FROBCRIT_BRANCH_CAP (default 50 000) is refused before
-    any multiplicity is computed, and the exception carries the exact
-    dimension.
+    negative coefficient in its decomposition, each named at the witness
+    highest in ``_height_order``), which is how inconsistent embeddings
+    surface.  A module whose dimension exceeds FROBCRIT_BRANCH_CAP (default
+    50 000) is refused before any multiplicity is computed, and the
+    exception carries the exact dimension.
     """
     cap = _resolve_cap(None, _BRANCH_CAP_ENV, DEFAULT_BRANCH_CAP)
     dim = weyl_dim(emb.g, lam)
@@ -359,18 +368,13 @@ def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
         raise BranchCapExceeded(emb.g, lam, dim, cap)
     h = emb.h
     restricted = restricted_character(emb, lam)
-
-    # <nu, 2 rho_vee> = sum_gamma <nu, gamma_vee> is twice the height of nu
-    hv = tuple(map(sum, zip(*h.coroots)))
-
-    def key(t: tuple):
-        return (sum(a * b for a, b in zip(hv, t)), t)
+    key = _height_order(h)
 
     # H-characters are W_H-invariant, so a sum of them is too; the count
     # below decomposes an invariant multiset only, so this is checked first
-    if _broken_pairs(h, restricted):
-        restricted = restricted_character(emb, lam, walk_order=True)
-        low, up = max(_broken_pairs(h, restricted), key=lambda pair: key(pair[0]))
+    broken = _broken_pairs(h, restricted)
+    if broken:
+        low, up = max(broken, key=lambda pair: (key(pair[0]), key(pair[1])))
         raise ValueError(
             f"weight {low} of the restricted character is not dominant and "
             f"has multiplicity {restricted.get(low, 0)}, but its reflection "

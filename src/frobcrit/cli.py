@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -41,6 +42,13 @@ from .weyl import verify_st_decomp
 
 # verify-identities --max-rank 10 checks 8 258 (system, J) pairs in ~3.3 s; 16 would be 524 354
 VERIFY_PAIR_CAP = 10_000
+
+# the most digits a number in the input may be written with, an exponent
+# adding its value: a number a report prints is a sum of products of a few
+# inputs, so it stays far inside the 4 300 digits that Python's int <-> str
+# conversions allow, and Fraction("1e100000000"), minutes of work, is refused
+MAX_DIGITS = 100
+_EXPONENT = re.compile(r"[eE][+-]?(\d+)")
 
 # builder name -> its parameters in call order; "g" and "h" name root
 # systems, "J" is a list of integers and every other parameter an integer
@@ -180,19 +188,33 @@ def _load_json_arg(arg: str, what: str) -> dict:
         except OSError as err:
             raise InputError(f"cannot read {what} from {arg!r}: {err}")
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
+        data = json.loads(text, parse_int=lambda literal: int(
+            literal if len(literal) <= MAX_DIGITS
+            else _number_text(literal, f"integer in the {what}")))
+    except (json.JSONDecodeError, RecursionError) as err:  # the latter from deep nesting
         raise InputError(f"invalid JSON for {what}: {err}")
     if not isinstance(data, dict):
         raise InputError(f"{what} must be a JSON object")
     return data
 
 
+def _number_text(text: str, what: str) -> str:
+    """The text of a number, refused before anything parses it when it has
+    more than MAX_DIGITS digits, counting every digit written plus the value
+    of an exponent."""
+    exponent = _EXPONENT.search(text)
+    digits = sum(map(str.isdigit, text))
+    if digits > MAX_DIGITS or exponent and digits + int(exponent[1]) > MAX_DIGITS:
+        shown = text if len(text) <= 24 else text[:24] + "..."
+        raise InputError(f"{what} {shown!r} has more than {MAX_DIGITS} digits")
+    return text
+
+
 def _exact_entry(x) -> Fraction:
     # a JSON float is a binary approximation, and a bool is not a number here
     if isinstance(x, (bool, float)):
         raise TypeError(f"matrix entry {x!r} must be an integer or an exact string such as \"1/2\"")
-    return Fraction(x)
+    return Fraction(_number_text(x, "matrix entry") if isinstance(x, str) else x)
 
 
 def embedding_from_descriptor(desc: dict) -> embed.Embedding:
@@ -244,8 +266,9 @@ def _builder_arg(key: str, value):
 
 
 def _parse_weight_arg(arg: str, rank: int) -> Weight:
+    pieces = [_number_text(piece.strip(), "weight coordinate") for piece in arg.split(",")]
     try:
-        coords = [Fraction(piece.strip()) for piece in arg.split(",")]
+        coords = [Fraction(piece) for piece in pieces]
     except (ValueError, ZeroDivisionError) as err:
         raise InputError(f"cannot parse weight {arg!r}: {err}")
     if len(coords) != rank:

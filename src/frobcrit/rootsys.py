@@ -10,15 +10,16 @@ Simple roots are numbered 1..rank in all public interfaces.  The Cartan
 matrix convention is ``cartan[i][j] = <alpha_j, alpha_i_vee>`` (0-based
 internally), so the j-th column of the Cartan matrix is alpha_j written in
 fundamental-weight coordinates (``RootSystem.alphas``).  Every Weyl-group
-step s_i mu = mu - mu_i alpha_i is ``reflect``; ``descend`` repeats it toward
-dominance and ``orbit_walk`` walks a whole orbit.  ``orbit_table`` lists the
-orbit of every dominant weight with a given support at once, as indices into
-the fundamental orbits (``fundamental_orbit``), and keeps it across calls.
+step s_i mu = mu - mu_i alpha_i is ``reflect``, and ``descend`` repeats it
+toward dominance.  ``orbit_table`` lists the orbit of every dominant weight
+with a given support at once, as indices into the fundamental orbits
+(``fundamental_orbit``), and keeps it across calls; it is the one orbit
+enumerator of the package.
 
 The symmetrizer and the coroot table are integers, and every pairing
 <lam, gamma_vee> in the package reads ``RootSystem.coroots`` as
-sum_k lam_k c_k(gamma).  ``cartan_pairing`` and ``root_coordinates`` are the
-Fraction definitions, kept as public API and as test references.
+sum_k lam_k c_k(gamma).  ``cartan_pairing`` is the Fraction definition, kept
+as public API.
 """
 
 from __future__ import annotations
@@ -145,23 +146,6 @@ def _symmetrizer(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
                     stack.append(j)
     scale = lcm(*(x.denominator for x in d))
     return tuple(int(x * scale) for x in d)
-
-
-def _invert(matrix: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse by Gauss-Jordan elimination over Fraction."""
-    n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)]
-           + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def _exact(c):
@@ -302,13 +286,6 @@ class RootSystem:
                 raise AssertionError(f"non-integral coroot of {beta}")
             coroots.append(tuple(q for q, _ in co))
         self.coroots: tuple[RootVector, ...] = tuple(coroots)
-        self._cartan_inv: tuple[tuple[Fraction, ...], ...] | None = None
-
-    @property
-    def cartan_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        if self._cartan_inv is None:
-            self._cartan_inv = _invert(self.cartan)
-        return self._cartan_inv
 
     def spec_string(self) -> str:
         return ",".join(f"{letter}{rank}" for letter, rank in self.components)
@@ -318,14 +295,6 @@ class RootSystem:
         if not 1 <= i <= self.rank:
             raise ValueError(f"simple root index {i} out of range 1..{self.rank}")
         return tuple(int(k == i - 1) for k in range(self.rank))
-
-    def root_coordinates(self, weight: Weight) -> tuple[Fraction, ...]:
-        """Expand a weight in the simple-root basis (rational in general)."""
-        if len(weight) != self.rank:
-            raise ValueError("weight rank mismatch")
-        inv = self.cartan_inverse
-        return tuple(sum(inv[i][j] * weight.coords[j] for j in range(self.rank))
-                     for i in range(self.rank))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RootSystem) and self.components == other.components
@@ -438,34 +407,6 @@ def descend(rs: RootSystem, v: Sequence, J: Iterable[int] | None = None):
             return v, letters
         v = reflect(rs, v, j)
         letters.append(j)
-
-
-def orbit_walk(rs: RootSystem, start: Sequence, alphas=None):
-    """Yield each element of the W-orbit of the dominant ``start`` once.
-
-    A tree walk (Stembridge, MSJ Memoirs 11, 2001): the parent of a
-    non-dominant mu is s_j mu, j its first negative coordinate, so no
-    seen-set is kept.  Coordinates that ``start`` and ``alphas`` (default
-    ``rs.alphas``) carry past the rank follow linearly, e.g. Res(mu).
-    """
-    n = rs.rank
-    alphas = rs.alphas if alphas is None else alphas
-    stack = [(tuple(start), n)]
-    while stack:
-        nu, first = stack.pop()
-        yield nu
-        for i in range(n):
-            c = nu[i]
-            if c <= 0:
-                continue
-            # nu is the parent of s_i nu only if i is the first negative
-            # coordinate of s_i nu; below `first` that holds by itself
-            if i > first and nu[first] < c * alphas[i][first]:
-                continue
-            child = tuple([x - c * a for x, a in zip(nu, alphas[i])])
-            if i > first and min(child[:i]) < 0:
-                continue
-            stack.append((child, i))
 
 
 # Root data of G kept across calls, as (value, ints stored): fundamental

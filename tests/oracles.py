@@ -1,14 +1,16 @@
 """Independent reference implementations backing the derived test values.
 
 Deliberately naive re-derivations: epsilon-coordinate root models for the
-classical types, reflection-orbit root generation, a brute-force Weyl group
-closure with determinant signs, Kostant partition counting, and the
-alternating-sum Weyl character formula.  None of it reuses the package's
-Weyl-group or character machinery.
+classical types, reflection-orbit root generation, the inverse Cartan matrix
+and root coordinates over Fraction, a tree walk of a Weyl orbit, a
+brute-force Weyl group closure with determinant signs, Kostant partition
+counting, and the alternating-sum Weyl character formula.  None of it reuses
+the package's Weyl-group or character machinery.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -113,6 +115,65 @@ def reflection_orbit_positive_roots(rs: RootSystem) -> set[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
+# the simple-root basis over Fraction, and Weyl orbits as a tree
+
+
+@functools.lru_cache(maxsize=None)
+def cartan_inverse(rs: RootSystem) -> tuple[tuple[Fraction, ...], ...]:
+    """The inverse Cartan matrix, by Gauss-Jordan elimination over Fraction."""
+    n = rs.rank
+    aug = [[Fraction(rs.cartan[i][j]) for j in range(n)]
+           + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def root_coordinates(rs: RootSystem, weight: Weight) -> tuple[Fraction, ...]:
+    """A weight in the simple-root basis (rational in general)."""
+    if len(weight) != rs.rank:
+        raise ValueError("weight rank mismatch")
+    inv = cartan_inverse(rs)
+    return tuple(sum(inv[i][j] * weight.coords[j] for j in range(rs.rank))
+                 for i in range(rs.rank))
+
+
+def orbit_walk(rs: RootSystem, start, alphas=None):
+    """Yield each element of the W-orbit of the dominant ``start`` once.
+
+    A tree walk (Stembridge, MSJ Memoirs 11, 2001): the parent of a
+    non-dominant mu is s_j mu, j its first negative coordinate, so no
+    seen-set is kept.  Coordinates that ``start`` and ``alphas`` (default
+    ``rs.alphas``) carry past the rank follow linearly, e.g. Res(mu).
+    """
+    n = rs.rank
+    alphas = rs.alphas if alphas is None else alphas
+    stack = [(tuple(start), n)]
+    while stack:
+        nu, first = stack.pop()
+        yield nu
+        for i in range(n):
+            c = nu[i]
+            if c <= 0:
+                continue
+            # nu is the parent of s_i nu only if i is the first negative
+            # coordinate of s_i nu; below `first` that holds by itself
+            if i > first and nu[first] < c * alphas[i][first]:
+                continue
+            child = tuple([x - c * a for x, a in zip(nu, alphas[i])])
+            if i > first and min(child[:i]) < 0:
+                continue
+            stack.append((child, i))
+
+
+# ---------------------------------------------------------------------------
 # brute-force Weyl group with signs, Kostant partitions, character formula
 
 
@@ -183,7 +244,7 @@ def character_multiplicity_oracle(rs: RootSystem, lam: Weight, mu: Weight,
     rho = Weight([1] * n)
     shifted = (lam + rho).coords
     target = (mu + rho).coords
-    inv = rs.cartan_inverse
+    inv = cartan_inverse(rs)
     total = 0
     for matrix, sign in weyl.items():
         moved = tuple(sum(matrix[r][c] * shifted[c] for c in range(n)) for r in range(n))

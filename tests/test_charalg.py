@@ -30,6 +30,7 @@ from oracles import (
     a1_tensor,
     brute_weyl_with_signs,
     character_multiplicity_oracle,
+    root_coordinates,
 )
 from test_acceptance import dominant_weights_upto, registry_embeddings
 
@@ -255,7 +256,7 @@ def reference_branch(emb, lam):
     heights = []
     for j in range(h.rank):
         basis = Weight([1 if k == j else 0 for k in range(h.rank)])
-        heights.append(sum(h.root_coordinates(basis), Fraction(0)))
+        heights.append(sum(root_coordinates(h, basis), Fraction(0)))
 
     def key(t):
         return (sum(a * b for a, b in zip(heights, t)), t)
@@ -373,7 +374,7 @@ def virtual_coefficients(emb, lam):
 
 
 def h_height(h, nu):
-    return sum(h.root_coordinates(Weight(nu)))
+    return sum(root_coordinates(h, Weight(nu)))
 
 
 NON_CHARACTERS = [

@@ -1,9 +1,10 @@
 """The shared reflection primitives against closed forms, and the J normaliser.
 
-``reflect``, ``orbit_walk`` and ``descend`` in ``rootsys`` carry every
-Weyl-group loop of the package, so they are checked here against
-|W| / |W_{J0}| and against ``from_word``, on every root system of rank at
-most 4 (products included) at each dominant weight of a small box.
+``reflect`` and ``descend`` in ``rootsys`` carry every Weyl-group loop of
+the package, so they are checked here, with the reference ``orbit_walk`` of
+``tests/oracles.py``, against |W| / |W_{J0}| and against ``from_word``, on
+every root system of rank at most 4 (products included) at each dominant
+weight of a small box.
 """
 
 import itertools
@@ -18,7 +19,6 @@ from frobcrit.rootsys import (
     build_root_system,
     descend,
     index_set,
-    orbit_walk,
     parabolic_weyl_order,
     reflect,
     rho_J,
@@ -33,6 +33,7 @@ from frobcrit.weyl import (
     verify_st_decomp,
 )
 
+from oracles import orbit_walk
 from test_weyl import _systems_up_to_rank
 
 

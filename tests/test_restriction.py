@@ -1,20 +1,24 @@
 """The orbit-table restriction in ``charalg`` against the orbit walk it replaced.
 
 ``walk_restriction`` and ``walk_branch`` below are ``charalg.branch`` as it
-was while every W_G-orbit of the dominant multiplicities was walked by
-``rootsys.orbit_walk`` on (G-weight || Res(G-weight)) tuples.  They are kept
-here as the reference for the restricted multiset, for the order in which
-the walk meets its weights, and for every error text.
+was while every W_G-orbit of the dominant multiplicities was walked by the
+reference ``orbit_walk`` (``tests/oracles.py``) on (G-weight || Res(G-weight))
+tuples, except that a refusal names its witness by the rule ``branch``
+follows, applied to the walk's full multiset: the non-integral weight, or
+the broken pair (low, up), highest by (<nu, 2 rho_vee>, nu).  They are the
+reference for the restricted multiset and for every result and error text,
+which therefore cannot depend on the order in which an orbit is listed.
 """
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from frobcrit import charalg, rootsys
-from frobcrit.charalg import branch, freudenthal, restricted_character, weyl_dim
+from frobcrit.charalg import branch, freudenthal, restricted_character, weyl_dim, weyl_orbit
 from frobcrit.embed import Embedding, diagonal, folding_E6F4, so_in_sl
 from frobcrit.rootsys import (
     Weight,
@@ -23,14 +27,19 @@ from frobcrit.rootsys import (
     fundamental_orbit,
     index_set,
     orbit_table,
-    orbit_walk,
     parabolic_weyl_order,
     reflect,
 )
 
+from oracles import orbit_walk
 from test_acceptance import dominant_weights_upto, registry_embeddings
 from test_charalg import EDGE_EMBEDDINGS, NON_CHARACTERS
 from test_weyl import _systems_up_to_rank
+
+
+def _height_key(h):
+    hv = tuple(map(sum, zip(*h.coroots)))
+    return lambda t: (sum(a * b for a, b in zip(hv, t)), t)
 
 
 def walk_restriction(emb, lam):
@@ -49,12 +58,14 @@ def walk_restriction(emb, lam):
             r = nu[gn:]
             restricted[r] = restricted.get(r, 0) + m
     if scale != 1:
-        for r in restricted:
-            if any(x % scale for x in r):
-                raise ValueError(
-                    f"restriction of the module with highest weight "
-                    f"{lam.coords} has the non-integral H-weight "
-                    f"{tuple(Fraction(x, scale) for x in r)}")
+        fractional = [r for r in restricted if any(x % scale for x in r)]
+        if fractional:
+            key = _height_key(emb.h)
+            r = max(fractional, key=lambda r: key(tuple(Fraction(x, scale) for x in r)))
+            raise ValueError(
+                f"restriction of the module with highest weight "
+                f"{lam.coords} has the non-integral H-weight "
+                f"({', '.join(str(Fraction(x, scale)) for x in r)})")
         restricted = {tuple(x // scale for x in r): m
                       for r, m in restricted.items()}
     return restricted
@@ -63,10 +74,7 @@ def walk_restriction(emb, lam):
 def walk_branch(emb, lam):
     h = emb.h
     restricted = walk_restriction(emb, lam)
-    hv = tuple(map(sum, zip(*h.coroots)))
-
-    def key(t):
-        return (sum(a * b for a, b in zip(hv, t)), t)
+    key = _height_key(h)
 
     broken = []
     for nu, m in restricted.items():
@@ -76,7 +84,7 @@ def walk_branch(emb, lam):
                 if restricted.get(image, 0) != m:
                     broken.append((nu, image) if c < 0 else (image, nu))
     if broken:
-        low, up = max(broken, key=lambda pair: key(pair[0]))
+        low, up = max(broken, key=lambda pair: (key(pair[0]), key(pair[1])))
         raise ValueError(
             f"weight {low} of the restricted character is not dominant and "
             f"has multiplicity {restricted.get(low, 0)}, but its reflection "
@@ -108,10 +116,6 @@ def outcome(fn, emb, lam):
         return type(exc).__name__, str(exc)
 
 
-def in_walk_order(emb, lam):
-    return restricted_character(emb, lam, walk_order=True)
-
-
 def as_multiset(fn):
     def call(emb, lam):
         return dict(sorted(fn(emb, lam).items()))
@@ -121,7 +125,6 @@ def as_multiset(fn):
 def assert_matches_walk(emb, lam):
     expect = walk_restriction(emb, lam)
     assert restricted_character(emb, lam) == expect, (emb.label, lam)
-    assert list(in_walk_order(emb, lam).items()) == list(expect.items()), (emb.label, lam)
     assert outcome(branch, emb, lam) == outcome(walk_branch, emb, lam), (emb.label, lam)
 
 
@@ -171,7 +174,7 @@ FRACTIONAL = [
     _custom("G2", "B2", [["5/3", 1], ["-1/6", "9/4"]], "G2-B2"),
     _custom("B3", "A2", [["1/2", 0, 1], [0, 1, "-1/2"]], "B3-A2"),
     _custom("A3", "A2", [["1/2", "1/2", 0], [0, "1/2", "1/2"]], "A3-A2"),
-    # the unordered count meets another non-integral weight first on these
+    # the tables and the walk meet another non-integral weight first on these
     _custom("B2", "A2", [["2/3", "-2/3"], [0, 1]], "B2-A2"),
     _custom("A1,A2", "A1", [[-1, 0, "2/3"]], "A1A2-A1"),
 ]
@@ -183,7 +186,6 @@ def test_custom_matrices_keep_every_result_and_error_text(emb):
     for lam in dominant_weights_upto(emb.g, 60):
         assert outcome(as_multiset(restricted_character), emb, lam) == \
             outcome(as_multiset(walk_restriction), emb, lam), (emb.label, lam)
-        assert outcome(in_walk_order, emb, lam) == outcome(walk_restriction, emb, lam)
         assert outcome(branch, emb, lam) == outcome(walk_branch, emb, lam), (emb.label, lam)
 
 
@@ -192,6 +194,10 @@ NEGATIVE = [
     _custom("A3", "A2", [[1, -2, 0], [0, 1, 1]], "A3-A2"),
     _custom("C3", "A1,A1", [[-1, 2, 0], [0, -1, -3]], "C3-A1A1"),
     _custom("G2", "A2", [[-2, 1], [3, -1]], "G2-A2"),
+    # at (0, 0, 1) the highest weight (-1, -2) of a broken pair has two
+    # broken images, (1, -2) by s_1 and (-1, 2) by s_2: the higher one, by
+    # s_2, is named whatever the order in which the pairs are found
+    _custom("A3", "A1,A1", [[1, 1, -2], [2, -2, -2]], "A3-A1A1"),
 ]
 
 
@@ -215,7 +221,48 @@ def test_entries_near_a_million_at_a_weight_near_the_cap():
     half = _custom("A3", "A1", [[f"{big}/2", f"{1 - big}/2", 7]], "big-half")
     assert outcome(as_multiset(restricted_character), half, lam) == \
         outcome(as_multiset(walk_restriction), half, lam)
-    assert outcome(in_walk_order, half, lam) == outcome(walk_restriction, half, lam)
+
+
+# -- witnesses by rule, one restriction per call ------------------------------------
+
+WITNESS_CASES = FRACTIONAL + NEGATIVE + [e for e, _ in EDGE_EMBEDDINGS + NON_CHARACTERS]
+
+
+def _reversed(fn):
+    def call(*args):
+        return Counter(dict(reversed(fn(*args).items())))
+    return call
+
+
+@pytest.mark.parametrize("emb", WITNESS_CASES, ids=lambda e: e.label)
+def test_error_texts_do_not_depend_on_the_order_of_the_restriction(emb, monkeypatch):
+    weights = dominant_weights_upto(emb.g, 30)
+    expect = [outcome(branch, emb, lam) for lam in weights]
+    # the tables list each orbit, and restricted_character its result, the other way round
+    monkeypatch.setattr(charalg, "_orbit_counts", _reversed(charalg._orbit_counts))
+    monkeypatch.setattr(charalg, "_convolve", _reversed(charalg._convolve))
+    monkeypatch.setattr(charalg, "restricted_character",
+                        _reversed(charalg.restricted_character))
+    assert [outcome(branch, emb, lam) for lam in weights] == expect, emb.label
+
+
+@pytest.mark.parametrize("emb,lam,text", [
+    (diagonal("A1", 2), (1, 1), None),
+    (EDGE_EMBEDDINGS[0][0], (1,), "non-integral H-weight (1/2)"),
+    (EDGE_EMBEDDINGS[2][0], (1, 0), "is not dominant"),
+    (NON_CHARACTERS[0][0], (1,), "negative residual multiplicity"),
+], ids=["character", "non-integral", "not-invariant", "negative-residual"])
+def test_branch_restricts_once_on_every_path(emb, lam, text, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return restricted_character(*args)
+
+    monkeypatch.setattr(charalg, "restricted_character", counted)
+    result = outcome(branch, emb, Weight(lam))
+    assert len(calls) == 1
+    assert (result[0] == "ValueError" and text in result[1]) if text else result
 
 
 # -- the orbit tables --------------------------------------------------------------
@@ -243,6 +290,19 @@ def test_orbit_tables_list_each_orbit_once(spec):
         zeros = [i + 1 for i in range(rs.rank) if i not in support]
         assert len(rows) == order // parabolic_weyl_order(rs, zeros), (spec, support)
         assert set(rows) == set(orbit_walk(rs, mu)) and len(set(rows)) == len(rows)
+
+
+@pytest.mark.parametrize("spec", _systems_up_to_rank(4))
+def test_weyl_orbit_matches_the_walk(spec):
+    rs = build_root_system(spec)
+    box = list(itertools.product(range(2), repeat=rs.rank))
+    halves = [tuple(Fraction(c, 2) for c in lam) for lam in box[1:4]]
+    for lam in box + halves:
+        orbit = set(orbit_walk(rs, lam))
+        assert weyl_orbit(rs, Weight(lam)) == orbit, (spec, lam)
+        # from a non-dominant member of the orbit, the lowest one included
+        for nu in (max(orbit), min(orbit)):
+            assert weyl_orbit(rs, Weight(nu)) == orbit, (spec, nu)
 
 
 def test_fundamental_orbit_actions_are_the_reflections():
