@@ -30,6 +30,7 @@ from .rootsys import (
     RootSystem,
     Weight,
     build_root_system,
+    coords_text,
     descend,
     fundamental_orbit,
     index_set,
@@ -49,6 +50,17 @@ _char_cache: dict[tuple, "DominantCharacter"] = {}
 _CHAR_CACHE_SIZE = 512
 
 
+def _dimension_text(dim: int) -> str:
+    """'is <dim>', or 'has <n> digits' past the 4 300 digits Python prints by
+    default; converted 600 digits at a time, under any setting of its limit (>= 640)."""
+    pieces = []
+    while dim >= 10 ** 600:
+        dim, low = divmod(dim, 10 ** 600)
+        pieces.append(f"{low:0600d}")
+    text = str(dim) + "".join(reversed(pieces))
+    return f"is {text}" if len(text) <= 4300 else f"has {len(text)} digits"
+
+
 class BranchCapExceeded(ValueError):
     """Raised instead of branching a G-module above the dimension cap."""
 
@@ -57,7 +69,8 @@ class BranchCapExceeded(ValueError):
         self.cap = cap
         super().__init__(
             f"refusing to branch the module of {rs.spec_string()} with highest "
-            f"weight {lam.coords}: dimension is {dim}, cap is {cap}")
+            f"weight {coords_text(lam.coords)}: dimension {_dimension_text(dim)}, "
+            f"cap is {cap}")
 
 
 def dominant_conjugate(rs: RootSystem, weight: Weight) -> Weight:
@@ -333,8 +346,9 @@ def restricted_character(emb: Embedding, lam: Weight) -> dict[tuple, int]:
     if fractional:
         r = max(fractional, key=_height_order(emb.h))
         raise ValueError(
-            f"restriction of the module with highest weight {lam.coords} has "
-            f"the non-integral H-weight ({', '.join(str(Fraction(x, scale)) for x in r)})")
+            f"restriction of the module with highest weight {coords_text(lam.coords)} "
+            f"has the non-integral H-weight "
+            f"{coords_text(Fraction(x, scale) for x in r)}")
     return {tuple(x // scale for x in r): m for r, m in restricted.items()}
 
 
@@ -376,10 +390,10 @@ def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
     if broken:
         low, up = max(broken, key=lambda pair: (key(pair[0]), key(pair[1])))
         raise ValueError(
-            f"weight {low} of the restricted character is not dominant and "
-            f"has multiplicity {restricted.get(low, 0)}, but its reflection "
-            f"{up} has {restricted.get(up, 0)}; restriction is not a "
-            f"character of H")
+            f"weight {coords_text(low)} of the restricted character is not "
+            f"dominant and has multiplicity {restricted.get(low, 0)}, but its "
+            f"reflection {coords_text(up)} has {restricted.get(up, 0)}; "
+            f"restriction is not a character of H")
 
     # Racah-Speiser: a W_H-invariant multiset is sum_nu n_nu ch V(nu) with
     # n_nu = sum_w eps(w) m(nu + rho - w rho), so each weight kappa adds its
@@ -399,7 +413,7 @@ def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
     if negative:
         worst = max(negative, key=key)
         raise ValueError(
-            f"negative residual multiplicity {virtual[worst]} at {worst}")
+            f"negative residual multiplicity {virtual[worst]} at {coords_text(worst)}")
     return {Weight(nu): virtual[nu]
             for nu in sorted(virtual, key=key, reverse=True) if virtual[nu]}
 

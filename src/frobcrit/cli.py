@@ -37,7 +37,7 @@ from .criteria import (
 )
 from .charalg import branch
 from .embed import CriterionInput
-from .rootsys import MAX_RANK, Weight, _require_int, build_root_system
+from .rootsys import MAX_RANK, Weight, _require_int, build_root_system, coords_text
 from .weyl import verify_st_decomp
 
 # verify-identities --max-rank 10 checks 8 258 (system, J) pairs in ~3.3 s; 16 would be 524 354
@@ -154,8 +154,7 @@ def _emit_json(obj, out) -> None:
 def _report_text(report: CriterionReport) -> str:
     lines = [
         f"embedding: {report.input.embedding.label}  J={list(report.input.J)}  p={report.input.p}",
-        f"condition (1): 2 rho_H - rho_J|_H = "
-        f"({', '.join(_frac_str(c) for c in report.condition1_weight.coords)})"
+        f"condition (1): 2 rho_H - rho_J|_H = {coords_text(report.condition1_weight.coords)}"
         f"  dominant={report.condition1_dominant} regular={report.condition1_regular}",
         f"surjectivity: {report.surjectivity.status} via {report.surjectivity.source}"
         f" ({report.surjectivity.detail})",
@@ -227,6 +226,14 @@ def embedding_from_descriptor(desc: dict) -> embed.Embedding:
         for key in ("g", "h", "matrix"):
             if key not in c:
                 raise InputError(f"custom embedding descriptor is missing {key!r}")
+        # the registry matches labels by this builder name, so a custom one may not claim it
+        label = c.get("label", "custom")
+        if not isinstance(label, str):
+            raise InputError(f"custom label must be a string, got {json.dumps(label)}")
+        head = label.split(":", 1)[0]
+        if head in _BUILDERS:
+            raise InputError(f"custom label {label!r} starts with the builder name "
+                             f"{head!r}, which only that builder may use")
         twist = c.get("twist_exponent")
         try:
             if twist is not None and _require_int(twist, "twist_exponent") < 1:
@@ -235,7 +242,7 @@ def embedding_from_descriptor(desc: dict) -> embed.Embedding:
                 build_root_system(c["g"]),
                 build_root_system(c["h"]),
                 [[_exact_entry(x) for x in row] for row in c["matrix"]],
-                c.get("label", "custom"),
+                label,
                 twist,
             )
         except (ValueError, TypeError, ZeroDivisionError) as err:
@@ -524,7 +531,7 @@ def _cmd_branch(args) -> int:
     if args.format == "text":
         print(f"{emb.label}: restriction of ({args.weight})")
         for w, m in items:
-            print(f"  {m} x ({', '.join(_frac_str(c) for c in w.coords)})")
+            print(f"  {m} x {coords_text(w.coords)}")
     else:
         _emit_json({
             "embedding": emb.label,

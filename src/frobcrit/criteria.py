@@ -21,7 +21,7 @@ from typing import Iterable
 from .embed import (CriterionInput, Embedding, detect_twist, restrict, rho_h,
                     root_fiber, validate)
 from .registry import lookup_donkin
-from .rootsys import Weight, _require_int, index_set, parabolic_weyl_order, rho_J
+from .rootsys import Weight, _require_int, coords_text, index_set, parabolic_weyl_order, rho_J
 from .weyl import EnumerationCapExceeded, WeylElement, enumerate_parabolic
 
 ORBIT_LABEL_CAP = 100
@@ -226,7 +226,7 @@ def check_main(inp: CriterionInput) -> CriterionReport:
         would = ", ".join(tag for tag, on in holds.items() if on)
         statements = [(
             "CONDITIONAL",
-            f"2 rho_H - rho_J|_H = {_coords(cond1)} is dominant, but surjectivity of "
+            f"2 rho_H - rho_J|_H = {coords_text(cond1.coords)} is dominant, but surjectivity of "
             f"restriction on sections of weight (p-1) rho_J is unresolved "
             f"({surjectivity.detail}); if it holds, these follow: {would}",
             "pending-surjectivity")]
@@ -240,11 +240,11 @@ def check_main(inp: CriterionInput) -> CriterionReport:
              f"every induced Schubert variety H x_BH X(w), w in W_J",
              "induced-parabolic-splitting"),
             ("CANONICAL_SPLIT",
-             f"rho_H - rho_J|_H = {_coords(canonical)} is dominant, so the "
+             f"rho_H - rho_J|_H = {coords_text(canonical.coords)} is dominant, so the "
              f"splitting of H x_BH (P_J/B) can be chosen B_H-canonical",
              "canonical-splitting"),
             ("GLOBALLY_F_REGULAR",
-             f"2 rho_H - rho_J|_H = {_coords(cond1)} is regular dominant, so "
+             f"2 rho_H - rho_J|_H = {coords_text(cond1.coords)} is regular dominant, so "
              f"H x_BH (P_J/B) and every induced Schubert variety H x_BH X(w), "
              f"w in W_J, is globally F-regular",
              "induced-parabolic-splitting"),
@@ -358,7 +358,3 @@ def conjugated_borel_check(emb: Embedding, x: WeylElement, J: Iterable[int]) -> 
     target = 2 * rho_h(emb) - restrict(emb, x.act(rho_J(emb.g, members)))
     return all(sign * sum(t * c for t, c in zip(target.coords, co)) >= 0
                for sign, co in zip(signs, emb.h.coroots))
-
-
-def _coords(w: Weight) -> str:
-    return "(" + ", ".join(str(c) for c in w.coords) + ")"

@@ -66,6 +66,8 @@ class DonkinLookup(NamedTuple):
 
 
 def lookup_donkin(emb: Embedding, p: int) -> DonkinLookup:
+    """The first record matching ``emb.label``, judged at p.  Library callers'
+    labels are trusted as builder provenance; the CLI refuses custom ones."""
     p = _require_int(p, "p")
     for record in DONKIN_RECORDS:
         if record.matches(emb.label):

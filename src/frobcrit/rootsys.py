@@ -14,7 +14,8 @@ step s_i mu = mu - mu_i alpha_i is ``reflect``, and ``descend`` repeats it
 toward dominance.  ``orbit_table`` lists the orbit of every dominant weight
 with a given support at once, as indices into the fundamental orbits
 (``fundamental_orbit``), and keeps it across calls; it is the one orbit
-enumerator of the package.
+enumerator of the package, and it and ``fundamental_orbit`` are each one
+breadth-first pass.
 
 The symmetrizer and the coroot table are integers, and every pairing
 <lam, gamma_vee> in the package reads ``RootSystem.coroots`` as
@@ -24,7 +25,6 @@ as public API.
 
 from __future__ import annotations
 
-import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -204,6 +204,12 @@ class Weight:
 
     def __repr__(self) -> str:
         return "Weight(%s)" % ", ".join(str(c) for c in self.coords)
+
+
+def coords_text(coords: Iterable) -> str:
+    """Weight coordinates as the package prints them in texts: ``(7/2)``,
+    ``(1, 0)``, with no trailing comma for rank 1."""
+    return "(" + ", ".join(map(str, coords)) + ")"
 
 
 def _require_int(value, what: str) -> int:
@@ -429,68 +435,24 @@ def _keep(key: tuple, value, size: int):
 
 
 def fundamental_orbit(rs: RootSystem, k: int):
-    """The W-orbit of omega_{k+1} (k 0-based) breadth first from omega_{k+1},
-    and its action table: ``act[i][x]`` is the index of s_{i+1} applied to
-    point x."""
+    """The W-orbit of omega_{k+1} (k 0-based) breadth first from omega_{k+1}
+    by ``reflect``, and its action table: ``act[i][x]`` is the index of
+    s_{i+1} applied to point x."""
     key = (rs.components, k)
     if key in _orbit_tables:
         return _orbit_tables[key][0]
     start = tuple([int(i == k) for i in range(rs.rank)])
     points, index = [start], {start: 0}
-    act = [[0] for _ in range(rs.rank)]
-    x = 0
-    while x < len(points):
-        p = points[x]
-        for i, c in enumerate(p):
-            if c > 0:
-                # every edge once, from the end where coordinate i is positive
-                q = tuple([v - c * a for v, a in zip(p, rs.alphas[i])])
-                y = index.get(q)
-                if y is None:
-                    y = index[q] = len(points)
-                    points.append(q)
-                    for row in act:
-                        row.append(y)
-                act[i][x] = y
-                act[i][y] = x
-        x += 1
+    act = [[] for _ in range(rs.rank)]
+    for p in points:  # grows while it is read: the breadth-first queue
+        for i, row in enumerate(act):
+            q = reflect(rs, p, i + 1)
+            y = index.get(q)
+            if y is None:
+                y = index[q] = len(points)
+                points.append(q)
+            row.append(y)
     return _keep(key, (points, act), (rs.rank + 1) * len(points))
-
-
-def _orbit_columns(rs: RootSystem, J: tuple[int, ...], S: tuple[int, ...]):
-    """(rows, columns) of the W_J-orbit of (omega_k)_{k in S}, S inside J:
-    column k holds the index of w omega_k in ``fundamental_orbit(rs, k)``.
-
-    The stabiliser of omega_{S[0]} in W_J is W_{J - S[0]}, so the orbit is
-    u times the W_{J - S[0]}-orbit of the rest of S, for u over the W_J-orbit
-    of omega_{S[0]}; each u is one reflection from a u found before it, and
-    the columns of the rest move by one action-table lookup per entry.
-    """
-    if not S:
-        return 1, []
-    k, rest = S[0], S[1:]
-    act = fundamental_orbit(rs, k)[1]
-    reps = [(0, 0, 0)]  # (index of u omega_k, position of u's parent, letter)
-    seen = {0}
-    pos = 0
-    while pos < len(reps):
-        x = reps[pos][0]
-        for i in J:
-            y = act[i][x]
-            if y not in seen:
-                seen.add(y)
-                reps.append((y, pos, i))
-        pos += 1
-    nfib, fibre = _orbit_columns(rs, tuple([i for i in J if i != k]), rest)
-    acts = [fundamental_orbit(rs, j)[1] for j in rest]
-    blocks = [fibre]
-    for _, parent, i in reps[1:]:
-        blocks.append([list(map(a[i].__getitem__, col))
-                       for a, col in zip(acts, blocks[parent])])
-    first = [x for x, _, _ in reps for _ in range(nfib)]
-    return len(reps) * nfib, [first] + [
-        list(itertools.chain.from_iterable(block[j] for block in blocks))
-        for j in range(len(rest))]
 
 
 def orbit_table(rs: RootSystem, support: tuple[int, ...]):
@@ -498,18 +460,30 @@ def orbit_table(rs: RootSystem, support: tuple[int, ...]):
     ``support`` (0-based, increasing): one column per k in ``support``,
     holding the index of w omega_{k+1} in ``fundamental_orbit(rs, k)`` for
     each coset w W_{J0}, J0 the nodes outside ``support``, so that
-    w mu = sum_k mu_k w omega_{k+1} row by row.  Rows come in no particular
-    order; the table is root data of rs, kept across calls.
+    w mu = sum_k mu_k w omega_{k+1} row by row.  Rows are listed breadth
+    first from mu's row, all zeros, one layer per reflection (on the regular
+    orbit, the layer of w is its length); s_i moves each column through its
+    fundamental orbit's action table.  The table is root data of rs, kept
+    across calls.
     """
     key = (rs.components, support)
     if key in _orbit_tables:
         return _orbit_tables[key][0]
-    if len(support) == 1:
-        # a single fundamental orbit is its own table
-        cols = [range(len(fundamental_orbit(rs, support[0])[0]))]
-    else:
-        _, cols = _orbit_columns(rs, tuple(range(rs.rank)), support)
-    return _keep(key, cols, len(cols[0]) * len(cols) if cols else 0)
+    acts = [fundamental_orbit(rs, k)[1] for k in support]
+    start = (0,) * len(support)
+    rows, seen, layer = [start], {start}, [start]
+    while layer:
+        cols = list(zip(*layer))
+        found = []
+        for i in range(rs.rank):
+            for row in zip(*[map(act[i].__getitem__, col) for act, col in zip(acts, cols)]):
+                if row not in seen:
+                    seen.add(row)
+                    found.append(row)
+        rows += found
+        layer = found
+    cols = [list(col) for col in zip(*rows)]
+    return _keep(key, cols, len(rows) * len(cols))
 
 
 def rho_J(rs: RootSystem, J: Iterable[int]) -> Weight:

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -410,8 +411,8 @@ def test_refusal_names_the_highest_negative_virtual_coefficient(emb, weights):
         top = max(negative, key=lambda nu: (h_height(emb.h, nu), nu))
         with pytest.raises(ValueError) as caught:
             branch(emb, Weight(coords))
-        assert str(caught.value) == \
-            f"negative residual multiplicity {virtual[top]} at {top}", coords
+        assert str(caught.value) == f"negative residual multiplicity {virtual[top]} at " \
+            f"({', '.join(map(str, top))})", coords
 
 
 @pytest.mark.parametrize("emb,lam", [
@@ -434,7 +435,7 @@ def test_refusal_text_names_the_highest_weight():
                     label="custom")
     with pytest.raises(ValueError) as caught:
         branch(emb, W(2, 2))
-    assert str(caught.value) == "negative residual multiplicity -1 at (7,)"
+    assert str(caught.value) == "negative residual multiplicity -1 at (7)"
 
 
 # -- bounded work -------------------------------------------------------------------
@@ -448,6 +449,31 @@ def test_branch_cap_refuses_before_freudenthal_with_the_exact_dimension():
         branch(emb, lam)
     assert caught.value.dim == dim and caught.value.cap == DEFAULT_BRANCH_CAP
     assert f"dimension is {dim}, cap is {DEFAULT_BRANCH_CAP}" in str(caught.value)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+def test_branch_cap_text_does_not_depend_on_the_int_digit_limit():
+    emb = identity("A16")
+    default = sys.get_int_max_str_digits()
+    for digits in (15, 99):  # about 2 000 and 13 500 digits of dimension
+        lam = Weight([10 ** digits - 1 - k for k in range(16)])
+        dim = weyl_dim(emb.g, lam)
+        texts = set()
+        try:
+            for limit in (640, 0, default):
+                sys.set_int_max_str_digits(limit)
+                with pytest.raises(BranchCapExceeded) as caught:
+                    branch(emb, lam)
+                assert caught.value.dim == dim
+                texts.add(str(caught.value))
+            sys.set_int_max_str_digits(0)
+            shown = str(dim)
+        finally:
+            sys.set_int_max_str_digits(default)
+        size = f"is {shown}" if len(shown) <= 4300 else f"has {len(shown)} digits"
+        assert texts == {f"refusing to branch the module of A16 with highest weight "
+                         f"({', '.join(map(str, lam.coords))}): dimension {size}, "
+                         f"cap is {DEFAULT_BRANCH_CAP}"}
 
 
 def test_branch_cap_env(monkeypatch):

@@ -196,6 +196,14 @@ def test_check_malformed_json(capsys):
     lambda d: d.update(embedding={"builder": "folding_AC", "params": {"m": 300}}),
     lambda d: d.update(embedding={"builder": "diagonal", "params": {"h": "A2", "k": 10 ** 12}}),
     lambda d: d.update(embedding={"custom": {"g": "A40", "h": "A1", "matrix": [[1] * 40]}}),
+    lambda d: d.update(embedding={"custom": {"g": "A2", "h": "A1", "matrix": [[1, 1]],
+                                             "label": "levi:fake"}}, J=[1]),
+    lambda d: d.update(embedding={"custom": {"g": "A2", "h": "A1", "matrix": [[1, 1]],
+                                             "label": "diagonal:x:k=2"}}, J=[1], p=3),
+    lambda d: d.update(embedding={"custom": {"g": "A2", "h": "A1", "matrix": [[1, 1]],
+                                             "label": "identity"}}, J=[1]),
+    lambda d: d.update(embedding={"custom": {"g": "A2", "h": "A1", "matrix": [[1, 1]],
+                                             "label": {"levi": 1}}}, J=[1]),
 ], ids=["J-not-int", "p-not-int", "param-null", "matrix-entry-object",
         "expect-not-object", "embedding-not-object", "custom-not-object",
         "builder-not-string", "params-not-object", "p-float", "J-float", "J-bool",
@@ -207,7 +215,9 @@ def test_check_malformed_json(capsys):
         "expect-dominant-string", "expect-lie-unknown-value", "expect-unknown-key",
         "h-rank-float", "h-rank-bool", "h-rank-str", "h-letter-int", "custom-g-rank-float",
         "J-out-of-range", "J-not-list", "J-string", "J-null", "h-rank-negative",
-        "folding_AC-rank-599", "diagonal-rank-2e12", "custom-g-rank-40"])
+        "folding_AC-rank-599", "diagonal-rank-2e12", "custom-g-rank-40",
+        "custom-label-levi", "custom-label-diagonal", "custom-label-builder-name",
+        "custom-label-object"])
 def test_check_malformed_values_are_refused(capsys, mutate):
     data = json.loads(json.dumps(CHECK_INPUT))
     mutate(data)
@@ -499,6 +509,18 @@ def test_branch_above_cap_is_refused_quickly(capsys):
     assert err.startswith("error: refusing to branch")
     assert (f"dimension is 10314424798490535546171949056, "
             f"cap is {charalg.DEFAULT_BRANCH_CAP}") in err
+
+
+def test_branch_above_cap_names_the_cap_past_the_int_digit_limit(capsys):
+    # sixteen 99-digit coordinates: more digits of dimension than Python prints
+    start = time.perf_counter()
+    code, out, err = run(capsys, "branch", json.dumps({"builder": "identity",
+                                                       "params": {"h": "A16"}}),
+                         ",".join([str(10 ** 99 - 1)] * 16))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: refusing to branch")
+    assert err.endswith(f"dimension has 13465 digits, cap is {charalg.DEFAULT_BRANCH_CAP}\n")
 
 
 def test_branch_bad_cap_env_is_one_error_line(capsys, monkeypatch):

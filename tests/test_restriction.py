@@ -37,6 +37,11 @@ from test_charalg import EDGE_EMBEDDINGS, NON_CHARACTERS
 from test_weyl import _systems_up_to_rank
 
 
+def _text(coords):
+    """A weight as every refusal prints it: (7), (1, -2), (1/2, 3)."""
+    return "(%s)" % ", ".join(str(c) for c in coords)
+
+
 def _height_key(h):
     hv = tuple(map(sum, zip(*h.coroots)))
     return lambda t: (sum(a * b for a, b in zip(hv, t)), t)
@@ -64,8 +69,8 @@ def walk_restriction(emb, lam):
             r = max(fractional, key=lambda r: key(tuple(Fraction(x, scale) for x in r)))
             raise ValueError(
                 f"restriction of the module with highest weight "
-                f"{lam.coords} has the non-integral H-weight "
-                f"({', '.join(str(Fraction(x, scale)) for x in r)})")
+                f"{_text(lam.coords)} has the non-integral H-weight "
+                f"{_text(Fraction(x, scale) for x in r)}")
         restricted = {tuple(x // scale for x in r): m
                       for r, m in restricted.items()}
     return restricted
@@ -86,9 +91,9 @@ def walk_branch(emb, lam):
     if broken:
         low, up = max(broken, key=lambda pair: (key(pair[0]), key(pair[1])))
         raise ValueError(
-            f"weight {low} of the restricted character is not dominant and "
+            f"weight {_text(low)} of the restricted character is not dominant and "
             f"has multiplicity {restricted.get(low, 0)}, but its reflection "
-            f"{up} has {restricted.get(up, 0)}; restriction is not a "
+            f"{_text(up)} has {restricted.get(up, 0)}; restriction is not a "
             f"character of H")
     virtual = {}
     for kappa, m in restricted.items():
@@ -103,7 +108,8 @@ def walk_branch(emb, lam):
     negative = [nu for nu, n in virtual.items() if n < 0]
     if negative:
         worst = max(negative, key=key)
-        raise ValueError(f"negative residual multiplicity {virtual[worst]} at {worst}")
+        raise ValueError(
+            f"negative residual multiplicity {virtual[worst]} at {_text(worst)}")
     return {Weight(nu): virtual[nu]
             for nu in sorted(virtual, key=key, reverse=True) if virtual[nu]}
 
@@ -313,6 +319,22 @@ def test_fundamental_orbit_actions_are_the_reflections():
             assert len(set(points)) == len(points)
             for i in range(rs.rank):
                 assert [points[y] for y in act[i]] == [reflect(rs, p, i + 1) for p in points]
+
+
+@pytest.mark.parametrize("spec", ["E6", "F4", "A1,B2"])
+def test_tables_are_rebuilt_the_same_after_the_cache_is_cleared(spec, monkeypatch):
+    # the cache may drop a fundamental orbit while a table that indexes it is
+    # kept, so every rebuild has to list the same points in the same order
+    rs = build_root_system(spec)
+    supports = [s for s in _supports(rs.rank) if len(s) <= 3]
+
+    def build():
+        monkeypatch.setattr(rootsys, "_orbit_tables", {})
+        monkeypatch.setattr(rootsys, "_table_total", 0)
+        orbits = [fundamental_orbit(rs, k) for k in range(rs.rank)]
+        return orbits, [set(zip(*orbit_table(rs, s))) for s in supports]
+
+    assert build() == build()
 
 
 def test_orbit_table_cache_stays_inside_its_budget(monkeypatch):
