@@ -1,8 +1,10 @@
 """Exact character computations: weight multiplicities and branching.
 
-Multiplicities come from Freudenthal's recursion evaluated over the
-dominant weights of the module; full characters are recovered by Weyl-orbit
-expansion when asked for.  Branching through an embedding never builds a
+Multiplicities come from one Freudenthal recursion over the dominant
+weights of the module, for simple and product systems alike: each root
+string is read up to its first dominant point, whose stored string tail
+supplies the rest; full characters are recovered by Weyl-orbit expansion
+when asked for.  Branching through an embedding never builds a
 full character: the W_G-orbit of each dominant weight is read off the
 orbit table of its stabiliser type (``rootsys.orbit_table``, kept across
 calls), with every restricted weight packed into one int, so restricting
@@ -134,45 +136,30 @@ class DominantCharacter:
 
 
 def freudenthal(rs: RootSystem, lam: Weight) -> DominantCharacter:
-    """Weight multiplicities of the irreducible module with highest weight lam."""
+    """Weight multiplicities of the irreducible module with highest weight lam.
+
+    One recursion for every root system, simple or a product, over the
+    dominant weights of the module from the top.  The sum at mu runs over
+    the strings mu + k beta (k >= 1) of the positive roots; a string is read
+    up to its first dominant point nu, and the rest of it is the tail
+    S_beta(nu) = sum_{k>=1} m(nu + k beta)(nu + k beta, beta), stored when nu,
+    which is higher than mu, was reached.  A string that starts outside the
+    dominant chamber never re-enters it, so every weight costs one step per
+    root except near the walls.
+    """
     if len(lam) != rs.rank:
         raise ValueError("highest weight rank mismatch")
     if not lam.is_integral() or not lam.is_dominant():
         raise ValueError(f"highest weight must be dominant integral, got {lam!r}")
 
-    if rs.components == (("A", 1),):
-        # every weight of an sl2-module has multiplicity one; the recursion
-        # would sum a string up to the top at each of them, O(lam^2) in all
-        return DominantCharacter(rs, lam, {Weight((c,)): 1
-                                           for c in range(lam.coords[0], -1, -2)})
-
-    if len(rs.components) > 1:
-        # characters of product systems factor, so combine the per-component
-        # dominant maps instead of running the recursion on the product
-        factor_maps = []
-        for (lo, hi), comp in zip(rs.component_spans, rs.components):
-            piece = Weight(lam.coords[lo:hi])
-            factor_maps.append(_cached_character(build_root_system([comp]), piece)
-                               .multiplicities)
-        mults: dict[Weight, int] = {}
-        for combo in itertools.product(*(fm.items() for fm in factor_maps)):
-            coords = tuple(c for w, _ in combo for c in w.coords)
-            m = 1
-            for _, factor_mult in combo:
-                m *= factor_mult
-            mults[Weight(coords)] = m
-        return DominantCharacter(rs, lam, mults)
-
     # the symmetrizer is integral, so both sides of the recursion scale
-    # together and everything below is plain integer arithmetic on tuples
+    # together and everything below is plain integer arithmetic on tuples:
+    # each positive root in weight coordinates, its root coordinates, and the
+    # coefficients of (nu, beta) = sum_k coef_k nu_k
     n = rs.rank
     isym = rs.symmetrizer
-    pos = []
-    for beta, bw in zip(rs.positive_roots, rs.positive_weights):
-        # root coordinates of bw are beta itself, so (bw, bw) is immediate
-        coef = tuple(beta[k] * isym[k] for k in range(n))
-        ip_bb = sum(coef[k] * bw[k] for k in range(n))
-        pos.append((bw, beta, coef, ip_bb))
+    pos = [(bw, beta, tuple(map(operator.mul, beta, isym)))
+           for beta, bw in zip(rs.positive_roots, rs.positive_weights)]
 
     # all dominant weights of the module: close lam under subtracting positive
     # roots while staying dominant, tracking the root coordinates of lam - mu
@@ -184,39 +171,41 @@ def freudenthal(rs: RootSystem, lam: Weight) -> DominantCharacter:
         nxt = []
         for mu_t in frontier:
             diff = dom[mu_t]
-            for bw, beta, _, _ in pos:
-                cand = tuple(mu_t[k] - bw[k] for k in range(n))
+            for bw, beta, _ in pos:
+                cand = tuple(map(operator.sub, mu_t, bw))
                 if min(cand) >= 0 and cand not in dom:
-                    dom[cand] = tuple(diff[k] + beta[k] for k in range(n))
+                    dom[cand] = tuple(map(operator.add, diff, beta))
                     nxt.append(cand)
         frontier = nxt
 
+    # by height from the top, so every dominant nu on a string above mu comes
+    # before mu; tails[nu][b] is S_beta(nu) for the b-th positive root
     ordered = sorted(dom, key=lambda t: (sum(dom[t]), t))
     mults: dict[tuple, int] = {lam_t: 1}
-    for mu_t in ordered:
-        if mu_t == lam_t:
-            continue
-        acc = 0
-        for bw, _, coef, ip_bb in pos:
-            # along the string nu = mu + k*bw the form is affine in k:
-            # (nu, bw) = (mu, bw) + k (bw, bw)
-            base = sum(coef[k] * mu_t[k] for k in range(n))
-            k = 1
-            nu = tuple(mu_t[j] + bw[j] for j in range(n))
+    tails = {lam_t: [0] * len(pos)}
+    for mu_t in ordered[1:]:
+        row = []
+        for b, (bw, _, coef) in enumerate(pos):
+            tail = 0
+            nu = tuple(map(operator.add, mu_t, bw))
             while True:
-                key = nu if min(nu) >= 0 else descend(rs, nu)[0]
-                m = mults.get(key)
+                dominant = min(nu) >= 0
+                m = mults.get(nu if dominant else descend(rs, nu)[0])
                 if m is None:
                     break  # weight strings are saturated, nothing further up
-                acc += m * (base + k * ip_bb)
-                k += 1
-                nu = tuple(nu[j] + bw[j] for j in range(n))
+                tail += m * sum(map(operator.mul, coef, nu))
+                if dominant:
+                    tail += tails[nu][b]
+                    break
+                nu = tuple(map(operator.add, nu, bw))
+            row.append(tail)
+        tails[mu_t] = row
         # (lam+rho, lam+rho) - (mu+rho, mu+rho) = (lam+mu+2rho, lam-mu), and
         # the second factor carries the integer root coordinates tracked above
         diff = dom[mu_t]
         denom = sum(diff[k] * isym[k] * (lam_t[k] + mu_t[k] + 2)
                     for k in range(n))
-        value, remainder = divmod(2 * acc, denom)
+        value, remainder = divmod(2 * sum(row), denom)
         if remainder or value <= 0:
             raise AssertionError(f"non-positive-integer multiplicity at {mu_t!r}")
         mults[mu_t] = value

@@ -149,11 +149,14 @@ def _symmetrizer(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 
 def _exact(c):
-    # ints hash and add an order of magnitude faster than Fraction, and
-    # nearly every weight in practice is integral, so only keep Fraction
-    # for genuinely fractional entries
+    """An int, or a Fraction for a genuinely fractional entry (ints hash and
+    add an order of magnitude faster); a float is a binary approximation and
+    a bool is no number, so both are refused rather than converted."""
     if type(c) is int:
         return c
+    if isinstance(c, (bool, float)):
+        raise TypeError(f"{c!r} is not an exact number: give an int, a Fraction "
+                        f"or a string such as '1/2'")
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
@@ -189,7 +192,8 @@ class Weight:
         return Weight(-c for c in self.coords)
 
     def __mul__(self, scalar) -> "Weight":
-        return Weight(c * Fraction(scalar) for c in self.coords)
+        scalar = _exact(scalar)
+        return Weight(c * scalar for c in self.coords)
 
     __rmul__ = __mul__
 

@@ -14,7 +14,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from frobcrit.rootsys import RootSystem, Weight
+from frobcrit.rootsys import RootSystem, Weight, build_root_system, descend
 
 
 # ---------------------------------------------------------------------------
@@ -274,3 +274,75 @@ def permutation_inversion_histogram(n: int) -> dict[int, int]:
         inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
         hist[inv] = hist.get(inv, 0) + 1
     return hist
+
+
+# ---------------------------------------------------------------------------
+# Freudenthal's recursion with every string summed to its top
+
+
+def reference_freudenthal(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
+    """{dominant weight: multiplicity} of the module with highest weight lam.
+
+    Freudenthal's recursion as it was written before string tails were
+    stored: each string mu + k beta is summed to its top, point by point;
+    sl2 is answered directly (every multiplicity is one), and a product
+    multiplies its factors' dominant maps.
+    """
+    if rs.components == (("A", 1),):
+        return {Weight((c,)): 1 for c in range(lam.coords[0], -1, -2)}
+    if len(rs.components) > 1:
+        factor_maps = [reference_freudenthal(build_root_system([comp]),
+                                             Weight(lam.coords[lo:hi]))
+                       for (lo, hi), comp in zip(rs.component_spans, rs.components)]
+        mults: dict[Weight, int] = {}
+        for combo in itertools.product(*(fm.items() for fm in factor_maps)):
+            m = 1
+            for _, factor_mult in combo:
+                m *= factor_mult
+            mults[Weight(c for w, _ in combo for c in w.coords)] = m
+        return mults
+
+    n = rs.rank
+    isym = rs.symmetrizer
+    pos = []
+    for beta, bw in zip(rs.positive_roots, rs.positive_weights):
+        coef = tuple(beta[k] * isym[k] for k in range(n))
+        ip_bb = sum(coef[k] * bw[k] for k in range(n))
+        pos.append((bw, beta, coef, ip_bb))
+
+    lam_t = tuple(int(c) for c in lam.coords)
+    dom = {lam_t: (0,) * n}
+    frontier = [lam_t]
+    while frontier:
+        nxt = []
+        for mu_t in frontier:
+            diff = dom[mu_t]
+            for bw, beta, _, _ in pos:
+                cand = tuple(mu_t[k] - bw[k] for k in range(n))
+                if min(cand) >= 0 and cand not in dom:
+                    dom[cand] = tuple(diff[k] + beta[k] for k in range(n))
+                    nxt.append(cand)
+        frontier = nxt
+
+    ordered = sorted(dom, key=lambda t: (sum(dom[t]), t))
+    mults_t: dict[tuple, int] = {lam_t: 1}
+    for mu_t in ordered[1:]:
+        acc = 0
+        for bw, _, coef, ip_bb in pos:
+            base = sum(coef[k] * mu_t[k] for k in range(n))
+            k = 1
+            nu = tuple(mu_t[j] + bw[j] for j in range(n))
+            while True:
+                key = nu if min(nu) >= 0 else descend(rs, nu)[0]
+                m = mults_t.get(key)
+                if m is None:
+                    break
+                acc += m * (base + k * ip_bb)
+                k += 1
+                nu = tuple(nu[j] + bw[j] for j in range(n))
+        diff = dom[mu_t]
+        denom = sum(diff[k] * isym[k] * (lam_t[k] + mu_t[k] + 2) for k in range(n))
+        value, remainder = divmod(2 * acc, denom)
+        assert remainder == 0 and value > 0, mu_t
+        mults_t[mu_t] = value
+    return {Weight(t): m for t, m in mults_t.items()}

@@ -31,6 +31,7 @@ from oracles import (
     a1_tensor,
     brute_weyl_with_signs,
     character_multiplicity_oracle,
+    reference_freudenthal,
     root_coordinates,
 )
 from test_acceptance import dominant_weights_upto, registry_embeddings
@@ -85,6 +86,29 @@ def test_closed_form_dimension_matches_weyl_dim(emb):
     # sum of m(mu) |W| / |W_{J0(mu)}| against the Weyl dimension formula
     for lam in dominant_weights_upto(emb.g, 200):
         assert freudenthal(emb.g, lam).dimension() == weyl_dim(emb.g, lam), lam
+
+
+# -- the recursion with stored string tails against the whole-string one -------
+
+# every simple system of rank <= 4 with G2, and the G of every registry and
+# branch-sweep embedding, each with the largest dimension it is compared up to:
+# 2 000, except A1, taken at 0..300, and the four products that would walk 1
+# to 55 million string starts there (0.2 to 18 million dominant weights),
+# which stop at 200
+REFERENCE_SYSTEMS = {
+    "A1": 301, "A2": 2000, "A3": 2000, "A4": 2000, "A5": 2000, "A6": 2000, "A7": 2000,
+    "B2": 2000, "B3": 2000, "B4": 2000, "C2": 2000, "C3": 2000, "C4": 2000,
+    "D4": 2000, "D5": 2000, "D6": 2000, "E6": 2000, "F4": 2000, "G2": 2000,
+    "B2,B2": 2000, "G2,G2,G2": 2000,
+    "A1,A1": 200, "A1,A1,A1": 200, "A2,A2": 200, "A2,A2,A2": 200,
+}
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SYSTEMS)
+def test_freudenthal_matches_whole_string_recursion(spec):
+    rs = build_root_system(spec)
+    for lam in dominant_weights_upto(rs, REFERENCE_SYSTEMS[spec]):
+        assert freudenthal(rs, lam).multiplicities == reference_freudenthal(rs, lam), lam
 
 
 def fraction_weyl_dim(rs, lam):

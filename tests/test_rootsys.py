@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from frobcrit.criteria import thm41_hypotheses
+from frobcrit.embed import Embedding, identity
 from frobcrit.rootsys import (
     MAX_RANK,
     RootSystem,
@@ -217,6 +219,23 @@ def test_weight_arithmetic():
     assert (3 * a).coords == (3, 6)
     assert (a * Fraction(1, 2)).coords == (Fraction(1, 2), 1)
     assert a != b and hash(Weight([1, 2])) == hash(a)
+
+
+def test_floats_and_bools_are_refused_where_exact_numbers_are_taken():
+    assert Weight([2, Fraction(6, 4), "1/2", "3"]).coords == (2, Fraction(3, 2), Fraction(1, 2), 3)
+    assert (Weight([1, 2]) * "1/2").coords == (Fraction(1, 2), 1)
+    a1 = build_root_system("A1")
+    for bad in (0.1, 1.0, True, False):
+        with pytest.raises(TypeError, match=repr(bad)):
+            Weight([bad])
+        with pytest.raises(TypeError, match=repr(bad)):
+            Weight([1]) * bad
+        with pytest.raises(TypeError, match=repr(bad)):
+            bad * Weight([1])
+        with pytest.raises(TypeError, match=repr(bad)):
+            Embedding(a1, a1, [[bad]], "custom")
+    with pytest.raises(TypeError, match="True"):
+        thm41_hypotheses(identity("A1"), Weight([True]), 2)
 
 
 def test_dominance_predicates():
