@@ -45,9 +45,10 @@ from .weyl import _resolve_cap
 DEFAULT_BRANCH_CAP = 50_000
 _BRANCH_CAP_ENV = "FROBCRIT_BRANCH_CAP"
 
-# factor characters of product systems; a plain dict in insertion order,
-# whose oldest entries are dropped past _CHAR_CACHE_SIZE (a branch-sweep
-# round of 140 queries holds at most 70)
+# the character of each simple factor that branch reads, for every G; a
+# plain dict in insertion order, whose oldest entries are dropped past
+# _CHAR_CACHE_SIZE (a branch-sweep round of 140 queries held at most 156
+# over seeds 1-5)
 _char_cache: dict[tuple, "DominantCharacter"] = {}
 _CHAR_CACHE_SIZE = 512
 
@@ -311,16 +312,13 @@ def restricted_character(emb: Embedding, lam: Weight) -> dict[tuple, int]:
     bound = top * max(sum(map(abs, row)) for row in rows)
     radix = 2 * bound + 1
     f = [sum(row[k] * radix ** j for j, row in enumerate(rows)) for k in range(g.rank)]
-    if len(g.components) == 1:
-        counts = _orbit_counts(g, f, freudenthal(g, lam).multiplicities)
-    else:
-        # a product's character is the product of its factors', and packing
-        # adds over the factors, so the factors' counts convolve
-        counts = Counter({0: 1})
-        for (lo, hi), comp in zip(g.component_spans, g.components):
-            factor = _cached_character(build_root_system([comp]), Weight(lam.coords[lo:hi]))
-            counts = _convolve(counts, _orbit_counts(factor.rs, f[lo:hi],
-                                                     factor.multiplicities))
+    # a product's character is the product of its factors', and packing
+    # adds over the factors, so the factors' counts convolve
+    counts = None
+    for (lo, hi), comp in zip(g.component_spans, g.components):
+        factor = _cached_character(build_root_system([comp]), Weight(lam.coords[lo:hi]))
+        part = _orbit_counts(factor.rs, f[lo:hi], factor.multiplicities)
+        counts = part if counts is None else _convolve(counts, part)
 
     # digit j of key + offset is coordinate j + bound, in 0..2 bound
     rest = list(map((sum(bound * radix ** j for j in range(hn))).__add__, counts))

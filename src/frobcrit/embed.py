@@ -177,7 +177,7 @@ def levi(rs, J: Iterable[int]) -> Embedding:
     root spaces of G, recorded in ``root_lift``.
     """
     g = _as_root_system(rs)
-    members = index_set(g, J)
+    members = index_set(g, tuple(J))  # refusing None, which index_set reads as every node
     if not members:
         raise ValueError("a Levi embedding needs a nonempty index set J")
     pieces = subsystem_components(g, members)

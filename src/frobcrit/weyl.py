@@ -4,10 +4,11 @@ An element w is keyed by the integer tuple v = w^{-1}(rho), which determines
 w because rho is regular (Stembridge, MSJ Memoirs 11, 2001): equality,
 hashing, ``length`` and ``is_identity`` read v, and enumeration and
 ``from_word`` step on it by ``rootsys.reflect`` and ``reflect_word``.  The
-integer matrix of w on fundamental-weight coordinates is built from the
-word, by ``_times_reflection``, only when ``.matrix`` is read.  Words are
-tuples of 1-based indices and compose left to right, i.e.
-``from_word(rs, (1, 2))`` is s_1 composed with s_2, applied as s_1(s_2(v)).
+integer matrix of w on fundamental-weight coordinates is built only when
+``.matrix`` is read: its column k is w omega_k, reflected along the word by
+``reflect_word``.  Words are tuples of 1-based indices and compose left to
+right, i.e. ``from_word(rs, (1, 2))`` is s_1 composed with s_2, applied as
+s_1(s_2(v)).
 """
 
 from __future__ import annotations
@@ -44,16 +45,6 @@ class EnumerationCapExceeded(ValueError):
             f"order is {order}, cap is {cap}")
 
 
-def _times_reflection(rs: RootSystem, cols: list, j: int) -> None:
-    """Turn the columns of w into those of w s_j: as s_j omega_k = omega_k -
-    delta_jk alpha_j, only column j changes, to -col_j - sum_{c != j} a_cj col_c."""
-    col = [-x for x in cols[j - 1]]
-    for c, a in rs.alpha_support[j - 1]:
-        if c != j - 1:
-            col = [x - a * y for x, y in zip(col, cols[c])]
-    cols[j - 1] = col
-
-
 class WeylElement:
     """An element w of W(rs), keyed by v = w^{-1} rho, with a word spelling it.
 
@@ -83,10 +74,10 @@ class WeylElement:
         """w on fundamental-weight coordinates, built from the word when first read."""
         if self._matrix is None:
             n = self.rs.rank
-            cols = [[int(i == j) for j in range(n)] for i in range(n)]
-            for i in self.word:  # I @ S_{i_1} @ ... @ S_{i_k}
-                _times_reflection(self.rs, cols, i)
-            self._matrix = tuple(zip(*cols))
+            # column k is w omega_k = s_{i_1}(...(s_{i_k}(omega_k)))
+            self._matrix = tuple(zip(*(
+                reflect_word(self.rs, [int(i == k) for i in range(n)], reversed(self.word))
+                for k in range(n))))
         return self._matrix
 
     def __eq__(self, other) -> bool:

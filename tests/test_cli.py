@@ -280,6 +280,14 @@ def test_check_bad_cap_env_is_one_error_line(capsys, monkeypatch):
     assert "FROBCRIT_ENUM_CAP must be a positive integer" in err
 
 
+def test_examples_run_bad_cap_env_is_one_error_line(capsys, monkeypatch):
+    # a refusal raised outside any check-specific handling still ends in exit 2
+    monkeypatch.setenv("FROBCRIT_ENUM_CAP", "abc")
+    code, out, err = run(capsys, "examples", "run", "minimal-rank")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "FROBCRIT_ENUM_CAP must be a positive integer" in err
+
+
 def test_custom_matrix_floats_refused_exact_strings_accepted(capsys):
     code, out, err = run(capsys, "min-p", json.dumps(
         {"custom": {"g": "A1", "h": "A1", "matrix": [[0.1]]}}))

@@ -1,11 +1,14 @@
-"""Generated JSON for ``check``, ``branch`` and ``min-p``, run through ``cli.main``.
+"""Generated calls of every subcommand, run through ``cli.main``: JSON for
+``check``, ``branch`` and ``min-p``, names for ``examples run`` and ranks
+for ``verify-identities``.
 
 Whatever the input, no exception escapes, the exit code is 0, 1 or 2, and 1
 (a failed expectation) occurs only when the input carries an ``expect``
-block.  An input error is one ``error:`` line on stderr.  The inputs mix
-well-formed descriptors, parameters and weights with junk in every slot;
-builder parameters and weights stay small, so that an accepted input is
-cheap to run.
+block or runs an example, which carries its own.  An input error is one
+``error:`` line on stderr.  The inputs mix well-formed descriptors,
+parameters, weights, names and ranks with junk in every slot; builder
+parameters, weights and ranks stay small, so that an accepted input is cheap
+to run.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import json
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from frobcrit import cli
+from frobcrit import cli, registry
+from frobcrit.rootsys import MAX_RANK
 
 BIG_P = '{"embedding": {"builder": "so_in_sl", "params": {"n": 5}}, "J": [1], "p": 1%s}' % (
     "0" * 4400)
@@ -46,6 +50,17 @@ NUMBERS = st.one_of(
     st.sampled_from(["1/2", "-7/2", "3/0", "0.5", "1e3", "1e5000", "1e100000000",
                      "1e-100000000", "x", "", "1" * 200]),
     st.fractions(max_denominator=4).map(str))
+# example names: every listed one (a parametrised name as listed, which is
+# refused), its parameter in and out of range, and junk
+EXAMPLE_NAMES = _mostly(
+    st.sampled_from(list(registry.EXAMPLES)) | st.builds(
+        "{}:{}".format, st.sampled_from(["sln-son", "triple-diagonal"]),
+        st.sampled_from(["x", "2", "4", "5", "Z9", "A20", "A1", "G2", "A1,A1", ""])),
+    st.text(max_size=8))
+# verify-identities ranks: in range, refused below 1 or above a cap, and junk
+MAX_RANKS = _mostly(st.integers(-1, 7).map(str)
+                    | st.sampled_from([11, MAX_RANK + 1, 10 ** 40]).map(str),
+                    st.text(max_size=4))
 # builder parameters: mostly in range, sometimes just outside it
 PARAMS = {
     "g": SPECS, "h": SPECS,
@@ -78,8 +93,14 @@ def descriptors(draw):
 @st.composite
 def cli_calls(draw):
     """(argv, whether the input carries an expect block)."""
-    command = draw(st.sampled_from(["check", "branch", "min-p"]))
+    command = draw(st.sampled_from(["check", "branch", "min-p", "examples", "verify-identities"]))
     fmt = draw(st.sampled_from([[], ["--format", "text"]]))
+    if command == "examples":
+        fmt = draw(st.sampled_from([fmt, ["--format", "dot"]]))
+        return ["examples", "run", draw(EXAMPLE_NAMES)] + fmt, True
+    if command == "verify-identities":
+        force = draw(st.sampled_from([[], ["--force"]]))
+        return ["verify-identities", "--max-rank", draw(MAX_RANKS)] + force + fmt, False
     desc = draw(_mostly(descriptors()))
     if command != "check":
         # inline JSON is an argument starting with "{", anything else a path
@@ -114,7 +135,7 @@ def cli_calls(draw):
     return ["check", json.dumps(data)] + fmt, "expect" in data
 
 
-@settings(max_examples=400, derandomize=True, deadline=None, database=None,
+@settings(max_examples=500, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(cli_calls())
 @example((["check", BIG_P], False))
@@ -129,8 +150,8 @@ def test_any_json_ends_in_a_report_or_one_error_line(call):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse, on a weight that reads as an option
-            assert exc.code == 2 and argv[0] == "branch", argv
+        except SystemExit as exc:  # argparse, on a weight, name or rank that it refuses
+            assert exc.code == 2 and argv[0] in ("branch", "examples", "verify-identities"), argv
             return
     assert code in (0, 1, 2), argv
     assert code != 1 or has_expect, argv
