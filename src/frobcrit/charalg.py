@@ -4,8 +4,22 @@ Multiplicities come from one Freudenthal recursion over the dominant
 weights of the module, for simple and product systems alike: each root
 string is read up to its first dominant point, whose stored string tail
 supplies the rest; full characters are recovered by Weyl-orbit expansion
-when asked for.  Branching through an embedding never builds a
-full character: the W_G-orbit of each dominant weight is read off the
+when asked for.
+
+``branch`` has two kernels.  ``_branch_by_numerator`` builds no character
+of G: restriction is a ring map, so Weyl's character formula restricts to
+Res(ch V(lam)) prod_{beta > 0} (1 - e^{-Res beta}) = sum_w eps(w)
+e^{Res(w(lam + rho) - rho)}, whose right side is read off the regular orbit
+table of G with the signs of its breadth-first layers.  Dividing out the
+factors that are not over positive H-roots leaves Res(ch) times the Weyl
+denominator of H, whose values at the H-dominant weights are the
+multiplicities.  It needs a certificate of the embedding (an integral
+matrix, no positive G-root restricting to 0, every positive H-root the
+restriction of a positive G-root, cached per matrix), and ``branch`` takes
+it when |W_G| <= _NUMERATOR_MAX_ORDER and dim >= _NUMERATOR_DIM_PER_ELEMENT
+|W_G|.  It declines (a division that is not exact, a quotient that is not
+alternating, a negative multiplicity) to ``_branch_by_restriction``, which
+runs every other call: the W_G-orbit of each dominant weight is read off the
 orbit table of its stabiliser type (``rootsys.orbit_table``, kept across
 calls), with every restricted weight packed into one int, so restricting
 an orbit is one integer combination per element.  The restricted multiset
@@ -20,6 +34,7 @@ tables too.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -35,7 +50,7 @@ from .rootsys import (
     coords_text,
     descend,
     fundamental_orbit,
-    index_set,
+    orbit_layers,
     orbit_table,
     parabolic_weyl_order,
     reflect,
@@ -51,6 +66,13 @@ _BRANCH_CAP_ENV = "FROBCRIT_BRANCH_CAP"
 # over seeds 1-5)
 _char_cache: dict[tuple, "DominantCharacter"] = {}
 _CHAR_CACHE_SIZE = 512
+
+# ``branch`` takes the divided-numerator kernel when the embedding is
+# certified, |W_G| <= _NUMERATOR_MAX_ORDER and the module's dimension is at
+# least _NUMERATOR_DIM_PER_ELEMENT |W_G|; the per-item timings behind both
+# numbers are in CHANGES.md
+_NUMERATOR_MAX_ORDER = 200
+_NUMERATOR_DIM_PER_ELEMENT = 2
 
 
 def _dimension_text(dim: int) -> str:
@@ -120,7 +142,7 @@ class DominantCharacter:
             by_zeros: Counter = Counter()
             for mu, m in self.multiplicities.items():
                 by_zeros[tuple([i for i, c in enumerate(mu.coords, 1) if not c])] += m
-            order = parabolic_weyl_order(self.rs, index_set(self.rs))
+            order = self.rs.weyl_order
             self._dim = sum(m * (order // parabolic_weyl_order(self.rs, zeros))
                             for zeros, m in by_zeros.items())
         return self._dim
@@ -293,6 +315,17 @@ def _convolve(a: dict[int, int], b: dict[int, int]) -> Counter:
     return out
 
 
+def _unpack(keys, n: int, radix: int, half: int) -> list[list[int]]:
+    """Coordinate j of every packed key, for j < n, as one list per j: digit
+    j of key + half sum_j radix^j is coordinate j + half, in 0..radix - 1."""
+    rest = list(map((half * sum(radix ** j for j in range(n))).__add__, keys))
+    digits = []
+    for _ in range(n):
+        digits.append(list(map(half.__rsub__, map(radix.__rmod__, rest))))
+        rest = list(map(radix.__rfloordiv__, rest))
+    return digits
+
+
 def restricted_character(emb: Embedding, lam: Weight) -> dict[tuple, int]:
     """The restriction to H of the irreducible G-module with highest weight
     lam, as {H-weight coordinates: multiplicity}, in no particular order.
@@ -320,13 +353,7 @@ def restricted_character(emb: Embedding, lam: Weight) -> dict[tuple, int]:
         part = _orbit_counts(factor.rs, f[lo:hi], factor.multiplicities)
         counts = part if counts is None else _convolve(counts, part)
 
-    # digit j of key + offset is coordinate j + bound, in 0..2 bound
-    rest = list(map((sum(bound * radix ** j for j in range(hn))).__add__, counts))
-    digits = []
-    for _ in range(hn):
-        digits.append(map(bound.__rsub__, map(radix.__rmod__, rest)))
-        rest = list(map(radix.__rfloordiv__, rest))
-    restricted = dict(zip(zip(*digits), counts.values()))
+    restricted = dict(zip(zip(*_unpack(counts, hn, radix, bound)), counts.values()))
     if scale == 1:
         return restricted
     fractional = [r for r in restricted if any(x % scale for x in r)]
@@ -362,11 +389,27 @@ def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
     surface.  A module whose dimension exceeds FROBCRIT_BRANCH_CAP (default
     50 000) is refused before any multiplicity is computed, and the
     exception carries the exact dimension.
+
+    A certified embedding with |W_G| <= _NUMERATOR_MAX_ORDER, at a module of
+    dimension at least _NUMERATOR_DIM_PER_ELEMENT |W_G|, goes to
+    ``_branch_by_numerator``; every other call, and every call it declines,
+    to ``_branch_by_restriction``, which names the witness of a refusal.
     """
     cap = _resolve_cap(None, _BRANCH_CAP_ENV, DEFAULT_BRANCH_CAP)
     dim = weyl_dim(emb.g, lam)
     if dim > cap:
         raise BranchCapExceeded(emb.g, lam, dim, cap)
+    order = emb.g.weyl_order
+    if order <= _NUMERATOR_MAX_ORDER and dim >= _NUMERATOR_DIM_PER_ELEMENT * order:
+        result = _branch_by_numerator(emb, lam)
+        if result is not None:
+            return result
+    return _branch_by_restriction(emb, lam)
+
+
+def _branch_by_restriction(emb: Embedding, lam: Weight) -> dict[Weight, int]:
+    """``branch`` from the restricted character: checked to be W_H-invariant,
+    then decomposed by the Racah-Speiser count; raises at the witness."""
     h = emb.h
     restricted = restricted_character(emb, lam)
     key = _height_order(h)
@@ -403,6 +446,132 @@ def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
             f"negative residual multiplicity {virtual[worst]} at {coords_text(worst)}")
     return {Weight(nu): virtual[nu]
             for nu in sorted(virtual, key=key, reverse=True) if virtual[nu]}
+
+
+@functools.lru_cache(maxsize=64)
+def _numerator_certificate(g: RootSystem, h: RootSystem, restriction: tuple) -> tuple | None:
+    """The restrictions Q of the positive G-roots left once one is taken over
+    each positive H-root, when the restriction matrix is integral, no
+    positive G-root restricts to 0 and every positive H-root is the
+    restriction of a positive G-root; None otherwise."""
+    if any(type(x) is not int for row in restriction for x in row):
+        return None  # Embedding keeps an integral entry as an int
+    images = [tuple([sum(map(operator.mul, row, bw)) for row in restriction])
+              for bw in g.positive_weights]
+    if not all(map(any, images)):
+        return None
+    for target in h.positive_weights:
+        if target not in images:
+            return None
+        images.remove(target)
+    return tuple(images)
+
+
+def _divide(poly: dict, step: int, gamma_j: int, shift: int, radix: int,
+            offset: int, half: int) -> dict | None:
+    """poly / (1 - e^{-gamma}) on packed keys, shift = pack(gamma), or None
+    when a gamma-line of poly does not sum to 0.  The quotient at x is the
+    sum of poly over x, x + gamma, x + 2 gamma, ...; a line is named by its
+    point x - k gamma, k = floor(x_j / gamma_j) for the digit j of step =
+    radix^j, so keys are grouped by that digit and not by their residue mod
+    shift, which aliases every key when shift is 1."""
+    lines: dict[int, dict[int, int]] = {}
+    for key, c in poly.items():
+        k = ((key + offset) // step % radix - half) // gamma_j
+        line = lines.get(key - k * shift)
+        if line is None:
+            lines[key - k * shift] = {k: c}
+        else:
+            line[k] = c
+    out: dict[int, int] = {}
+    for base, line in lines.items():
+        ks = sorted(line, reverse=True)
+        total = 0
+        for a, b in zip(ks, ks[1:]):
+            total += line[a]
+            if total:  # constant between two points of the line
+                out.update(dict.fromkeys(range(base + a * shift, base + b * shift, -shift),
+                                         total))
+        if total + line[ks[-1]]:
+            return None
+    return out
+
+
+def _branch_by_numerator(emb: Embedding, lam: Weight) -> dict[Weight, int] | None:
+    """``branch`` by Weyl's character formula, restricted: Res is a ring map, so
+
+        Res(ch V(lam)) prod_{beta > 0} (1 - e^{-Res beta})
+            = sum_{w in W_G} eps(w) e^{Res(w(lam + rho)) - Res(rho)},
+
+    and dividing the right side by the factors over Q (``_numerator_
+    certificate``) leaves Res(ch V(lam)) prod_{alpha > 0} (1 - e^{-alpha})
+    over the positive H-roots.  When that quotient is alternating under the
+    rho_H-shifted simple reflections, Res(ch V(lam)) is W_H-invariant and its
+    multiplicity n_nu is the quotient at each H-dominant nu.  No character of
+    G is computed.  None when the embedding is not certified, a division is
+    not exact, the quotient is not alternating or some n_nu is negative:
+    ``_branch_by_restriction`` then names the witness.
+
+    Every key is packed as in ``restricted_character``, with digits wide
+    enough for every point of the numerator (hence of every partial quotient,
+    which lies in its convex hull), every line's base point and every
+    reflected image, so no two distinct points share a key.
+    """
+    g, h = emb.g, emb.h
+    extra = _numerator_certificate(g, h, emb.restriction)
+    if extra is None:
+        return None
+    hn, rows = h.rank, emb.restriction
+    # |<w(lam + rho), alpha_k_vee>| <= top, so every numerator coordinate is
+    # at most bound in size; a line's base point, |x_j / gamma_j| + 1 steps
+    # of gamma from x with |gamma_j| the largest entry, stays within
+    # 2 bound + max|gamma|, and a reflected image within 4 (bound + 1) + 1
+    # (|a_ij| <= 3)
+    top = max(sum(map(operator.mul, lam.coords, co)) + sum(co) for co in g.coroots)
+    bound = (top + 1) * max(sum(map(abs, row)) for row in rows)
+    half = 4 * (bound + 1) + 1 + max([abs(x) for gamma in extra for x in gamma], default=0)
+    radix = 2 * half + 1
+    powers = [radix ** j for j in range(hn)]
+    offset = half * sum(powers)
+
+    def pack(v):
+        return sum(map(operator.mul, v, powers))
+
+    f = [pack(col) for col in zip(*rows)]  # pack(Res omega_k)
+    support = tuple(range(g.rank))
+    keys = None
+    for k, col in enumerate(orbit_table(g, support)):
+        c = lam.coords[k] + 1
+        vk = [c * sum(map(operator.mul, f, p)) for p in fundamental_orbit(g, k)[0]]
+        term = map(vk.__getitem__, col)
+        keys = term if keys is None else map(operator.add, keys, term)
+    keys = list(map((-sum(f)).__add__, keys))
+    starts = orbit_layers(g, support)
+    poly = Counter()
+    for layer, (a, b) in enumerate(zip(starts, starts[1:])):
+        (poly.subtract if layer % 2 else poly.update)(keys[a:b])
+    poly = {key: c for key, c in poly.items() if c}
+
+    for gamma in extra:
+        j = max(range(hn), key=lambda i: abs(gamma[i]))
+        poly = _divide(poly, powers[j], gamma[j], pack(gamma), radix, offset, half)
+        if poly is None:
+            return None
+
+    keys, values = list(poly), list(poly.values())
+    digits = _unpack(keys, hn, radix, half)
+    negated = list(map(operator.neg, values))
+    for alpha, d in zip(h.alphas, digits):
+        # key - (d_i + 1) pack(alpha_i) is s_i(key + rho_H) - rho_H
+        a = pack(alpha)
+        if list(map(poly.get, [key - (x + 1) * a for key, x in zip(keys, d)])) != negated:
+            return None
+    found = [(nu, n) for nu, n in zip(zip(*digits), values) if min(nu) >= 0]
+    if any(n < 0 for _, n in found):
+        return None
+    key = _height_order(h)
+    found.sort(key=lambda item: key(item[0]), reverse=True)
+    return {Weight(nu): n for nu, n in found}
 
 
 @dataclass

@@ -17,7 +17,8 @@ parameters, or give a custom restriction matrix:
 All rational numbers are rendered as strings ``a/b`` in lowest terms (bare
 ``a`` when integral); JSON output is byte-deterministic.  Exit status: 0 on
 success, 1 when a requested expectation fails, 2 when the input is refused:
-every ``ValueError`` the library raises ends in one ``error:`` line on stderr.
+every ``ValueError`` the library raises, and every refusal of the argument
+parser, ends in one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -360,6 +361,8 @@ def _run_example(name: str, fmt: str) -> int:
             }], [f"conjugated Borel verdicts: {verdicts} expected {expected}"], ok, fmt)
         return 0 if ok else 1
     record, args = _match_example(name)
+    if fmt == "dot":
+        raise InputError("dot output is only available for the sp4 example")
     inputs = record.inputs(*args)
     # an expectation on dominance alone is shown as "expected_dominant"
     shown = ({"expected_dominant": record.expect["condition1_dominant"]}
@@ -394,8 +397,6 @@ def _match_example(name: str) -> tuple[registry.ExampleRecord, tuple]:
 
 def _emit_example(name: str, results: list, lines: list[str], ok: bool, fmt: str) -> None:
     """Print an example's results as JSON, or as one text line per result."""
-    if fmt == "dot":
-        raise InputError("dot output is only available for the sp4 example")
     if fmt == "text":
         print(f"example: {name}")
         for line in lines:
@@ -521,11 +522,20 @@ def _cmd_branch(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose refusals are InputErrors, so that they end
+    in the one ``error:`` line of ``main`` like every other refusal."""
+
+    def error(self, message: str):
+        raise InputError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once, on first use: building it took ~1.3 ms of a ~2.3 ms
-    # in-process `check`, and parse_args keeps no state between calls
-    parser = argparse.ArgumentParser(
+    # in-process `check`, and parse_args keeps no state between calls;
+    # the subcommands' parsers are of the same class
+    parser = _Parser(
         prog="frobcrit",
         description="Exact verification of Frobenius-splitting criteria "
                     "for spherical orbit closures in flag varieties.")
@@ -572,9 +582,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as err:  # InputError, and every refusal the library raises
         print(f"error: {err}", file=sys.stderr)

@@ -15,7 +15,9 @@ toward dominance.  ``orbit_table`` lists the orbit of every dominant weight
 with a given support at once, as indices into the fundamental orbits
 (``fundamental_orbit``), and keeps it across calls; it is the one orbit
 enumerator of the package, and it and ``fundamental_orbit`` are each one
-breadth-first pass.
+breadth-first pass; ``orbit_layers`` gives where each layer starts, so on
+the regular orbit the sign eps(w) of every row.  ``RootSystem.weyl_order``
+is |W| from the components in closed form.
 
 The symmetrizer and the coroot table are integers, and every pairing
 <lam, gamma_vee> in the package reads ``RootSystem.coroots`` as
@@ -296,6 +298,10 @@ class RootSystem:
                 raise AssertionError(f"non-integral coroot of {beta}")
             coroots.append(tuple(q for q, _ in co))
         self.coroots: tuple[RootVector, ...] = tuple(coroots)
+        # |W|, in closed form from the components: no subdiagram is classified
+        self.weyl_order: int = 1
+        for letter, rank in self.components:
+            self.weyl_order *= component_weyl_order(letter, rank)
 
     def spec_string(self) -> str:
         return ",".join(f"{letter}{rank}" for letter, rank in self.components)
@@ -470,13 +476,26 @@ def orbit_table(rs: RootSystem, support: tuple[int, ...]):
     fundamental orbit's action table.  The table is root data of rs, kept
     across calls.
     """
+    return _orbit_rows(rs, support)[0]
+
+
+def orbit_layers(rs: RootSystem, support: tuple[int, ...]) -> list[int]:
+    """The row at which each breadth-first layer of ``orbit_table(rs,
+    support)`` starts, and its row count last.  On the regular orbit (support
+    every node) the rows of layer l are the w of length l, so the sign
+    eps(w) of a row is the parity of its layer."""
+    return _orbit_rows(rs, support)[1]
+
+
+def _orbit_rows(rs: RootSystem, support: tuple[int, ...]):
     key = (rs.components, support)
     if key in _orbit_tables:
         return _orbit_tables[key][0]
     acts = [fundamental_orbit(rs, k)[1] for k in support]
     start = (0,) * len(support)
-    rows, seen, layer = [start], {start}, [start]
+    rows, seen, layer, starts = [start], {start}, [start], [0]
     while layer:
+        starts.append(len(rows))
         cols = list(zip(*layer))
         found = []
         for i in range(rs.rank):
@@ -487,7 +506,7 @@ def orbit_table(rs: RootSystem, support: tuple[int, ...]):
         rows += found
         layer = found
     cols = [list(col) for col in zip(*rows)]
-    return _keep(key, cols, len(rows) * len(cols))
+    return _keep(key, (cols, starts), len(rows) * len(cols) + len(starts))
 
 
 def rho_J(rs: RootSystem, J: Iterable[int]) -> Weight:

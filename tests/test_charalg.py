@@ -4,9 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from frobcrit import charalg
 from frobcrit.charalg import (
     DEFAULT_BRANCH_CAP,
     BranchCapExceeded,
+    _branch_by_numerator,
+    _branch_by_restriction,
+    _numerator_certificate,
     branch,
     dominant_conjugate,
     freudenthal,
@@ -309,12 +313,23 @@ def reference_branch(emb, lam):
     return out
 
 
+def certified(emb):
+    return _numerator_certificate(emb.g, emb.h, emb.restriction) is not None
+
+
 @pytest.mark.parametrize("emb", registry_embeddings(), ids=lambda e: e.label)
 def test_branch_matches_full_character_reference(emb):
+    # branch, and each kernel called on its own whatever branch would choose
     for lam in dominant_weights_upto(emb.g, 200):
-        got = branch(emb, lam)
-        expect = reference_branch(emb, lam)
-        assert list(got.items()) == list(expect.items()), (emb.label, lam)
+        expect = list(reference_branch(emb, lam).items())
+        assert list(branch(emb, lam).items()) == expect, (emb.label, lam)
+        assert list(_branch_by_restriction(emb, lam).items()) == expect, (emb.label, lam)
+        if certified(emb):
+            assert list(_branch_by_numerator(emb, lam).items()) == expect, (emb.label, lam)
+
+
+def test_registry_embeddings_are_certified_but_the_levis():
+    assert [e.label for e in registry_embeddings() if not certified(e)] == ["levi:C2:J=[1]"]
 
 
 EDGE_EMBEDDINGS = [
@@ -339,18 +354,25 @@ EDGE_EMBEDDINGS = [
 @pytest.mark.parametrize("emb,weights", EDGE_EMBEDDINGS,
                          ids=[emb.label for emb, _ in EDGE_EMBEDDINGS])
 def test_branch_raises_exactly_where_reference_raises(emb, weights):
+    # the divided numerator declines (None) wherever the reference raises
     for coords in weights:
         lam = Weight(coords)
         try:
             expect = reference_branch(emb, lam)
         except ValueError as err:
-            with pytest.raises(ValueError) as caught:
-                branch(emb, lam)
-            for text in ("non-integral", "not a character of H",
-                         "negative residual multiplicity"):
-                assert (text in str(err)) == (text in str(caught.value)), coords
+            for kernel in (branch, _branch_by_restriction):
+                with pytest.raises(ValueError) as caught:
+                    kernel(emb, lam)
+                for text in ("non-integral", "not a character of H",
+                             "negative residual multiplicity"):
+                    assert (text in str(err)) == (text in str(caught.value)), coords
+            assert _branch_by_numerator(emb, lam) is None, coords
         else:
-            assert list(branch(emb, lam).items()) == list(expect.items())
+            expect = list(expect.items())
+            assert list(branch(emb, lam).items()) == expect
+            assert list(_branch_by_restriction(emb, lam).items()) == expect
+            if certified(emb):
+                assert list(_branch_by_numerator(emb, lam).items()) == expect
 
 
 def test_branch_rejects_invariant_non_character():
@@ -450,6 +472,113 @@ def test_branch_equals_virtual_coefficients_on_characters(emb, lam):
     virtual = virtual_coefficients(emb, Weight(lam))
     assert all(c > 0 for c in virtual.values())
     assert branch(emb, Weight(lam)) == {Weight(nu): c for nu, c in virtual.items()}
+
+
+# every refusal text on EDGE_EMBEDDINGS and NON_CHARACTERS, as the kernel
+# without the divided numerator gave them
+REFUSAL_TEXTS = {
+    ("half", (1,)): "restriction of the module with highest weight (1) has the "
+                    "non-integral H-weight (1/2)",
+    ("skew", (1, 0)): "weight (-1) of the restricted character is not dominant and has "
+                      "multiplicity 0, but its reflection (1) has 2; restriction is not "
+                      "a character of H",
+    ("skew", (1, 1)): "negative residual multiplicity -2 at (1)",
+    ("skew", (2, 1)): "weight (-1) of the restricted character is not dominant and has "
+                      "multiplicity 0, but its reflection (1) has 6; restriction is not "
+                      "a character of H",
+    ("halves", (1, 0)): "restriction of the module with highest weight (1, 0) has the "
+                        "non-integral H-weight (1/2)",
+    ("halves", (1, 1)): "restriction of the module with highest weight (1, 1) has the "
+                        "non-integral H-weight (1/2)",
+    ("frobenius_twisted_diagonal:A1:p=2", (0, 1)): "negative residual multiplicity -1 at (0)",
+    ("frobenius_twisted_diagonal:A2:p=3", (1, 0, 1, 0)):
+        "negative residual multiplicity -1 at (0, 2)",
+    ("frobenius_twisted_diagonal:A2:p=3", (0, 0, 1, 1)):
+        "negative residual multiplicity -1 at (4, 1)",
+    ("double", (1,)): "negative residual multiplicity -1 at (0)",
+    ("double", (2,)): "negative residual multiplicity -1 at (2)",
+    ("double", (3,)): "negative residual multiplicity -1 at (4)",
+    ("double", (5,)): "negative residual multiplicity -1 at (8)",
+    ("triple", (1,)): "negative residual multiplicity -1 at (1)",
+    ("triple", (2,)): "negative residual multiplicity -1 at (4)",
+    ("triple", (4,)): "negative residual multiplicity -1 at (10)",
+    ("A2:[3,2]", (1, 1)): "negative residual multiplicity -1 at (3)",
+    ("A2:[3,2]", (2, 2)): "negative residual multiplicity -1 at (7)",
+    ("A2:[2,1]", (1, 1)): "negative residual multiplicity -2 at (1)",
+    ("A2:[2,1]", (2, 2)): "negative residual multiplicity -3 at (4)",
+    ("B2:[3,1]", (0, 1)): "negative residual multiplicity -1 at (0)",
+    ("A1xA1:[1,3]", (0, 1)): "negative residual multiplicity -1 at (1)",
+    ("A1xA1:[1,3]", (0, 2)): "negative residual multiplicity -1 at (4)",
+    ("A1xA1:[1,3]", (1, 2)): "negative residual multiplicity -1 at (3)",
+    ("A3:A1xA1", (0, 1, 0)): "negative residual multiplicity -1 at (0, 0)",
+    ("A3:A1xA1", (1, 0, 1)): "negative residual multiplicity -2 at (0, 1)",
+    ("A3:A1xA1", (2, 0, 2)): "negative residual multiplicity -3 at (2, 2)",
+    ("A2:double", (1, 1)): "negative residual multiplicity -1 at (3, 0)",
+    ("A2:double", (2, 2)): "negative residual multiplicity -1 at (5, 2)",
+    ("G2:double", (1, 0)): "negative residual multiplicity -1 at (0, 1)",
+    ("G2:double", (0, 1)): "negative residual multiplicity -1 at (3, 0)",
+}
+
+
+@pytest.mark.parametrize("emb,weights", EDGE_EMBEDDINGS + NON_CHARACTERS,
+                         ids=[emb.label for emb, _ in EDGE_EMBEDDINGS + NON_CHARACTERS])
+def test_refusal_texts_are_pinned_and_the_numerator_declines_them(emb, weights):
+    for coords in weights:
+        text = REFUSAL_TEXTS.get((emb.label, coords))
+        if text is None:
+            assert _branch_by_numerator(emb, Weight(coords)) in (None, branch(emb, Weight(coords)))
+            continue
+        assert _branch_by_numerator(emb, Weight(coords)) is None, coords
+        with pytest.raises(ValueError) as caught:
+            branch(emb, Weight(coords))
+        assert str(caught.value) == text, coords
+
+
+@pytest.mark.parametrize("emb", [
+    levi(build_root_system("E6"), (1, 3, 4, 5, 6)),
+    levi(build_root_system("B4"), (2, 3, 4)),
+    levi(build_root_system("F4"), (1, 2, 3)),
+] + [emb for emb, _ in EDGE_EMBEDDINGS + NON_CHARACTERS
+     if emb.label in ("half", "double", "skew", "A2:[3,2]")], ids=lambda e: e.label)
+def test_numerator_certificate_fails(emb):
+    # a fractional matrix, a positive G-root restricting to 0, or an H-root
+    # that is the restriction of no positive G-root
+    assert not certified(emb)
+    lam = Weight([1] * emb.g.rank)
+    assert _branch_by_numerator(emb, lam) is None
+
+
+def test_twisted_diagonal_enters_the_numerator_and_declines(monkeypatch):
+    # n_0 = -1 at (1, 1), and 0 is not a weight of the restriction
+    emb = frobenius_twisted_diagonal("A1", 3)
+    assert certified(emb) and _branch_by_numerator(emb, W(1, 1)) is None
+    with pytest.raises(ValueError, match=r"^negative residual multiplicity -1 at \(0\)$"):
+        branch(emb, W(1, 1))
+    # at (1, 3), dimension 8 = 2 |W_G|, branch itself takes the new kernel first
+    calls = []
+
+    def spy(*args):
+        calls.append(_branch_by_numerator(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(charalg, "_branch_by_numerator", spy)
+    with pytest.raises(ValueError) as caught:
+        branch(emb, W(1, 3))
+    assert calls == [None]
+    assert str(caught.value) == "negative residual multiplicity -1 at (6)"
+    with pytest.raises(ValueError) as again:
+        _branch_by_restriction(emb, W(1, 3))
+    assert str(again.value) == str(caught.value)
+
+
+@pytest.mark.parametrize("spec,lam", [("A1", (49999,)), ("A1,A1,A1", (49999, 0, 0)),
+                                      ("A2", (314, 0)), ("A3", (0, 0, 64))])
+def test_largest_identity_inputs_run_no_freudenthal(spec, lam, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("freudenthal was called")
+
+    monkeypatch.setattr(charalg, "freudenthal", refuse)
+    assert branch(identity(spec), Weight(lam)) == {Weight(lam): 1}
 
 
 def test_refusal_text_names_the_highest_weight():

@@ -288,6 +288,22 @@ def test_examples_run_bad_cap_env_is_one_error_line(capsys, monkeypatch):
     assert err.startswith("error: ") and "FROBCRIT_ENUM_CAP must be a positive integer" in err
 
 
+def test_argparse_refusal_is_one_error_line(capsys):
+    code, out, err = run(capsys, "verify-identities", "--max-rank", "x")
+    assert (code, out) == (2, "")
+    assert err == "error: frobcrit verify-identities: argument --max-rank: " \
+        "invalid int value: 'x'\n"
+    code, out, err = run(capsys, "branch", '{"builder": "folding_B3G2"}')
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["--help"])
+    assert caught.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: frobcrit")
+
+
 def test_custom_matrix_floats_refused_exact_strings_accepted(capsys):
     code, out, err = run(capsys, "min-p", json.dumps(
         {"custom": {"g": "A1", "h": "A1", "matrix": [[0.1]]}}))
@@ -386,6 +402,19 @@ def test_dot_rejected_for_other_examples(capsys):
                        "--format", "dot")
     assert code == 2
     assert "only available for the sp4 example" in err
+
+
+def test_dot_is_refused_before_any_report_is_computed(capsys, monkeypatch):
+    def no_reports(*args):
+        raise AssertionError("a report was computed before the format was refused")
+
+    monkeypatch.setattr(cli, "check_main", no_reports)
+    code, out, err = run(capsys, "examples", "run", "minimal-rank", "--format", "dot")
+    assert (code, out) == (2, "")
+    assert err == "error: dot output is only available for the sp4 example\n"
+    # an unknown name is still reported first
+    code, _, err = run(capsys, "examples", "run", "nope", "--format", "dot")
+    assert code == 2 and err.startswith("error: unknown example 'nope'")
 
 
 def test_examples_run_unknown(capsys):
@@ -594,10 +623,7 @@ def test_successive_main_calls_match_fresh_processes():
     for argv in _SUCCESSIVE_CALLS:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse's own usage errors
-                code = exc.code
+            code = main(argv)
         fresh = subprocess.run([sys.executable, "-m", "frobcrit.cli", *argv], env=env,
                                capture_output=True, text=True, timeout=60)
         assert (code, out.getvalue(), err.getvalue()) == \

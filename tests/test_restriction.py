@@ -26,10 +26,12 @@ from frobcrit.rootsys import (
     descend,
     fundamental_orbit,
     index_set,
+    orbit_layers,
     orbit_table,
     parabolic_weyl_order,
     reflect,
 )
+from frobcrit.weyl import enumerate_parabolic
 
 from oracles import orbit_walk
 from test_acceptance import dominant_weights_upto, registry_embeddings
@@ -296,6 +298,21 @@ def test_orbit_tables_list_each_orbit_once(spec):
         zeros = [i + 1 for i in range(rs.rank) if i not in support]
         assert len(rows) == order // parabolic_weyl_order(rs, zeros), (spec, support)
         assert set(rows) == set(orbit_walk(rs, mu)) and len(set(rows)) == len(rows)
+
+
+@pytest.mark.parametrize("spec", _systems_up_to_rank(4) + ["E6"])
+def test_regular_orbit_layers_are_the_lengths(spec):
+    # layer l of the regular orbit holds the w of length l, so the layer
+    # sizes are the counts of enumerate_parabolic's elements by length
+    rs = build_root_system(spec)
+    assert rs.weyl_order == parabolic_weyl_order(rs, index_set(rs))
+    starts = orbit_layers(rs, tuple(range(rs.rank)))
+    sizes = [b - a for a, b in zip(starts, starts[1:])]
+    if spec != "E6":
+        lengths = Counter(w.length() for w in enumerate_parabolic(rs))
+        assert sizes == [lengths[n] for n in range(len(lengths))]
+    assert len(sizes) == len(rs.positive_roots) + 1 and sizes == sizes[::-1]
+    assert starts[0] == 0 and starts[-1] == rs.weyl_order
 
 
 @pytest.mark.parametrize("spec", _systems_up_to_rank(4))
