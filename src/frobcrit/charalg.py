@@ -6,30 +6,24 @@ string is read up to its first dominant point, whose stored string tail
 supplies the rest; full characters are recovered by Weyl-orbit expansion
 when asked for.
 
-``branch`` has two kernels.  ``_branch_by_numerator`` builds no character
-of G: restriction is a ring map, so Weyl's character formula restricts to
-Res(ch V(lam)) prod_{beta > 0} (1 - e^{-Res beta}) = sum_w eps(w)
-e^{Res(w(lam + rho) - rho)}, whose right side is read off the regular orbit
-table of G with the signs of its breadth-first layers.  Dividing out the
-factors that are not over positive H-roots leaves Res(ch) times the Weyl
-denominator of H, whose values at the H-dominant weights are the
-multiplicities.  It needs a certificate of the embedding (an integral
-matrix, no positive G-root restricting to 0, every positive H-root the
-restriction of a positive G-root, cached per matrix), and ``branch`` takes
-it when |W_G| <= _NUMERATOR_MAX_ORDER and dim >= _NUMERATOR_DIM_PER_ELEMENT
-|W_G|.  It declines (a division that is not exact, a quotient that is not
-alternating, a negative multiplicity) to ``_branch_by_restriction``, which
-runs every other call: the W_G-orbit of each dominant weight is read off the
-orbit table of its stabiliser type (``rootsys.orbit_table``, kept across
-calls), with every restricted weight packed into one int, so restricting
-an orbit is one integer combination per element.  The restricted multiset
-is checked to be integral and W_H-invariant and then decomposed by the
-Racah-Speiser (Brauer-Klimyk) count, which needs no H-character at all.
-A refused restriction names its witness by ``_height_order``, the order in
-which constituents are listed, so the witness does not depend on the order
-in which the tables list an orbit.  Every reflection here is
-``rootsys.reflect`` or ``rootsys.descend``; ``weyl_orbit`` reads the orbit
-tables too.
+``branch`` has two kernels that share one G side and one H side, both on
+packed keys: an H-weight nu is the int pack(nu) = sum_j nu_j radix^j, so a
+restriction or a reflection is integer arithmetic.  ``_orbit_keys`` is the
+one W_G-orbit sum, read off the orbit tables (``rootsys.orbit_table``, kept
+across calls).  ``_unmatched`` is the one W_H-invariance check, one pass
+per simple root over every key; its digits have room for every key and
+every simple reflection of it, so no reflected key aliases another.
+``_branch_by_numerator`` builds no character of G: it divides the
+restricted Weyl numerator by the factors that are not over positive
+H-roots, and reads the multiplicities off the H-dominant keys once the
+quotient is alternating under the rho_H-shifted reflections.
+``_branch_by_restriction`` runs every other call, and every call the
+numerator declines: it restricts the dominant multiplicities orbit by
+orbit, checks that the result is integral and W_H-invariant, and
+decomposes it by the Racah-Speiser (Brauer-Klimyk) count, which needs no
+H-character at all.  A refusal names its witness by ``_height_order``, the
+order in which constituents are listed, so the witness does not depend on
+the order in which the tables list an orbit.
 """
 
 from __future__ import annotations
@@ -53,7 +47,6 @@ from .rootsys import (
     orbit_layers,
     orbit_table,
     parabolic_weyl_order,
-    reflect,
 )
 from .weyl import _resolve_cap
 
@@ -67,10 +60,8 @@ _BRANCH_CAP_ENV = "FROBCRIT_BRANCH_CAP"
 _char_cache: dict[tuple, "DominantCharacter"] = {}
 _CHAR_CACHE_SIZE = 512
 
-# ``branch`` takes the divided-numerator kernel when the embedding is
-# certified, |W_G| <= _NUMERATOR_MAX_ORDER and the module's dimension is at
-# least _NUMERATOR_DIM_PER_ELEMENT |W_G|; the per-item timings behind both
-# numbers are in CHANGES.md
+# where ``branch`` takes the divided-numerator kernel (see its docstring);
+# the per-item timings behind both numbers are in CHANGES.md
 _NUMERATOR_MAX_ORDER = 200
 _NUMERATOR_DIM_PER_ELEMENT = 2
 
@@ -267,30 +258,32 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     return dim
 
 
+def _orbit_keys(g: RootSystem, mu: tuple, f: list[int], memo: dict):
+    """sum_k mu_k f(w omega_k), f(v) = sum_k f_k v_k, for each row w of
+    ``orbit_table(g, support of mu)``: w mu = sum_k mu_k w omega_k, so each
+    orbit element is one integer combination of the fundamental orbits'
+    values, which ``memo`` keeps under (k, mu_k) for calls with the same f."""
+    support = tuple([k for k, c in enumerate(mu) if c])
+    if not support:
+        return (0,)
+    keys = None
+    for k, col in zip(support, orbit_table(g, support)):
+        vk = memo.get((k, mu[k]))
+        if vk is None:
+            if (k, 1) not in memo:
+                memo[k, 1] = [sum(map(operator.mul, f, p)) for p in fundamental_orbit(g, k)[0]]
+            vk = memo[k, mu[k]] = list(map(mu[k].__mul__, memo[k, 1]))
+        term = map(vk.__getitem__, col)
+        keys = term if keys is None else map(operator.add, keys, term)
+    return keys
+
+
 def _orbit_counts(g: RootSystem, f: list[int], mults: dict[Weight, int]) -> Counter:
-    """{sum_k f_k (w mu)_k: multiplicity} over every W_G-orbit of ``mults``,
-    read off the orbit tables: w mu = sum_k mu_k w omega_k, so each orbit
-    element is one integer combination of the fundamental orbits' values."""
-    values: dict[tuple, list[int]] = {}  # (k, c) -> c f(w omega_k) over its orbit
-    tables: dict[tuple, list] = {}
+    """{sum_k f_k (w mu)_k: multiplicity} over every W_G-orbit of ``mults``."""
+    memo: dict[tuple, list[int]] = {}
     by_mult: dict[int, list[int]] = {}
     for weight, m in mults.items():
-        mu = weight.coords
-        support = tuple([k for k, c in enumerate(mu) if c])
-        cols = tables.get(support)
-        if cols is None:
-            cols = tables[support] = orbit_table(g, support)
-        keys = None
-        for k, col in zip(support, cols):
-            vk = values.get((k, mu[k]))
-            if vk is None:
-                if (k, 1) not in values:
-                    values[k, 1] = [sum(map(operator.mul, f, p))
-                                    for p in fundamental_orbit(g, k)[0]]
-                vk = values[k, mu[k]] = list(map(mu[k].__mul__, values[k, 1]))
-            term = map(vk.__getitem__, col)
-            keys = term if keys is None else map(operator.add, keys, term)
-        by_mult.setdefault(m, []).extend((0,) if keys is None else keys)
+        by_mult.setdefault(m, []).extend(_orbit_keys(g, weight.coords, f, memo))
     counts = Counter(by_mult.pop(1, ()))
     for m, keys in by_mult.items():
         for key, c in Counter(keys).items():
@@ -326,24 +319,24 @@ def _unpack(keys, n: int, radix: int, half: int) -> list[list[int]]:
     return digits
 
 
-def restricted_character(emb: Embedding, lam: Weight) -> dict[tuple, int]:
+def _restricted_counts(emb: Embedding, lam: Weight):
     """The restriction to H of the irreducible G-module with highest weight
-    lam, as {H-weight coordinates: multiplicity}, in no particular order.
-
-    Each restricted weight is packed into one int, in base 2 bound + 1 with
-    bound at least every coordinate: |<w mu, alpha_k_vee>| <= max_gamma
-    <lam, gamma_vee> for every weight mu of the module.  Packing is linear,
-    so pack(Res(v)) = sum_k f_k v_k, and ``_orbit_counts`` counts those ints.
-    A fractional restriction matrix is scaled to integers and the scale
-    divided out at the end, which raises at the non-integral weight highest
-    in ``_height_order`` (the same order on the scaled weights, scale > 0).
+    lam as packed counts {pack(nu): multiplicity}, their digits, the radix
+    and half = 4 bound, bound at least every coordinate: |<w mu, alpha_k_vee>|
+    <= max_gamma <lam, gamma_vee> for every weight mu of the module, and
+    |nu_j - nu_i a_ij| <= 4 bound for a simple reflection.  Packing is
+    linear, so pack(Res(v)) = sum_k f_k v_k, and ``_orbit_counts`` counts
+    those ints.  A fractional restriction matrix is scaled to integers and
+    the scale divided out at the end, which raises at the non-integral weight
+    highest in ``_height_order`` (the same order on the scaled weights,
+    scale > 0); a key whose digits all divide by scale does too.
     """
     g, hn = emb.g, emb.h.rank
     scale = math.lcm(*(x.denominator for row in emb.restriction for x in row))
     rows = [[int(x * scale) for x in row] for row in emb.restriction]
     top = max(sum(map(operator.mul, lam.coords, co)) for co in g.coroots)
-    bound = top * max(sum(map(abs, row)) for row in rows)
-    radix = 2 * bound + 1
+    half = 4 * top * max(sum(map(abs, row)) for row in rows)
+    radix = 2 * half + 1
     f = [sum(row[k] * radix ** j for j, row in enumerate(rows)) for k in range(g.rank)]
     # a product's character is the product of its factors', and packing
     # adds over the factors, so the factors' counts convolve
@@ -353,29 +346,44 @@ def restricted_character(emb: Embedding, lam: Weight) -> dict[tuple, int]:
         part = _orbit_counts(factor.rs, f[lo:hi], factor.multiplicities)
         counts = part if counts is None else _convolve(counts, part)
 
-    restricted = dict(zip(zip(*_unpack(counts, hn, radix, bound)), counts.values()))
-    if scale == 1:
-        return restricted
-    fractional = [r for r in restricted if any(x % scale for x in r)]
-    if fractional:
-        r = max(fractional, key=_height_order(emb.h))
-        raise ValueError(
-            f"restriction of the module with highest weight {coords_text(lam.coords)} "
-            f"has the non-integral H-weight "
-            f"{coords_text(Fraction(x, scale) for x in r)}")
-    return {tuple(x // scale for x in r): m for r, m in restricted.items()}
+    digits = _unpack(counts, hn, radix, half)
+    if scale > 1:
+        fractional = [r for r in zip(*digits) if any(x % scale for x in r)]
+        if fractional:
+            r = max(fractional, key=_height_order(emb.h))
+            raise ValueError(
+                f"restriction of the module with highest weight {coords_text(lam.coords)} "
+                f"has the non-integral H-weight "
+                f"{coords_text(Fraction(x, scale) for x in r)}")
+        counts = {key // scale: m for key, m in counts.items()}
+        digits = [[x // scale for x in col] for col in digits]
+    return counts, digits, radix, half
 
 
-def _broken_pairs(h: RootSystem, restricted: dict) -> list:
-    """(nu, s_i nu) with nu_i < 0 where the two multiplicities differ."""
-    broken = []
-    for nu, m in restricted.items():
-        for i, c in enumerate(nu, 1):
-            if c:
-                image = reflect(h, nu, i)
-                if restricted.get(image, 0) != m:
-                    broken.append((nu, image) if c < 0 else (image, nu))
-    return broken
+def restricted_character(emb: Embedding, lam: Weight) -> dict[tuple, int]:
+    """The restriction to H of the irreducible G-module with highest weight
+    lam, as {H-weight coordinates: multiplicity}, in no particular order;
+    raises at the non-integral weight highest in ``_height_order``."""
+    counts, digits, _, _ = _restricted_counts(emb, lam)
+    return dict(zip(zip(*digits), counts.values()))
+
+
+def _unmatched(poly: dict, digits: list[list[int]], h: RootSystem, radix: int,
+               shift: int, expected: list) -> list[tuple[int, int]]:
+    """(key, image) for each key of ``poly`` and simple root alpha_i of H where
+    poly at image = key - (d_i + shift) pack(alpha_i), d_i the key's digit i,
+    is not the key's entry of ``expected`` (a missing image reads None).
+    The image is s_i nu for shift 0 and s_i(nu + rho_H) - rho_H for shift 1,
+    packed as long as the digits have room for it."""
+    out = []
+    for alpha, d in zip(h.alphas, digits):
+        a = sum(x * radix ** j for j, x in enumerate(alpha))
+        images = [key - (x + shift) * a for key, x in zip(poly, d)]
+        found = list(map(poly.get, images))
+        if found != expected:
+            out += [(key, image) for key, image, v, e in zip(poly, images, found, expected)
+                    if v != e]
+    return out
 
 
 def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
@@ -411,18 +419,23 @@ def _branch_by_restriction(emb: Embedding, lam: Weight) -> dict[Weight, int]:
     """``branch`` from the restricted character: checked to be W_H-invariant,
     then decomposed by the Racah-Speiser count; raises at the witness."""
     h = emb.h
-    restricted = restricted_character(emb, lam)
+    counts, digits, radix, half = _restricted_counts(emb, lam)
     key = _height_order(h)
 
     # H-characters are W_H-invariant, so a sum of them is too; the count
     # below decomposes an invariant multiset only, so this is checked first
-    broken = _broken_pairs(h, restricted)
+    broken = _unmatched(counts, digits, h, radix, 0, list(counts.values()))
     if broken:
-        low, up = max(broken, key=lambda pair: (key(pair[0]), key(pair[1])))
+        flat = [k for pair in broken for k in pair]
+        weight = dict(zip(flat, zip(*_unpack(flat, h.rank, radix, half))))
+        # s_i nu - nu is a multiple of alpha_i, so the lower weight of a pair
+        # in this order is the one with nu_i < 0
+        low, up = max((sorted(pair, key=lambda k: key(weight[k])) for pair in broken),
+                      key=lambda pair: [key(weight[k]) for k in pair])
         raise ValueError(
-            f"weight {coords_text(low)} of the restricted character is not "
-            f"dominant and has multiplicity {restricted.get(low, 0)}, but its "
-            f"reflection {coords_text(up)} has {restricted.get(up, 0)}; "
+            f"weight {coords_text(weight[low])} of the restricted character is not "
+            f"dominant and has multiplicity {counts.get(low, 0)}, but its "
+            f"reflection {coords_text(weight[up])} has {counts.get(up, 0)}; "
             f"restriction is not a character of H")
 
     # Racah-Speiser: a W_H-invariant multiset is sum_nu n_nu ch V(nu) with
@@ -430,7 +443,7 @@ def _branch_by_restriction(emb: Embedding, lam: Weight) -> dict[Weight, int]:
     # multiplicity, signed by the parity of the reflections that bring
     # kappa + rho to nu + rho, and nothing when kappa + rho lies on a wall
     virtual: dict[tuple, int] = {}
-    for kappa, m in restricted.items():
+    for kappa, m in zip(zip(*digits), counts.values()):
         shifted = tuple([x + 1 for x in kappa])
         if 0 in shifted:
             continue  # fixed by a simple reflection, so on a wall
@@ -511,19 +524,15 @@ def _branch_by_numerator(emb: Embedding, lam: Weight) -> dict[Weight, int] | Non
     G is computed.  None when the embedding is not certified, a division is
     not exact, the quotient is not alternating or some n_nu is negative:
     ``_branch_by_restriction`` then names the witness.
-
-    Every key is packed as in ``restricted_character``, with digits wide
-    enough for every point of the numerator (hence of every partial quotient,
-    which lies in its convex hull), every line's base point and every
-    reflected image, so no two distinct points share a key.
     """
     g, h = emb.g, emb.h
     extra = _numerator_certificate(g, h, emb.restriction)
     if extra is None:
         return None
     hn, rows = h.rank, emb.restriction
-    # |<w(lam + rho), alpha_k_vee>| <= top, so every numerator coordinate is
-    # at most bound in size; a line's base point, |x_j / gamma_j| + 1 steps
+    # |<w(lam + rho), alpha_k_vee>| <= top, so every coordinate of the
+    # numerator, and of each partial quotient (in its convex hull), is at
+    # most bound in size; a line's base point, |x_j / gamma_j| + 1 steps
     # of gamma from x with |gamma_j| the largest entry, stays within
     # 2 bound + max|gamma|, and a reflected image within 4 (bound + 1) + 1
     # (|a_ij| <= 3)
@@ -538,15 +547,9 @@ def _branch_by_numerator(emb: Embedding, lam: Weight) -> dict[Weight, int] | Non
         return sum(map(operator.mul, v, powers))
 
     f = [pack(col) for col in zip(*rows)]  # pack(Res omega_k)
-    support = tuple(range(g.rank))
-    keys = None
-    for k, col in enumerate(orbit_table(g, support)):
-        c = lam.coords[k] + 1
-        vk = [c * sum(map(operator.mul, f, p)) for p in fundamental_orbit(g, k)[0]]
-        term = map(vk.__getitem__, col)
-        keys = term if keys is None else map(operator.add, keys, term)
+    keys = _orbit_keys(g, [c + 1 for c in lam.coords], f, {})
     keys = list(map((-sum(f)).__add__, keys))
-    starts = orbit_layers(g, support)
+    starts = orbit_layers(g, tuple(range(g.rank)))
     poly = Counter()
     for layer, (a, b) in enumerate(zip(starts, starts[1:])):
         (poly.subtract if layer % 2 else poly.update)(keys[a:b])
@@ -558,14 +561,10 @@ def _branch_by_numerator(emb: Embedding, lam: Weight) -> dict[Weight, int] | Non
         if poly is None:
             return None
 
-    keys, values = list(poly), list(poly.values())
-    digits = _unpack(keys, hn, radix, half)
-    negated = list(map(operator.neg, values))
-    for alpha, d in zip(h.alphas, digits):
-        # key - (d_i + 1) pack(alpha_i) is s_i(key + rho_H) - rho_H
-        a = pack(alpha)
-        if list(map(poly.get, [key - (x + 1) * a for key, x in zip(keys, d)])) != negated:
-            return None
+    values = list(poly.values())
+    digits = _unpack(poly, hn, radix, half)
+    if _unmatched(poly, digits, h, radix, 1, list(map(operator.neg, values))):
+        return None
     found = [(nu, n) for nu, n in zip(zip(*digits), values) if min(nu) >= 0]
     if any(n < 0 for _, n in found):
         return None

@@ -4,8 +4,10 @@ Deliberately naive re-derivations: epsilon-coordinate root models for the
 classical types, reflection-orbit root generation, the inverse Cartan matrix
 and root coordinates over Fraction, a tree walk of a Weyl orbit, a
 brute-force Weyl group closure with determinant signs, Kostant partition
-counting, and the alternating-sum Weyl character formula.  None of it reuses
-the package's Weyl-group or character machinery.
+counting, the alternating-sum Weyl character formula, Freudenthal's
+recursion with every string summed to its top, and the W_H-invariance check
+of a restricted character on tuples.  None of it reuses the package's
+Weyl-group or character machinery beyond single reflections.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from frobcrit.rootsys import RootSystem, Weight, build_root_system, descend
+from frobcrit.rootsys import RootSystem, Weight, build_root_system, descend, reflect
 
 
 # ---------------------------------------------------------------------------
@@ -346,3 +348,22 @@ def reference_freudenthal(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
         assert remainder == 0 and value > 0, mu_t
         mults_t[mu_t] = value
     return {Weight(t): m for t, m in mults_t.items()}
+
+
+# ---------------------------------------------------------------------------
+# W_H-invariance of a restricted character, one reflection at a time
+
+
+def reference_broken_pairs(h: RootSystem, restricted: dict) -> list:
+    """(nu, s_i nu) with nu_i < 0 where the two multiplicities differ, for
+    every weight nu of ``restricted`` ({H-weight tuple: multiplicity}) and
+    every i with nu_i != 0: the check ``charalg.branch`` made on tuples before
+    it made it on packed keys."""
+    broken = []
+    for nu, m in restricted.items():
+        for i, c in enumerate(nu, 1):
+            if c:
+                image = reflect(h, nu, i)
+                if restricted.get(image, 0) != m:
+                    broken.append((nu, image) if c < 0 else (image, nu))
+    return broken

@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -270,22 +272,39 @@ def test_branch_rejects_non_dominant_top():
         branch(emb, W(1, 0))
 
 
+@functools.lru_cache(maxsize=1024)
+def full_character(rs, coords):
+    """{weight coordinates: multiplicity} over every weight of the module with
+    highest weight ``coords``: a product's character is the product of its
+    factors' full characters."""
+    if len(rs.components) == 1:
+        return {w.coords: m for w, m in freudenthal(rs, Weight(coords)).weights().items()}
+    char = {(): 1}
+    for (lo, hi), comp in zip(rs.component_spans, rs.components):
+        factor = full_character(build_root_system([comp]), coords[lo:hi])
+        char = {w + v: m * n for w, m in char.items() for v, n in factor.items()}
+    return char
+
+
 def reference_branch(emb, lam):
     """Greedy branching on full characters: expand the G-character, restrict
     every weight, and strip whole H-characters from the top."""
     h = emb.h
     residual = {}
-    for w, m in freudenthal(emb.g, lam).weights().items():
-        rw = tuple(sum(row[j] * w.coords[j] for j in range(emb.g.rank))
+    for w, m in full_character(emb.g, lam.coords).items():
+        rw = tuple(sum(row[j] * w[j] for j in range(emb.g.rank))
                    for row in emb.restriction)
         if not all(Fraction(c).denominator == 1 for c in rw):
-            raise ValueError(f"restriction of the weight {w.coords} is the "
+            raise ValueError(f"restriction of the weight {w} is the "
                              f"non-integral H-weight {rw}")
         residual[rw] = residual.get(rw, 0) + m
     heights = []
     for j in range(h.rank):
         basis = Weight([1 if k == j else 0 for k in range(h.rank)])
         heights.append(sum(root_coordinates(h, basis), Fraction(0)))
+    # scaled to integers, which keeps their order and sorts faster
+    scale = math.lcm(*(x.denominator for x in heights))
+    heights = [int(x * scale) for x in heights]
 
     def key(t):
         return (sum(a * b for a, b in zip(heights, t)), t)
@@ -300,12 +319,12 @@ def reference_branch(emb, lam):
                              f"is not dominant; restriction is not a character of H")
         if mult < 0:
             raise ValueError(f"negative residual multiplicity {mult} at {top}")
-        for w, m in freudenthal(h, Weight(top)).weights().items():
-            left = residual.get(w.coords, 0) - mult * m
+        for w, m in full_character(h, top).items():
+            left = residual.get(w, 0) - mult * m
             if left == 0:
-                residual.pop(w.coords, None)
+                residual.pop(w, None)
             else:
-                residual[w.coords] = left
+                residual[w] = left
         out[Weight(top)] = mult
     if residual:
         worst = max(residual, key=key)

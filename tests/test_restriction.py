@@ -5,9 +5,10 @@ was while every W_G-orbit of the dominant multiplicities was walked by the
 reference ``orbit_walk`` (``tests/oracles.py``) on (G-weight || Res(G-weight))
 tuples, except that a refusal names its witness by the rule ``branch``
 follows, applied to the walk's full multiset: the non-integral weight, or
-the broken pair (low, up), highest by (<nu, 2 rho_vee>, nu).  They are the
-reference for the restricted multiset and for every result and error text,
-which therefore cannot depend on the order in which an orbit is listed.
+the broken pair (low, up) of ``reference_broken_pairs``, highest by
+(<nu, 2 rho_vee>, nu).  They are the reference for the restricted multiset
+and for every result and error text, which therefore cannot depend on the
+order in which an orbit is listed.
 """
 
 import itertools
@@ -33,7 +34,7 @@ from frobcrit.rootsys import (
 )
 from frobcrit.weyl import enumerate_parabolic
 
-from oracles import orbit_walk
+from oracles import orbit_walk, reference_broken_pairs
 from test_acceptance import dominant_weights_upto, registry_embeddings
 from test_charalg import EDGE_EMBEDDINGS, NON_CHARACTERS
 from test_weyl import _systems_up_to_rank
@@ -78,18 +79,12 @@ def walk_restriction(emb, lam):
     return restricted
 
 
-def walk_branch(emb, lam):
+def walk_branch(emb, lam, restrict=walk_restriction):
     h = emb.h
-    restricted = walk_restriction(emb, lam)
+    restricted = restrict(emb, lam)
     key = _height_key(h)
 
-    broken = []
-    for nu, m in restricted.items():
-        for i, c in enumerate(nu, 1):
-            if c:
-                image = reflect(h, nu, i)
-                if restricted.get(image, 0) != m:
-                    broken.append((nu, image) if c < 0 else (image, nu))
+    broken = reference_broken_pairs(h, restricted)
     if broken:
         low, up = max(broken, key=lambda pair: (key(pair[0]), key(pair[1])))
         raise ValueError(
@@ -233,7 +228,12 @@ def test_entries_near_a_million_at_a_weight_near_the_cap():
 
 # -- witnesses by rule, one restriction per call ------------------------------------
 
-WITNESS_CASES = FRACTIONAL + NEGATIVE + [e for e, _ in EDGE_EMBEDDINGS + NON_CHARACTERS]
+# at (1) the top weight (3, 1) has the broken image s_2 (3, 1) = (4, -1),
+# one past the largest coordinate: digits with no room for it would carry
+# into the next and name another witness
+CROWDED = [_custom("A1", "A2", [[3], [1]], "A1-A2:[3,1]")]
+
+WITNESS_CASES = FRACTIONAL + NEGATIVE + CROWDED + [e for e, _ in EDGE_EMBEDDINGS + NON_CHARACTERS]
 
 
 def _reversed(fn):
@@ -246,12 +246,33 @@ def _reversed(fn):
 def test_error_texts_do_not_depend_on_the_order_of_the_restriction(emb, monkeypatch):
     weights = dominant_weights_upto(emb.g, 30)
     expect = [outcome(branch, emb, lam) for lam in weights]
-    # the tables list each orbit, and restricted_character its result, the other way round
+    restricted_counts = charalg._restricted_counts
+
+    def reversed_counts(*args):
+        counts, digits, radix, half = restricted_counts(*args)
+        return dict(reversed(counts.items())), [col[::-1] for col in digits], radix, half
+
+    # the tables list each orbit, and _restricted_counts its keys, the other way round
     monkeypatch.setattr(charalg, "_orbit_counts", _reversed(charalg._orbit_counts))
     monkeypatch.setattr(charalg, "_convolve", _reversed(charalg._convolve))
-    monkeypatch.setattr(charalg, "restricted_character",
-                        _reversed(charalg.restricted_character))
+    monkeypatch.setattr(charalg, "_restricted_counts", reversed_counts)
     assert [outcome(branch, emb, lam) for lam in weights] == expect, emb.label
+
+
+@pytest.mark.parametrize("emb", WITNESS_CASES, ids=lambda e: e.label)
+def test_invariance_check_matches_the_tuple_reference(emb):
+    # branch checks W_H-invariance on packed keys: the image of key nu under
+    # s_i is read at key - nu_i pack(alpha_i), which is pack(s_i nu) only if
+    # every digit of s_i nu lies within half.  For |nu_j| <= bound and
+    # |a_ij| <= 3, |(s_i nu)_j| = |nu_j - nu_i a_ij| <= 4 bound, so the keys
+    # are packed with half = 4 bound; with less room a reflected key could
+    # alias another key and hide a broken pair.  The reference reflects
+    # tuples one at a time on the library's own restriction.
+    def reference_kernel(e, lam):
+        return walk_branch(e, lam, restricted_character)
+
+    for lam in dominant_weights_upto(emb.g, 60):
+        assert outcome(branch, emb, lam) == outcome(reference_kernel, emb, lam), (emb.label, lam)
 
 
 @pytest.mark.parametrize("emb,lam,text", [
@@ -262,12 +283,13 @@ def test_error_texts_do_not_depend_on_the_order_of_the_restriction(emb, monkeypa
 ], ids=["character", "non-integral", "not-invariant", "negative-residual"])
 def test_branch_restricts_once_on_every_path(emb, lam, text, monkeypatch):
     calls = []
+    restricted_counts = charalg._restricted_counts
 
     def counted(*args):
         calls.append(args)
-        return restricted_character(*args)
+        return restricted_counts(*args)
 
-    monkeypatch.setattr(charalg, "restricted_character", counted)
+    monkeypatch.setattr(charalg, "_restricted_counts", counted)
     result = outcome(branch, emb, Weight(lam))
     assert len(calls) == 1
     assert (result[0] == "ValueError" and text in result[1]) if text else result
