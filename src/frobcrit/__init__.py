@@ -12,6 +12,13 @@ arithmetic.  Modules:
 - ``registry``: known good-filtration pairs, and the worked examples as
   records of inputs and expectations, their one source of truth
 - ``cli``: the ``frobcrit`` command
+
+Every record in the package (a criterion input, a report and its
+conclusions, a registry entry) is a ``typing.NamedTuple``: ``dataclasses``
+would bring ``inspect``, ``ast``, ``dis`` and ``tokenize`` onto the import
+path of every ``frobcrit`` start.  A record is immutable; build a changed
+copy with ``_replace`` (a ``CriterionInput`` copy is normalised like a new
+one).
 """
 
 from .charalg import (

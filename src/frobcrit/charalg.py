@@ -33,8 +33,8 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .embed import Embedding
 from .rootsys import (
@@ -47,6 +47,7 @@ from .rootsys import (
     orbit_layers,
     orbit_table,
     parabolic_weyl_order,
+    require_dominant_integral,
 )
 from .weyl import _resolve_cap
 
@@ -161,10 +162,7 @@ def freudenthal(rs: RootSystem, lam: Weight) -> DominantCharacter:
     dominant chamber never re-enters it, so every weight costs one step per
     root except near the walls.
     """
-    if len(lam) != rs.rank:
-        raise ValueError("highest weight rank mismatch")
-    if not lam.is_integral() or not lam.is_dominant():
-        raise ValueError(f"highest weight must be dominant integral, got {lam!r}")
+    require_dominant_integral(rs, lam, "highest weight")
 
     # the symmetrizer is integral, so both sides of the recursion scale
     # together and everything below is plain integer arithmetic on tuples:
@@ -221,7 +219,7 @@ def freudenthal(rs: RootSystem, lam: Weight) -> DominantCharacter:
                     for k in range(n))
         value, remainder = divmod(2 * sum(row), denom)
         if remainder or value <= 0:
-            raise AssertionError(f"non-positive-integer multiplicity at {mu_t!r}")
+            raise AssertionError(f"non-positive-integer multiplicity at {coords_text(mu_t)}")
         mults[mu_t] = value
     return DominantCharacter(rs, lam,
                              {Weight(t): m for t, m in mults.items()})
@@ -243,10 +241,7 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     prod <lam + rho, beta_vee> / prod <rho, beta_vee> over the positive
     roots, on the integer coroot table, with one exact division.
     """
-    if len(lam) != rs.rank:
-        raise ValueError("highest weight rank mismatch")
-    if not lam.is_integral() or not lam.is_dominant():
-        raise ValueError(f"highest weight must be dominant integral, got {lam!r}")
+    require_dominant_integral(rs, lam, "highest weight")
     shifted = [c + 1 for c in lam.coords]
     numer = denom = 1
     for co in rs.coroots:
@@ -573,8 +568,7 @@ def _branch_by_numerator(emb: Embedding, lam: Weight) -> dict[Weight, int] | Non
     return {Weight(nu): n for nu, n in found}
 
 
-@dataclass
-class SurjectivityScanRow:
+class SurjectivityScanRow(NamedTuple):
     index: int                 # 1-based fundamental weight index on G
     top_weight: Weight         # leading H-constituent of the restriction
     top_multiplicity: int

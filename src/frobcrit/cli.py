@@ -78,6 +78,17 @@ _EXPECT_KEYS = {
 }
 
 
+# field of a custom descriptor -> (test of its value, what the value must be)
+_ROOT_SYSTEM = (lambda v: isinstance(v, (str, list)),
+                'a type such as "C2" or "A2,A1", or a list of [letter, rank] pairs')
+_CUSTOM_SHAPES = {
+    "g": _ROOT_SYSTEM,
+    "h": _ROOT_SYSTEM,
+    "matrix": (lambda v: isinstance(v, list) and all(isinstance(row, list) for row in v),
+               "a list of rows, each a list of numbers"),
+}
+
+
 class InputError(ValueError):
     """User-facing input problem: reported on stderr with exit status 2."""
 
@@ -218,9 +229,12 @@ def embedding_from_descriptor(desc: dict) -> embed.Embedding:
         c = desc["custom"]
         if not isinstance(c, dict):
             raise InputError("custom embedding descriptor must be a JSON object")
-        for key in ("g", "h", "matrix"):
+        for key, (valid, what) in _CUSTOM_SHAPES.items():
             if key not in c:
                 raise InputError(f"custom embedding descriptor is missing {key!r}")
+            if not valid(c[key]):
+                raise InputError(f"bad custom embedding: {key!r} must be {what}, "
+                                 f"got {json.dumps(c[key])}")
         # the registry matches labels by this builder name, so a custom one may not claim it
         label = c.get("label", "custom")
         if not isinstance(label, str):

@@ -9,19 +9,20 @@ together with surjectivity of restriction on Steinberg-type sections; the
 conclusions are emitted as tagged statements about the induced varieties
 H x_{B_H} (P_J/B), their images in G/B, and the H-orbit closures inside.
 All geometry lives in those statement strings: this module never
-manipulates varieties, only exact weight data.
+manipulates varieties, only exact weight data.  Every report is an
+immutable NamedTuple, built once when everything in it is known.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .embed import (CriterionInput, Embedding, detect_twist, restrict, rho_h,
                     root_fiber, validate)
 from .registry import lookup_donkin
-from .rootsys import Weight, _require_int, coords_text, index_set, parabolic_weyl_order, rho_J
+from .rootsys import (Weight, _require_int, coords_text, index_set, parabolic_weyl_order,
+                      require_dominant_integral, rho_J)
 from .weyl import EnumerationCapExceeded, WeylElement, enumerate_parabolic
 
 ORBIT_LABEL_CAP = 100
@@ -61,8 +62,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass
-class SurjectivityStatus:
+class SurjectivityStatus(NamedTuple):
     status: str    # "holds" | "unknown"
     source: str
     detail: str
@@ -72,14 +72,12 @@ class SurjectivityStatus:
         return self.status == "holds"
 
 
-@dataclass
-class LieSeparabilityStatus:
+class LieSeparabilityStatus(NamedTuple):
     status: str    # "holds" | "fails" | "unknown"
     source: str
 
 
-@dataclass
-class Conclusion:
+class Conclusion(NamedTuple):
     tag: str
     statement: str
     theorem: str
@@ -87,15 +85,13 @@ class Conclusion:
     orbit_labels: tuple[tuple[int, ...], ...] | None = None
 
 
-@dataclass
-class DivisorData:
+class DivisorData(NamedTuple):
     weight: Weight           # (p-1) rho_J on G
     multiplicity: int        # p-1, the coefficient of each component
     indices: tuple[int, ...]  # J: one divisor component per index
 
 
-@dataclass
-class CriterionReport:
+class CriterionReport(NamedTuple):
     input: CriterionInput
     condition1_weight: Weight
     condition1_dominant: bool
@@ -103,7 +99,7 @@ class CriterionReport:
     surjectivity: SurjectivityStatus
     lie_separability: LieSeparabilityStatus
     lemma53_min_p: int
-    conclusions: list[Conclusion] = field(default_factory=list)
+    conclusions: list[Conclusion]
     divisor: DivisorData | None = None
 
     def tags(self) -> tuple[str, ...]:
@@ -197,74 +193,65 @@ def check_main(inp: CriterionInput) -> CriterionReport:
     surjectivity = _resolve_surjectivity(inp, min_p)
     lie = _resolve_lie(inp)
 
-    report = CriterionReport(
-        input=inp,
-        condition1_weight=cond1,
-        condition1_dominant=dominant,
-        condition1_regular=regular,
-        surjectivity=surjectivity,
-        lie_separability=lie,
-        lemma53_min_p=min_p,
-    )
-    if not dominant:
-        return report
-
-    # which conclusions hold once the splitting exists, in the order the
-    # CONDITIONAL statement lists them
-    canonical = rh - rj_res
-    full = len(J) == emb.g.rank
-    holds = {
-        "SPLIT_PJ": True,
-        "GLOBALLY_F_REGULAR": regular,
-        "CANONICAL_SPLIT": canonical.is_dominant(),
-        "COR72_HPJ": lie.status == "holds",
-        "COR73_FLAG": full,
-        "COHOMOLOGY_VANISHING": full,
-    }
-    count, words = _orbit_words(emb, J)
-    if not surjectivity.holds:
-        would = ", ".join(tag for tag, on in holds.items() if on)
-        statements = [(
-            "CONDITIONAL",
-            f"2 rho_H - rho_J|_H = {coords_text(cond1.coords)} is dominant, but surjectivity of "
-            f"restriction on sections of weight (p-1) rho_J is unresolved "
-            f"({surjectivity.detail}); if it holds, these follow: {would}",
-            "pending-surjectivity")]
-    else:
-        report.divisor = DivisorData((p - 1) * rj, p - 1, J)
-        extra = "; each orbit closure is globally F-regular" if regular else ""
-        statements = [(tag, statement, theorem) for tag, statement, theorem in (
-            ("SPLIT_PJ",
-             f"the induced variety H x_BH (P_J/B) is Frobenius split by a splitting of "
-             f"weight (p-1)(2 rho_H - rho_J|_H) with p={p}, J={list(J)}, compatibly with "
-             f"every induced Schubert variety H x_BH X(w), w in W_J",
-             "induced-parabolic-splitting"),
-            ("CANONICAL_SPLIT",
-             f"rho_H - rho_J|_H = {coords_text(canonical.coords)} is dominant, so the "
-             f"splitting of H x_BH (P_J/B) can be chosen B_H-canonical",
-             "canonical-splitting"),
-            ("GLOBALLY_F_REGULAR",
-             f"2 rho_H - rho_J|_H = {coords_text(cond1.coords)} is regular dominant, so "
-             f"H x_BH (P_J/B) and every induced Schubert variety H x_BH X(w), "
-             f"w in W_J, is globally F-regular",
-             "induced-parabolic-splitting"),
-            ("COR72_HPJ",
-             f"Lie(H) + Lie(P_J) separability holds ({lie.source}), so the splitting "
-             f"descends: H P_J/B is Frobenius split compatibly with the H-orbit "
-             f"closures H.X(w) for all w in W_J{extra}",
-             "separable-descent"),
-            ("COR73_FLAG",
-             "J is the full index set, so G/B itself is Frobenius split compatibly "
-             "with the closure of every H-orbit H.X(w), w in W",
-             "full-flag-descent"),
-            ("COHOMOLOGY_VANISHING",
-             "for every dominant lambda and every w in W: H^i of the orbit closure "
-             "H.X(w) with coefficients in L(lambda) vanishes for i > 0, and "
-             "H^0(G/B, L(lambda)) -> H^0 of the orbit closure is surjective",
-             "full-flag-descent"),
-        ) if holds[tag]]
-    report.conclusions = [Conclusion(*s, count, words) for s in statements]
-    return report
+    conclusions, divisor = [], None
+    if dominant:
+        # which conclusions hold once the splitting exists, in the order the
+        # CONDITIONAL statement lists them
+        canonical = rh - rj_res
+        full = len(J) == emb.g.rank
+        holds = {
+            "SPLIT_PJ": True,
+            "GLOBALLY_F_REGULAR": regular,
+            "CANONICAL_SPLIT": canonical.is_dominant(),
+            "COR72_HPJ": lie.status == "holds",
+            "COR73_FLAG": full,
+            "COHOMOLOGY_VANISHING": full,
+        }
+        count, words = _orbit_words(emb, J)
+        if not surjectivity.holds:
+            would = ", ".join(tag for tag, on in holds.items() if on)
+            statements = [(
+                "CONDITIONAL",
+                f"2 rho_H - rho_J|_H = {coords_text(cond1.coords)} is dominant, but "
+                f"surjectivity of restriction on sections of weight (p-1) rho_J is unresolved "
+                f"({surjectivity.detail}); if it holds, these follow: {would}",
+                "pending-surjectivity")]
+        else:
+            divisor = DivisorData((p - 1) * rj, p - 1, J)
+            extra = "; each orbit closure is globally F-regular" if regular else ""
+            statements = [(tag, statement, theorem) for tag, statement, theorem in (
+                ("SPLIT_PJ",
+                 f"the induced variety H x_BH (P_J/B) is Frobenius split by a splitting of "
+                 f"weight (p-1)(2 rho_H - rho_J|_H) with p={p}, J={list(J)}, compatibly with "
+                 f"every induced Schubert variety H x_BH X(w), w in W_J",
+                 "induced-parabolic-splitting"),
+                ("CANONICAL_SPLIT",
+                 f"rho_H - rho_J|_H = {coords_text(canonical.coords)} is dominant, so the "
+                 f"splitting of H x_BH (P_J/B) can be chosen B_H-canonical",
+                 "canonical-splitting"),
+                ("GLOBALLY_F_REGULAR",
+                 f"2 rho_H - rho_J|_H = {coords_text(cond1.coords)} is regular dominant, so "
+                 f"H x_BH (P_J/B) and every induced Schubert variety H x_BH X(w), "
+                 f"w in W_J, is globally F-regular",
+                 "induced-parabolic-splitting"),
+                ("COR72_HPJ",
+                 f"Lie(H) + Lie(P_J) separability holds ({lie.source}), so the splitting "
+                 f"descends: H P_J/B is Frobenius split compatibly with the H-orbit "
+                 f"closures H.X(w) for all w in W_J{extra}",
+                 "separable-descent"),
+                ("COR73_FLAG",
+                 "J is the full index set, so G/B itself is Frobenius split compatibly "
+                 "with the closure of every H-orbit H.X(w), w in W",
+                 "full-flag-descent"),
+                ("COHOMOLOGY_VANISHING",
+                 "for every dominant lambda and every w in W: H^i of the orbit closure "
+                 "H.X(w) with coefficients in L(lambda) vanishes for i > 0, and "
+                 "H^0(G/B, L(lambda)) -> H^0 of the orbit closure is surjective",
+                 "full-flag-descent"),
+            ) if holds[tag]]
+        conclusions = [Conclusion(*s, count, words) for s in statements]
+    return CriterionReport(inp, cond1, dominant, regular, surjectivity, lie, min_p,
+                           conclusions, divisor)
 
 
 def divisor_weights(inp: CriterionInput) -> DivisorData:
@@ -280,8 +267,7 @@ def divisor_weights(inp: CriterionInput) -> DivisorData:
     return report.divisor
 
 
-@dataclass
-class Thm41Report:
+class Thm41Report(NamedTuple):
     weight: Weight
     p: int
     condition2_weight: Weight      # 2(p-1) rho_H - lambda|_H
@@ -302,10 +288,7 @@ def thm41_hypotheses(emb: Embedding, lam: Weight, p: int) -> Thm41Report:
     p = _require_int(p, "p")
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if len(lam) != emb.g.rank:
-        raise ValueError("weight rank mismatch")
-    if not lam.is_integral() or not lam.is_dominant():
-        raise ValueError(f"lambda must be dominant integral, got {lam!r}")
+    require_dominant_integral(emb.g, lam, "lambda")
     lam_res = restrict(emb, lam)
     cond2 = 2 * (p - 1) * rho_h(emb) - lam_res
     canonical = (p - 1) * rho_h(emb) - lam_res

@@ -17,9 +17,8 @@ for provenance matching, e.g. ``"levi:C2:J=[1]"`` or ``"so_in_sl:n=6"``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .rootsys import (
     RootSystem,
@@ -67,18 +66,32 @@ class Embedding:
         return f"Embedding({self.label!r})"
 
 
-@dataclass
-class CriterionInput:
-    """One criterion instance: embedding, parabolic index set, prime."""
+# the fields of CriterionInput: typing.NamedTuple refuses a __new__ in the
+# class body, so the normalising __new__ lives on a subclass
+class _CriterionFields(NamedTuple):
     embedding: Embedding
     J: tuple[int, ...]
     p: int
     surjectivity_source: str = "donkin-registry"
     lie_separability: str | None = None  # optional caller assertion: holds/fails
 
-    def __post_init__(self) -> None:
-        self.J = index_set(self.embedding.g, tuple(self.J))
-        self.p = _require_int(self.p, "p")
+
+class CriterionInput(_CriterionFields):
+    """One criterion instance: embedding, parabolic index set, prime.
+
+    Every construction path, ``_replace`` and ``_make`` included, runs J
+    through ``index_set`` and refuses a p that is not an int.
+    """
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        emb, J, p, *rest = super().__new__(cls, *args, **kwargs)
+        return super().__new__(cls, emb, index_set(emb.g, tuple(J)), _require_int(p, "p"), *rest)
+
+    @classmethod
+    def _make(cls, iterable):
+        # NamedTuple's _make, which _replace calls, would skip __new__
+        return cls(*iterable)
 
 
 def restrict(emb: Embedding, weight: Weight) -> Weight:

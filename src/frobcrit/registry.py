@@ -9,9 +9,6 @@ its criterion inputs, and what every report on them must show, in the
 vocabulary of the ``check`` command's expect block.  The records are the one
 source of truth: ``frobcrit examples`` judges them with the same code as
 ``check``, and the tests read the same table.
-
-Every record type here is a NamedTuple: a frozen dataclass costs about
-1.5 ms of import time, paid on every ``frobcrit`` start.
 """
 
 from __future__ import annotations

@@ -232,6 +232,15 @@ def require_rank(rank: int) -> int:
     return rank
 
 
+def require_dominant_integral(rs: RootSystem, lam: Weight, what: str) -> None:
+    """Refuse lam unless it is a dominant integral weight of rs; ``what``
+    names it in the message."""
+    if len(lam) != rs.rank:
+        raise ValueError(f"{what} rank mismatch")
+    if not lam.is_integral() or not lam.is_dominant():
+        raise ValueError(f"{what} must be dominant integral, got {coords_text(lam.coords)}")
+
+
 def _components(spec: Sequence[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
     """The (letter, rank) pairs of a root system about to be built, letters
     upper-cased; a malformed pair or a total rank above MAX_RANK is refused."""

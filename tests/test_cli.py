@@ -235,6 +235,15 @@ def test_check_malformed_values_are_refused(capsys, mutate):
     ({"builder": "so_in_sl", "params": {"n": 5}}, 2, "error: J must be a list of integers, got 2"),
     ({"builder": "levi", "params": {"g": "C3", "J": [4]}}, [1],
      "error: builder 'levi': J index 4 outside 1..3"),
+    ({"custom": {"g": 5, "h": "A1", "matrix": [[1]]}}, [1],
+     "error: bad custom embedding: 'g' must be a type such as \"C2\" or \"A2,A1\", "
+     "or a list of [letter, rank] pairs, got 5"),
+    ({"custom": {"g": "A1", "h": "A1", "matrix": 5}}, [1],
+     "error: bad custom embedding: 'matrix' must be a list of rows, each a list of numbers, "
+     "got 5"),
+    ({"custom": {"g": "A1", "h": "A1", "matrix": [5]}}, [1],
+     "error: bad custom embedding: 'matrix' must be a list of rows, each a list of numbers, "
+     "got [5]"),
 ])
 def test_J_is_checked_once_with_one_text(capsys, embedding, J, text):
     code, out, err = run(capsys, "check", json.dumps({"embedding": embedding, "J": J, "p": 3}))
@@ -535,6 +544,13 @@ def test_branch_bad_weight(capsys):
     assert code == 2
     code, _, err = run(capsys, "branch", json.dumps(desc), "0,-1")
     assert code == 2  # freudenthal needs a dominant weight
+
+
+def test_branch_prints_a_refused_weight_as_coordinates(capsys):
+    desc = {"builder": "identity", "params": {"h": "A2"}}
+    code, out, err = run(capsys, "branch", json.dumps(desc), "1/2,0")
+    assert (code, out, err) == (
+        2, "", "error: highest weight must be dominant integral, got (1/2, 0)\n")
 
 
 def test_branch_above_cap_is_refused_quickly(capsys):

@@ -325,6 +325,13 @@ def test_detect_twist_ignores_zero_blocks():
 def test_criterion_input_normalises_J_like_index_set():
     emb = so_in_sl(5)
     assert CriterionInput(emb, [3, 1, 3], 5).J == index_set(emb.g, [3, 1, 3]) == (1, 3)
+    inp = CriterionInput(emb, J=[3, 1, 3], p=5)  # by keyword, as README's example builds it
+    assert inp.J == (1, 3)
+    # a changed copy goes through the same normaliser and the same check on p
+    assert inp._replace(J=[2, 1]).J == (1, 2)
+    assert CriterionInput._make([emb, [2, 2], 3]).J == (2,)
+    with pytest.raises(TypeError, match="p must be an integer, got 5.0"):
+        inp._replace(p=5.0)
     for J, error in (([9], ValueError), ([0], ValueError), ([1.0], TypeError),
                      ([True], TypeError), (["1"], TypeError), (None, TypeError)):
         with pytest.raises(error) as raised:

@@ -2,7 +2,8 @@
 
 Every import in ``src/frobcrit`` sits at module level, no module but
 ``__init__`` imports a name it never uses, the intra-package imports form
-no cycle, each module imports on its own, and the names the
+no cycle, each module imports on its own, ``import frobcrit.cli`` loads
+neither ``dataclasses`` nor ``inspect``, and the names the
 benchmark's tracer wraps (``perfbench/tracing.py``, read here, never
 imported or changed) are still bound where it looks for them.
 """
@@ -84,6 +85,17 @@ def test_module_imports_alone_in_a_fresh_interpreter(name):
         [sys.executable, "-c", f"import frobcrit.{name}"],
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_start_loads_neither_dataclasses_nor_inspect():
+    # records are NamedTuples: a dataclass would pull dataclasses, inspect and
+    # their imports onto every `frobcrit` start
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, frobcrit.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def _tracer_targets():
