@@ -1,10 +1,10 @@
 """Exact character computations: weight multiplicities and branching.
 
 Multiplicities come from one Freudenthal recursion over the dominant
-weights of the module, for simple and product systems alike: each root
-string is read up to its first dominant point, whose stored string tail
-supplies the rest; full characters are recovered by Weyl-orbit expansion
-when asked for.
+weights of the module, for simple and product systems alike, orbit-reduced:
+at mu, one root string per W_mu-orbit of positive roots, weighted by the
+orbit's size, is read up to its first dominant point, whose stored string
+tail supplies the rest.  Full characters come from Weyl-orbit expansion.
 
 ``branch`` has two kernels that share one G side and one H side, both on
 packed keys: an H-weight nu is the int pack(nu) = sum_j nu_j radix^j, so a
@@ -48,6 +48,7 @@ from .rootsys import (
     orbit_table,
     parabolic_weyl_order,
     require_dominant_integral,
+    root_classes,
 )
 from .weyl import _resolve_cap
 
@@ -160,7 +161,11 @@ def freudenthal(rs: RootSystem, lam: Weight) -> DominantCharacter:
     S_beta(nu) = sum_{k>=1} m(nu + k beta)(nu + k beta, beta), stored when nu,
     which is higher than mu, was reached.  A string that starts outside the
     dominant chamber never re-enters it, so every weight costs one step per
-    root except near the walls.
+    root except near the walls.  The sum is orbit-reduced (Moody-Patera):
+    w in W_mu, generated by the s_i with mu_i = 0, fixes mu, so
+    S_{w beta}(mu) = S_beta(mu), and S_beta(mu) = S_{-beta}(mu) when
+    <mu, beta_vee> = 0; so one string is walked per W_mu-orbit of positive
+    roots (``root_classes``), weighted by the orbit's size.
     """
     require_dominant_integral(rs, lam, "highest weight")
 
@@ -168,7 +173,6 @@ def freudenthal(rs: RootSystem, lam: Weight) -> DominantCharacter:
     # together and everything below is plain integer arithmetic on tuples:
     # each positive root in weight coordinates, its root coordinates, and the
     # coefficients of (nu, beta) = sum_k coef_k nu_k
-    n = rs.rank
     isym = rs.symmetrizer
     pos = [(bw, beta, tuple(map(operator.mul, beta, isym)))
            for beta, bw in zip(rs.positive_roots, rs.positive_weights)]
@@ -177,7 +181,7 @@ def freudenthal(rs: RootSystem, lam: Weight) -> DominantCharacter:
     # roots while staying dominant, tracking the root coordinates of lam - mu
     # (integers, since the difference lies in the root lattice)
     lam_t = tuple(int(c) for c in lam.coords)
-    dom = {lam_t: (0,) * n}
+    dom = {lam_t: (0,) * rs.rank}
     frontier = [lam_t]
     while frontier:
         nxt = []
@@ -195,9 +199,13 @@ def freudenthal(rs: RootSystem, lam: Weight) -> DominantCharacter:
     ordered = sorted(dom, key=lambda t: (sum(dom[t]), t))
     mults: dict[tuple, int] = {lam_t: 1}
     tails = {lam_t: [0] * len(pos)}
+    regular = (range(len(pos)), None, None)  # a regular mu walks every root
     for mu_t in ordered[1:]:
+        reps, sizes, where = (root_classes(rs, tuple([j for j, c in enumerate(mu_t, 1) if not c]))
+                              if 0 in mu_t else regular)
         row = []
-        for b, (bw, _, coef) in enumerate(pos):
+        for b in reps:
+            bw, _, coef = pos[b]
             tail = 0
             nu = tuple(map(operator.add, mu_t, bw))
             while True:
@@ -211,18 +219,16 @@ def freudenthal(rs: RootSystem, lam: Weight) -> DominantCharacter:
                     break
                 nu = tuple(map(operator.add, nu, bw))
             row.append(tail)
-        tails[mu_t] = row
+        total = sum(row) if sizes is None else sum(map(operator.mul, sizes, row))
+        tails[mu_t] = row if sizes is None else list(map(row.__getitem__, where))
         # (lam+rho, lam+rho) - (mu+rho, mu+rho) = (lam+mu+2rho, lam-mu), and
         # the second factor carries the integer root coordinates tracked above
-        diff = dom[mu_t]
-        denom = sum(diff[k] * isym[k] * (lam_t[k] + mu_t[k] + 2)
-                    for k in range(n))
-        value, remainder = divmod(2 * sum(row), denom)
+        denom = sum(d * s * (x + y + 2) for d, s, x, y in zip(dom[mu_t], isym, lam_t, mu_t))
+        value, remainder = divmod(2 * total, denom)
         if remainder or value <= 0:
             raise AssertionError(f"non-positive-integer multiplicity at {coords_text(mu_t)}")
         mults[mu_t] = value
-    return DominantCharacter(rs, lam,
-                             {Weight(t): m for t, m in mults.items()})
+    return DominantCharacter(rs, lam, {Weight(t): m for t, m in mults.items()})
 
 
 def _cached_character(rs: RootSystem, lam: Weight) -> DominantCharacter:
@@ -243,11 +249,8 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     """
     require_dominant_integral(rs, lam, "highest weight")
     shifted = [c + 1 for c in lam.coords]
-    numer = denom = 1
-    for co in rs.coroots:
-        numer *= sum(x * c for x, c in zip(shifted, co))
-        denom *= sum(co)
-    dim, remainder = divmod(numer, denom)
+    numer = math.prod(sum(map(operator.mul, shifted, co)) for co in rs.coroots)
+    dim, remainder = divmod(numer, math.prod(map(sum, rs.coroots)))
     if remainder:
         raise AssertionError("Weyl dimension formula returned a non-integer")
     return dim

@@ -466,13 +466,8 @@ def _cmd_verify_identities(args) -> int:
             f"pass --force to run it anyway")
     if args.max_rank < 1:
         raise InputError("--max-rank must be at least 1")
-    specs: list[str] = []
-    for r in range(1, args.max_rank + 1):
-        specs.append(f"A{r}")
-    for letter, lo in (("B", 2), ("C", 2), ("D", 3)):
-        for r in range(lo, args.max_rank + 1):
-            specs.append(f"{letter}{r}")
-    specs += ["G2", "F4", "E6"]
+    specs = [f"{letter}{r}" for letter, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+             for r in range(lo, args.max_rank + 1)] + ["G2", "F4", "E6"]
     pairs = sum(1 << int(spec[1:]) for spec in specs)
     if pairs > VERIFY_PAIR_CAP:
         raise InputError(f"--max-rank {args.max_rank} would check {pairs} (system, J) "

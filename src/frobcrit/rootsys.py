@@ -93,36 +93,23 @@ def _simple_cartan(letter: str, rank: int) -> list[list[int]]:
 
 
 def _positive_closure(cartan: Sequence[Sequence[int]]) -> list[RootVector]:
-    """All positive roots, by closing the simple roots under root strings.
-
-    Processing strictly by height: beta + alpha_i is a root iff
-    q = p - <beta, alpha_i_vee> >= 1 where p is the number of steps the
-    alpha_i-string continues below beta.
-    """
+    """All positive roots by height: the simple roots closed under the steps
+    beta -> s_i beta = beta - <beta, alpha_i_vee> alpha_i that raise beta
+    (pairing < 0).  A positive root that is not simple has some pairing > 0,
+    and s_i beta is then a positive root of lower height, so every positive
+    root is reached from a simple one by raising steps."""
     n = len(cartan)
-    simple = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    roots: set[RootVector] = set(simple)
-    frontier = list(simple)
+    roots = {tuple(int(k == i) for k in range(n)) for i in range(n)}
+    frontier = list(roots)
     while frontier:
-        nxt: list[RootVector] = []
-        for beta in frontier:
-            for i in range(n):
-                pairing = sum(cartan[i][j] * beta[j] for j in range(n))
-                p = 0
-                down = list(beta)
-                while True:
-                    down[i] -= 1
-                    if tuple(down) not in roots:
-                        break
-                    p += 1
-                if p - pairing >= 1:
-                    up = list(beta)
-                    up[i] += 1
-                    cand = tuple(up)
-                    if cand not in roots:
-                        roots.add(cand)
-                        nxt.append(cand)
-        frontier = nxt
+        beta = frontier.pop()
+        for i, row in enumerate(cartan):
+            c = sum(a * b for a, b in zip(row, beta))
+            if c < 0:
+                up = beta[:i] + (beta[i] - c,) + beta[i + 1:]
+                if up not in roots:
+                    roots.add(up)
+                    frontier.append(up)
     return sorted(roots, key=lambda r: (sum(r), r))
 
 
@@ -434,8 +421,8 @@ def descend(rs: RootSystem, v: Sequence, J: Iterable[int] | None = None):
         letters.append(j)
 
 
-# Root data of G kept across calls, as (value, ints stored): fundamental
-# orbits under (components, k) and orbit tables under (components, support).
+# Root data kept across calls, as (value, ints stored): fundamental orbits,
+# orbit tables and root classes, keyed by components and k, support or zeros.
 # Past _TABLE_BUDGET ints in all, the oldest are dropped; a dropped entry is
 # rebuilt the same, so the indices of a table still kept stay valid.
 _orbit_tables: dict[tuple, tuple] = {}
@@ -516,6 +503,21 @@ def _orbit_rows(rs: RootSystem, support: tuple[int, ...]):
         layer = found
     cols = [list(col) for col in zip(*rows)]
     return _keep(key, (cols, starts), len(rows) * len(cols) + len(starts))
+
+
+def root_classes(rs: RootSystem, zeros: tuple[int, ...]):
+    """The W_J0-orbits of positive roots, J0 = ``zeros`` (1-based, increasing):
+    the index of each orbit's representative, its W_J0-dominant root (by
+    ``descend`` on J0), which is positive; each orbit's size; and the orbit
+    of every positive root, as a position in the first list."""
+    key = (rs.components, zeros, "roots")
+    if key in _orbit_tables:
+        return _orbit_tables[key][0]
+    roots = rs.positive_weights
+    of = [roots.index(descend(rs, bw, zeros)[0]) for bw in roots]
+    reps = sorted(set(of))
+    value = (reps, list(map(of.count, reps)), list(map(reps.index, of)))
+    return _keep(key, value, len(of) + 2 * len(reps))
 
 
 def rho_J(rs: RootSystem, J: Iterable[int]) -> Weight:

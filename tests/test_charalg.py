@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 import sys
@@ -115,6 +116,31 @@ def test_freudenthal_matches_whole_string_recursion(spec):
     rs = build_root_system(spec)
     for lam in dominant_weights_upto(rs, REFERENCE_SYSTEMS[spec]):
         assert freudenthal(rs, lam).multiplicities == reference_freudenthal(rs, lam), lam
+
+
+# the orbit reduction acts at weights with zero coordinates, where W_mu is
+# not trivial; on a product freudenthal reads the orbits of the product's
+# zero sets, while the reference multiplies its factors' maps
+WALL_SYSTEMS = {"A2,B2": 1000, "G2,A1": 500}
+
+
+@pytest.mark.parametrize("spec", WALL_SYSTEMS)
+def test_freudenthal_matches_whole_string_recursion_on_walls_of_mixed_products(spec):
+    rs = build_root_system(spec)
+    walls = [lam for lam in dominant_weights_upto(rs, WALL_SYSTEMS[spec]) if 0 in lam.coords]
+    assert len(walls) > 400
+    for lam in walls:
+        assert freudenthal(rs, lam).multiplicities == reference_freudenthal(rs, lam), lam
+
+
+@pytest.mark.parametrize("spec", ["E7", "E8", "B8"])
+def test_closed_form_dimension_matches_weyl_dim_on_walls_of_rank_7_and_8(spec):
+    # every omega_i + omega_j has at least rank - 2 zero coordinates
+    rs = build_root_system(spec)
+    for i, j in itertools.combinations_with_replacement(range(rs.rank), 2):
+        coords = [int(k == i) + int(k == j) for k in range(rs.rank)]
+        lam = Weight(coords)
+        assert freudenthal(rs, lam).dimension() == weyl_dim(rs, lam), coords
 
 
 def fraction_weyl_dim(rs, lam):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from frobcrit.rootsys import (
     parse_spec,
     rho,
     rho_J,
+    root_classes,
     root_to_weight,
     subsystem_components,
 )
@@ -145,6 +147,32 @@ def test_positive_roots_match_epsilon_model(letter, lo, hi):
 def test_positive_roots_match_reflection_orbit(spec):
     rs = build_root_system(spec)
     assert set(rs.positive_roots) == reflection_orbit_positive_roots(rs)
+
+
+@pytest.mark.parametrize("spec", [s for s in _systems_up_to_rank(4) if "," not in s]
+                         + ["E6", "G2,A1"])
+def test_root_classes_pick_one_dominant_positive_root_per_orbit(spec):
+    rs = build_root_system(spec)
+    roots = rs.positive_weights
+    for size in range(rs.rank + 1):
+        for zeros in itertools.combinations(range(1, rs.rank + 1), size):
+            reps, sizes, where = root_classes(rs, zeros)
+            assert sum(sizes) == len(roots), zeros
+            assert sizes == [where.count(i) for i in range(len(reps))], zeros
+            for beta, i in zip(roots, where):
+                # the W_J0-orbit of beta under s_j v = v - v_j alpha_j, j in J0
+                orbit, frontier = {beta}, [beta]
+                while frontier:
+                    u = frontier.pop()
+                    for j in zeros:
+                        v = tuple(x - u[j - 1] * a for x, a in zip(u, rs.alphas[j - 1]))
+                        if v not in orbit:
+                            orbit.add(v)
+                            frontier.append(v)
+                rep = roots[reps[i]]
+                assert rep in orbit and all(rep[j - 1] >= 0 for j in zeros), (zeros, beta)
+            if not zeros:
+                assert reps == list(range(len(roots))) and sizes == [1] * len(roots)
 
 
 def test_positive_roots_sorted_by_height():
