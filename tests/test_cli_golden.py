@@ -1,4 +1,5 @@
-"""Replay of a frozen CLI corpus: argv, exit code and the sha256 of stdout.
+"""Replay of a frozen CLI corpus: argv, exit code and the sha256 of stdout
+and of stderr, so a refusal's text is pinned as well as its exit code.
 
 ``tests/data/cli_golden.json`` holds one entry per call: verify-identities
 up to rank 6, every ``examples run`` name, branch, min-p and check calls over
@@ -28,11 +29,12 @@ CORPUS = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
 ENV_VARS = ("FROBCRIT_ENUM_CAP", "FROBCRIT_BRANCH_CAP")
 
 
-def _call(argv: list[str]) -> tuple[int, str]:
+def _call(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return (code, hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            hashlib.sha256(err.getvalue().encode()).hexdigest())
 
 
 # builder descriptors and a weight or two to branch each one at
@@ -82,6 +84,12 @@ _BRANCH_CUSTOM = [
     (_custom("B2", "A1", [[2, 1]]), ["1,1"]),
     (_custom("A2", "A2", [[0, 1], [1, 0]], label="swap"), ["2,1"]),
     (_custom("A1,A1", "A1", [[1, 2]]), ["3,1"]),
+    # W_H-invariant restrictions whose weights are not saturated: (+-2) at
+    # (1) and (+-6), (0) at (2), refused at a weight that is not a key
+    (_custom("A1", "A1", [[2]]), ["1"]),
+    (_custom("A1", "A1", [[3]]), ["2"]),
+    # not W_H-invariant: s_2 (3, 1) = (4, -1) has no weight to match
+    (_custom("A1", "A2", [[3], [1]]), ["1"]),
 ]
 
 # (descriptor, J choices) per builder for the check inputs
@@ -181,9 +189,9 @@ def test_cli_output_matches_golden_corpus(monkeypatch):
     start = time.perf_counter()
     moved = []
     for entry in corpus:
-        code, digest = _call(entry["argv"])
-        if (code, digest) != (entry["exit"], entry["stdout_sha256"]):
-            moved.append((entry["argv"], entry["exit"], code))
+        got = _call(entry["argv"])
+        if got != (entry["exit"], entry["stdout_sha256"], entry["stderr_sha256"]):
+            moved.append((entry["argv"], entry["exit"], got[0]))
     assert not moved, f"{len(moved)} calls changed, first: {moved[:3]}"
     assert time.perf_counter() - start < 20
 
@@ -191,8 +199,9 @@ def test_cli_output_matches_golden_corpus(monkeypatch):
 if __name__ == "__main__":
     entries = []
     for argv in corpus_argvs():
-        code, digest = _call(argv)
-        entries.append({"argv": argv, "exit": code, "stdout_sha256": digest})
+        code, out, err = _call(argv)
+        entries.append({"argv": argv, "exit": code, "stdout_sha256": out,
+                        "stderr_sha256": err})
     CORPUS.parent.mkdir(exist_ok=True)
     CORPUS.write_text(json.dumps(entries, indent=1) + "\n")
     print(f"wrote {len(entries)} entries to {CORPUS}")
