@@ -6,28 +6,34 @@ at mu, one root string per W_mu-orbit of positive roots, weighted by the
 orbit's size, is read up to its first dominant point, whose stored string
 tail supplies the rest.  Full characters come from Weyl-orbit expansion.
 
-``branch`` has two kernels that share one G side and one H side, both on
-packed keys: an H-weight nu is the int pack(nu) = sum_j nu_j radix^j, so a
-restriction or a reflection is integer arithmetic.  ``_orbit_keys`` is the
-one W_G-orbit sum, read off the orbit tables (``rootsys.orbit_table``, kept
-across calls).  ``_unmatched`` is the one W_H-invariance check, one pass
-per simple root over every key; its digits have room for every key and
-every simple reflection of it, so no reflected key aliases another.
+``branch`` has two kernels, both on packed keys: an H-weight nu is the int
+pack(nu) = sum_j nu_j radix^j, so a restriction or a reflection is integer
+arithmetic.  ``_orbit_keys`` is the one orbit sum, read off the orbit
+tables (``rootsys.orbit_table``, kept across calls), for W_G on the G side
+and W_H on the H side.  ``_unmatched`` compares every key with its image
+under each simple reflection, one pass per root: the numerator checks
+alternation by it, and the restriction kernel names a broken pair by it.
 ``_branch_by_numerator`` builds no character of G: it divides the
 restricted Weyl numerator by the factors that are not over positive
 H-roots, and reads the multiplicities off the H-dominant keys once the
 quotient is alternating under the rho_H-shifted reflections.
 ``_branch_by_restriction`` runs every other call, and every call the
 numerator declines: it restricts the dominant multiplicities orbit by
-orbit, checks that the result is integral and W_H-invariant, and
-decomposes it by the Racah-Speiser (Brauer-Klimyk) count, which needs no
-H-character at all.  A refusal names its witness by ``_height_order``, the
-order in which constituents are listed, so the witness does not depend on
-the order in which the tables list an orbit.
+orbit, checks that the result is integral, and decomposes it by the
+Racah-Speiser (Brauer-Klimyk) count, which needs no H-character at all.
+Its radix is a power of two whose digits have room for every W_H-image of
+an H-dominant key and every nu + rho_H - w rho_H at one, so one mask on the
+top bits finds the H-dominant keys, and a genuine character is checked
+(W_H-invariant, saturated) and decomposed on those alone, about 4 % of the
+keys on the branch-sweep benchmark; any other multiset is unpacked and
+descended weight by weight.  A refusal names its witness by
+``_height_order``, the order in which constituents are listed, so the
+witness does not depend on the order in which the tables list an orbit.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -48,6 +54,7 @@ from .rootsys import (
     orbit_table,
     parabolic_weyl_order,
     require_dominant_integral,
+    rho_shifts,
     root_classes,
 )
 from .weyl import _resolve_cap
@@ -96,11 +103,28 @@ def dominant_conjugate(rs: RootSystem, weight: Weight) -> Weight:
     return Weight(descend(rs, weight.coords)[0])
 
 
+def _zeros(coords) -> tuple[int, ...]:
+    """The 1-based indices of the zero coordinates."""
+    return tuple([j for j, c in enumerate(coords, 1) if not c])
+
+
+@functools.lru_cache(maxsize=1024)
+def _orbit_size(rs: RootSystem, zeros: tuple[int, ...]) -> int:
+    """|W| / |W_J0|, the size of the W-orbit of a dominant weight whose zero
+    coordinates are J0 = ``zeros``."""
+    return rs.weyl_order // parabolic_weyl_order(rs, zeros)
+
+
 def weyl_orbit(rs: RootSystem, weight: Weight) -> set[tuple[Fraction, ...]]:
     """All coordinate tuples in the Weyl orbit of the weight: with mu its
     dominant conjugate, w mu = sum_k mu_k w omega_k row by row of the orbit
-    table of mu's support."""
+    table of mu's support.  An orbit larger than FROBCRIT_ENUM_CAP (default
+    10^6) is refused before any table is built, with its exact size."""
     mu = descend(rs, weight.coords)[0]
+    size, cap = _orbit_size(rs, _zeros(mu)), _resolve_cap(None)
+    if size > cap:
+        raise ValueError(f"refusing to list the Weyl orbit of {coords_text(mu)} in "
+                         f"{rs.spec_string()}: it has {size} points, cap is {cap}")
     support = tuple([k for k, c in enumerate(mu) if c])
     if not support:
         return {mu}
@@ -134,10 +158,8 @@ class DominantCharacter:
         if self._dim is None:
             by_zeros: Counter = Counter()
             for mu, m in self.multiplicities.items():
-                by_zeros[tuple([i for i, c in enumerate(mu.coords, 1) if not c])] += m
-            order = self.rs.weyl_order
-            self._dim = sum(m * (order // parabolic_weyl_order(self.rs, zeros))
-                            for zeros, m in by_zeros.items())
+                by_zeros[_zeros(mu.coords)] += m
+            self._dim = sum(m * _orbit_size(self.rs, zeros) for zeros, m in by_zeros.items())
         return self._dim
 
     def weights(self) -> dict[Weight, int]:
@@ -201,8 +223,7 @@ def freudenthal(rs: RootSystem, lam: Weight) -> DominantCharacter:
     tails = {lam_t: [0] * len(pos)}
     regular = (range(len(pos)), None, None)  # a regular mu walks every root
     for mu_t in ordered[1:]:
-        reps, sizes, where = (root_classes(rs, tuple([j for j, c in enumerate(mu_t, 1) if not c]))
-                              if 0 in mu_t else regular)
+        reps, sizes, where = root_classes(rs, _zeros(mu_t)) if 0 in mu_t else regular
         row = []
         for b in reps:
             bw, _, coef = pos[b]
@@ -319,22 +340,33 @@ def _unpack(keys, n: int, radix: int, half: int) -> list[list[int]]:
 
 def _restricted_counts(emb: Embedding, lam: Weight):
     """The restriction to H of the irreducible G-module with highest weight
-    lam as packed counts {pack(nu): multiplicity}, their digits, the radix
-    and half = 4 bound, bound at least every coordinate: |<w mu, alpha_k_vee>|
-    <= max_gamma <lam, gamma_vee> for every weight mu of the module, and
-    |nu_j - nu_i a_ij| <= 4 bound for a simple reflection.  Packing is
-    linear, so pack(Res(v)) = sum_k f_k v_k, and ``_orbit_counts`` counts
-    those ints.  A fractional restriction matrix is scaled to integers and
-    the scale divided out at the end, which raises at the non-integral weight
-    highest in ``_height_order`` (the same order on the scaled weights,
-    scale > 0); a key whose digits all divide by scale does too.
+    lam as packed counts {pack(nu): multiplicity}, the radix and half.
+
+    pack(nu) = sum_j nu_j radix^j with radix = 2 half, half a power of two:
+    digit j of pack(nu) + half sum_j radix^j is nu_j + half, so nu_j >= 0
+    exactly when the digit's top bit is set, as long as every coordinate
+    lies in -half..half - 1.  bound is at least every coordinate of a key:
+    |<w mu, alpha_k_vee>| <= max_gamma <lam, gamma_vee> for every weight mu
+    of the module.  With h the height of the highest coroot of H,
+    half - 1 >= max(4, h) bound + h + 1 leaves room for a simple reflection
+    of a key (|nu_j - nu_i a_ij| <= 4 bound, ``_unmatched``), for every
+    W_H-image of an H-dominant key (|<kappa, beta_vee>| <= h bound) and for
+    nu + rho - w rho at a dominant key nu (its coordinates are 1 - h to
+    bound + h + 1).  Packing is linear, so pack(Res(v)) = sum_k f_k v_k, and
+    ``_orbit_counts`` counts those ints.  A fractional restriction matrix is
+    scaled to integers and the scale divided out at the end, which unpacks
+    every key and raises at the non-integral weight highest in
+    ``_height_order`` (the same order on the scaled weights, scale > 0); a
+    key whose digits all divide by scale does too.
     """
-    g, hn = emb.g, emb.h.rank
+    g, h = emb.g, emb.h
     scale = math.lcm(*(x.denominator for row in emb.restriction for x in row))
     rows = [[int(x * scale) for x in row] for row in emb.restriction]
     top = max(sum(map(operator.mul, lam.coords, co)) for co in g.coroots)
-    half = 4 * top * max(sum(map(abs, row)) for row in rows)
-    radix = 2 * half + 1
+    bound = top * max(sum(map(abs, row)) for row in rows)
+    reach = max(map(sum, h.coroots))
+    half = 1 << (max(4, reach) * bound + reach + 1).bit_length()
+    radix = 2 * half
     f = [sum(row[k] * radix ** j for j, row in enumerate(rows)) for k in range(g.rank)]
     # a product's character is the product of its factors', and packing
     # adds over the factors, so the factors' counts convolve
@@ -344,26 +376,25 @@ def _restricted_counts(emb: Embedding, lam: Weight):
         part = _orbit_counts(factor.rs, f[lo:hi], factor.multiplicities)
         counts = part if counts is None else _convolve(counts, part)
 
-    digits = _unpack(counts, hn, radix, half)
     if scale > 1:
-        fractional = [r for r in zip(*digits) if any(x % scale for x in r)]
+        fractional = [r for r in zip(*_unpack(counts, h.rank, radix, half))
+                      if any(x % scale for x in r)]
         if fractional:
-            r = max(fractional, key=_height_order(emb.h))
+            r = max(fractional, key=_height_order(h))
             raise ValueError(
                 f"restriction of the module with highest weight {coords_text(lam.coords)} "
                 f"has the non-integral H-weight "
                 f"{coords_text(Fraction(x, scale) for x in r)}")
         counts = {key // scale: m for key, m in counts.items()}
-        digits = [[x // scale for x in col] for col in digits]
-    return counts, digits, radix, half
+    return counts, radix, half
 
 
 def restricted_character(emb: Embedding, lam: Weight) -> dict[tuple, int]:
     """The restriction to H of the irreducible G-module with highest weight
     lam, as {H-weight coordinates: multiplicity}, in no particular order;
     raises at the non-integral weight highest in ``_height_order``."""
-    counts, digits, _, _ = _restricted_counts(emb, lam)
-    return dict(zip(zip(*digits), counts.values()))
+    counts, radix, half = _restricted_counts(emb, lam)
+    return dict(zip(zip(*_unpack(counts, emb.h.rank, radix, half)), counts.values()))
 
 
 def _unmatched(poly: dict, digits: list[list[int]], h: RootSystem, radix: int,
@@ -414,10 +445,93 @@ def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
 
 
 def _branch_by_restriction(emb: Embedding, lam: Weight) -> dict[Weight, int]:
-    """``branch`` from the restricted character: checked to be W_H-invariant,
-    then decomposed by the Racah-Speiser count; raises at the witness."""
+    """``branch`` from the restricted character, decomposed by the
+    Racah-Speiser (Brauer-Klimyk) count: a W_H-invariant multiset is
+    sum_nu n_nu ch V(nu) with n_nu = sum_w eps(w) m(nu + rho - w rho) at each
+    H-dominant nu.  ``_dominant_count`` takes every genuine character on its
+    H-dominant keys alone; whatever it declines goes to ``_descended_count``,
+    which raises at a broken pair.  Raises at a negative n_nu."""
     h = emb.h
-    counts, digits, radix, half = _restricted_counts(emb, lam)
+    counts, radix, half = _restricted_counts(emb, lam)
+    virtual = _dominant_count(h, counts, radix, half)
+    if virtual is None:
+        virtual = _descended_count(h, counts, radix, half)
+    key = _height_order(h)
+    negative = [nu for nu, n in virtual.items() if n < 0]
+    if negative:
+        worst = max(negative, key=key)
+        raise ValueError(
+            f"negative residual multiplicity {virtual[worst]} at {coords_text(worst)}")
+    return {Weight(nu): virtual[nu]
+            for nu in sorted(virtual, key=key, reverse=True) if virtual[nu]}
+
+
+def _dominant_count(h: RootSystem, counts: dict, radix: int, half: int) -> dict | None:
+    """{nu: n_nu} at the H-dominant keys of ``counts``, packed with room for
+    every W_H-image of a dominant key and every nu + rho - w rho
+    (``_restricted_counts``), or None unless the keys are W_H-invariant and
+    saturated.
+
+    The dominant keys are read off by one mask, as a coordinate is >= 0
+    exactly when the top bit of its digit is set, and only they are
+    unpacked.  The counts are W_H-invariant exactly when they equal the
+    counts spread over the W_H-orbit of each dominant key (every count is
+    >= 1); the orbits are checked to hold as many weights as there are keys
+    before any is listed, so a broken multiset lists no orbit larger than
+    itself.  Invariant keys holding kappa - beta at each dominant key kappa
+    and positive root beta with <kappa, beta_vee> > 0 hold mu - alpha at
+    every key mu and root alpha with <mu, alpha_vee> > 0, so they are
+    saturated, and every dominant weight below a key is a key (Humphreys,
+    Introduction to Lie Algebras and Representation Theory, 13.4 Lemma B);
+    so is every nu with n_nu != 0, since nu + rho - w rho lies above nu.
+    The sum runs over the w with <rho - w rho, 2 rho_vee> at most the span of
+    the keys' heights (``rho_shifts``), each over the dominant keys low
+    enough for nu + rho - w rho to be a key at all.
+    """
+    powers = [radix ** j for j in range(h.rank)]
+    offset = half * sum(powers)
+    dominant = list(itertools.compress(counts, map(offset.__eq__, map(
+        offset.__and__, map(offset.__add__, counts)))))
+    digits = _unpack(dominant, h.rank, radix, half)
+    nus = list(zip(*digits))
+    mults = list(map(counts.__getitem__, dominant))
+    if sum(map(_orbit_size, itertools.repeat(h), map(_zeros, nus))) != len(counts):
+        return None
+    memo: dict[tuple, list[int]] = {}
+    spread: dict[int, int] = {}
+    for nu, m in zip(nus, mults):
+        spread.update(dict.fromkeys(_orbit_keys(h, nu, powers, memo), m))
+    if spread != counts:
+        return None
+    for co, bw in zip(h.coroots, h.positive_weights):
+        pairs = map(any, zip(*[col for c, col in zip(co, digits) if c]))
+        lower = map((-sum(map(operator.mul, bw, powers))).__add__,
+                    itertools.compress(dominant, pairs))
+        if not all(map(counts.__contains__, lower)):
+            return None
+
+    hv = tuple(map(sum, zip(*h.coroots)))
+    heights = [sum(map(operator.mul, hv, nu)) for nu in nus]
+    order = sorted(range(len(nus)), key=heights.__getitem__)
+    heights = [heights[i] for i in order]
+    keys = [dominant[i] for i in order]
+    total = [mults[i] for i in order]
+    top = heights[-1]
+    for height, shift, odd in rho_shifts(h, top - heights[0])[1:]:
+        cut = bisect.bisect_right(heights, top - height)
+        if not cut:
+            break
+        step = sum(map(operator.mul, shift, powers))
+        found = map(counts.get, map(step.__add__, itertools.islice(keys, cut)),
+                    itertools.repeat(0))
+        total[:cut] = map(operator.sub if odd else operator.add, total, found)
+    return {nus[i]: n for i, n in zip(order, total)}
+
+
+def _descended_count(h: RootSystem, counts: dict, radix: int, half: int) -> dict:
+    """{nu: n_nu} by descending every key, or the refusal at the broken pair
+    highest in ``_height_order`` when ``counts`` is not W_H-invariant."""
+    digits = _unpack(counts, h.rank, radix, half)
     key = _height_order(h)
 
     # H-characters are W_H-invariant, so a sum of them is too; the count
@@ -436,10 +550,9 @@ def _branch_by_restriction(emb: Embedding, lam: Weight) -> dict[Weight, int]:
             f"reflection {coords_text(weight[up])} has {counts.get(up, 0)}; "
             f"restriction is not a character of H")
 
-    # Racah-Speiser: a W_H-invariant multiset is sum_nu n_nu ch V(nu) with
-    # n_nu = sum_w eps(w) m(nu + rho - w rho), so each weight kappa adds its
-    # multiplicity, signed by the parity of the reflections that bring
-    # kappa + rho to nu + rho, and nothing when kappa + rho lies on a wall
+    # each weight kappa adds its multiplicity to n_nu, signed by the parity
+    # of the reflections that bring kappa + rho to nu + rho, and nothing
+    # when kappa + rho lies on a wall
     virtual: dict[tuple, int] = {}
     for kappa, m in zip(zip(*digits), counts.values()):
         shifted = tuple([x + 1 for x in kappa])
@@ -450,13 +563,7 @@ def _branch_by_restriction(emb: Embedding, lam: Weight) -> dict[Weight, int]:
             continue
         nu = tuple([x - 1 for x in end])
         virtual[nu] = virtual.get(nu, 0) + (-m if len(letters) % 2 else m)
-    negative = [nu for nu, n in virtual.items() if n < 0]
-    if negative:
-        worst = max(negative, key=key)
-        raise ValueError(
-            f"negative residual multiplicity {virtual[worst]} at {coords_text(worst)}")
-    return {Weight(nu): virtual[nu]
-            for nu in sorted(virtual, key=key, reverse=True) if virtual[nu]}
+    return virtual
 
 
 @functools.lru_cache(maxsize=64)

@@ -16,8 +16,10 @@ with a given support at once, as indices into the fundamental orbits
 (``fundamental_orbit``), and keeps it across calls; it is the one orbit
 enumerator of the package, and it and ``fundamental_orbit`` are each one
 breadth-first pass; ``orbit_layers`` gives where each layer starts, so on
-the regular orbit the sign eps(w) of every row.  ``RootSystem.weyl_order``
-is |W| from the components in closed form.
+the regular orbit the sign eps(w) of every row.  ``rho_shifts`` lists
+rho - w rho with its height and sign only for the w under a given height,
+so a Racah-Speiser sum never builds the regular orbit.
+``RootSystem.weyl_order`` is |W| from the components in closed form.
 
 The symmetrizer and the coroot table are integers, and every pairing
 <lam, gamma_vee> in the package reads ``RootSystem.coroots`` as
@@ -432,6 +434,7 @@ _table_total = 0
 
 def _keep(key: tuple, value, size: int):
     global _table_total
+    _table_total -= _orbit_tables.pop(key, (None, 0))[1]  # an entry rebuilt larger
     if size <= _TABLE_BUDGET:
         _orbit_tables[key] = (value, size)
         _table_total += size
@@ -518,6 +521,34 @@ def root_classes(rs: RootSystem, zeros: tuple[int, ...]):
     reps = sorted(set(of))
     value = (reps, list(map(of.count, reps)), list(map(reps.index, of)))
     return _keep(key, value, len(of) + 2 * len(reps))
+
+
+def rho_shifts(rs: RootSystem, height: int):
+    """(<rho - w rho, 2 rho_vee>, rho - w rho, whether l(w) is odd) for every w
+    in W with <rho - w rho, 2 rho_vee> <= height, and perhaps more, ascending
+    in the first entry; w = 1 comes first.  Breadth first from rho by the
+    reflections that lengthen w: s_i w is longer exactly when (w rho)_i > 0,
+    and then rho - s_i w rho = rho - w rho + (w rho)_i alpha_i is higher by
+    2 (w rho)_i.  Heights grow along reduced words, so a pass that stops at
+    ``height`` misses nothing below it.  Root data of rs, kept across calls
+    and rebuilt, at least twice as high, only when a call needs more."""
+    key = (rs.components, "rho")
+    full = 2 * sum(map(sum, rs.coroots))  # <2 rho, 2 rho_vee>, the height of w_0
+    kept = _orbit_tables.get(key)
+    if kept is not None and kept[0][0] >= min(height, full):
+        return kept[0][1]
+    limit = min(full, max(height, 2 * kept[0][0]) if kept else height)
+    rows, layer, odd = [], {(1,) * rs.rank: 0}, False
+    while layer:
+        rows += [(h, tuple([1 - x for x in v]), odd) for v, h in layer.items()]
+        nxt = {}
+        for v, h in layer.items():
+            for i, c in enumerate(v, 1):
+                if c > 0 and h + 2 * c <= limit:
+                    nxt[reflect(rs, v, i)] = h + 2 * c
+        layer, odd = nxt, not odd
+    rows.sort(key=lambda row: row[0])
+    return _keep(key, (limit, rows), (rs.rank + 2) * len(rows))[1]
 
 
 def rho_J(rs: RootSystem, J: Iterable[int]) -> Weight:

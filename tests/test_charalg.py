@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from frobcrit import charalg
+from frobcrit import charalg, rootsys
 from frobcrit.charalg import (
     DEFAULT_BRANCH_CAP,
     BranchCapExceeded,
@@ -68,6 +68,23 @@ def test_weyl_orbit_sizes():
     assert len(weyl_orbit(c2, W(1, 0))) == 4
     g2 = build_root_system("G2")
     assert len(weyl_orbit(g2, W(1, 1))) == 12
+
+
+def test_weyl_orbit_refuses_an_orbit_above_the_enumeration_cap(monkeypatch):
+    a3 = build_root_system("A3")
+    monkeypatch.setenv("FROBCRIT_ENUM_CAP", "11")  # the orbit of (1, 1, 0) has 24 / 2 points
+    with pytest.raises(ValueError, match=r"refusing to list the Weyl orbit of \(1, 1, 0\) "
+                                         r"in A3: it has 12 points, cap is 11$"):
+        weyl_orbit(a3, W(1, 1, 0))
+    monkeypatch.setenv("FROBCRIT_ENUM_CAP", "12")
+    assert len(weyl_orbit(a3, W(2, -1, 1))) == 12  # s_2 (1, 1, 0)
+    # by default E8 at rho, |W(E8)| points, is refused before any table is built
+    monkeypatch.delenv("FROBCRIT_ENUM_CAP")
+    monkeypatch.setattr(rootsys, "_orbit_tables", {})
+    monkeypatch.setattr(rootsys, "_table_total", 0)
+    with pytest.raises(ValueError, match="it has 696729600 points, cap is 1000000$"):
+        weyl_orbit(build_root_system("E8"), Weight([1] * 8))
+    assert rootsys._orbit_tables == {}
 
 
 # -- dimensions (frozen values, classical tables) ------------------------------

@@ -13,6 +13,7 @@ order in which an orbit is listed.
 
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 
@@ -20,7 +21,8 @@ import pytest
 
 from frobcrit import charalg, rootsys
 from frobcrit.charalg import branch, freudenthal, restricted_character, weyl_dim, weyl_orbit
-from frobcrit.embed import Embedding, diagonal, folding_E6F4, so_in_sl
+from frobcrit import embed
+from frobcrit.embed import Embedding, diagonal, folding_E6F4, levi, so_in_sl
 from frobcrit.rootsys import (
     Weight,
     build_root_system,
@@ -233,7 +235,18 @@ def test_entries_near_a_million_at_a_weight_near_the_cap():
 # into the next and name another witness
 CROWDED = [_custom("A1", "A2", [[3], [1]], "A1-A2:[3,1]")]
 
-WITNESS_CASES = FRACTIONAL + NEGATIVE + CROWDED + [e for e, _ in EDGE_EMBEDDINGS + NON_CHARACTERS]
+# the highest coroot of F4 has height 11: at (1), with bound = 3, the
+# dominant key (3, 3, 3, 3) has a W_H-image with the coordinate
+# <(3, 3, 3, 3), theta_vee> = 33, outside the 4 bound = 12 a simple
+# reflection needs, and outside digits of half 16, the power of two above it
+ROOMY = [_custom("A1", "F4", [[3]] * 4, "A1-F4:3rho")]
+
+# at (2, 2) the keys (0), (+-2), (+-4), (+-6) are W_H-invariant and
+# saturated, and n at (0) is 1 - 2: a refusal on the dominant keys alone
+SATURATED = [_custom("A1,A1", "A1", [[2, 1]], "A1xA1:[2,1]")]
+
+WITNESS_CASES = (FRACTIONAL + NEGATIVE + CROWDED + ROOMY + SATURATED
+                 + [e for e, _ in EDGE_EMBEDDINGS + NON_CHARACTERS])
 
 
 def _reversed(fn):
@@ -249,8 +262,8 @@ def test_error_texts_do_not_depend_on_the_order_of_the_restriction(emb, monkeypa
     restricted_counts = charalg._restricted_counts
 
     def reversed_counts(*args):
-        counts, digits, radix, half = restricted_counts(*args)
-        return dict(reversed(counts.items())), [col[::-1] for col in digits], radix, half
+        counts, radix, half = restricted_counts(*args)
+        return dict(reversed(counts.items())), radix, half
 
     # the tables list each orbit, and _restricted_counts its keys, the other way round
     monkeypatch.setattr(charalg, "_orbit_counts", _reversed(charalg._orbit_counts))
@@ -259,28 +272,58 @@ def test_error_texts_do_not_depend_on_the_order_of_the_restriction(emb, monkeypa
     assert [outcome(branch, emb, lam) for lam in weights] == expect, emb.label
 
 
+def reference_kernel(emb, lam):
+    """``walk_branch`` on the library's own restriction: every weight
+    unpacked, broken pairs found by reflecting tuples one at a time, and
+    every weight descended for the Racah-Speiser count."""
+    return walk_branch(emb, lam, restricted_character)
+
+
+def _spied_dominant_count(monkeypatch):
+    """Record, for each call of ``_dominant_count``, whether it decomposed."""
+    taken = []
+    dominant_count = charalg._dominant_count
+
+    def spy(*args):
+        out = dominant_count(*args)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(charalg, "_dominant_count", spy)
+    return taken
+
+
+def assert_matches_tuple_reference(emb, weights, monkeypatch):
+    """``branch`` and the restriction kernel against ``reference_kernel``, in
+    value and order, and every character decomposed on the dominant keys."""
+    taken = _spied_dominant_count(monkeypatch)
+    for lam in weights:
+        expect = outcome(reference_kernel, emb, lam)
+        assert outcome(branch, emb, lam) == expect, (emb.label, lam)
+        taken.clear()
+        assert outcome(charalg._branch_by_restriction, emb, lam) == expect, (emb.label, lam)
+        if isinstance(expect, list):
+            assert taken == [True], (emb.label, lam)
+
+
 @pytest.mark.parametrize("emb", WITNESS_CASES, ids=lambda e: e.label)
-def test_invariance_check_matches_the_tuple_reference(emb):
+def test_invariance_check_matches_the_tuple_reference(emb, monkeypatch):
     # branch checks W_H-invariance on packed keys: the image of key nu under
     # s_i is read at key - nu_i pack(alpha_i), which is pack(s_i nu) only if
     # every digit of s_i nu lies within half.  For |nu_j| <= bound and
     # |a_ij| <= 3, |(s_i nu)_j| = |nu_j - nu_i a_ij| <= 4 bound, so the keys
-    # are packed with half = 4 bound; with less room a reflected key could
-    # alias another key and hide a broken pair.  The reference reflects
-    # tuples one at a time on the library's own restriction.
-    def reference_kernel(e, lam):
-        return walk_branch(e, lam, restricted_character)
-
-    for lam in dominant_weights_upto(emb.g, 60):
-        assert outcome(branch, emb, lam) == outcome(reference_kernel, emb, lam), (emb.label, lam)
+    # are packed with half > 4 bound; with less room a reflected key could
+    # alias another key and hide a broken pair.
+    assert_matches_tuple_reference(emb, dominant_weights_upto(emb.g, 60), monkeypatch)
 
 
 @pytest.mark.parametrize("emb,lam,text", [
     (diagonal("A1", 2), (1, 1), None),
     (EDGE_EMBEDDINGS[0][0], (1,), "non-integral H-weight (1/2)"),
     (EDGE_EMBEDDINGS[2][0], (1, 0), "is not dominant"),
-    (NON_CHARACTERS[0][0], (1,), "negative residual multiplicity"),
-], ids=["character", "non-integral", "not-invariant", "negative-residual"])
+    (NON_CHARACTERS[0][0], (1,), "negative residual multiplicity -1 at (0)"),
+    (SATURATED[0], (2, 2), "negative residual multiplicity -1 at (0)"),
+], ids=["character", "non-integral", "not-invariant", "not-saturated", "negative-residual"])
 def test_branch_restricts_once_on_every_path(emb, lam, text, monkeypatch):
     calls = []
     restricted_counts = charalg._restricted_counts
@@ -293,6 +336,103 @@ def test_branch_restricts_once_on_every_path(emb, lam, text, monkeypatch):
     result = outcome(branch, emb, Weight(lam))
     assert len(calls) == 1
     assert (result[0] == "ValueError" and text in result[1]) if text else result
+
+
+# -- the H side on dominant keys ---------------------------------------------------
+
+# the embeddings of the branch-sweep benchmark workload
+SWEEP = [getattr(embed, name)(*args) for name, args in (
+    ("folding_E6F4", ()), ("folding_B3G2", ()),
+    ("folding_AC", (2,)), ("folding_AC", (3,)), ("folding_AC", (4,)),
+    ("folding_DB", (4,)), ("folding_DB", (5,)),
+    ("so_in_sl", (5,)), ("so_in_sl", (6,)), ("so_in_sl", (8,)),
+    ("diagonal", ("A1", 2)), ("diagonal", ("A1", 3)), ("diagonal", ("A2", 2)),
+    ("diagonal", ("A2", 3)), ("diagonal", ("B2", 2)), ("diagonal", ("G2", 3)),
+    ("levi", ("E6", (1, 3, 4, 5, 6))), ("levi", ("B4", (2, 3, 4))),
+    ("levi", ("A5", (1, 2, 4, 5))), ("levi", ("F4", (1, 2, 3))))]
+
+
+@pytest.mark.parametrize("emb", SWEEP, ids=lambda e: e.label)
+def test_sweep_embeddings_match_the_tuple_reference(emb, monkeypatch):
+    # every weight of dimension <= 2 000, or every k-th one where there are
+    # more than 120 (the diagonal embeddings have up to 70 000)
+    weights = dominant_weights_upto(emb.g, 2000)
+    assert_matches_tuple_reference(emb, weights[::-(-len(weights) // 120)], monkeypatch)
+
+
+@pytest.mark.parametrize("emb,lam,text", [
+    (NON_CHARACTERS[0][0], (1,), "negative residual multiplicity -1 at (0)"),
+    (NON_CHARACTERS[1][0], (2,), "negative residual multiplicity -1 at (4)"),
+    (CROWDED[0], (1,), "weight (4, -1) of the restricted character is not dominant"),
+    (_custom("A1", "E8", [[1]] * 8, "A1-E8:rho"), (1,),
+     "weight (2, 1, -1, 2, 1, 1, 1, 1) of the restricted character is not dominant"),
+], ids=["double", "triple", "not-invariant", "E8-orbit"])
+def test_keys_that_are_not_saturated_or_invariant_go_to_the_descent(emb, lam, text, monkeypatch):
+    # double restricts to the keys (+-2) at (1), triple to (+-6), (0) at (2):
+    # invariant, but n_nu < 0 at a weight that is not a key.  The dominant
+    # key rho of E8 has an orbit of 696 729 600 weights against 2 keys, and
+    # is declined before any orbit is listed
+    taken = _spied_dominant_count(monkeypatch)
+    with pytest.raises(ValueError) as caught:
+        charalg._branch_by_restriction(emb, Weight(lam))
+    assert str(caught.value).startswith(text) and taken == [False]
+
+
+def test_every_w_h_image_of_a_dominant_key_has_room_in_its_digits():
+    emb, kappa = ROOMY[0], (3, 3, 3, 3)
+    h = emb.h
+    counts, radix, half = charalg._restricted_counts(emb, Weight([1]))
+    powers = [radix ** j for j in range(h.rank)]
+    assert sum(map(operator.mul, kappa, powers)) in counts
+    orbit = weyl_orbit(h, Weight(kappa))
+    assert max(max(map(abs, nu)) for nu in orbit) == 33 > 16
+    keys = list(charalg._orbit_keys(h, kappa, powers, {}))
+    assert len(set(keys)) == len(orbit) == 1152
+    assert set(zip(*charalg._unpack(keys, h.rank, radix, half))) == orbit
+
+
+def test_a_cold_branch_lists_only_the_w_under_its_height_span(monkeypatch):
+    # (0, 0, 0, 0, 0, 2) of E6 restricted to A5: the Racah-Speiser sum needs
+    # the w with <rho - w rho, 2 rho_vee> at most the span of the dominant
+    # keys' heights, not all 720 elements of W(A5)
+    monkeypatch.setattr(rootsys, "_orbit_tables", {})
+    monkeypatch.setattr(rootsys, "_table_total", 0)
+    emb = levi("E6", (1, 3, 4, 5, 6))
+    h, lam = emb.h, Weight([0, 0, 0, 0, 0, 2])
+    branch(emb, lam)
+    hv = [sum(col) for col in zip(*h.coroots)]
+    heights = [sum(map(operator.mul, hv, nu))
+               for nu in restricted_character(emb, lam) if min(nu) >= 0]
+    span = max(heights) - min(heights)
+    rho_h = Weight([1] * h.rank)
+    under = [w for w in enumerate_parabolic(h)
+             if sum(map(operator.mul, hv, (rho_h - w.act(rho_h)).coords)) <= span]
+    assert len(under) < h.weyl_order == 720
+    limit, rows = rootsys._orbit_tables[h.components, "rho"][0]
+    assert limit == span and len(rows) == len(under)
+    assert (h.components, tuple(range(h.rank))) not in rootsys._orbit_tables
+
+
+@pytest.mark.parametrize("spec", _systems_up_to_rank(3) + ["A5", "G2", "A1,B2"])
+def test_rho_shifts_are_every_w_under_the_height_in_height_order(spec, monkeypatch):
+    monkeypatch.setattr(rootsys, "_orbit_tables", {})
+    monkeypatch.setattr(rootsys, "_table_total", 0)
+    rs = build_root_system(spec)
+    hv = [sum(col) for col in zip(*rs.coroots)]
+    rho_rs = Weight([1] * rs.rank)
+    every = sorted((sum(map(operator.mul, hv, shift)), shift, w.length() % 2 == 1)
+                   for w in enumerate_parabolic(rs)
+                   for shift in [(rho_rs - w.act(rho_rs)).coords])
+    full = every[-1][0]
+    # a lower height, a higher one (rebuilt at least twice as high), then all
+    for height in (full // 4, full // 2 + 1, 10 * full):
+        rows = rootsys.rho_shifts(rs, height)
+        assert rows[0] == (0, (0,) * rs.rank, False)
+        assert [row[0] for row in rows] == sorted(row[0] for row in rows)
+        assert sorted(rows) == [row for row in every if row[0] <= rootsys._orbit_tables[
+            rs.components, "rho"][0][0]]
+        assert all(row in rows for row in every if row[0] <= height)
+    assert rootsys._table_total == sum(size for _, size in rootsys._orbit_tables.values())
 
 
 # -- the orbit tables --------------------------------------------------------------
