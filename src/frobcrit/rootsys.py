@@ -540,12 +540,12 @@ def rho_shifts(rs: RootSystem, height: int):
     limit = min(full, max(height, 2 * kept[0][0]) if kept else height)
     rows, layer, odd = [], {(1,) * rs.rank: 0}, False
     while layer:
-        rows += [(h, tuple([1 - x for x in v]), odd) for v, h in layer.items()]
+        rows += [(ht, tuple([1 - x for x in v]), odd) for v, ht in layer.items()]
         nxt = {}
-        for v, h in layer.items():
+        for v, ht in layer.items():
             for i, c in enumerate(v, 1):
-                if c > 0 and h + 2 * c <= limit:
-                    nxt[reflect(rs, v, i)] = h + 2 * c
+                if c > 0 and ht + 2 * c <= limit:
+                    nxt[reflect(rs, v, i)] = ht + 2 * c
         layer, odd = nxt, not odd
     rows.sort(key=lambda row: row[0])
     return _keep(key, (limit, rows), (rs.rank + 2) * len(rows))[1]

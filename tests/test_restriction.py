@@ -19,9 +19,8 @@ from fractions import Fraction
 
 import pytest
 
-from frobcrit import charalg, rootsys
+from frobcrit import charalg, embed, rootsys
 from frobcrit.charalg import branch, freudenthal, restricted_character, weyl_dim, weyl_orbit
-from frobcrit import embed
 from frobcrit.embed import Embedding, diagonal, folding_E6F4, levi, so_in_sl
 from frobcrit.rootsys import (
     Weight,
