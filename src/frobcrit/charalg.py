@@ -25,8 +25,9 @@ Its radix is a power of two whose digits have room for every W_H-image of
 an H-dominant key and every nu + rho_H - w rho_H at one, so one mask on the
 top bits finds the H-dominant keys, and a genuine character is checked
 (W_H-invariant, saturated) and decomposed on those alone, about 4 % of the
-keys on the branch-sweep benchmark; any other multiset is unpacked and
-descended weight by weight.  A refusal names its witness by
+keys on the branch-sweep benchmark, as long as no more w of W_H lie under
+the span of their heights than there are keys; any other multiset is
+unpacked and descended weight by weight.  A refusal names its witness by
 ``_height_order``, the order in which constituents are listed, so the
 witness does not depend on the order in which the tables list an orbit.
 """
@@ -51,8 +52,8 @@ from .rootsys import (
     descend,
     fundamental_orbit,
     orbit_layers,
+    orbit_size,
     orbit_table,
-    parabolic_weyl_order,
     require_dominant_integral,
     rho_shifts,
     root_classes,
@@ -108,20 +109,13 @@ def _zeros(coords) -> tuple[int, ...]:
     return tuple([j for j, c in enumerate(coords, 1) if not c])
 
 
-@functools.lru_cache(maxsize=1024)
-def _orbit_size(rs: RootSystem, zeros: tuple[int, ...]) -> int:
-    """|W| / |W_J0|, the size of the W-orbit of a dominant weight whose zero
-    coordinates are J0 = ``zeros``."""
-    return rs.weyl_order // parabolic_weyl_order(rs, zeros)
-
-
 def weyl_orbit(rs: RootSystem, weight: Weight) -> set[tuple[Fraction, ...]]:
     """All coordinate tuples in the Weyl orbit of the weight: with mu its
     dominant conjugate, w mu = sum_k mu_k w omega_k row by row of the orbit
     table of mu's support.  An orbit larger than FROBCRIT_ENUM_CAP (default
     10^6) is refused before any table is built, with its exact size."""
     mu = descend(rs, weight.coords)[0]
-    size, cap = _orbit_size(rs, _zeros(mu)), _resolve_cap(None)
+    size, cap = orbit_size(rs, _zeros(mu)), _resolve_cap(None)
     if size > cap:
         raise ValueError(f"refusing to list the Weyl orbit of {coords_text(mu)} in "
                          f"{rs.spec_string()}: it has {size} points, cap is {cap}")
@@ -159,7 +153,7 @@ class DominantCharacter:
             by_zeros: Counter = Counter()
             for mu, m in self.multiplicities.items():
                 by_zeros[_zeros(mu.coords)] += m
-            self._dim = sum(m * _orbit_size(self.rs, zeros) for zeros, m in by_zeros.items())
+            self._dim = sum(m * orbit_size(self.rs, zeros) for zeros, m in by_zeros.items())
         return self._dim
 
     def weights(self) -> dict[Weight, int]:
@@ -486,7 +480,14 @@ def _dominant_count(h: RootSystem, counts: dict, radix: int, half: int) -> dict 
     so is every nu with n_nu != 0, since nu + rho - w rho lies above nu.
     The sum runs over the w with <rho - w rho, 2 rho_vee> at most the span of
     the keys' heights (``rho_shifts``), each over the dominant keys low
-    enough for nu + rho - w rho to be a key at all.
+    enough for nu + rho - w rho to be a key at all.  It is declined when
+    there are more such w than keys, as on the adjoint module of a large
+    H, or when listing the w not yet kept would take more than w = 1 and
+    one per 16 keys: listing a w took 1.4-2.4 times as long as descending a
+    key (A8, B16 and E8 with cold tables), so a declined call spends at
+    most about a seventh of the descent's time on it.  Whatever was listed
+    is kept, so later calls on the same H go on from there, and none once
+    the w listed or waiting under the span outnumber the keys.
     """
     powers = [radix ** j for j in range(h.rank)]
     offset = half * sum(powers)
@@ -495,7 +496,13 @@ def _dominant_count(h: RootSystem, counts: dict, radix: int, half: int) -> dict 
     digits = _unpack(dominant, h.rank, radix, half)
     nus = list(zip(*digits))
     mults = list(map(counts.__getitem__, dominant))
-    if sum(map(_orbit_size, itertools.repeat(h), map(_zeros, nus))) != len(counts):
+    if sum(map(orbit_size, itertools.repeat(h), map(_zeros, nus))) != len(counts):
+        return None
+    hv = tuple(map(sum, zip(*h.coroots)))
+    heights = [sum(map(operator.mul, hv, nu)) for nu in nus]
+    shifts = rho_shifts(h, max(heights) - min(heights), len(counts),
+                        1 + len(counts) // 16)
+    if shifts is None:
         return None
     memo: dict[tuple, list[int]] = {}
     spread: dict[int, int] = {}
@@ -510,14 +517,12 @@ def _dominant_count(h: RootSystem, counts: dict, radix: int, half: int) -> dict 
         if not all(map(counts.__contains__, lower)):
             return None
 
-    hv = tuple(map(sum, zip(*h.coroots)))
-    heights = [sum(map(operator.mul, hv, nu)) for nu in nus]
     order = sorted(range(len(nus)), key=heights.__getitem__)
     heights = [heights[i] for i in order]
     keys = [dominant[i] for i in order]
     total = [mults[i] for i in order]
     top = heights[-1]
-    for height, shift, odd in rho_shifts(h, top - heights[0])[1:]:
+    for height, shift, odd in shifts[1:]:
         cut = bisect.bisect_right(heights, top - height)
         if not cut:
             break

@@ -18,8 +18,10 @@ enumerator of the package, and it and ``fundamental_orbit`` are each one
 breadth-first pass; ``orbit_layers`` gives where each layer starts, so on
 the regular orbit the sign eps(w) of every row.  ``rho_shifts`` lists
 rho - w rho with its height and sign only for the w under a given height,
-so a Racah-Speiser sum never builds the regular orbit.
-``RootSystem.weyl_order`` is |W| from the components in closed form.
+lowest first, and declines past a given count, so a Racah-Speiser sum
+never builds the regular orbit and never lists more w than its caller
+allows.  ``RootSystem.weyl_order`` is |W| from the components in closed
+form, and ``orbit_size`` the size of the orbit of a dominant weight.
 
 The symmetrizer and the coroot table are integers, and every pairing
 <lam, gamma_vee> in the package reads ``RootSystem.coroots`` as
@@ -29,6 +31,9 @@ as public API.
 
 from __future__ import annotations
 
+import bisect
+import heapq
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -424,7 +429,8 @@ def descend(rs: RootSystem, v: Sequence, J: Iterable[int] | None = None):
 
 
 # Root data kept across calls, as (value, ints stored): fundamental orbits,
-# orbit tables and root classes, keyed by components and k, support or zeros.
+# orbit tables, root classes, orbit sizes and the rho shifts, keyed by
+# components and k, support, zeros or "rho".
 # Past _TABLE_BUDGET ints in all, the oldest are dropped; a dropped entry is
 # rebuilt the same, so the indices of a table still kept stay valid.
 _orbit_tables: dict[tuple, tuple] = {}
@@ -523,32 +529,53 @@ def root_classes(rs: RootSystem, zeros: tuple[int, ...]):
     return _keep(key, value, len(of) + 2 * len(reps))
 
 
-def rho_shifts(rs: RootSystem, height: int):
+def rho_shifts(rs: RootSystem, height: int, most: int, budget: int):
     """(<rho - w rho, 2 rho_vee>, rho - w rho, whether l(w) is odd) for every w
-    in W with <rho - w rho, 2 rho_vee> <= height, and perhaps more, ascending
-    in the first entry; w = 1 comes first.  Breadth first from rho by the
-    reflections that lengthen w: s_i w is longer exactly when (w rho)_i > 0,
-    and then rho - s_i w rho = rho - w rho + (w rho)_i alpha_i is higher by
-    2 (w rho)_i.  Heights grow along reduced words, so a pass that stops at
-    ``height`` misses nothing below it.  Root data of rs, kept across calls
-    and rebuilt, at least twice as high, only when a call needs more."""
+    in W with <rho - w rho, 2 rho_vee> <= height, ascending in the first
+    entry, w = 1 first; or None when there are more than ``most`` such w, or
+    when listing them takes more than ``budget`` w not listed before.
+    Listed lowest first from rho by the reflections that lengthen w: s_i w is
+    longer exactly when (w rho)_i > 0, and then rho - s_i w rho =
+    rho - w rho + (w rho)_i alpha_i is higher by 2 (w rho)_i.  Heights grow
+    along reduced words, so every w lower than the lowest one waiting has
+    been listed, and every w waiting at most ``height`` high is one more
+    under it: listing stops once those outnumber ``most``.  Root data of
+    rs, kept across calls with the w still waiting, so a later call goes on
+    from where the last one stopped."""
     key = (rs.components, "rho")
-    full = 2 * sum(map(sum, rs.coroots))  # <2 rho, 2 rho_vee>, the height of w_0
     kept = _orbit_tables.get(key)
-    if kept is not None and kept[0][0] >= min(height, full):
-        return kept[0][1]
-    limit = min(full, max(height, 2 * kept[0][0]) if kept else height)
-    rows, layer, odd = [], {(1,) * rs.rank: 0}, False
-    while layer:
-        rows += [(ht, tuple([1 - x for x in v]), odd) for v, ht in layer.items()]
-        nxt = {}
-        for v, ht in layer.items():
+    rho = (1,) * rs.rank
+    state = kept[0] if kept else ([], [(0, rho, False)], {rho})
+    rows, waiting, queued = state
+    cut = bisect.bisect_right(rows, height, key=operator.itemgetter(0))
+    if not kept or waiting and waiting[0][0] <= height:
+        under = cut + sum(1 for entry in waiting if entry[0] <= height)
+        stop = len(rows) + budget
+        while under <= most and len(rows) < stop and waiting and waiting[0][0] <= height:
+            ht, v, odd = heapq.heappop(waiting)
+            queued.discard(v)  # every w that reaches v is lower: listed already
+            rows.append((ht, tuple([1 - x for x in v]), odd))
+            cut += 1
             for i, c in enumerate(v, 1):
-                if c > 0 and ht + 2 * c <= limit:
-                    nxt[reflect(rs, v, i)] = ht + 2 * c
-        layer, odd = nxt, not odd
-    rows.sort(key=lambda row: row[0])
-    return _keep(key, (limit, rows), (rs.rank + 2) * len(rows))[1]
+                if c > 0:
+                    u = reflect(rs, v, i)
+                    if u not in queued:
+                        queued.add(u)
+                        heapq.heappush(waiting, (ht + 2 * c, u, not odd))
+                        under += ht + 2 * c <= height
+        _keep(key, state, (rs.rank + 2) * (len(rows) + len(waiting)))
+    if cut > most or waiting and waiting[0][0] <= height:
+        return None
+    return rows[:cut]
+
+
+def orbit_size(rs: RootSystem, zeros: tuple[int, ...]) -> int:
+    """|W| / |W_J0|, the size of the W-orbit of a dominant weight whose zero
+    coordinates are J0 = ``zeros`` (1-based, increasing)."""
+    key = (rs.components, zeros, "size")
+    if key in _orbit_tables:
+        return _orbit_tables[key][0]
+    return _keep(key, rs.weyl_order // parabolic_weyl_order(rs, zeros), 1)
 
 
 def rho_J(rs: RootSystem, J: Iterable[int]) -> Weight:

@@ -78,13 +78,14 @@ def test_weyl_orbit_refuses_an_orbit_above_the_enumeration_cap(monkeypatch):
         weyl_orbit(a3, W(1, 1, 0))
     monkeypatch.setenv("FROBCRIT_ENUM_CAP", "12")
     assert len(weyl_orbit(a3, W(2, -1, 1))) == 12  # s_2 (1, 1, 0)
-    # by default E8 at rho, |W(E8)| points, is refused before any table is built
+    # by default E8 at rho, |W(E8)| points, is refused before any table but
+    # its orbit size is built
     monkeypatch.delenv("FROBCRIT_ENUM_CAP")
     monkeypatch.setattr(rootsys, "_orbit_tables", {})
     monkeypatch.setattr(rootsys, "_table_total", 0)
     with pytest.raises(ValueError, match="it has 696729600 points, cap is 1000000$"):
         weyl_orbit(build_root_system("E8"), Weight([1] * 8))
-    assert rootsys._orbit_tables == {}
+    assert [key[-1] for key in rootsys._orbit_tables] == ["size"]
 
 
 # -- dimensions (frozen values, classical tables) ------------------------------

@@ -11,6 +11,8 @@ and for every result and error text, which therefore cannot depend on the
 order in which an orbit is listed.
 """
 
+import bisect
+import functools
 import itertools
 import math
 import operator
@@ -292,9 +294,31 @@ def _spied_dominant_count(monkeypatch):
     return taken
 
 
+@functools.lru_cache(maxsize=None)
+def _rho_shift_heights(h):
+    """<rho - w rho, 2 rho_vee> for every w in W_H, ascending."""
+    hv = [sum(col) for col in zip(*h.coroots)]
+    rho_h = Weight([1] * h.rank)
+    return sorted(sum(map(operator.mul, hv, (rho_h - w.act(rho_h)).coords))
+                  for w in enumerate_parabolic(h))
+
+
+def _no_more_w_than_keys(h, multiset):
+    """Whether at most as many w lie under the span of the dominant keys'
+    heights as there are keys: the sum at the dominant keys is taken."""
+    hv = [sum(col) for col in zip(*h.coroots)]
+    heights = [sum(map(operator.mul, hv, nu)) for nu in multiset if min(nu) >= 0]
+    span = max(heights) - min(heights)
+    return bisect.bisect_right(_rho_shift_heights(h), span) <= len(multiset)
+
+
 def assert_matches_tuple_reference(emb, weights, monkeypatch):
     """``branch`` and the restriction kernel against ``reference_kernel``, in
-    value and order, and every character decomposed on the dominant keys."""
+    value and order, and, with every w of W_H listed, every character
+    decomposed on the dominant keys unless more w lie under their span than
+    there are keys."""
+    order = emb.h.weyl_order
+    assert rootsys.rho_shifts(emb.h, 10 ** 9, order, order) is not None
     taken = _spied_dominant_count(monkeypatch)
     for lam in weights:
         expect = outcome(reference_kernel, emb, lam)
@@ -302,7 +326,8 @@ def assert_matches_tuple_reference(emb, weights, monkeypatch):
         taken.clear()
         assert outcome(charalg._branch_by_restriction, emb, lam) == expect, (emb.label, lam)
         if isinstance(expect, list):
-            assert taken == [True], (emb.label, lam)
+            summed = _no_more_w_than_keys(emb.h, restricted_character(emb, lam))
+            assert taken == [summed], (emb.label, lam)
 
 
 @pytest.mark.parametrize("emb", WITNESS_CASES, ids=lambda e: e.label)
@@ -393,22 +418,34 @@ def test_every_w_h_image_of_a_dominant_key_has_room_in_its_digits():
 def test_a_cold_branch_lists_only_the_w_under_its_height_span(monkeypatch):
     # (0, 0, 0, 0, 0, 2) of E6 restricted to A5: the Racah-Speiser sum needs
     # the w with <rho - w rho, 2 rho_vee> at most the span of the dominant
-    # keys' heights, not all 720 elements of W(A5)
+    # keys' heights, not all 720 elements of W(A5).  A cold call lists no
+    # more of them than 1 + keys / 16 and descends every key if that is not
+    # all; the calls after it go on listing, and take the sum once all are
+    # listed.  No call builds the regular orbit table of A5
     monkeypatch.setattr(rootsys, "_orbit_tables", {})
     monkeypatch.setattr(rootsys, "_table_total", 0)
+    taken = _spied_dominant_count(monkeypatch)
     emb = levi("E6", (1, 3, 4, 5, 6))
     h, lam = emb.h, Weight([0, 0, 0, 0, 0, 2])
-    branch(emb, lam)
+    multiset = restricted_character(emb, lam)
     hv = [sum(col) for col in zip(*h.coroots)]
-    heights = [sum(map(operator.mul, hv, nu))
-               for nu in restricted_character(emb, lam) if min(nu) >= 0]
+    heights = [sum(map(operator.mul, hv, nu)) for nu in multiset if min(nu) >= 0]
     span = max(heights) - min(heights)
     rho_h = Weight([1] * h.rank)
     under = [w for w in enumerate_parabolic(h)
              if sum(map(operator.mul, hv, (rho_h - w.act(rho_h)).coords)) <= span]
-    assert len(under) < h.weyl_order == 720
-    limit, rows = rootsys._orbit_tables[h.components, "rho"][0]
-    assert limit == span and len(rows) == len(under)
+    assert len(under) == 49 < h.weyl_order == 720
+    expect, budget = branch(emb, lam), 1 + len(multiset) // 16
+    for calls in range(1, 20):
+        listed = len(rootsys._orbit_tables[h.components, "rho"][0][0])
+        assert listed == min(calls * budget, len(under))
+        if listed == len(under):
+            break
+        taken.clear()
+        assert charalg._branch_by_restriction(emb, lam) == expect
+        assert taken == [listed + budget >= len(under)]
+    rows, waiting, _ = rootsys._orbit_tables[h.components, "rho"][0]
+    assert min(row[0] for row in waiting) > span
     assert (h.components, tuple(range(h.rank))) not in rootsys._orbit_tables
 
 
@@ -423,15 +460,49 @@ def test_rho_shifts_are_every_w_under_the_height_in_height_order(spec, monkeypat
                    for w in enumerate_parabolic(rs)
                    for shift in [(rho_rs - w.act(rho_rs)).coords])
     full = every[-1][0]
-    # a lower height, a higher one (rebuilt at least twice as high), then all
+    big = len(every) + 1
+    # a fresh table declines past its count: once w = 1 is listed, the
+    # simple reflections wait under the height, so it lists no more
+    assert rootsys.rho_shifts(rs, full, 1, big) is None
+    assert len(rootsys._orbit_tables[rs.components, "rho"][0][0]) == 1
+    # past its budget: it lists that many w more, and the next call goes on
+    assert (rootsys.rho_shifts(rs, full, big, 1) is None) == (len(every) > 2)
+    assert len(rootsys._orbit_tables[rs.components, "rho"][0][0]) == 2
+    # a lower height, a higher one (listing only the w it adds), then all;
+    # each declined by a count one short, then listed
     for height in (full // 4, full // 2 + 1, 10 * full):
-        rows = rootsys.rho_shifts(rs, height)
+        under = [row for row in every if row[0] <= height]
+        assert rootsys.rho_shifts(rs, height, len(under) - 1, big) is None
+        rows = rootsys.rho_shifts(rs, height, len(under), big)
         assert rows[0] == (0, (0,) * rs.rank, False)
         assert [row[0] for row in rows] == sorted(row[0] for row in rows)
-        assert sorted(rows) == [row for row in every if row[0] <= rootsys._orbit_tables[
-            rs.components, "rho"][0][0]]
-        assert all(row in rows for row in every if row[0] <= height)
+        assert sorted(rows) == under
+        assert rootsys.rho_shifts(rs, height // 2, len(under), 0) == rows[:len(
+            [row for row in under if row[0] <= height // 2])]
     assert rootsys._table_total == sum(size for _, size in rootsys._orbit_tables.values())
+
+
+@pytest.mark.parametrize("spec,lam", [
+    ("B16", (0, 1) + (0,) * 14), ("A16", (1,) + (0,) * 14 + (1,)), ("E8", (0,) * 7 + (1,))])
+def test_more_w_under_the_span_than_keys_descend_every_key(spec, lam, monkeypatch):
+    # the adjoint module of a large H: its dominant keys' heights span
+    # 2 ht(theta), and far more w of W_H lie under that than the module has
+    # weights (tens of thousands on B16 against 513 keys), so every call
+    # declines the sum and descends every key.  Each lists at most
+    # 1 + keys / 16 more w, and the listing stops for good once the w listed
+    # and the w waiting under the span outnumber the keys
+    monkeypatch.setattr(rootsys, "_orbit_tables", {})
+    monkeypatch.setattr(rootsys, "_table_total", 0)
+    taken = _spied_dominant_count(monkeypatch)
+    emb, lam = embed.identity(spec), Weight(lam)
+    keys = len(charalg._restricted_counts(emb, lam)[0])
+    budget, listed = 1 + keys // 16, [0]
+    for _ in range(6):
+        taken.clear()
+        assert charalg._branch_by_restriction(emb, lam) == {lam: 1} and taken == [False]
+        listed.append(len(rootsys._orbit_tables[emb.h.components, "rho"][0][0]))
+    assert listed[1] == budget and all(0 <= b - a <= budget for a, b in zip(listed, listed[1:]))
+    assert listed[-1] == listed[-2] < keys
 
 
 # -- the orbit tables --------------------------------------------------------------
