@@ -47,6 +47,7 @@ from .embed import Embedding
 from .rootsys import (
     RootSystem,
     Weight,
+    _unpack,
     build_root_system,
     coords_text,
     descend,
@@ -321,17 +322,6 @@ def _convolve(a: dict[int, int], b: dict[int, int]) -> Counter:
     return out
 
 
-def _unpack(keys, n: int, radix: int, half: int) -> list[list[int]]:
-    """Coordinate j of every packed key, for j < n, as one list per j: digit
-    j of key + half sum_j radix^j is coordinate j + half, in 0..radix - 1."""
-    rest = list(map((half * sum(radix ** j for j in range(n))).__add__, keys))
-    digits = []
-    for _ in range(n):
-        digits.append(list(map(half.__rsub__, map(radix.__rmod__, rest))))
-        rest = list(map(radix.__rfloordiv__, rest))
-    return digits
-
-
 def _restricted_counts(emb: Embedding, lam: Weight):
     """The restriction to H of the irreducible G-module with highest weight
     lam as packed counts {pack(nu): multiplicity}, the radix and half.
@@ -358,7 +348,7 @@ def _restricted_counts(emb: Embedding, lam: Weight):
     rows = [[int(x * scale) for x in row] for row in emb.restriction]
     top = max(sum(map(operator.mul, lam.coords, co)) for co in g.coroots)
     bound = top * max(sum(map(abs, row)) for row in rows)
-    reach = max(map(sum, h.coroots))
+    reach = h.coroot_height
     half = 1 << (max(4, reach) * bound + reach + 1).bit_length()
     radix = 2 * half
     f = [sum(row[k] * radix ** j for j, row in enumerate(rows)) for k in range(g.rank)]

@@ -169,8 +169,7 @@ def _orbit_words(emb: Embedding, J: tuple[int, ...]):
         elements = enumerate_parabolic(emb.g, J)
     except EnumerationCapExceeded:
         return count, None
-    words = tuple(sorted((el.word for el in elements), key=lambda w: (len(w), w)))
-    return count, words
+    return count, tuple(el.word for el in elements)
 
 
 def check_main(inp: CriterionInput) -> CriterionReport:

@@ -301,6 +301,8 @@ class RootSystem:
                 raise AssertionError(f"non-integral coroot of {beta}")
             coroots.append(tuple(q for q, _ in co))
         self.coroots: tuple[RootVector, ...] = tuple(coroots)
+        # the height of the highest coroot: |<w rho, alpha_k_vee>| is at most it
+        self.coroot_height: int = max(map(sum, coroots))
         # |W|, in closed form from the components: no subdiagram is classified
         self.weyl_order: int = 1
         for letter, rank in self.components:
@@ -408,6 +410,17 @@ def reflect_word(rs: RootSystem, v: Sequence, letters: Iterable[int]) -> tuple:
     return tuple(out)
 
 
+def _unpack(keys, n: int, radix: int, half: int) -> list[list[int]]:
+    """Coordinate j of every packed key, for j < n, as one list per j: digit
+    j of key + half sum_j radix^j is coordinate j + half, in 0..radix - 1."""
+    rest = list(map((half * sum(radix ** j for j in range(n))).__add__, keys))
+    digits = []
+    for _ in range(n):
+        digits.append(list(map(half.__rsub__, map(radix.__rmod__, rest))))
+        rest = list(map(radix.__rfloordiv__, rest))
+    return digits
+
+
 def descend(rs: RootSystem, v: Sequence, J: Iterable[int] | None = None):
     """Reflect v by s_j, j the first member of J with v_j < 0, until none is left.
 
@@ -459,8 +472,11 @@ def fundamental_orbit(rs: RootSystem, k: int):
     start = tuple([int(i == k) for i in range(rs.rank)])
     points, index = [start], {start: 0}
     act = [[] for _ in range(rs.rank)]
-    for p in points:  # grows while it is read: the breadth-first queue
+    for x, p in enumerate(points):  # grows while it is read: the breadth-first queue
         for i, row in enumerate(act):
+            if not p[i]:  # s_{i+1} p = p - p_i alpha_{i+1} = p
+                row.append(x)
+                continue
             q = reflect(rs, p, i + 1)
             y = index.get(q)
             if y is None:

@@ -1,18 +1,24 @@
 """Weyl group elements, enumeration and Steinberg-type weight identities.
 
-An element w is keyed by the integer tuple v = w^{-1}(rho), which determines
-w because rho is regular (Stembridge, MSJ Memoirs 11, 2001): equality,
-hashing, ``length`` and ``is_identity`` read v, and enumeration and
-``from_word`` step on it by ``rootsys.reflect`` and ``reflect_word``.  The
+An element w is keyed by x = w rho packed into one int, sum_k x_k radix^k,
+which determines w because rho is regular (Stembridge, MSJ Memoirs 11,
+2001).  Every x_k = <rho, w^{-1} alpha_k_vee> is the height of a coroot up
+to sign, so with half a power of two above the height of the highest coroot
+and radix = 2 half, digit k of key + half sum_k radix^k is x_k + half, and
+its top bit is set exactly when x_k > 0 (x_k is never 0).  Equality, hashing
+and ``is_identity`` read the key, and ``length`` unpacks it.  ``from_word``
+reflects rho along the reversed word by ``rootsys.reflect_word``; the
 integer matrix of w on fundamental-weight coordinates is built only when
-``.matrix`` is read: its column k is w omega_k, reflected along the word by
-``reflect_word``.  Words are tuples of 1-based indices and compose left to
-right, i.e. ``from_word(rs, (1, 2))`` is s_1 composed with s_2, applied as
-s_1(s_2(v)).
+``.matrix`` is read: its column k is w omega_k, reflected the same way.
+Words are tuples of 1-based indices and compose left to right, i.e.
+``from_word(rs, (1, 2))`` is s_1 composed with s_2, applied as s_1(s_2(v)).
+``enumerate_parabolic`` lists W_J as the tree of lexicographically first
+reduced words, one top-bit test and one mask per child, with no seen-set.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from typing import Iterable, Sequence
 
@@ -21,10 +27,10 @@ from .rootsys import (
     RootVector,
     Weight,
     _require_int,
+    _unpack,
     descend,
     index_set,
     parabolic_weyl_order,
-    reflect,
     reflect_word,
     rho_J,
     root_to_weight,
@@ -45,8 +51,23 @@ class EnumerationCapExceeded(ValueError):
             f"order is {order}, cap is {cap}")
 
 
+def _radix(rs: RootSystem) -> tuple[int, int]:
+    """(radix, half) of the w rho keys of rs: half is a power of two above
+    the height of the highest coroot, and radix = 2 half."""
+    half = 1 << rs.coroot_height.bit_length()
+    return 2 * half, half
+
+
+def _pack(x: Sequence[int], radix: int) -> int:
+    """sum_k x_k radix^k."""
+    key = 0
+    for c in reversed(x):
+        key = key * radix + c
+    return key
+
+
 class WeylElement:
-    """An element w of W(rs), keyed by v = w^{-1} rho, with a word spelling it.
+    """An element w of W(rs), keyed by x = w rho packed, with a word spelling it.
 
     ``WeylElement(rs, matrix, word)`` takes w's integer matrix on fundamental
     coordinates and keeps the word it is given, or else the reduced word that
@@ -55,7 +76,7 @@ class WeylElement:
     products, inverses and both actions step along it.
     """
 
-    __slots__ = ("rs", "v", "word", "_matrix")
+    __slots__ = ("rs", "key", "word", "_matrix")
 
     def __init__(self, rs: RootSystem, matrix, word: tuple[int, ...] | None = None) -> None:
         matrix = tuple(tuple(_require_int(x, "matrix entry") for x in row) for row in matrix)
@@ -67,7 +88,7 @@ class WeylElement:
             raise ValueError(f"{matrix} is not the matrix of "
                              + (f"the word {word}" if word is not None
                                 else f"an element of W({rs.spec_string()})"))
-        self.rs, self.v, self.word, self._matrix = rs, built.v, built.word, matrix
+        self.rs, self.key, self.word, self._matrix = rs, built.key, built.word, matrix
 
     @property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -82,10 +103,10 @@ class WeylElement:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, WeylElement)
-                and self.rs == other.rs and self.v == other.v)
+                and self.key == other.key and self.rs == other.rs)
 
     def __hash__(self) -> int:
-        return hash((self.rs.components, self.v))
+        return hash(self.key)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.rs != other.rs:
@@ -109,43 +130,45 @@ class WeylElement:
         return tuple(out)
 
     def length(self) -> int:
-        """Number of positive roots beta sent to negative roots: as
-        <v, beta_vee> = <rho, (w beta)_vee>, those with <v, beta_vee> < 0."""
-        v = self.v
-        return sum(1 for c in self.rs.coroots if sum(x * y for x, y in zip(v, c)) < 0)
+        """Number of positive roots beta that w^{-1} sends to negative roots,
+        those with <w rho, beta_vee> = <rho, w^{-1} beta_vee> < 0."""
+        rs = self.rs
+        x = next(zip(*_unpack([self.key], rs.rank, *_radix(rs))))
+        return sum(1 for c in rs.coroots if sum(map(operator.mul, x, c)) < 0)
 
     def inverse(self) -> "WeylElement":
         return from_word(self.rs, reversed(self.word))
 
     def is_identity(self) -> bool:
-        return self.v == (1,) * self.rs.rank
+        return self.key == _pack((1,) * self.rs.rank, _radix(self.rs)[0])
 
     def __repr__(self) -> str:
         return f"WeylElement(word={self.word})"
 
 
-def _element(rs: RootSystem, v: tuple[int, ...], word: tuple[int, ...]) -> WeylElement:
-    """The WeylElement with w^{-1} rho = v and the word that spells it."""
+def _element(rs: RootSystem, key: int, word: tuple[int, ...]) -> WeylElement:
+    """The WeylElement with packed w rho = key and the word that spells it."""
     el = object.__new__(WeylElement)
-    el.rs, el.v, el.word, el._matrix = rs, v, word, None
+    el.rs, el.key, el.word, el._matrix = rs, key, word, None
     return el
 
 
 def identity(rs: RootSystem) -> WeylElement:
-    return _element(rs, (1,) * rs.rank, ())
+    return _element(rs, _pack((1,) * rs.rank, _radix(rs)[0]), ())
 
 
 def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     """Compose simple reflections; indices are 1-based, leftmost applied last.
 
     ``from_word(rs, (1, 2)).act(v)`` is s_1(s_2(v)).  No matrix is built:
-    w^{-1} rho = s_{i_k} ... s_{i_1} rho is reflected letter by letter.
+    w rho = s_{i_1} ... s_{i_k} rho is reflected letter by letter.
     """
     letters = tuple(word)
     for i in letters:
         if not 1 <= _require_int(i, "simple reflection index") <= rs.rank:
             raise ValueError(f"simple reflection index {i} outside 1..{rs.rank}")
-    return _element(rs, reflect_word(rs, (1,) * rs.rank, letters), letters)
+    x = reflect_word(rs, (1,) * rs.rank, reversed(letters))
+    return _element(rs, _pack(x, _radix(rs)[0]), letters)
 
 
 def _resolve_cap(cap: int | None, env_name: str = _ENUM_CAP_ENV,
@@ -167,7 +190,8 @@ def _resolve_cap(cap: int | None, env_name: str = _ENUM_CAP_ENV,
 
 def enumerate_parabolic(rs: RootSystem, J: Iterable[int] | None = None,
                         cap: int | None = None) -> list[WeylElement]:
-    """All elements of W_J with reduced words, breadth-first by length.
+    """All elements of W_J in shortlex order of their words, each with its
+    lexicographically first reduced word.
 
     The order |W_J| is computed in closed form first; if it exceeds the cap
     (argument, else FROBCRIT_ENUM_CAP, else 10^6) the enumeration is refused
@@ -178,27 +202,37 @@ def enumerate_parabolic(rs: RootSystem, J: Iterable[int] | None = None,
     eff_cap = _resolve_cap(cap)
     if order > eff_cap:
         raise EnumerationCapExceeded(rs, members, order, eff_cap)
-    # Breadth-first on v = w^{-1} rho: w s_j has v' = s_j v, and rho is
-    # regular, so v determines w.  w s_j is longer than w exactly when
-    # v_j > 0, so only those candidates can be new, and each lands on the
-    # next layer: a seen-set per layer suffices.
+    # Each u != 1 of W_J has one parent q = s_a u, a the least left descent
+    # of u, and u's lexicographically first reduced word is (a,) + q's.  On
+    # biased keys b = pack(w rho + half), s_a q is longer than q exactly when
+    # (q rho)_a > 0, the top bit of digit a, and a is then its least left
+    # descent exactly when (s_a q rho)_i > 0 for every member i < a, one AND
+    # against the top bits of those digits.  Listing the children letter by
+    # letter, each over the previous layer in its order, keeps every layer
+    # in lexicographic order of the words.
+    radix, half = _radix(rs)
+    bits = radix.bit_length() - 1
+    mask = radix - 1
+    offset = _pack((half,) * rs.rank, radix)
+    steps = []
+    below = 0
+    for a in members:
+        shift = (a - 1) * bits
+        steps.append((a, half << shift, shift, _pack(rs.alphas[a - 1], radix), below))
+        below |= half << shift
     out = [identity(rs)]
-    frontier = out[:]
-    while frontier:
-        nxt = []
-        seen = set()
-        for w in frontier:
-            v = w.v
-            for j in members:
-                if v[j - 1] < 0:
-                    continue
-                sv = reflect(rs, v, j)
-                if sv in seen:
-                    continue
-                seen.add(sv)
-                nxt.append(_element(rs, sv, w.word + (j,)))
-        out += nxt
-        frontier = nxt
+    layer = [offset + out[0].key], [()]
+    while layer[0]:
+        next_keys, next_words = [], []
+        for a, top, shift, alpha, lower in steps:
+            for b, word in zip(*layer):
+                if b & top:
+                    c = b - ((b >> shift & mask) - half) * alpha
+                    if c & lower == lower:
+                        next_keys.append(c)
+                        next_words.append((a,) + word)
+        out += [_element(rs, c - offset, word) for c, word in zip(next_keys, next_words)]
+        layer = next_keys, next_words
     if len(out) != order:
         raise AssertionError(
             f"enumerated {len(out)} elements of W_J, closed form says {order}")

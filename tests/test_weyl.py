@@ -1,7 +1,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobcrit.rootsys import Weight, build_root_system, cartan_pairing, rho, rho_J, root_to_weight
+from frobcrit.rootsys import (
+    RootSystem,
+    Weight,
+    build_root_system,
+    cartan_pairing,
+    reflect,
+    reflect_word,
+    rho,
+    rho_J,
+    root_to_weight,
+)
 from frobcrit.weyl import (
     DEFAULT_ENUM_CAP,
     EnumerationCapExceeded,
@@ -181,6 +191,42 @@ def test_enumeration_matches_reference_full_group(spec):
     ours = enumerate_parabolic(rs)
     assert _words_and_matrices(ours) == _words_and_matrices(reference_enumerate(rs))
     assert all(type(x) is int for w in ours[:50] for row in w.matrix for x in row)
+
+
+def _lex_first_reduced_words(rs, members):
+    """{w^{-1} rho: the lexicographically least reduced word of w} over W_J.
+
+    A depth-first search over the reduced words on ``members``, letters in
+    ascending order, meets words in lexicographic order, and all reduced
+    words of one element have the same length, so the first one to reach an
+    element is its least.  Once a prefix reaches an element met before, by
+    a lesser word p', every extension of it has the lesser reduced word p'
+    plus the same suffix, so the search skips it.  The word w s_j is reduced
+    exactly when w alpha_j > 0, i.e. when <w^{-1} rho, alpha_j_vee> > 0.
+    """
+    first = {}
+
+    def visit(v, word):
+        if v in first:
+            return
+        first[v] = word
+        for j in members:
+            if v[j - 1] > 0:
+                visit(reflect(rs, v, j), word + (j,))
+
+    visit((1,) * rs.rank, ())
+    return first
+
+
+@pytest.mark.parametrize("spec", _systems_up_to_rank(4) + ["G2,A1"])
+def test_enumerated_words_are_lex_first_in_shortlex_order(spec):
+    rs = build_root_system(spec)
+    for mask in range(2 ** rs.rank):
+        J = tuple(j + 1 for j in range(rs.rank) if mask >> j & 1)
+        words = [w.word for w in enumerate_parabolic(rs, J)]
+        assert words == sorted(words, key=lambda w: (len(w), w)), (spec, J)
+        assert {reflect_word(rs, (1,) * rs.rank, w): w for w in words} == \
+            _lex_first_reduced_words(rs, J), (spec, J)
 
 
 def test_enumeration_matches_brute_closure():
@@ -397,7 +443,7 @@ def test_stabilizer_of_regular_weight_is_trivial():
     assert len(fixers) == 1 and fixers[0].is_identity()
 
 
-# -- the canonical form v = w^{-1} rho ---------------------------------------
+# -- the key: w rho packed into one int --------------------------------------
 
 def test_enumeration_builds_no_matrix():
     rs = build_root_system("F4")
@@ -487,3 +533,26 @@ def test_products_and_inverses_without_words():
     inv = x.inverse()
     assert len(inv.word) == inv.length() and from_word(rs, inv.word) == inv
     assert x.inverse() == from_word(rs, (3, 2, 1))
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "C3", "G2", "A1,C2", "D4"])
+def test_equal_elements_have_equal_keys_and_hashes(spec):
+    rs = build_root_system(spec)
+    fresh = RootSystem(rs.components)
+    assert fresh is not rs
+    e = identity(rs)
+    for w in enumerate_parabolic(rs)[::5]:
+        same = [from_word(rs, w.word + (j, j)) for j in range(1, rs.rank + 1)]
+        same += [WeylElement(rs, w.matrix), w.inverse().inverse(), w * e,
+                 from_word(fresh, w.word)]
+        for u in same:
+            assert u == w and hash(u) == hash(w) and u.key == w.key, (w.word, u.word)
+
+
+@pytest.mark.parametrize("first,second", [("B3", "C3"), ("A2", "A1,A1"), ("A3", "A1,A2")])
+def test_elements_of_different_systems_of_one_rank_differ(first, second):
+    a, b = build_root_system(first), build_root_system(second)
+    assert identity(a) != identity(b)
+    for u in enumerate_parabolic(a):
+        v = from_word(b, u.word)
+        assert u != v and v != u
