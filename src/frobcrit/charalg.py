@@ -19,17 +19,15 @@ H-roots, and reads the multiplicities off the H-dominant keys once the
 quotient is alternating under the rho_H-shifted reflections.
 ``_branch_by_restriction`` runs every other call, and every call the
 numerator declines: it restricts the dominant multiplicities orbit by
-orbit, checks that the result is integral, and decomposes it by the
-Racah-Speiser (Brauer-Klimyk) count, which needs no H-character at all.
-Its radix is a power of two whose digits have room for every W_H-image of
-an H-dominant key and every nu + rho_H - w rho_H at one, so one mask on the
-top bits finds the H-dominant keys, and a genuine character is checked
-(W_H-invariant, saturated) and decomposed on those alone, about 4 % of the
-keys on the branch-sweep benchmark, as long as no more w of W_H lie under
-the span of their heights than there are keys; any other multiset is
-unpacked and descended weight by weight.  A refusal names its witness by
-``_height_order``, the order in which constituents are listed, so the
-witness does not depend on the order in which the tables list an orbit.
+orbit, checks that the result is integral, and decomposes it on its
+H-dominant keys alone, about 4 % of the keys on the branch-sweep
+benchmark, which one mask on the top bits of the digits finds.  An
+invariant multiset is decomposed by the Racah-Speiser (Brauer-Klimyk) sum,
+which needs no H-character, when W_H is listed and no more of its w lie
+under the span of the keys' heights than there are keys, and else peeled
+by H-characters from the top; any other multiset is refused at a broken
+pair.  A refusal names its witness by ``_height_order``, the order in which
+constituents are listed, so it does not depend on the order of the tables.
 """
 
 from __future__ import annotations
@@ -56,10 +54,9 @@ from .rootsys import (
     orbit_size,
     orbit_table,
     require_dominant_integral,
-    rho_shifts,
     root_classes,
 )
-from .weyl import _resolve_cap
+from .weyl import _resolve_cap, rho_shifts
 
 DEFAULT_BRANCH_CAP = 50_000
 _BRANCH_CAP_ENV = "FROBCRIT_BRANCH_CAP"
@@ -133,8 +130,7 @@ def _height_order(h: RootSystem):
     """The key (<nu, 2 rho_vee>, nu) on H-weight tuples, in which ``branch``
     lists constituents and names the witness of a refusal; <nu, 2 rho_vee> =
     sum_gamma <nu, gamma_vee> is twice the height of nu."""
-    hv = tuple(map(sum, zip(*h.coroots)))
-    return lambda t: (sum(map(operator.mul, hv, t)), t)
+    return lambda t: (sum(map(operator.mul, h.two_rho_vee, t)), t)
 
 
 class DominantCharacter:
@@ -168,7 +164,7 @@ class DominantCharacter:
         return self._full
 
 
-def freudenthal(rs: RootSystem, lam: Weight) -> DominantCharacter:
+def freudenthal(rs: RootSystem, lam: Weight, depth: int | None = None) -> DominantCharacter:
     """Weight multiplicities of the irreducible module with highest weight lam.
 
     One recursion for every root system, simple or a product, over the
@@ -182,17 +178,16 @@ def freudenthal(rs: RootSystem, lam: Weight) -> DominantCharacter:
     w in W_mu, generated by the s_i with mu_i = 0, fixes mu, so
     S_{w beta}(mu) = S_beta(mu), and S_beta(mu) = S_{-beta}(mu) when
     <mu, beta_vee> = 0; so one string is walked per W_mu-orbit of positive
-    roots (``root_classes``), weighted by the orbit's size.
+    roots (``root_classes``), weighted by the orbit's size.  With ``depth``,
+    only the mu with lam - mu at most ``depth`` simple roots deep are listed,
+    each exact: the recursion at mu reads only weights above it.
     """
     require_dominant_integral(rs, lam, "highest weight")
 
-    # the symmetrizer is integral, so both sides of the recursion scale
-    # together and everything below is plain integer arithmetic on tuples:
-    # each positive root in weight coordinates, its root coordinates, and the
-    # coefficients of (nu, beta) = sum_k coef_k nu_k
-    isym = rs.symmetrizer
-    pos = [(bw, beta, tuple(map(operator.mul, beta, isym)))
-           for beta, bw in zip(rs.positive_roots, rs.positive_weights)]
+    # the symmetrizer is integral, so everything below is integer arithmetic
+    # on tuples: each positive root in weight and in root coordinates, and
+    # the coefficients of (nu, beta) = sum_k coef_k nu_k
+    pos = list(zip(rs.positive_weights, rs.positive_roots, rs.root_forms))
 
     # all dominant weights of the module: close lam under subtracting positive
     # roots while staying dominant, tracking the root coordinates of lam - mu
@@ -207,8 +202,10 @@ def freudenthal(rs: RootSystem, lam: Weight) -> DominantCharacter:
             for bw, beta, _ in pos:
                 cand = tuple(map(operator.sub, mu_t, bw))
                 if min(cand) >= 0 and cand not in dom:
-                    dom[cand] = tuple(map(operator.add, diff, beta))
-                    nxt.append(cand)
+                    below = tuple(map(operator.add, diff, beta))
+                    if depth is None or sum(below) <= depth:
+                        dom[cand] = below
+                        nxt.append(cand)
         frontier = nxt
 
     # by height from the top, so every dominant nu on a string above mu comes
@@ -239,7 +236,8 @@ def freudenthal(rs: RootSystem, lam: Weight) -> DominantCharacter:
         tails[mu_t] = row if sizes is None else list(map(row.__getitem__, where))
         # (lam+rho, lam+rho) - (mu+rho, mu+rho) = (lam+mu+2rho, lam-mu), and
         # the second factor carries the integer root coordinates tracked above
-        denom = sum(d * s * (x + y + 2) for d, s, x, y in zip(dom[mu_t], isym, lam_t, mu_t))
+        denom = sum(d * s * (x + y + 2)
+                    for d, s, x, y in zip(dom[mu_t], rs.symmetrizer, lam_t, mu_t))
         value, remainder = divmod(2 * total, denom)
         if remainder or value <= 0:
             raise AssertionError(f"non-positive-integer multiplicity at {coords_text(mu_t)}")
@@ -429,17 +427,14 @@ def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
 
 
 def _branch_by_restriction(emb: Embedding, lam: Weight) -> dict[Weight, int]:
-    """``branch`` from the restricted character, decomposed by the
-    Racah-Speiser (Brauer-Klimyk) count: a W_H-invariant multiset is
-    sum_nu n_nu ch V(nu) with n_nu = sum_w eps(w) m(nu + rho - w rho) at each
-    H-dominant nu.  ``_dominant_count`` takes every genuine character on its
-    H-dominant keys alone; whatever it declines goes to ``_descended_count``,
-    which raises at a broken pair.  Raises at a negative n_nu."""
+    """``branch`` from the restricted character: a W_H-invariant multiset,
+    sum_nu n_nu ch V(nu), is decomposed by ``_dominant_count``, and any other
+    refused by ``_broken_pair``.  Raises at a negative n_nu."""
     h = emb.h
     counts, radix, half = _restricted_counts(emb, lam)
     virtual = _dominant_count(h, counts, radix, half)
     if virtual is None:
-        virtual = _descended_count(h, counts, radix, half)
+        raise _broken_pair(h, counts, radix, half)
     key = _height_order(h)
     negative = [nu for nu, n in virtual.items() if n < 0]
     if negative:
@@ -453,8 +448,8 @@ def _branch_by_restriction(emb: Embedding, lam: Weight) -> dict[Weight, int]:
 def _dominant_count(h: RootSystem, counts: dict, radix: int, half: int) -> dict | None:
     """{nu: n_nu} at the H-dominant keys of ``counts``, packed with room for
     every W_H-image of a dominant key and every nu + rho - w rho
-    (``_restricted_counts``), or None unless the keys are W_H-invariant and
-    saturated.
+    (``_restricted_counts``), or the first negative n_nu of the peel alone;
+    None unless the keys are W_H-invariant.
 
     The dominant keys are read off by one mask, as a coordinate is >= 0
     exactly when the top bit of its digit is set, and only they are
@@ -463,21 +458,16 @@ def _dominant_count(h: RootSystem, counts: dict, radix: int, half: int) -> dict 
     >= 1); the orbits are checked to hold as many weights as there are keys
     before any is listed, so a broken multiset lists no orbit larger than
     itself.  Invariant keys holding kappa - beta at each dominant key kappa
-    and positive root beta with <kappa, beta_vee> > 0 hold mu - alpha at
-    every key mu and root alpha with <mu, alpha_vee> > 0, so they are
-    saturated, and every dominant weight below a key is a key (Humphreys,
-    Introduction to Lie Algebras and Representation Theory, 13.4 Lemma B);
-    so is every nu with n_nu != 0, since nu + rho - w rho lies above nu.
-    The sum runs over the w with <rho - w rho, 2 rho_vee> at most the span of
-    the keys' heights (``rho_shifts``), each over the dominant keys low
-    enough for nu + rho - w rho to be a key at all.  It is declined when
-    there are more such w than keys, as on the adjoint module of a large
-    H, or when listing the w not yet kept would take more than w = 1 and
-    one per 16 keys: listing a w took 1.4-2.4 times as long as descending a
-    key (A8, B16 and E8 with cold tables), so a declined call spends at
-    most about a seventh of the descent's time on it.  Whatever was listed
-    is kept, so later calls on the same H go on from there, and none once
-    the w listed or waiting under the span outnumber the keys.
+    and positive root beta with <kappa, beta_vee> > 0 (checked once per
+    W_kappa-orbit of beta, ``root_classes``) are saturated, and every dominant
+    weight below a key is a key (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 13.4 Lemma B); so is every nu with n_nu != 0.
+    The Racah-Speiser sum runs over the w with <rho - w rho, 2 rho_vee> at
+    most the span of the keys' heights (``rho_shifts``), each over the
+    dominant keys low enough for nu + rho - w rho to be a key; it is taken
+    when W_H is listed and no more w lie under the span than there are keys.
+    Any other invariant multiset, as the adjoint module of a large H, is
+    peeled (``_peeled_count``).
     """
     powers = [radix ** j for j in range(h.rank)]
     offset = half * sum(powers)
@@ -488,24 +478,24 @@ def _dominant_count(h: RootSystem, counts: dict, radix: int, half: int) -> dict 
     mults = list(map(counts.__getitem__, dominant))
     if sum(map(orbit_size, itertools.repeat(h), map(_zeros, nus))) != len(counts):
         return None
-    hv = tuple(map(sum, zip(*h.coroots)))
-    heights = [sum(map(operator.mul, hv, nu)) for nu in nus]
-    shifts = rho_shifts(h, max(heights) - min(heights), len(counts),
-                        1 + len(counts) // 16)
-    if shifts is None:
-        return None
     memo: dict[tuple, list[int]] = {}
     spread: dict[int, int] = {}
     for nu, m in zip(nus, mults):
         spread.update(dict.fromkeys(_orbit_keys(h, nu, powers, memo), m))
     if spread != counts:
         return None
-    for co, bw in zip(h.coroots, h.positive_weights):
-        pairs = map(any, zip(*[col for c, col in zip(co, digits) if c]))
-        lower = map((-sum(map(operator.mul, bw, powers))).__add__,
-                    itertools.compress(dominant, pairs))
-        if not all(map(counts.__contains__, lower)):
-            return None
+    lower = [kappa - sum(map(operator.mul, h.positive_weights[b], powers))
+             for kappa, nu in zip(dominant, nus) for b in root_classes(h, _zeros(nu))[0]
+             if sum(map(operator.mul, h.coroots[b], nu)) > 0]
+    missing = list(itertools.filterfalse(counts.__contains__, lower))
+    heights = [sum(map(operator.mul, h.two_rho_vee, nu)) for nu in nus]
+    shifts = None if missing else rho_shifts(h, len(counts))
+    if shifts is None or len(counts) < bisect.bisect_right(
+            shifts, max(heights) - min(heights), key=operator.itemgetter(0)):
+        key = _height_order(h)
+        below = zip(*_unpack(missing, h.rank, radix, half))
+        floor = max([key(descend(h, mu)[0])[0] for mu in below], default=None)
+        return _peeled_count(h, nus, mults, floor)
 
     order = sorted(range(len(nus)), key=heights.__getitem__)
     heights = [heights[i] for i in order]
@@ -523,42 +513,56 @@ def _dominant_count(h: RootSystem, counts: dict, radix: int, half: int) -> dict 
     return {nus[i]: n for i, n in zip(order, total)}
 
 
-def _descended_count(h: RootSystem, counts: dict, radix: int, half: int) -> dict:
-    """{nu: n_nu} by descending every key, or the refusal at the broken pair
-    highest in ``_height_order`` when ``counts`` is not W_H-invariant."""
+def _peeled_count(h: RootSystem, nus: list, mults: list, floor: int | None) -> dict:
+    """{nu: n_nu} for the W_H-invariant multiset with dominant weights ``nus``
+    and multiplicities ``mults``, peeled: the dominant weight nu highest in
+    ``_height_order`` holds n_nu, so n_nu ch V(nu) is subtracted on the
+    dominant weights, and so on down; the expansion in the ch V(nu) is
+    unique (Humphreys, 22.5).  The walk stops at the first negative n_nu,
+    final when reached, and returns it alone; until then a dominant weight
+    of a V(nu) that is not a key reads < 0 when reached.  So on keys that
+    are not saturated, with ``floor`` the highest <mu, 2 rho_vee> of the
+    dominant conjugate mu of a kappa - beta missing from them, the walk stops
+    at mu or above, and each V(nu) is built down to the floor only: A1 in A1
+    through [[10^9]] builds two weights of V(10^9), not 5 10^8.
+    """
+    key = _height_order(h)
+    residual = dict(zip(nus, mults))
+    order = sorted(residual, key=key)
+    virtual = {}
+    while order:
+        nu = order.pop()
+        n = virtual[nu] = residual[nu]
+        if n < 0:
+            return {nu: n}
+        if n and any(nu):  # V(0) has no weight below 0
+            char = (_cached_character(h, Weight(nu)) if floor is None
+                    else freudenthal(h, Weight(nu), (key(nu)[0] - floor) // 2))
+            for mu, m in char.multiplicities.items():
+                if mu.coords not in residual:
+                    residual[mu.coords] = 0
+                    bisect.insort(order, mu.coords, key=key)
+                residual[mu.coords] -= n * m
+    return virtual
+
+
+def _broken_pair(h: RootSystem, counts: dict, radix: int, half: int) -> ValueError:
+    """The refusal of ``counts``, which is not W_H-invariant, at the broken
+    pair highest in ``_height_order``."""
     digits = _unpack(counts, h.rank, radix, half)
     key = _height_order(h)
-
-    # H-characters are W_H-invariant, so a sum of them is too; the count
-    # below decomposes an invariant multiset only, so this is checked first
     broken = _unmatched(counts, digits, h, radix, 0, list(counts.values()))
-    if broken:
-        flat = [k for pair in broken for k in pair]
-        weight = dict(zip(flat, zip(*_unpack(flat, h.rank, radix, half))))
-        # s_i nu - nu is a multiple of alpha_i, so the lower weight of a pair
-        # in this order is the one with nu_i < 0
-        low, up = max((sorted(pair, key=lambda k: key(weight[k])) for pair in broken),
-                      key=lambda pair: [key(weight[k]) for k in pair])
-        raise ValueError(
-            f"weight {coords_text(weight[low])} of the restricted character is not "
-            f"dominant and has multiplicity {counts.get(low, 0)}, but its "
-            f"reflection {coords_text(weight[up])} has {counts.get(up, 0)}; "
-            f"restriction is not a character of H")
-
-    # each weight kappa adds its multiplicity to n_nu, signed by the parity
-    # of the reflections that bring kappa + rho to nu + rho, and nothing
-    # when kappa + rho lies on a wall
-    virtual: dict[tuple, int] = {}
-    for kappa, m in zip(zip(*digits), counts.values()):
-        shifted = tuple([x + 1 for x in kappa])
-        if 0 in shifted:
-            continue  # fixed by a simple reflection, so on a wall
-        end, letters = descend(h, shifted)
-        if 0 in end:
-            continue
-        nu = tuple([x - 1 for x in end])
-        virtual[nu] = virtual.get(nu, 0) + (-m if len(letters) % 2 else m)
-    return virtual
+    flat = [k for pair in broken for k in pair]
+    weight = dict(zip(flat, zip(*_unpack(flat, h.rank, radix, half))))
+    # s_i nu - nu is a multiple of alpha_i, so the lower weight of a pair
+    # in this order is the one with nu_i < 0
+    low, up = max((sorted(pair, key=lambda k: key(weight[k])) for pair in broken),
+                  key=lambda pair: [key(weight[k]) for k in pair])
+    return ValueError(
+        f"weight {coords_text(weight[low])} of the restricted character is not "
+        f"dominant and has multiplicity {counts.get(low, 0)}, but its "
+        f"reflection {coords_text(weight[up])} has {counts.get(up, 0)}; "
+        f"restriction is not a character of H")
 
 
 @functools.lru_cache(maxsize=64)

@@ -23,7 +23,7 @@ from .embed import (CriterionInput, Embedding, detect_twist, restrict, rho_h,
 from .registry import lookup_donkin
 from .rootsys import (Weight, _require_int, coords_text, index_set, parabolic_weyl_order,
                       require_dominant_integral, rho_J)
-from .weyl import EnumerationCapExceeded, WeylElement, enumerate_parabolic
+from .weyl import EnumerationCapExceeded, WeylElement, walk_parabolic
 
 ORBIT_LABEL_CAP = 100
 
@@ -166,10 +166,9 @@ def _orbit_words(emb: Embedding, J: tuple[int, ...]):
     if count > ORBIT_LABEL_CAP:
         return count, None
     try:
-        elements = enumerate_parabolic(emb.g, J)
+        return count, tuple(walk_parabolic(emb.g, J)[1])
     except EnumerationCapExceeded:
         return count, None
-    return count, tuple(el.word for el in elements)
 
 
 def check_main(inp: CriterionInput) -> CriterionReport:

@@ -16,12 +16,11 @@ with a given support at once, as indices into the fundamental orbits
 (``fundamental_orbit``), and keeps it across calls; it is the one orbit
 enumerator of the package, and it and ``fundamental_orbit`` are each one
 breadth-first pass; ``orbit_layers`` gives where each layer starts, so on
-the regular orbit the sign eps(w) of every row.  ``rho_shifts`` lists
-rho - w rho with its height and sign only for the w under a given height,
-lowest first, and declines past a given count, so a Racah-Speiser sum
-never builds the regular orbit and never lists more w than its caller
-allows.  ``RootSystem.weyl_order`` is |W| from the components in closed
-form, and ``orbit_size`` the size of the orbit of a dominant weight.
+the regular orbit the sign eps(w) of every row.  The same cache keeps
+``weyl.rho_shifts``, every w of W with rho - w rho, its height and its
+sign, for the Racah-Speiser sum.  ``RootSystem.weyl_order`` is |W| from
+the components in closed form, and ``orbit_size`` the size of the orbit of
+a dominant weight.
 
 The symmetrizer and the coroot table are integers, and every pairing
 <lam, gamma_vee> in the package reads ``RootSystem.coroots`` as
@@ -31,9 +30,6 @@ as public API.
 
 from __future__ import annotations
 
-import bisect
-import heapq
-import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -301,8 +297,13 @@ class RootSystem:
                 raise AssertionError(f"non-integral coroot of {beta}")
             coroots.append(tuple(q for q, _ in co))
         self.coroots: tuple[RootVector, ...] = tuple(coroots)
+        # (lam, beta) = sum_k lam_k root_forms[i][k], beta = positive_roots[i]
+        self.root_forms: tuple[RootVector, ...] = tuple(
+            tuple(map(int.__mul__, beta, d)) for beta in self.positive_roots)
         # the height of the highest coroot: |<w rho, alpha_k_vee>| is at most it
         self.coroot_height: int = max(map(sum, coroots))
+        # <lam, 2 rho_vee> = sum_k lam_k two_rho_vee[k], twice the height of lam
+        self.two_rho_vee: tuple[int, ...] = tuple(map(sum, zip(*coroots)))
         # |W|, in closed form from the components: no subdiagram is classified
         self.weyl_order: int = 1
         for letter, rank in self.components:
@@ -442,7 +443,7 @@ def descend(rs: RootSystem, v: Sequence, J: Iterable[int] | None = None):
 
 
 # Root data kept across calls, as (value, ints stored): fundamental orbits,
-# orbit tables, root classes, orbit sizes and the rho shifts, keyed by
+# orbit tables, root classes, orbit sizes and ``weyl.rho_shifts``, keyed by
 # components and k, support, zeros or "rho".
 # Past _TABLE_BUDGET ints in all, the oldest are dropped; a dropped entry is
 # rebuilt the same, so the indices of a table still kept stay valid.
@@ -460,6 +461,12 @@ def _keep(key: tuple, value, size: int):
         while _table_total > _TABLE_BUDGET:
             _table_total -= _orbit_tables.pop(next(iter(_orbit_tables)))[1]
     return value
+
+
+def _kept(key: tuple):
+    """The value kept under ``key``, or None."""
+    entry = _orbit_tables.get(key)
+    return entry and entry[0]
 
 
 def fundamental_orbit(rs: RootSystem, k: int):
@@ -543,46 +550,6 @@ def root_classes(rs: RootSystem, zeros: tuple[int, ...]):
     reps = sorted(set(of))
     value = (reps, list(map(of.count, reps)), list(map(reps.index, of)))
     return _keep(key, value, len(of) + 2 * len(reps))
-
-
-def rho_shifts(rs: RootSystem, height: int, most: int, budget: int):
-    """(<rho - w rho, 2 rho_vee>, rho - w rho, whether l(w) is odd) for every w
-    in W with <rho - w rho, 2 rho_vee> <= height, ascending in the first
-    entry, w = 1 first; or None when there are more than ``most`` such w, or
-    when listing them takes more than ``budget`` w not listed before.
-    Listed lowest first from rho by the reflections that lengthen w: s_i w is
-    longer exactly when (w rho)_i > 0, and then rho - s_i w rho =
-    rho - w rho + (w rho)_i alpha_i is higher by 2 (w rho)_i.  Heights grow
-    along reduced words, so every w lower than the lowest one waiting has
-    been listed, and every w waiting at most ``height`` high is one more
-    under it: listing stops once those outnumber ``most``.  Root data of
-    rs, kept across calls with the w still waiting, so a later call goes on
-    from where the last one stopped."""
-    key = (rs.components, "rho")
-    kept = _orbit_tables.get(key)
-    rho = (1,) * rs.rank
-    state = kept[0] if kept else ([], [(0, rho, False)], {rho})
-    rows, waiting, queued = state
-    cut = bisect.bisect_right(rows, height, key=operator.itemgetter(0))
-    if not kept or waiting and waiting[0][0] <= height:
-        under = cut + sum(1 for entry in waiting if entry[0] <= height)
-        stop = len(rows) + budget
-        while under <= most and len(rows) < stop and waiting and waiting[0][0] <= height:
-            ht, v, odd = heapq.heappop(waiting)
-            queued.discard(v)  # every w that reaches v is lower: listed already
-            rows.append((ht, tuple([1 - x for x in v]), odd))
-            cut += 1
-            for i, c in enumerate(v, 1):
-                if c > 0:
-                    u = reflect(rs, v, i)
-                    if u not in queued:
-                        queued.add(u)
-                        heapq.heappush(waiting, (ht + 2 * c, u, not odd))
-                        under += ht + 2 * c <= height
-        _keep(key, state, (rs.rank + 2) * (len(rows) + len(waiting)))
-    if cut > most or waiting and waiting[0][0] <= height:
-        return None
-    return rows[:cut]
 
 
 def orbit_size(rs: RootSystem, zeros: tuple[int, ...]) -> int:

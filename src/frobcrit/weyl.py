@@ -12,8 +12,9 @@ integer matrix of w on fundamental-weight coordinates is built only when
 ``.matrix`` is read: its column k is w omega_k, reflected the same way.
 Words are tuples of 1-based indices and compose left to right, i.e.
 ``from_word(rs, (1, 2))`` is s_1 composed with s_2, applied as s_1(s_2(v)).
-``enumerate_parabolic`` lists W_J as the tree of lexicographically first
-reduced words, one top-bit test and one mask per child, with no seen-set.
+``walk_parabolic``, the one walker of W, lists W_J as the tree of
+lexicographically first reduced words, one top-bit test and one mask per
+child, with no seen-set; ``enumerate_parabolic`` and ``rho_shifts`` read it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .rootsys import (
     RootSystem,
     RootVector,
     Weight,
+    _keep,
+    _kept,
     _require_int,
     _unpack,
     descend,
@@ -188,14 +191,14 @@ def _resolve_cap(cap: int | None, env_name: str = _ENUM_CAP_ENV,
     return value
 
 
-def enumerate_parabolic(rs: RootSystem, J: Iterable[int] | None = None,
-                        cap: int | None = None) -> list[WeylElement]:
-    """All elements of W_J in shortlex order of their words, each with its
-    lexicographically first reduced word.
+def walk_parabolic(rs: RootSystem, J: Iterable[int] | None = None,
+                   cap: int | None = None) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The keys (packed w rho) and lexicographically first reduced words of
+    the elements of W_J, in shortlex order of the words.
 
     The order |W_J| is computed in closed form first; if it exceeds the cap
-    (argument, else FROBCRIT_ENUM_CAP, else 10^6) the enumeration is refused
-    and the exception carries the exact order.
+    (argument, else FROBCRIT_ENUM_CAP, else 10^6) the walk is refused and
+    the exception carries the exact order.
     """
     members = index_set(rs, J)
     order = parabolic_weyl_order(rs, members)
@@ -220,8 +223,8 @@ def enumerate_parabolic(rs: RootSystem, J: Iterable[int] | None = None,
         shift = (a - 1) * bits
         steps.append((a, half << shift, shift, _pack(rs.alphas[a - 1], radix), below))
         below |= half << shift
-    out = [identity(rs)]
-    layer = [offset + out[0].key], [()]
+    keys, words = [_pack((1,) * rs.rank, radix)], [()]
+    layer = [offset + keys[0]], [()]
     while layer[0]:
         next_keys, next_words = [], []
         for a, top, shift, alpha, lower in steps:
@@ -231,12 +234,36 @@ def enumerate_parabolic(rs: RootSystem, J: Iterable[int] | None = None,
                     if c & lower == lower:
                         next_keys.append(c)
                         next_words.append((a,) + word)
-        out += [_element(rs, c - offset, word) for c, word in zip(next_keys, next_words)]
+        keys += [c - offset for c in next_keys]
+        words += next_words
         layer = next_keys, next_words
-    if len(out) != order:
+    if len(keys) != order:
         raise AssertionError(
-            f"enumerated {len(out)} elements of W_J, closed form says {order}")
-    return out
+            f"enumerated {len(keys)} elements of W_J, closed form says {order}")
+    return keys, words
+
+
+def enumerate_parabolic(rs: RootSystem, J: Iterable[int] | None = None,
+                        cap: int | None = None) -> list[WeylElement]:
+    """All elements of W_J in shortlex order of their words, each with its
+    lexicographically first reduced word, built from ``walk_parabolic``."""
+    return [_element(rs, key, word) for key, word in zip(*walk_parabolic(rs, J, cap))]
+
+
+def rho_shifts(rs: RootSystem, most: int):
+    """(<rho - w rho, 2 rho_vee>, rho - w rho, whether l(w) is odd) for every w
+    in W, ascending in the first entry, w = 1 first, read off the keys and
+    words of ``walk_parabolic``.  Root data of rs, kept across calls; None
+    while it is not kept and |W| > ``most``."""
+    key = (rs.components, "rho")
+    rows = _kept(key)
+    if rows is not None or rs.weyl_order > most:
+        return rows
+    keys, words = walk_parabolic(rs, cap=rs.weyl_order)
+    shifts = zip(*[list(map((1).__sub__, d)) for d in _unpack(keys, rs.rank, *_radix(rs))])
+    rows = sorted([(sum(map(operator.mul, rs.two_rho_vee, shift)), shift, len(word) % 2 == 1)
+                   for shift, word in zip(shifts, words)], key=operator.itemgetter(0))
+    return _keep(key, rows, (rs.rank + 2) * len(rows))
 
 
 def _positive_roots_of(rs: RootSystem, members: tuple[int, ...]) -> list[RootVector]:

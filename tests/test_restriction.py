@@ -16,6 +16,7 @@ import functools
 import itertools
 import math
 import operator
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ from frobcrit.rootsys import (
     parabolic_weyl_order,
     reflect,
 )
-from frobcrit.weyl import enumerate_parabolic
+from frobcrit.weyl import enumerate_parabolic, rho_shifts
 
 from oracles import orbit_walk, reference_broken_pairs
 from test_acceptance import dominant_weights_upto, registry_embeddings
@@ -280,18 +281,17 @@ def reference_kernel(emb, lam):
     return walk_branch(emb, lam, restricted_character)
 
 
-def _spied_dominant_count(monkeypatch):
-    """Record, for each call of ``_dominant_count``, whether it decomposed."""
-    taken = []
-    dominant_count = charalg._dominant_count
+def _spied(monkeypatch, name):
+    """The output of every call of ``charalg.<name>``, in the order made."""
+    outputs = []
+    fn = getattr(charalg, name)
 
     def spy(*args):
-        out = dominant_count(*args)
-        taken.append(out is not None)
-        return out
+        outputs.append(fn(*args))
+        return outputs[-1]
 
-    monkeypatch.setattr(charalg, "_dominant_count", spy)
-    return taken
+    monkeypatch.setattr(charalg, name, spy)
+    return outputs
 
 
 @functools.lru_cache(maxsize=None)
@@ -314,20 +314,34 @@ def _no_more_w_than_keys(h, multiset):
 
 def assert_matches_tuple_reference(emb, weights, monkeypatch):
     """``branch`` and the restriction kernel against ``reference_kernel``, in
-    value and order, and, with every w of W_H listed, every character
-    decomposed on the dominant keys unless more w lie under their span than
-    there are keys."""
-    order = emb.h.weyl_order
-    assert rootsys.rho_shifts(emb.h, 10 ** 9, order, order) is not None
-    taken = _spied_dominant_count(monkeypatch)
+    value and order, and, with all of W_H listed, every character summed on
+    the dominant keys unless more w lie under their span than there are
+    keys, and peeled otherwise."""
+    assert rho_shifts(emb.h, emb.h.weyl_order) is not None
+    peeled = _spied(monkeypatch, "_peeled_count")
     for lam in weights:
         expect = outcome(reference_kernel, emb, lam)
         assert outcome(branch, emb, lam) == expect, (emb.label, lam)
-        taken.clear()
+        peeled.clear()
         assert outcome(charalg._branch_by_restriction, emb, lam) == expect, (emb.label, lam)
         if isinstance(expect, list):
             summed = _no_more_w_than_keys(emb.h, restricted_character(emb, lam))
-            assert taken == [summed], (emb.label, lam)
+            assert len(peeled) == (not summed), (emb.label, lam)
+
+
+def peeled_outcome(emb, lam):
+    """``outcome`` of ``_peeled_count`` called on the dominant part of the
+    restricted multiset, with every H-character built whole."""
+    multiset = restricted_character(emb, lam)
+    nus = [nu for nu in multiset if min(nu) >= 0]
+    virtual = charalg._peeled_count(emb.h, nus, [multiset[nu] for nu in nus], None)
+    negative = [(nu, n) for nu, n in virtual.items() if n < 0]
+    if negative:
+        ((nu, n),) = negative  # the walk stops at the first one
+        return "ValueError", f"negative residual multiplicity {n} at {_text(nu)}"
+    key = _height_key(emb.h)
+    return [(Weight(nu), virtual[nu]) for nu in sorted(virtual, key=key, reverse=True)
+            if virtual[nu]]
 
 
 @pytest.mark.parametrize("emb", WITNESS_CASES, ids=lambda e: e.label)
@@ -392,14 +406,33 @@ def test_sweep_embeddings_match_the_tuple_reference(emb, monkeypatch):
      "weight (2, 1, -1, 2, 1, 1, 1, 1) of the restricted character is not dominant"),
 ], ids=["double", "triple", "not-invariant", "E8-orbit"])
 def test_keys_that_are_not_saturated_or_invariant_go_to_the_descent(emb, lam, text, monkeypatch):
-    # double restricts to the keys (+-2) at (1), triple to (+-6), (0) at (2):
-    # invariant, but n_nu < 0 at a weight that is not a key.  The dominant
-    # key rho of E8 has an orbit of 696 729 600 weights against 2 keys, and
-    # is declined before any orbit is listed
-    taken = _spied_dominant_count(monkeypatch)
+    # keys that are not saturated are peeled, and keys that are not
+    # W_H-invariant refused at a broken pair.  double restricts to the keys
+    # (+-2) at (1), triple to (+-6), (0) at (2): invariant, but n_nu < 0 at
+    # a weight that is not a key.  The dominant key rho of E8 has an orbit
+    # of 696 729 600 weights against 2 keys, and is declined before any
+    # orbit is listed
+    counted = _spied(monkeypatch, "_dominant_count")
+    peeled = _spied(monkeypatch, "_peeled_count")
     with pytest.raises(ValueError) as caught:
         charalg._branch_by_restriction(emb, Weight(lam))
-    assert str(caught.value).startswith(text) and taken == [False]
+    assert str(caught.value).startswith(text)
+    invariant = text.startswith("negative")
+    assert [out is not None for out in counted] == [invariant]
+    assert len(peeled) == invariant
+
+
+def test_unsaturated_keys_build_no_character_larger_than_the_module():
+    # A1 in A1 through [[k]] restricts V(lam) to the keys k (lam - 2 j): the
+    # top key's V(k lam) has k lam / 2 + 1 dominant weights, and the peel
+    # stops at the first of them below the top, k lam - 2, which is not a
+    # key.  Each V(nu) is built only down to the highest dominant
+    # kappa - beta missing from the keys, so this is two weights, not 10^9
+    for k, lam, text in ((3, 6000, "-1 at (17998)"), (10 ** 9, 1, "-1 at (999999998)"),
+                         (10 ** 99, 2, f"-1 at ({2 * 10 ** 99 - 2})")):
+        emb = _custom("A1", "A1", [[k]], f"A1-A1:[{k}]")
+        with pytest.raises(ValueError, match=re.escape(f"multiplicity {text}")):
+            branch(emb, Weight([lam]))
 
 
 def test_every_w_h_image_of_a_dominant_key_has_room_in_its_digits():
@@ -415,38 +448,49 @@ def test_every_w_h_image_of_a_dominant_key_has_room_in_its_digits():
     assert set(zip(*charalg._unpack(keys, h.rank, radix, half))) == orbit
 
 
-def test_a_cold_branch_lists_only_the_w_under_its_height_span(monkeypatch):
-    # (0, 0, 0, 0, 0, 2) of E6 restricted to A5: the Racah-Speiser sum needs
-    # the w with <rho - w rho, 2 rho_vee> at most the span of the dominant
-    # keys' heights, not all 720 elements of W(A5).  A cold call lists no
-    # more of them than 1 + keys / 16 and descends every key if that is not
-    # all; the calls after it go on listing, and take the sum once all are
-    # listed.  No call builds the regular orbit table of A5
-    monkeypatch.setattr(rootsys, "_orbit_tables", {})
-    monkeypatch.setattr(rootsys, "_table_total", 0)
-    taken = _spied_dominant_count(monkeypatch)
-    emb = levi("E6", (1, 3, 4, 5, 6))
-    h, lam = emb.h, Weight([0, 0, 0, 0, 0, 2])
-    multiset = restricted_character(emb, lam)
-    hv = [sum(col) for col in zip(*h.coroots)]
-    heights = [sum(map(operator.mul, hv, nu)) for nu in multiset if min(nu) >= 0]
-    span = max(heights) - min(heights)
-    rho_h = Weight([1] * h.rank)
-    under = [w for w in enumerate_parabolic(h)
-             if sum(map(operator.mul, hv, (rho_h - w.act(rho_h)).coords)) <= span]
-    assert len(under) == 49 < h.weyl_order == 720
-    expect, budget = branch(emb, lam), 1 + len(multiset) // 16
-    for calls in range(1, 20):
-        listed = len(rootsys._orbit_tables[h.components, "rho"][0][0])
-        assert listed == min(calls * budget, len(under))
-        if listed == len(under):
-            break
-        taken.clear()
-        assert charalg._branch_by_restriction(emb, lam) == expect
-        assert taken == [listed + budget >= len(under)]
-    rows, waiting, _ = rootsys._orbit_tables[h.components, "rho"][0]
-    assert min(row[0] for row in waiting) > span
-    assert (h.components, tuple(range(h.rank))) not in rootsys._orbit_tables
+@pytest.mark.parametrize("spec,lam", [("A2", (3, 2)), ("B3", (1, 0, 2)), ("G2", (2, 1)),
+                                      ("A1,B2", (3, 1, 1))])
+def test_freudenthal_to_a_depth_is_the_character_above_it(spec, lam):
+    rs = build_root_system(spec)
+    whole = freudenthal(rs, Weight(lam)).multiplicities
+    hv = [sum(col) for col in zip(*rs.coroots)]
+    top = sum(map(operator.mul, hv, lam))
+    for depth in range(8):
+        # lam - mu of height h has root coordinates adding up to h / 2
+        expect = {mu: m for mu, m in whole.items()
+                  if top - sum(map(operator.mul, hv, mu.coords)) <= 2 * depth}
+        assert freudenthal(rs, Weight(lam), depth).multiplicities == expect, (spec, depth)
+
+
+def _invariant_inputs():
+    """(embedding, weight) for every registry and branch-sweep embedding at
+    every weight of dimension <= 200, and every weight of dimension <= 60 of
+    the double, triple and saturated witnesses."""
+    embeddings = {emb.label: emb for emb in registry_embeddings() + SWEEP}
+    for emb in embeddings.values():
+        for lam in dominant_weights_upto(emb.g, 200):
+            yield emb, lam
+    for emb in (NON_CHARACTERS[0][0], NON_CHARACTERS[1][0], SATURATED[0]):
+        for lam in dominant_weights_upto(emb.g, 60):
+            yield emb, lam
+
+
+def test_the_peel_matches_the_descent_on_every_invariant_multiset():
+    # the expansion of a W_H-invariant multiset in the ch V(nu) is unique, so
+    # peeling gives the descent's n_nu, and the first negative one it meets
+    # is the highest; both read the library's restriction, which the tests
+    # above check against the walk
+    compared, products = 0, set()
+    for emb, lam in _invariant_inputs():
+        expect = outcome(reference_kernel, emb, lam)
+        if expect[0] == "ValueError" and "is not dominant" in expect[1]:
+            continue  # not W_H-invariant: refused before any count
+        assert peeled_outcome(emb, lam) == expect, (emb.label, lam)
+        compared += 1
+        if len(emb.h.components) > 1:
+            products.add(emb.label)
+    assert {"so_in_sl:n=4", "levi:A5:J=[1, 2, 4, 5]"} <= products
+    assert compared > 1000
 
 
 @pytest.mark.parametrize("spec", _systems_up_to_rank(3) + ["A5", "G2", "A1,B2"])
@@ -459,50 +503,58 @@ def test_rho_shifts_are_every_w_under_the_height_in_height_order(spec, monkeypat
     every = sorted((sum(map(operator.mul, hv, shift)), shift, w.length() % 2 == 1)
                    for w in enumerate_parabolic(rs)
                    for shift in [(rho_rs - w.act(rho_rs)).coords])
-    full = every[-1][0]
-    big = len(every) + 1
-    # a fresh table declines past its count: once w = 1 is listed, the
-    # simple reflections wait under the height, so it lists no more
-    assert rootsys.rho_shifts(rs, full, 1, big) is None
-    assert len(rootsys._orbit_tables[rs.components, "rho"][0][0]) == 1
-    # past its budget: it lists that many w more, and the next call goes on
-    assert (rootsys.rho_shifts(rs, full, big, 1) is None) == (len(every) > 2)
-    assert len(rootsys._orbit_tables[rs.components, "rho"][0][0]) == 2
-    # a lower height, a higher one (listing only the w it adds), then all;
-    # each declined by a count one short, then listed
-    for height in (full // 4, full // 2 + 1, 10 * full):
-        under = [row for row in every if row[0] <= height]
-        assert rootsys.rho_shifts(rs, height, len(under) - 1, big) is None
-        rows = rootsys.rho_shifts(rs, height, len(under), big)
-        assert rows[0] == (0, (0,) * rs.rank, False)
-        assert [row[0] for row in rows] == sorted(row[0] for row in rows)
-        assert sorted(rows) == under
-        assert rootsys.rho_shifts(rs, height // 2, len(under), 0) == rows[:len(
-            [row for row in under if row[0] <= height // 2])]
+    # a fresh table lists nothing for a count short of |W|
+    assert rho_shifts(rs, len(every) - 1) is None
+    assert (rs.components, "rho") not in rootsys._orbit_tables
+    rows = rho_shifts(rs, len(every))
+    assert rows[0] == (0, (0,) * rs.rank, False)
+    assert [row[0] for row in rows] == [row[0] for row in every]
+    assert sorted(rows) == every
+    # once kept, every call reads the same list, whatever its count
+    assert rho_shifts(rs, 0) is rows
     assert rootsys._table_total == sum(size for _, size in rootsys._orbit_tables.values())
+
+
+def test_a_cold_branch_lists_only_the_w_under_its_height_span(monkeypatch):
+    # (0, 0, 0, 0, 0, 2) of E6 restricted to A5: the Racah-Speiser sum needs
+    # only the w with <rho - w rho, 2 rho_vee> at most the span of the
+    # dominant keys' heights, fewer than its 162 keys, but W(A5) is listed
+    # only whole, by a call with at least 720 keys.  A cold call with fewer keys lists nothing and peels; once a
+    # larger module has listed W(A5), the same call takes the sum.  No call
+    # builds the regular orbit table of A5
+    monkeypatch.setattr(rootsys, "_orbit_tables", {})
+    monkeypatch.setattr(rootsys, "_table_total", 0)
+    peeled = _spied(monkeypatch, "_peeled_count")
+    emb = levi("E6", (1, 3, 4, 5, 6))
+    h, lam, large = emb.h, Weight([0, 0, 0, 0, 0, 2]), Weight([0, 0, 0, 0, 0, 3])
+    multiset = restricted_character(emb, lam)
+    assert _no_more_w_than_keys(h, multiset)
+    assert len(multiset) < h.weyl_order == 720 <= len(restricted_character(emb, large))
+    expect = reference_kernel(emb, lam)
+    assert charalg._branch_by_restriction(emb, lam) == expect and len(peeled) == 1
+    assert (h.components, "rho") not in rootsys._orbit_tables
+    assert charalg._branch_by_restriction(emb, large) == reference_kernel(emb, large)
+    assert len(rootsys._orbit_tables[h.components, "rho"][0]) == 720
+    peeled.clear()
+    assert charalg._branch_by_restriction(emb, lam) == expect and not peeled
+    assert (h.components, tuple(range(h.rank))) not in rootsys._orbit_tables
 
 
 @pytest.mark.parametrize("spec,lam", [
     ("B16", (0, 1) + (0,) * 14), ("A16", (1,) + (0,) * 14 + (1,)), ("E8", (0,) * 7 + (1,))])
 def test_more_w_under_the_span_than_keys_descend_every_key(spec, lam, monkeypatch):
-    # the adjoint module of a large H: its dominant keys' heights span
-    # 2 ht(theta), and far more w of W_H lie under that than the module has
-    # weights (tens of thousands on B16 against 513 keys), so every call
-    # declines the sum and descends every key.  Each lists at most
-    # 1 + keys / 16 more w, and the listing stops for good once the w listed
-    # and the w waiting under the span outnumber the keys
+    # the adjoint module of a large H: far more w of W_H lie under the span
+    # of its dominant keys' heights than the module has weights (tens of
+    # thousands on B16 against 513 keys), and W_H is larger still, so every
+    # call lists no w and peels the one constituent
     monkeypatch.setattr(rootsys, "_orbit_tables", {})
     monkeypatch.setattr(rootsys, "_table_total", 0)
-    taken = _spied_dominant_count(monkeypatch)
+    peeled = _spied(monkeypatch, "_peeled_count")
     emb, lam = embed.identity(spec), Weight(lam)
-    keys = len(charalg._restricted_counts(emb, lam)[0])
-    budget, listed = 1 + keys // 16, [0]
-    for _ in range(6):
-        taken.clear()
-        assert charalg._branch_by_restriction(emb, lam) == {lam: 1} and taken == [False]
-        listed.append(len(rootsys._orbit_tables[emb.h.components, "rho"][0][0]))
-    assert listed[1] == budget and all(0 <= b - a <= budget for a, b in zip(listed, listed[1:]))
-    assert listed[-1] == listed[-2] < keys
+    for calls in range(1, 4):
+        assert charalg._branch_by_restriction(emb, lam) == {lam: 1}
+        assert len(peeled) == calls
+        assert (emb.h.components, "rho") not in rootsys._orbit_tables
 
 
 # -- the orbit tables --------------------------------------------------------------
