@@ -29,8 +29,9 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
-from . import embed, registry
+from . import __version__, embed, registry
 from .criteria import (
     CriterionReport,
     check_main,
@@ -160,8 +161,32 @@ def report_to_json(report: CriterionReport) -> dict:
     }
 
 
+_LITERAL = {True: "true", False: "false", None: "null"}.__getitem__
+# the text of each scalar type the writer knows (bool is not read as int)
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: _LITERAL, type(None): _LITERAL}
+
+
+def _indented(obj, newline: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, each line after the first opened by
+    ``newline``: scalars by exact type (strings through the C encoder), a list of plain ints in
+    one join, and a value of any other type through ``json.dumps``, its newlines re-indented."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar:
+        return scalar(obj)
+    kind, inner = type(obj), newline + "  "
+    if kind is list or kind is tuple:
+        items = (map(str, obj) if set(map(type, obj)) == {int}
+                 else [_indented(x, inner) for x in obj])
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if obj else "[]"
+    if kind is dict and set(map(type, obj)) <= {str}:
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(k) + ": " + _indented(v, inner)
+            for k, v in sorted(obj.items())]) + newline + "}" if obj else "{}"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
+
+
 def _emit_json(obj, out) -> None:
-    out.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    out.write(_indented(obj) + "\n")
 
 
 def _report_text(report: CriterionReport) -> str:
@@ -269,9 +294,16 @@ def embedding_from_descriptor(desc: dict) -> embed.Embedding:
     if missing:
         raise InputError(f"builder {name!r} is missing parameters: {', '.join(missing)}")
     try:
-        return getattr(embed, name)(*(params[k] for k in required))
+        return _built(name, json.dumps([params[k] for k in required]))
     except (ValueError, TypeError) as err:
         raise InputError(f"builder {name!r}: {err}")
+
+
+@functools.lru_cache(maxsize=64)
+def _built(name: str, values_text: str) -> embed.Embedding:
+    """A builder's embedding, one per name and JSON text of the values, so that {"n": true}
+    misses the entry of {"n": 1} (True == 1); a refusal raises and is not kept."""
+    return getattr(embed, name)(*json.loads(values_text))
 
 
 def _parse_weight_arg(arg: str, rank: int) -> Weight:
@@ -548,6 +580,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="frobcrit",
         description="Exact verification of Frobenius-splitting criteria "
                     "for spherical orbit closures in flag varieties.")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_format(p, choices=("json", "text")):

@@ -15,6 +15,7 @@ immutable NamedTuple, built once when everything in it is known.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, NamedTuple
 
@@ -23,7 +24,7 @@ from .embed import (CriterionInput, Embedding, detect_twist, restrict, rho_h,
 from .registry import lookup_donkin
 from .rootsys import (Weight, _require_int, coords_text, index_set, parabolic_weyl_order,
                       require_dominant_integral, rho_J)
-from .weyl import EnumerationCapExceeded, WeylElement, walk_parabolic
+from .weyl import WeylElement, _resolve_cap, walk_parabolic
 
 ORBIT_LABEL_CAP = 100
 
@@ -120,6 +121,19 @@ def lemma53_min_p(emb: Embedding) -> int:
     return math.ceil(max(best, 0))
 
 
+@functools.lru_cache(maxsize=64)
+def _embedding_facts(emb: Embedding) -> tuple[tuple[str, ...], int]:
+    """``validate``'s problems and ``lemma53_min_p``, once per embedding object."""
+    return tuple(validate(emb)), lemma53_min_p(emb)
+
+
+def _valid_min_p(emb: Embedding) -> int:
+    problems, min_p = _embedding_facts(emb)
+    if problems:
+        raise ValueError("embedding fails validation: " + "; ".join(problems))
+    return min_p
+
+
 def _resolve_surjectivity(inp: CriterionInput, min_p: int) -> SurjectivityStatus:
     source = inp.surjectivity_source
     if source not in SURJECTIVITY_SOURCES:
@@ -161,22 +175,16 @@ def _resolve_lie(inp: CriterionInput) -> LieSeparabilityStatus:
     return LieSeparabilityStatus("unknown", "undetermined")
 
 
-def _orbit_words(emb: Embedding, J: tuple[int, ...]):
-    count = parabolic_weyl_order(emb.g, J)
-    if count > ORBIT_LABEL_CAP:
-        return count, None
-    try:
-        return count, tuple(walk_parabolic(emb.g, J)[1])
-    except EnumerationCapExceeded:
-        return count, None
+@functools.lru_cache(maxsize=64)
+def _orbit_words(g, J: tuple[int, ...], cap: int):
+    """The words of W_J, or None above the cap: one walk per (G, J, cap)."""
+    return tuple(walk_parabolic(g, J, cap)[1]) if parabolic_weyl_order(g, J) <= cap else None
 
 
 def check_main(inp: CriterionInput) -> CriterionReport:
     """Evaluate the splitting criterion and assemble tagged conclusions."""
     emb = inp.embedding
-    problems = validate(emb)
-    if problems:
-        raise ValueError("embedding fails validation: " + "; ".join(problems))
+    min_p = _valid_min_p(emb)
     if not _is_prime(inp.p):
         raise ValueError(f"p must be prime, got {inp.p}")
 
@@ -187,7 +195,6 @@ def check_main(inp: CriterionInput) -> CriterionReport:
     cond1 = 2 * rh - rj_res
     dominant = cond1.is_dominant()
     regular = cond1.is_regular_dominant()
-    min_p = lemma53_min_p(emb)
     surjectivity = _resolve_surjectivity(inp, min_p)
     lie = _resolve_lie(inp)
 
@@ -205,7 +212,9 @@ def check_main(inp: CriterionInput) -> CriterionReport:
             "COR73_FLAG": full,
             "COHOMOLOGY_VANISHING": full,
         }
-        count, words = _orbit_words(emb, J)
+        count = parabolic_weyl_order(emb.g, J)
+        # FROBCRIT_ENUM_CAP is read, and a bad one refused, only under the label cap
+        words = _orbit_words(emb.g, J, _resolve_cap(None)) if count <= ORBIT_LABEL_CAP else None
         if not surjectivity.holds:
             would = ", ".join(tag for tag, on in holds.items() if on)
             statements = [(
@@ -294,7 +303,7 @@ def thm41_hypotheses(emb: Embedding, lam: Weight, p: int) -> Thm41Report:
     if all(c in (0, p - 1) for c in lam.coords):
         steinberg_J = tuple(i + 1 for i, c in enumerate(lam.coords) if c == p - 1)
     probe = CriterionInput(emb, steinberg_J or (), p, "donkin-registry")
-    surjectivity = _resolve_surjectivity(probe, lemma53_min_p(emb))
+    surjectivity = _resolve_surjectivity(probe, _embedding_facts(emb)[1])
     return Thm41Report(
         weight=lam,
         p=p,
@@ -317,9 +326,7 @@ def conjugated_borel_check(emb: Embedding, x: WeylElement, J: Iterable[int]) -> 
     x(R+), and the test is dominance of 2 rho_H - (x . rho_J)|_H against
     P_x.  For x the identity this is exactly condition (1) of check_main.
     """
-    problems = validate(emb)
-    if problems:
-        raise ValueError("embedding fails validation: " + "; ".join(problems))
+    _valid_min_p(emb)  # refuses an embedding that fails validation
     if x.rs != emb.g:
         raise ValueError("conjugating element does not act on the source group")
     members = index_set(emb.g, J)

@@ -11,7 +11,8 @@ import time
 import jsonschema
 import pytest
 
-from frobcrit import charalg, cli, registry
+import frobcrit
+from frobcrit import charalg, cli, criteria, registry
 from frobcrit.cli import VERIFY_PAIR_CAP, main
 from frobcrit.rootsys import MAX_RANK
 
@@ -644,3 +645,126 @@ def test_successive_main_calls_match_fresh_processes():
                                capture_output=True, text=True, timeout=60)
         assert (code, out.getvalue(), err.getvalue()) == \
             (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+# -- the indented writer -----------------------------------------------------------
+
+class _Text(str):
+    pass
+
+
+_WRITER_CASES = [
+    {}, [], (), {"a": {}, "b": [], "c": [[]], "d": [{}], "e": ()}, [[], {}, [[]], [{}]],
+    (1, 2, (3, (4,)), ()), {"t": (1, "x", (True, None)), "u": [(), ((),)]},
+    "snow ☃ café \U0001f600", "\x00\x01\x1f\x7f\"\\/\n\r\t\b\f",
+    {"é\"\n": "ü", "a": ["\ud800", " "], "": ""},
+    [True, False, 1, 0, None, -1, -0], [1, True], [0, False], [None, 0],
+    {"b": True, "i": 1, "f": False, "z": 0, "n": None, "m": -17},
+    [10 ** 3999, -(10 ** 3999) + 7, [10 ** 3999, -1]], {"big": -(10 ** 3998)},
+    # values the writer leaves to json.dumps, nested so that its text is re-indented
+    1.5, [1.5, float("inf"), -0.0, float("nan")], {"x": [1, 2.5], "y": {"z": [[0.5]]}},
+    {"outer": {1: [1, 2], 2: {"k": []}}}, [{True: "a", False: "b"}], _Text("sub"),
+    {"s": [_Text("q\n")]}, {_Text("k"): [1]},
+]
+
+
+@pytest.mark.parametrize("obj", _WRITER_CASES, ids=range(len(_WRITER_CASES)))
+def test_writer_equals_json_dumps_on_edge_cases(obj):
+    assert cli._indented(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+_EXAMPLE_NAMES = ("minimal-rank", "sp4", "sln-son:4", "sln-son:5", "sln-son:6", "sln-son:7",
+                  "sln-son:8", "triple-diagonal:A1", "triple-diagonal:A2",
+                  "triple-diagonal:B2", "triple-diagonal:G2", "frobenius-twist")
+
+
+def test_example_names_cover_every_listed_example():
+    heads = {name.split(":", 1)[0] for name in _EXAMPLE_NAMES}
+    assert heads == {name.split(":", 1)[0] for name in registry.EXAMPLES}
+
+
+@pytest.mark.parametrize("argv", [["examples", "run", name] for name in _EXAMPLE_NAMES]
+                         + [["check", json.dumps(CHECK_INPUT)], ["examples", "list"],
+                            ["verify-identities", "--max-rank", "3"],
+                            ["min-p", '{"builder": "folding_E6F4"}'],
+                            ["branch", '{"builder": "folding_B3G2"}', "1,0,1"]],
+                         ids=lambda argv: " ".join(argv[:3])[:40])
+def test_writer_equals_json_dumps_on_real_outputs(capsys, monkeypatch, argv):
+    # on the objects every subcommand hands to _emit_json, and on the text it printed
+    emitted = []
+    emit = cli._emit_json
+    monkeypatch.setattr(cli, "_emit_json", lambda obj, out: (emitted.append(obj), emit(obj, out)))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(emitted) == 1
+    assert cli._indented(emitted[0]) == json.dumps(emitted[0], indent=2, sort_keys=True)
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+# -- memoised embeddings, validation and orbit words --------------------------------
+
+def test_memos_are_bounded():
+    for memo in (cli._built, criteria._embedding_facts, criteria._orbit_words):
+        assert memo.cache_info().maxsize == 64
+
+
+def test_a_refusal_keeps_its_text_after_a_success_of_an_equal_python_value(capsys):
+    # {"k": true} == {"k": 1} in Python; the memo is keyed by JSON text, so
+    # the refusal is not answered from the entry of the accepted input, and
+    # the accepted input is answered as before after the refusals
+    accepted = {"builder": "diagonal", "params": {"h": "A1", "k": 1}}
+    as_true = {**accepted, "params": {"h": "A1", "k": True}}
+    as_float = {**accepted, "params": {"h": "A1", "k": 1.0}}
+    calls = [run(capsys, "min-p", json.dumps(desc))
+             for desc in (accepted, as_true, as_float, accepted, as_true)]
+    assert calls[0][0] == 0 and calls[3] == calls[0]
+    assert calls[1] == calls[4] == (
+        2, "", "error: builder 'diagonal': k must be an integer, got True\n")
+    assert calls[2] == (2, "", "error: builder 'diagonal': k must be an integer, got 1.0\n")
+
+
+def test_a_validation_refusal_is_raised_again_with_the_same_text(capsys):
+    bad = {"embedding": {"custom": {"g": "A1", "h": "A1", "matrix": [[0]]}},
+           "J": [1], "p": 3}
+    runs = [run(capsys, "check", json.dumps(bad)) for _ in range(3)]
+    assert runs[0][0] == 2 and runs[0][2].startswith("error: embedding fails validation: ")
+    assert runs == [runs[0]] * 3
+
+
+def test_enum_cap_change_in_one_process_matches_fresh_processes(monkeypatch):
+    # the orbit words are memoised per (G, J, resolved cap), so a cap set and
+    # then unset within one process gives what two fresh processes give
+    argv = ["check", json.dumps({"embedding": {"builder": "identity", "params": {"h": "B3"}},
+                                 "J": [1, 2], "p": 5})]
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    results = []
+    for cap in ("1", None):
+        if cap is None:
+            monkeypatch.delenv("FROBCRIT_ENUM_CAP", raising=False)
+        else:
+            monkeypatch.setenv("FROBCRIT_ENUM_CAP", cap)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        env = {k: v for k, v in os.environ.items() if k != "FROBCRIT_ENUM_CAP"}
+        env["PYTHONPATH"] = src
+        if cap is not None:
+            env["FROBCRIT_ENUM_CAP"] = cap
+        fresh = subprocess.run([sys.executable, "-m", "frobcrit.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert (code, out.getvalue(), err.getvalue()) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr), cap
+        results.append(json.loads(out.getvalue())["conclusions"][0]["orbit_labels"])
+    assert results[0] is None and len(results[1]) == 6
+
+
+# -- version -------------------------------------------------------------------------
+
+def test_version_prints_the_package_version_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["--version"])
+    assert caught.value.code == 0
+    assert capsys.readouterr() == (f"frobcrit {frobcrit.__version__}\n", "")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    fresh = subprocess.run([sys.executable, "-m", "frobcrit.cli", "--version"], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, "frobcrit 0.1.0\n", "")

@@ -196,6 +196,18 @@ def test_cli_output_matches_golden_corpus(monkeypatch):
     assert time.perf_counter() - start < 20
 
 
+
+def test_golden_corpus_reversed_then_twice_in_one_process(monkeypatch):
+    # the CLI memoises builder embeddings, their validation and large-p
+    # bound, and orbit words; no call may depend on the calls before it
+    for name in ENV_VARS:
+        monkeypatch.delenv(name, raising=False)
+    corpus = json.loads(CORPUS.read_text())
+    for order in (corpus[::-1], corpus, corpus):
+        moved = [entry["argv"] for entry in order if _call(entry["argv"])
+                 != (entry["exit"], entry["stdout_sha256"], entry["stderr_sha256"])]
+        assert not moved, f"{len(moved)} calls changed, first: {moved[:3]}"
+
 if __name__ == "__main__":
     entries = []
     for argv in corpus_argvs():
