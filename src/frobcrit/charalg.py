@@ -6,13 +6,14 @@ at mu, one root string per W_mu-orbit of positive roots, weighted by the
 orbit's size, is read up to its first dominant point, whose stored string
 tail supplies the rest.  Full characters come from Weyl-orbit expansion.
 
-``branch`` has two kernels, both on packed keys: an H-weight nu is the int
-pack(nu) = sum_j nu_j radix^j, so a restriction or a reflection is integer
-arithmetic.  ``_orbit_keys`` is the one orbit sum, read off the orbit
-tables (``rootsys.orbit_table``, kept across calls), for W_G on the G side
-and W_H on the H side.  ``_unmatched`` compares every key with its image
-under each simple reflection, one pass per root: the numerator checks
-alternation by it, and the restriction kernel names a broken pair by it.
+``branch`` has two kernels, both on packed keys in the one layout of
+``rootsys._layout``: an H-weight nu is the int pack(nu) = sum_j nu_j radix^j,
+so a restriction or a reflection is integer arithmetic.  ``_orbit_keys`` is
+the one orbit sum, read off the orbit tables (``rootsys.orbit_table``, kept
+across calls), for W_G on the G side and W_H on the H side.  ``_unmatched``
+compares every key with its image under each simple reflection, one pass
+per root: the numerator checks alternation by it, and the restriction
+kernel names a broken pair by it.
 ``_branch_by_numerator`` builds no character of G: it divides the
 restricted Weyl numerator by the factors that are not over positive
 H-roots, and reads the multiplicities off the H-dominant keys once the
@@ -45,6 +46,9 @@ from .embed import Embedding
 from .rootsys import (
     RootSystem,
     Weight,
+    _layout,
+    _nonnegative,
+    _pack,
     _unpack,
     build_root_system,
     coords_text,
@@ -134,33 +138,24 @@ def _height_order(h: RootSystem):
 
 
 class DominantCharacter:
-    """Character of an irreducible module, stored on dominant weights only."""
+    """Character of an irreducible module, stored on its dominant weights, int tuples."""
 
     def __init__(self, rs: RootSystem, highest: Weight,
-                 multiplicities: dict[Weight, int]) -> None:
+                 multiplicities: dict[tuple, int]) -> None:
         self.rs = rs
         self.highest = highest
         self.multiplicities = multiplicities
-        self._full: dict[Weight, int] | None = None
-        self._dim: int | None = None
+        self._full: dict[tuple, int] | None = None
 
     def dimension(self) -> int:
         """sum_mu m(mu) |W| / |W_{J0(mu)}|, J0(mu) the zero coordinates of mu."""
-        if self._dim is None:
-            by_zeros: Counter = Counter()
-            for mu, m in self.multiplicities.items():
-                by_zeros[_zeros(mu.coords)] += m
-            self._dim = sum(m * orbit_size(self.rs, zeros) for zeros, m in by_zeros.items())
-        return self._dim
+        return sum(m * orbit_size(self.rs, _zeros(mu)) for mu, m in self.multiplicities.items())
 
-    def weights(self) -> dict[Weight, int]:
-        """The full character: every weight with its multiplicity."""
+    def weights(self) -> dict[tuple, int]:
+        """The full character: every weight, an int tuple, with its multiplicity."""
         if self._full is None:
-            full: dict[Weight, int] = {}
-            for mu, m in self.multiplicities.items():
-                for coords in weyl_orbit(self.rs, mu):
-                    full[Weight(coords)] = m
-            self._full = full
+            self._full = {nu: m for mu, m in self.multiplicities.items()
+                          for nu in weyl_orbit(self.rs, Weight(mu))}
         return self._full
 
 
@@ -242,7 +237,7 @@ def freudenthal(rs: RootSystem, lam: Weight, depth: int | None = None) -> Domina
         if remainder or value <= 0:
             raise AssertionError(f"non-positive-integer multiplicity at {coords_text(mu_t)}")
         mults[mu_t] = value
-    return DominantCharacter(rs, lam, {Weight(t): m for t, m in mults.items()})
+    return DominantCharacter(rs, lam, mults)
 
 
 def _cached_character(rs: RootSystem, lam: Weight) -> DominantCharacter:
@@ -290,12 +285,12 @@ def _orbit_keys(g: RootSystem, mu: tuple, f: list[int], memo: dict):
     return keys
 
 
-def _orbit_counts(g: RootSystem, f: list[int], mults: dict[Weight, int]) -> Counter:
+def _orbit_counts(g: RootSystem, f: list[int], mults: dict[tuple, int]) -> Counter:
     """{sum_k f_k (w mu)_k: multiplicity} over every W_G-orbit of ``mults``."""
     memo: dict[tuple, list[int]] = {}
     by_mult: dict[int, list[int]] = {}
-    for weight, m in mults.items():
-        by_mult.setdefault(m, []).extend(_orbit_keys(g, weight.coords, f, memo))
+    for mu, m in mults.items():
+        by_mult.setdefault(m, []).extend(_orbit_keys(g, mu, f, memo))
     counts = Counter(by_mult.pop(1, ()))
     for m, keys in by_mult.items():
         for key, c in Counter(keys).items():
@@ -322,17 +317,14 @@ def _convolve(a: dict[int, int], b: dict[int, int]) -> Counter:
 
 def _restricted_counts(emb: Embedding, lam: Weight):
     """The restriction to H of the irreducible G-module with highest weight
-    lam as packed counts {pack(nu): multiplicity}, the radix and half.
+    lam as packed counts {pack(nu): multiplicity}, and their layout.
 
-    pack(nu) = sum_j nu_j radix^j with radix = 2 half, half a power of two:
-    digit j of pack(nu) + half sum_j radix^j is nu_j + half, so nu_j >= 0
-    exactly when the digit's top bit is set, as long as every coordinate
-    lies in -half..half - 1.  bound is at least every coordinate of a key:
-    |<w mu, alpha_k_vee>| <= max_gamma <lam, gamma_vee> for every weight mu
-    of the module.  With h the height of the highest coroot of H,
-    half - 1 >= max(4, h) bound + h + 1 leaves room for a simple reflection
-    of a key (|nu_j - nu_i a_ij| <= 4 bound, ``_unmatched``), for every
-    W_H-image of an H-dominant key (|<kappa, beta_vee>| <= h bound) and for
+    bound is at least every coordinate of a key: |<w mu, alpha_k_vee>| <=
+    max_gamma <lam, gamma_vee> for every weight mu of the module.  With h
+    the height of the highest coroot of H, the layout's reach
+    max(4, h) bound + h + 1 leaves room for a simple reflection of a key
+    (|nu_j - nu_i a_ij| <= 4 bound, ``_unmatched``), for every W_H-image of
+    an H-dominant key (|<kappa, beta_vee>| <= h bound) and for
     nu + rho - w rho at a dominant key nu (its coordinates are 1 - h to
     bound + h + 1).  Packing is linear, so pack(Res(v)) = sum_k f_k v_k, and
     ``_orbit_counts`` counts those ints.  A fractional restriction matrix is
@@ -347,9 +339,8 @@ def _restricted_counts(emb: Embedding, lam: Weight):
     top = max(sum(map(operator.mul, lam.coords, co)) for co in g.coroots)
     bound = top * max(sum(map(abs, row)) for row in rows)
     reach = h.coroot_height
-    half = 1 << (max(4, reach) * bound + reach + 1).bit_length()
-    radix = 2 * half
-    f = [sum(row[k] * radix ** j for j, row in enumerate(rows)) for k in range(g.rank)]
+    layout = _layout(h.rank, max(4, reach) * bound + reach + 1)
+    f = [_pack(col, layout[1]) for col in zip(*rows)]
     # a product's character is the product of its factors', and packing
     # adds over the factors, so the factors' counts convolve
     counts = None
@@ -359,7 +350,7 @@ def _restricted_counts(emb: Embedding, lam: Weight):
         counts = part if counts is None else _convolve(counts, part)
 
     if scale > 1:
-        fractional = [r for r in zip(*_unpack(counts, h.rank, radix, half))
+        fractional = [r for r in zip(*_unpack(counts, layout))
                       if any(x % scale for x in r)]
         if fractional:
             r = max(fractional, key=_height_order(h))
@@ -368,18 +359,18 @@ def _restricted_counts(emb: Embedding, lam: Weight):
                 f"has the non-integral H-weight "
                 f"{coords_text(Fraction(x, scale) for x in r)}")
         counts = {key // scale: m for key, m in counts.items()}
-    return counts, radix, half
+    return counts, layout
 
 
 def restricted_character(emb: Embedding, lam: Weight) -> dict[tuple, int]:
     """The restriction to H of the irreducible G-module with highest weight
     lam, as {H-weight coordinates: multiplicity}, in no particular order;
     raises at the non-integral weight highest in ``_height_order``."""
-    counts, radix, half = _restricted_counts(emb, lam)
-    return dict(zip(zip(*_unpack(counts, emb.h.rank, radix, half)), counts.values()))
+    counts, layout = _restricted_counts(emb, lam)
+    return dict(zip(zip(*_unpack(counts, layout)), counts.values()))
 
 
-def _unmatched(poly: dict, digits: list[list[int]], h: RootSystem, radix: int,
+def _unmatched(poly: dict, digits: list[list[int]], h: RootSystem, layout: tuple,
                shift: int, expected: list) -> list[tuple[int, int]]:
     """(key, image) for each key of ``poly`` and simple root alpha_i of H where
     poly at image = key - (d_i + shift) pack(alpha_i), d_i the key's digit i,
@@ -388,7 +379,7 @@ def _unmatched(poly: dict, digits: list[list[int]], h: RootSystem, radix: int,
     packed as long as the digits have room for it."""
     out = []
     for alpha, d in zip(h.alphas, digits):
-        a = sum(x * radix ** j for j, x in enumerate(alpha))
+        a = _pack(alpha, layout[1])
         images = [key - (x + shift) * a for key, x in zip(poly, d)]
         found = list(map(poly.get, images))
         if found != expected:
@@ -431,10 +422,10 @@ def _branch_by_restriction(emb: Embedding, lam: Weight) -> dict[Weight, int]:
     sum_nu n_nu ch V(nu), is decomposed by ``_dominant_count``, and any other
     refused by ``_broken_pair``.  Raises at a negative n_nu."""
     h = emb.h
-    counts, radix, half = _restricted_counts(emb, lam)
-    virtual = _dominant_count(h, counts, radix, half)
+    counts, layout = _restricted_counts(emb, lam)
+    virtual = _dominant_count(h, counts, layout)
     if virtual is None:
-        raise _broken_pair(h, counts, radix, half)
+        raise _broken_pair(h, counts, layout)
     key = _height_order(h)
     negative = [nu for nu, n in virtual.items() if n < 0]
     if negative:
@@ -445,7 +436,7 @@ def _branch_by_restriction(emb: Embedding, lam: Weight) -> dict[Weight, int]:
             for nu in sorted(virtual, key=key, reverse=True) if virtual[nu]}
 
 
-def _dominant_count(h: RootSystem, counts: dict, radix: int, half: int) -> dict | None:
+def _dominant_count(h: RootSystem, counts: dict, layout: tuple) -> dict | None:
     """{nu: n_nu} at the H-dominant keys of ``counts``, packed with room for
     every W_H-image of a dominant key and every nu + rho - w rho
     (``_restricted_counts``), or the first negative n_nu of the peel alone;
@@ -469,11 +460,9 @@ def _dominant_count(h: RootSystem, counts: dict, radix: int, half: int) -> dict 
     Any other invariant multiset, as the adjoint module of a large H, is
     peeled (``_peeled_count``).
     """
-    powers = [radix ** j for j in range(h.rank)]
-    offset = half * sum(powers)
-    dominant = list(itertools.compress(counts, map(offset.__eq__, map(
-        offset.__and__, map(offset.__add__, counts)))))
-    digits = _unpack(dominant, h.rank, radix, half)
+    _, powers, offset = layout
+    dominant = list(itertools.compress(counts, _nonnegative(counts, offset)))
+    digits = _unpack(dominant, layout)
     nus = list(zip(*digits))
     mults = list(map(counts.__getitem__, dominant))
     if sum(map(orbit_size, itertools.repeat(h), map(_zeros, nus))) != len(counts):
@@ -484,7 +473,7 @@ def _dominant_count(h: RootSystem, counts: dict, radix: int, half: int) -> dict 
         spread.update(dict.fromkeys(_orbit_keys(h, nu, powers, memo), m))
     if spread != counts:
         return None
-    lower = [kappa - sum(map(operator.mul, h.positive_weights[b], powers))
+    lower = [kappa - _pack(h.positive_weights[b], powers)
              for kappa, nu in zip(dominant, nus) for b in root_classes(h, _zeros(nu))[0]
              if sum(map(operator.mul, h.coroots[b], nu)) > 0]
     missing = list(itertools.filterfalse(counts.__contains__, lower))
@@ -493,7 +482,7 @@ def _dominant_count(h: RootSystem, counts: dict, radix: int, half: int) -> dict 
     if shifts is None or len(counts) < bisect.bisect_right(
             shifts, max(heights) - min(heights), key=operator.itemgetter(0)):
         key = _height_order(h)
-        below = zip(*_unpack(missing, h.rank, radix, half))
+        below = zip(*_unpack(missing, layout))
         floor = max([key(descend(h, mu)[0])[0] for mu in below], default=None)
         return _peeled_count(h, nus, mults, floor)
 
@@ -506,7 +495,7 @@ def _dominant_count(h: RootSystem, counts: dict, radix: int, half: int) -> dict 
         cut = bisect.bisect_right(heights, top - height)
         if not cut:
             break
-        step = sum(map(operator.mul, shift, powers))
+        step = _pack(shift, powers)
         found = map(counts.get, map(step.__add__, itertools.islice(keys, cut)),
                     itertools.repeat(0))
         total[:cut] = map(operator.sub if odd else operator.add, total, found)
@@ -539,21 +528,21 @@ def _peeled_count(h: RootSystem, nus: list, mults: list, floor: int | None) -> d
             char = (_cached_character(h, Weight(nu)) if floor is None
                     else freudenthal(h, Weight(nu), (key(nu)[0] - floor) // 2))
             for mu, m in char.multiplicities.items():
-                if mu.coords not in residual:
-                    residual[mu.coords] = 0
-                    bisect.insort(order, mu.coords, key=key)
-                residual[mu.coords] -= n * m
+                if mu not in residual:
+                    residual[mu] = 0
+                    bisect.insort(order, mu, key=key)
+                residual[mu] -= n * m
     return virtual
 
 
-def _broken_pair(h: RootSystem, counts: dict, radix: int, half: int) -> ValueError:
+def _broken_pair(h: RootSystem, counts: dict, layout: tuple) -> ValueError:
     """The refusal of ``counts``, which is not W_H-invariant, at the broken
     pair highest in ``_height_order``."""
-    digits = _unpack(counts, h.rank, radix, half)
+    digits = _unpack(counts, layout)
     key = _height_order(h)
-    broken = _unmatched(counts, digits, h, radix, 0, list(counts.values()))
+    broken = _unmatched(counts, digits, h, layout, 0, list(counts.values()))
     flat = [k for pair in broken for k in pair]
-    weight = dict(zip(flat, zip(*_unpack(flat, h.rank, radix, half))))
+    weight = dict(zip(flat, zip(*_unpack(flat, layout))))
     # s_i nu - nu is a multiple of alpha_i, so the lower weight of a pair
     # in this order is the one with nu_i < 0
     low, up = max((sorted(pair, key=lambda k: key(weight[k])) for pair in broken),
@@ -584,14 +573,16 @@ def _numerator_certificate(g: RootSystem, h: RootSystem, restriction: tuple) -> 
     return tuple(images)
 
 
-def _divide(poly: dict, step: int, gamma_j: int, shift: int, radix: int,
-            offset: int, half: int) -> dict | None:
-    """poly / (1 - e^{-gamma}) on packed keys, shift = pack(gamma), or None
-    when a gamma-line of poly does not sum to 0.  The quotient at x is the
-    sum of poly over x, x + gamma, x + 2 gamma, ...; a line is named by its
-    point x - k gamma, k = floor(x_j / gamma_j) for the digit j of step =
-    radix^j, so keys are grouped by that digit and not by their residue mod
-    shift, which aliases every key when shift is 1."""
+def _divide(poly: dict, gamma: tuple, layout: tuple) -> dict | None:
+    """poly / (1 - e^{-gamma}) on packed keys, or None when a gamma-line of
+    poly does not sum to 0.  The quotient at x is the sum of poly over x,
+    x + gamma, x + 2 gamma, ...; a line is named by its point x - k gamma,
+    k = floor(x_j / gamma_j) for j the largest |gamma_j|, so keys are grouped
+    by digit j and not by their residue mod pack(gamma), which aliases every
+    key when pack(gamma) is 1."""
+    half, powers, offset = layout
+    j = max(range(len(gamma)), key=lambda i: abs(gamma[i]))
+    step, gamma_j, radix, shift = powers[j], gamma[j], 2 * half, _pack(gamma, powers)
     lines: dict[int, dict[int, int]] = {}
     for key, c in poly.items():
         k = ((key + offset) // step % radix - half) // gamma_j
@@ -629,11 +620,10 @@ def _branch_by_numerator(emb: Embedding, lam: Weight) -> dict[Weight, int] | Non
     not exact, the quotient is not alternating or some n_nu is negative:
     ``_branch_by_restriction`` then names the witness.
     """
-    g, h = emb.g, emb.h
-    extra = _numerator_certificate(g, h, emb.restriction)
+    g, h, rows = emb.g, emb.h, emb.restriction
+    extra = _numerator_certificate(g, h, rows)
     if extra is None:
         return None
-    hn, rows = h.rank, emb.restriction
     # |<w(lam + rho), alpha_k_vee>| <= top, so every coordinate of the
     # numerator, and of each partial quotient (in its convex hull), is at
     # most bound in size; a line's base point, |x_j / gamma_j| + 1 steps
@@ -642,15 +632,9 @@ def _branch_by_numerator(emb: Embedding, lam: Weight) -> dict[Weight, int] | Non
     # (|a_ij| <= 3)
     top = max(sum(map(operator.mul, lam.coords, co)) + sum(co) for co in g.coroots)
     bound = (top + 1) * max(sum(map(abs, row)) for row in rows)
-    half = 4 * (bound + 1) + 1 + max([abs(x) for gamma in extra for x in gamma], default=0)
-    radix = 2 * half + 1
-    powers = [radix ** j for j in range(hn)]
-    offset = half * sum(powers)
-
-    def pack(v):
-        return sum(map(operator.mul, v, powers))
-
-    f = [pack(col) for col in zip(*rows)]  # pack(Res omega_k)
+    layout = _layout(h.rank, 4 * (bound + 1) + 1 + max(
+        [abs(x) for gamma in extra for x in gamma], default=0))
+    f = [_pack(col, layout[1]) for col in zip(*rows)]  # pack(Res omega_k)
     keys = _orbit_keys(g, [c + 1 for c in lam.coords], f, {})
     keys = list(map((-sum(f)).__add__, keys))
     starts = orbit_layers(g, tuple(range(g.rank)))
@@ -660,14 +644,13 @@ def _branch_by_numerator(emb: Embedding, lam: Weight) -> dict[Weight, int] | Non
     poly = {key: c for key, c in poly.items() if c}
 
     for gamma in extra:
-        j = max(range(hn), key=lambda i: abs(gamma[i]))
-        poly = _divide(poly, powers[j], gamma[j], pack(gamma), radix, offset, half)
+        poly = _divide(poly, gamma, layout)
         if poly is None:
             return None
 
     values = list(poly.values())
-    digits = _unpack(poly, hn, radix, half)
-    if _unmatched(poly, digits, h, radix, 1, list(map(operator.neg, values))):
+    digits = _unpack(poly, layout)
+    if _unmatched(poly, digits, h, layout, 1, list(map(operator.neg, values))):
         return None
     found = [(nu, n) for nu, n in zip(zip(*digits), values) if min(nu) >= 0]
     if any(n < 0 for _, n in found):

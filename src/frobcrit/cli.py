@@ -98,12 +98,8 @@ class InputError(ValueError):
 # serialization
 
 
-def _frac_str(x) -> str:
-    return str(Fraction(x))
-
-
 def weight_to_json(w: Weight) -> list[str]:
-    return [_frac_str(c) for c in w.coords]
+    return list(map(str, w.coords))
 
 
 def embedding_to_json(e: embed.Embedding) -> dict:
@@ -111,7 +107,7 @@ def embedding_to_json(e: embed.Embedding) -> dict:
         "label": e.label,
         "g": e.g.spec_string(),
         "h": e.h.spec_string(),
-        "restriction": [[_frac_str(x) for x in row] for row in e.restriction],
+        "restriction": [list(map(str, row)) for row in e.restriction],
         "twist_exponent": e.twist_exponent,
     }
 

@@ -22,8 +22,8 @@ from typing import Iterable, NamedTuple
 from .embed import (CriterionInput, Embedding, detect_twist, restrict, rho_h,
                     root_fiber, validate)
 from .registry import lookup_donkin
-from .rootsys import (Weight, _require_int, coords_text, index_set, parabolic_weyl_order,
-                      require_dominant_integral, rho_J)
+from .rootsys import (Weight, _keep, _kept, _require_int, coords_text, index_set,
+                      parabolic_weyl_order, require_dominant_integral, rho_J)
 from .weyl import WeylElement, _resolve_cap, walk_parabolic
 
 ORBIT_LABEL_CAP = 100
@@ -175,10 +175,14 @@ def _resolve_lie(inp: CriterionInput) -> LieSeparabilityStatus:
     return LieSeparabilityStatus("unknown", "undetermined")
 
 
-@functools.lru_cache(maxsize=64)
-def _orbit_words(g, J: tuple[int, ...], cap: int):
-    """The words of W_J, or None above the cap: one walk per (G, J, cap)."""
-    return tuple(walk_parabolic(g, J, cap)[1]) if parabolic_weyl_order(g, J) <= cap else None
+def _orbit_words(g, J: tuple[int, ...]) -> tuple:
+    """The words of W_J, one walk per (G, J), kept with the root data of G."""
+    key = (g.components, J, "words")
+    words = _kept(key)
+    if words is None:
+        words = tuple(walk_parabolic(g, J, ORBIT_LABEL_CAP)[1])
+        _keep(key, words, len(words) + sum(map(len, words)))
+    return words
 
 
 def check_main(inp: CriterionInput) -> CriterionReport:
@@ -214,7 +218,8 @@ def check_main(inp: CriterionInput) -> CriterionReport:
         }
         count = parabolic_weyl_order(emb.g, J)
         # FROBCRIT_ENUM_CAP is read, and a bad one refused, only under the label cap
-        words = _orbit_words(emb.g, J, _resolve_cap(None)) if count <= ORBIT_LABEL_CAP else None
+        words = (_orbit_words(emb.g, J) if count <= ORBIT_LABEL_CAP
+                 and count <= _resolve_cap(None) else None)
         if not surjectivity.holds:
             would = ", ".join(tag for tag, on in holds.items() if on)
             statements = [(

@@ -18,9 +18,11 @@ enumerator of the package, and it and ``fundamental_orbit`` are each one
 breadth-first pass; ``orbit_layers`` gives where each layer starts, so on
 the regular orbit the sign eps(w) of every row.  The same cache keeps
 ``weyl.rho_shifts``, every w of W with rho - w rho, its height and its
-sign, for the Racah-Speiser sum.  ``RootSystem.weyl_order`` is |W| from
-the components in closed form, and ``orbit_size`` the size of the orbit of
-a dominant weight.
+sign, for the Racah-Speiser sum, and the orbit labels of ``criteria``.
+``RootSystem.weyl_order`` is |W| from the components in closed form, and
+``orbit_size`` the size of the orbit of a dominant weight.  ``_layout`` is
+the one layout of packed int keys, for ``weyl`` and both ``charalg.branch``
+kernels, beside its packer, unpacker and top-bit test.
 
 The symmetrizer and the coroot table are integers, and every pairing
 <lam, gamma_vee> in the package reads ``RootSystem.coroots`` as
@@ -30,6 +32,7 @@ as public API.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -304,6 +307,8 @@ class RootSystem:
         self.coroot_height: int = max(map(sum, coroots))
         # <lam, 2 rho_vee> = sum_k lam_k two_rho_vee[k], twice the height of lam
         self.two_rho_vee: tuple[int, ...] = tuple(map(sum, zip(*coroots)))
+        # the layout of the packed w rho keys of ``weyl``: (w rho)_k is a coroot height up to sign
+        self.rho_layout = _layout(self.rank, self.coroot_height)
         # |W|, in closed form from the components: no subdiagram is classified
         self.weyl_order: int = 1
         for letter, rank in self.components:
@@ -411,15 +416,37 @@ def reflect_word(rs: RootSystem, v: Sequence, letters: Iterable[int]) -> tuple:
     return tuple(out)
 
 
-def _unpack(keys, n: int, radix: int, half: int) -> list[list[int]]:
-    """Coordinate j of every packed key, for j < n, as one list per j: digit
-    j of key + half sum_j radix^j is coordinate j + half, in 0..radix - 1."""
-    rest = list(map((half * sum(radix ** j for j in range(n))).__add__, keys))
+def _layout(n: int, reach: int) -> tuple[int, tuple[int, ...], int]:
+    """(half, powers, offset), the one layout of packed keys: an int n-vector
+    x is ``_pack(x, powers)`` = sum_j x_j radix^j, with half the power of two
+    above ``reach``, the largest |coordinate| that a caller's keys or their
+    images reach, radix = 2 half and powers the radix^j.  Digit j of
+    key + offset, offset = half sum_j radix^j, is x_j + half, so x_j >= 0
+    exactly when its top bit, a bit of offset, is set (``_nonnegative``)."""
+    half = 1 << reach.bit_length()
+    powers = tuple([(2 * half) ** j for j in range(n)])
+    return half, powers, half * sum(powers)
+
+
+def _pack(x: Iterable[int], powers: tuple[int, ...]) -> int:
+    return sum(map(operator.mul, x, powers))
+
+
+def _unpack(keys, layout: tuple) -> list[list[int]]:
+    """Coordinate j of every packed key as one list per j."""
+    half, powers, offset = layout
+    radix = 2 * half
+    rest = list(map(offset.__add__, keys))
     digits = []
-    for _ in range(n):
+    for _ in powers:
         digits.append(list(map(half.__rsub__, map(radix.__rmod__, rest))))
         rest = list(map(radix.__rfloordiv__, rest))
     return digits
+
+
+def _nonnegative(keys, offset: int):
+    """Whether every coordinate of each key is >= 0: the top-bit test."""
+    return map(offset.__eq__, map(offset.__and__, map(offset.__add__, keys)))
 
 
 def descend(rs: RootSystem, v: Sequence, J: Iterable[int] | None = None):
@@ -443,8 +470,9 @@ def descend(rs: RootSystem, v: Sequence, J: Iterable[int] | None = None):
 
 
 # Root data kept across calls, as (value, ints stored): fundamental orbits,
-# orbit tables, root classes, orbit sizes and ``weyl.rho_shifts``, keyed by
-# components and k, support, zeros or "rho".
+# orbit tables, root classes, orbit sizes, ``weyl.rho_shifts`` and the words
+# of ``criteria._orbit_words``, keyed by components and k, support, zeros,
+# "rho" or J.
 # Past _TABLE_BUDGET ints in all, the oldest are dropped; a dropped entry is
 # rebuilt the same, so the indices of a table still kept stay valid.
 _orbit_tables: dict[tuple, tuple] = {}

@@ -3,9 +3,9 @@
 An element w is keyed by x = w rho packed into one int, sum_k x_k radix^k,
 which determines w because rho is regular (Stembridge, MSJ Memoirs 11,
 2001).  Every x_k = <rho, w^{-1} alpha_k_vee> is the height of a coroot up
-to sign, so with half a power of two above the height of the highest coroot
-and radix = 2 half, digit k of key + half sum_k radix^k is x_k + half, and
-its top bit is set exactly when x_k > 0 (x_k is never 0).  Equality, hashing
+to sign, so in the layout ``RootSystem.rho_layout`` (``rootsys._layout``,
+reach the height of the highest coroot) the top bit of digit k of
+key + offset is set exactly when x_k > 0 (x_k is never 0).  Equality, hashing
 and ``is_identity`` read the key, and ``length`` unpacks it.  ``from_word``
 reflects rho along the reversed word by ``rootsys.reflect_word``; the
 integer matrix of w on fundamental-weight coordinates is built only when
@@ -29,6 +29,7 @@ from .rootsys import (
     Weight,
     _keep,
     _kept,
+    _pack,
     _require_int,
     _unpack,
     descend,
@@ -52,21 +53,6 @@ class EnumerationCapExceeded(ValueError):
         super().__init__(
             f"refusing to enumerate W_J of {rs.spec_string()} with J={sorted(J)}: "
             f"order is {order}, cap is {cap}")
-
-
-def _radix(rs: RootSystem) -> tuple[int, int]:
-    """(radix, half) of the w rho keys of rs: half is a power of two above
-    the height of the highest coroot, and radix = 2 half."""
-    half = 1 << rs.coroot_height.bit_length()
-    return 2 * half, half
-
-
-def _pack(x: Sequence[int], radix: int) -> int:
-    """sum_k x_k radix^k."""
-    key = 0
-    for c in reversed(x):
-        key = key * radix + c
-    return key
 
 
 class WeylElement:
@@ -136,14 +122,14 @@ class WeylElement:
         """Number of positive roots beta that w^{-1} sends to negative roots,
         those with <w rho, beta_vee> = <rho, w^{-1} beta_vee> < 0."""
         rs = self.rs
-        x = next(zip(*_unpack([self.key], rs.rank, *_radix(rs))))
+        x = next(zip(*_unpack([self.key], rs.rho_layout)))
         return sum(1 for c in rs.coroots if sum(map(operator.mul, x, c)) < 0)
 
     def inverse(self) -> "WeylElement":
         return from_word(self.rs, reversed(self.word))
 
     def is_identity(self) -> bool:
-        return self.key == _pack((1,) * self.rs.rank, _radix(self.rs)[0])
+        return self.key == _pack((1,) * self.rs.rank, self.rs.rho_layout[1])
 
     def __repr__(self) -> str:
         return f"WeylElement(word={self.word})"
@@ -157,7 +143,7 @@ def _element(rs: RootSystem, key: int, word: tuple[int, ...]) -> WeylElement:
 
 
 def identity(rs: RootSystem) -> WeylElement:
-    return _element(rs, _pack((1,) * rs.rank, _radix(rs)[0]), ())
+    return _element(rs, _pack((1,) * rs.rank, rs.rho_layout[1]), ())
 
 
 def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
@@ -171,7 +157,7 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
         if not 1 <= _require_int(i, "simple reflection index") <= rs.rank:
             raise ValueError(f"simple reflection index {i} outside 1..{rs.rank}")
     x = reflect_word(rs, (1,) * rs.rank, reversed(letters))
-    return _element(rs, _pack(x, _radix(rs)[0]), letters)
+    return _element(rs, _pack(x, rs.rho_layout[1]), letters)
 
 
 def _resolve_cap(cap: int | None, env_name: str = _ENUM_CAP_ENV,
@@ -213,17 +199,15 @@ def walk_parabolic(rs: RootSystem, J: Iterable[int] | None = None,
     # against the top bits of those digits.  Listing the children letter by
     # letter, each over the previous layer in its order, keeps every layer
     # in lexicographic order of the words.
-    radix, half = _radix(rs)
-    bits = radix.bit_length() - 1
-    mask = radix - 1
-    offset = _pack((half,) * rs.rank, radix)
+    half, powers, offset = rs.rho_layout
+    bits, mask = half.bit_length(), 2 * half - 1
     steps = []
     below = 0
     for a in members:
         shift = (a - 1) * bits
-        steps.append((a, half << shift, shift, _pack(rs.alphas[a - 1], radix), below))
+        steps.append((a, half << shift, shift, _pack(rs.alphas[a - 1], powers), below))
         below |= half << shift
-    keys, words = [_pack((1,) * rs.rank, radix)], [()]
+    keys, words = [_pack((1,) * rs.rank, powers)], [()]
     layer = [offset + keys[0]], [()]
     while layer[0]:
         next_keys, next_words = [], []
@@ -260,7 +244,7 @@ def rho_shifts(rs: RootSystem, most: int):
     if rows is not None or rs.weyl_order > most:
         return rows
     keys, words = walk_parabolic(rs, cap=rs.weyl_order)
-    shifts = zip(*[list(map((1).__sub__, d)) for d in _unpack(keys, rs.rank, *_radix(rs))])
+    shifts = zip(*[list(map((1).__sub__, d)) for d in _unpack(keys, rs.rho_layout)])
     rows = sorted([(sum(map(operator.mul, rs.two_rho_vee, shift)), shift, len(word) % 2 == 1)
                    for shift, word in zip(shifts, words)], key=operator.itemgetter(0))
     return _keep(key, rows, (rs.rank + 2) * len(rows))

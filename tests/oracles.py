@@ -282,8 +282,9 @@ def permutation_inversion_histogram(n: int) -> dict[int, int]:
 # Freudenthal's recursion with every string summed to its top
 
 
-def reference_freudenthal(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
-    """{dominant weight: multiplicity} of the module with highest weight lam.
+def reference_freudenthal(rs: RootSystem, lam: Weight) -> dict[tuple, int]:
+    """{dominant weight coordinates: multiplicity} of the module with highest
+    weight lam.
 
     Freudenthal's recursion as it was written before string tails were
     stored: each string mu + k beta is summed to its top, point by point;
@@ -291,17 +292,17 @@ def reference_freudenthal(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     multiplies its factors' dominant maps.
     """
     if rs.components == (("A", 1),):
-        return {Weight((c,)): 1 for c in range(lam.coords[0], -1, -2)}
+        return {(c,): 1 for c in range(lam.coords[0], -1, -2)}
     if len(rs.components) > 1:
         factor_maps = [reference_freudenthal(build_root_system([comp]),
                                              Weight(lam.coords[lo:hi]))
                        for (lo, hi), comp in zip(rs.component_spans, rs.components)]
-        mults: dict[Weight, int] = {}
+        mults: dict[tuple, int] = {}
         for combo in itertools.product(*(fm.items() for fm in factor_maps)):
             m = 1
             for _, factor_mult in combo:
                 m *= factor_mult
-            mults[Weight(c for w, _ in combo for c in w.coords)] = m
+            mults[tuple(c for w, _ in combo for c in w)] = m
         return mults
 
     n = rs.rank
@@ -347,7 +348,7 @@ def reference_freudenthal(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
         value, remainder = divmod(2 * acc, denom)
         assert remainder == 0 and value > 0, mu_t
         mults_t[mu_t] = value
-    return {Weight(t): m for t, m in mults_t.items()}
+    return mults_t
 
 
 # ---------------------------------------------------------------------------

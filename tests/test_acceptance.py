@@ -203,7 +203,7 @@ def test_freudenthal_matches_independent_oracle(spec):
         char = freudenthal(rs, lam)
         for mu, mult in char.multiplicities.items():
             assert character_multiplicity_oracle(
-                rs, lam, mu, weyl, kostant) == mult, (lam, mu)
+                rs, lam, Weight(mu), weyl, kostant) == mult, (lam, mu)
         # the dimension formula closes the loop: a dominant weight missing
         # from the recursion's support would leave the orbit count short
         assert char.dimension() == weyl_dim(rs, lam), lam

@@ -191,7 +191,7 @@ def test_zero_weight_is_trivial_character():
     rs = build_root_system("F4")
     ch = freudenthal(rs, Weight([0, 0, 0, 0]))
     assert ch.dimension() == 1
-    assert ch.weights() == {Weight([0, 0, 0, 0]): 1}
+    assert ch.weights() == {(0, 0, 0, 0): 1}
 
 
 # -- frozen multiplicities ------------------------------------------------------
@@ -199,23 +199,23 @@ def test_zero_weight_is_trivial_character():
 def test_a2_adjoint_multiplicities():
     rs = build_root_system("A2")
     ch = freudenthal(rs, W(1, 1)).weights()
-    assert ch[W(1, 1)] == 1
-    assert ch[W(0, 0)] == 2
+    assert ch[(1, 1)] == 1
+    assert ch[(0, 0)] == 2
     assert sum(ch.values()) == 8  # six roots + twice zero
 
 
 def test_g2_adjoint_zero_multiplicity():
     rs = build_root_system("G2")
     ch = freudenthal(rs, W(0, 1)).weights()
-    assert ch[W(0, 0)] == 2
-    assert ch[W(1, 0)] == 1
+    assert ch[(0, 0)] == 2
+    assert ch[(1, 0)] == 1
 
 
 def test_c2_16_dimensional():
     rs = build_root_system("C2")
     ch = freudenthal(rs, W(1, 1)).weights()
-    assert ch[W(1, 1)] == 1
-    assert ch[W(1, 0)] == 2
+    assert ch[(1, 1)] == 1
+    assert ch[(1, 0)] == 2
 
 
 def test_freudenthal_rejects_bad_input():
@@ -242,8 +242,8 @@ def test_multiplicities_match_character_formula(spec, lam):
     kostant = KostantCounter(rs)
     ch = freudenthal(rs, Weight(lam)).weights()
     for mu, mult in ch.items():
-        if mu.is_dominant():
-            assert character_multiplicity_oracle(rs, Weight(lam), mu, weyl,
+        if min(mu) >= 0:
+            assert character_multiplicity_oracle(rs, Weight(lam), Weight(mu), weyl,
                                                  kostant) == mult
 
 
@@ -251,8 +251,8 @@ def test_product_system_character_factorizes():
     rs = build_root_system("A1,A1")
     ch = freudenthal(rs, W(2, 1))
     assert ch.dimension() == 6
-    assert ch.weights()[W(0, 1)] == 1
-    assert ch.weights()[W(0, -1)] == 1
+    assert ch.weights()[(0, 1)] == 1
+    assert ch.weights()[(0, -1)] == 1
 
 
 # -- branching -------------------------------------------------------------------
@@ -322,7 +322,7 @@ def full_character(rs, coords):
     highest weight ``coords``: a product's character is the product of its
     factors' full characters."""
     if len(rs.components) == 1:
-        return {w.coords: m for w, m in freudenthal(rs, Weight(coords)).weights().items()}
+        return freudenthal(rs, Weight(coords)).weights()
     char = {(): 1}
     for (lo, hi), comp in zip(rs.component_spans, rs.components):
         factor = full_character(build_root_system([comp]), coords[lo:hi])
@@ -463,7 +463,7 @@ def virtual_coefficients(emb, lam):
     h = emb.h
     restricted = {}
     for w, m in freudenthal(emb.g, lam).weights().items():
-        rw = tuple(sum(row[j] * w.coords[j] for j in range(emb.g.rank))
+        rw = tuple(sum(row[j] * w[j] for j in range(emb.g.rank))
                    for row in emb.restriction)
         assert all(Fraction(c).denominator == 1 for c in rw)
         rw = tuple(int(c) for c in rw)
@@ -642,6 +642,18 @@ def test_largest_identity_inputs_run_no_freudenthal(spec, lam, monkeypatch):
 
     monkeypatch.setattr(charalg, "freudenthal", refuse)
     assert branch(identity(spec), Weight(lam)) == {Weight(lam): 1}
+
+
+@pytest.mark.parametrize("spec,lam", [("A1", (49999,)), ("A1,A1,A1", (49999, 0, 0)),
+                                      ("A2", (314, 0)), ("A3", (0, 0, 64)), ("B3", (17, 0, 0))])
+def test_kernels_agree_at_the_largest_certified_inputs_under_the_branch_cap(spec, lam):
+    # the widest digits the divided numerator packs: each module's dimension
+    # is within 7 % of DEFAULT_BRANCH_CAP
+    emb, lam = identity(spec), Weight(lam)
+    assert 0.93 * DEFAULT_BRANCH_CAP < weyl_dim(emb.g, lam) <= DEFAULT_BRANCH_CAP
+    found = _branch_by_numerator(emb, lam)
+    assert found is not None
+    assert list(found.items()) == list(_branch_by_restriction(emb, lam).items())
 
 
 def test_refusal_text_names_the_highest_weight():

@@ -7,14 +7,15 @@ import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import jsonschema
 import pytest
 
 import frobcrit
-from frobcrit import charalg, cli, criteria, registry
+from frobcrit import charalg, cli, criteria, embed, registry, rootsys
 from frobcrit.cli import VERIFY_PAIR_CAP, main
-from frobcrit.rootsys import MAX_RANK
+from frobcrit.rootsys import MAX_RANK, Weight, build_root_system
 
 CHECK_INPUT = {
     "embedding": {"builder": "identity", "params": {"h": "A2"}},
@@ -323,6 +324,14 @@ def test_custom_matrix_floats_refused_exact_strings_accepted(capsys):
     code, out_exact, _ = run(capsys, "min-p", json.dumps(exact))
     assert code == 0
     assert run(capsys, "min-p", json.dumps(plain))[1] == out_exact
+    # every entry is kept as an int or a Fraction in lowest terms, so str()
+    # renders it as str(Fraction(x)) did: fractional, negative and integral
+    entries = ["-6/4", "3/9", "-2", "0", "8/2", "-0/5", 7, -3, Fraction(10, -4)]
+    assert cli.weight_to_json(Weight(entries)) == [str(Fraction(x)) for x in entries] == [
+        "-3/2", "1/3", "-2", "0", "4", "0", "7", "-3", "-5/2"]
+    emb = embed.Embedding(build_root_system(",".join(["A1"] * len(entries))),
+                          build_root_system("A1"), [entries], label="entries")
+    assert cli.embedding_to_json(emb)["restriction"] == [[str(Fraction(x)) for x in entries]]
 
 
 def test_check_bad_lie_flag_refused_with_full_J(capsys):
@@ -703,8 +712,13 @@ def test_writer_equals_json_dumps_on_real_outputs(capsys, monkeypatch, argv):
 # -- memoised embeddings, validation and orbit words --------------------------------
 
 def test_memos_are_bounded():
-    for memo in (cli._built, criteria._embedding_facts, criteria._orbit_words):
+    for memo in (cli._built, criteria._embedding_facts):
         assert memo.cache_info().maxsize == 64
+    # the orbit words live in the root-data store, bounded by the ints it holds
+    g = build_root_system("B3")
+    words = criteria._orbit_words(g, (1, 2))
+    assert rootsys._kept((g.components, (1, 2), "words")) is words and len(words) == 6
+    assert rootsys._orbit_tables[g.components, (1, 2), "words"][1] == 6 + sum(map(len, words))
 
 
 def test_a_refusal_keeps_its_text_after_a_success_of_an_equal_python_value(capsys):
@@ -731,8 +745,9 @@ def test_a_validation_refusal_is_raised_again_with_the_same_text(capsys):
 
 
 def test_enum_cap_change_in_one_process_matches_fresh_processes(monkeypatch):
-    # the orbit words are memoised per (G, J, resolved cap), so a cap set and
-    # then unset within one process gives what two fresh processes give
+    # the orbit words are kept per (G, J) and the cap is read on every call,
+    # so a cap set and then unset within one process gives what two fresh
+    # processes give
     argv = ["check", json.dumps({"embedding": {"builder": "identity", "params": {"h": "B3"}},
                                  "J": [1, 2], "p": 5})]
     src = str(pathlib.Path(__file__).parents[1] / "src")

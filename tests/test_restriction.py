@@ -66,7 +66,7 @@ def walk_restriction(emb, lam):
     extended = [alpha + res(alpha) for alpha in g.alphas]
     restricted = {}
     for mu, m in freudenthal(g, lam).multiplicities.items():
-        for nu in orbit_walk(g, mu.coords + res(mu.coords), extended):
+        for nu in orbit_walk(g, mu + res(mu), extended):
             r = nu[gn:]
             restricted[r] = restricted.get(r, 0) + m
     if scale != 1:
@@ -264,8 +264,8 @@ def test_error_texts_do_not_depend_on_the_order_of_the_restriction(emb, monkeypa
     restricted_counts = charalg._restricted_counts
 
     def reversed_counts(*args):
-        counts, radix, half = restricted_counts(*args)
-        return dict(reversed(counts.items())), radix, half
+        counts, layout = restricted_counts(*args)
+        return dict(reversed(counts.items())), layout
 
     # the tables list each orbit, and _restricted_counts its keys, the other way round
     monkeypatch.setattr(charalg, "_orbit_counts", _reversed(charalg._orbit_counts))
@@ -438,14 +438,14 @@ def test_unsaturated_keys_build_no_character_larger_than_the_module():
 def test_every_w_h_image_of_a_dominant_key_has_room_in_its_digits():
     emb, kappa = ROOMY[0], (3, 3, 3, 3)
     h = emb.h
-    counts, radix, half = charalg._restricted_counts(emb, Weight([1]))
-    powers = [radix ** j for j in range(h.rank)]
+    counts, layout = charalg._restricted_counts(emb, Weight([1]))
+    powers = layout[1]
     assert sum(map(operator.mul, kappa, powers)) in counts
     orbit = weyl_orbit(h, Weight(kappa))
     assert max(max(map(abs, nu)) for nu in orbit) == 33 > 16
     keys = list(charalg._orbit_keys(h, kappa, powers, {}))
     assert len(set(keys)) == len(orbit) == 1152
-    assert set(zip(*charalg._unpack(keys, h.rank, radix, half))) == orbit
+    assert set(zip(*charalg._unpack(keys, layout))) == orbit
 
 
 @pytest.mark.parametrize("spec,lam", [("A2", (3, 2)), ("B3", (1, 0, 2)), ("G2", (2, 1)),
@@ -458,7 +458,7 @@ def test_freudenthal_to_a_depth_is_the_character_above_it(spec, lam):
     for depth in range(8):
         # lam - mu of height h has root coordinates adding up to h / 2
         expect = {mu: m for mu, m in whole.items()
-                  if top - sum(map(operator.mul, hv, mu.coords)) <= 2 * depth}
+                  if top - sum(map(operator.mul, hv, mu)) <= 2 * depth}
         assert freudenthal(rs, Weight(lam), depth).multiplicities == expect, (spec, depth)
 
 

@@ -10,6 +10,10 @@ from frobcrit.rootsys import (
     MAX_RANK,
     RootSystem,
     Weight,
+    _layout,
+    _nonnegative,
+    _pack,
+    _unpack,
     build_root_system,
     cartan_pairing,
     component_weyl_order,
@@ -400,3 +404,19 @@ def test_rank_cap_admits_max_rank_and_refuses_above():
 def test_non_positive_component_rank_refused(spec):
     with pytest.raises(ValueError, match="invalid simple component"):
         build_root_system(spec)
+
+
+# -- the packed-key layout ----------------------------------------------------------
+
+@pytest.mark.parametrize("n,reach", [(1, 0), (1, 7), (2, 1), (3, 8), (4, 100), (2, 10 ** 30)])
+def test_layout_round_trips_every_digit_at_its_ends_and_the_top_bits_read_the_signs(n, reach):
+    half, powers, offset = _layout(n, reach)
+    assert half > reach and half & (half - 1) == 0  # the power of two above reach
+    assert powers == tuple((2 * half) ** j for j in range(n))
+    assert offset == half * sum(powers)
+    # -half and half - 1 in every digit, with -1 and 0 next to the sign change
+    vectors = list(itertools.product(sorted({-half, -1, 0, half - 1}), repeat=n))
+    keys = [_pack(x, powers) for x in vectors]
+    assert len(set(keys)) == len(vectors)
+    assert list(zip(*_unpack(keys, (half, powers, offset)))) == vectors
+    assert list(_nonnegative(keys, offset)) == [min(x) >= 0 for x in vectors]
