@@ -1,9 +1,15 @@
 """Exact root-system kernel.
 
 Root systems are built from Bourbaki data for the simple types A-G and
-finite products thereof.  Roots are integer vectors in the simple-root
-basis; weights are rational vectors in the fundamental-weight basis, so
-coords[i] is the pairing with the i-th simple coroot.  Everything is exact
+finite products thereof.  ``_simple_type`` is the one table of it: each
+simple type's Dynkin edges and the half squared lengths d_i of its simple
+roots, short roots d = 1 (Bourbaki, Lie Groups and Lie Algebras, Ch. VI,
+Plates I-IX).  ``_cartan`` is the one Cartan builder, a_ij =
+-max(d_i, d_j) / d_i on an edge; a product puts its components' edges and d
+side by side and is built by it once, and its positive roots are the
+closure of that matrix.  Roots are integer vectors in the simple-root basis;
+weights are rational vectors in the fundamental-weight basis, so coords[i]
+is the pairing with the i-th simple coroot.  Everything is exact
 (``fractions.Fraction``); no floats anywhere.
 
 Simple roots are numbered 1..rank in all public interfaces.  The Cartan
@@ -26,8 +32,11 @@ kernels, beside its packer, unpacker and top-bit test.
 
 The symmetrizer and the coroot table are integers, and every pairing
 <lam, gamma_vee> in the package reads ``RootSystem.coroots`` as
-sum_k lam_k c_k(gamma).  ``cartan_pairing`` is the Fraction definition, kept
-as public API.
+sum_k lam_k c_k(gamma).  A product's symmetrizer is its components' d,
+concatenated, each component on its own scale: a pairing reads one
+component, where it is scale-free, and Freudenthal's recursion holds for
+any positive scale of each component's form, so no output depends on it.
+``cartan_pairing`` is the Fraction definition, kept as public API.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 from typing import Iterable, Sequence
 
 RootVector = tuple[int, ...]
@@ -57,45 +66,36 @@ _SPEC_RE = re.compile(r"^([A-G])([0-9]+)$")
 MAX_RANK = 16
 
 
-def _simple_cartan(letter: str, rank: int) -> list[list[int]]:
-    """Cartan matrix of one simple component, Bourbaki numbering."""
-    def chain(n: int) -> list[list[int]]:
-        a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-        for i in range(n - 1):
-            a[i][i + 1] = a[i + 1][i] = -1
-        return a
-
+def _simple_type(letter: str, rank: int) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
+    """One simple component's Bourbaki data (Plates I-IX): its Dynkin edges,
+    0-based, and the half squared lengths d_i of its simple roots, short
+    roots d = 1."""
+    chain = [(i, i + 1) for i in range(rank - 1)]
     if letter == "A" and rank >= 1:
-        return chain(rank)
+        return chain, (1,) * rank
     if letter == "B" and rank >= 2:
-        a = chain(rank)
-        a[rank - 1][rank - 2] = -2  # alpha_rank is the short root
-        return a
+        return chain, (2,) * (rank - 1) + (1,)
     if letter == "C" and rank >= 2:
-        a = chain(rank)
-        a[rank - 2][rank - 1] = -2  # alpha_rank is the long root
-        return a
-    if letter == "D" and rank >= 3:
-        # chain on 1..rank-1 plus the fork edge (rank-2, rank); D3 = A3
-        a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-        for i in range(rank - 2):
-            a[i][i + 1] = a[i + 1][i] = -1
-        a[rank - 3][rank - 1] = a[rank - 1][rank - 3] = -1
-        return a
-    if letter == "E" and rank in (6, 7, 8):
-        a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-        edges = [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)][: rank - 2]
-        edges.append((1, 3))  # alpha_2 hangs off alpha_4
-        for i, j in edges:
-            a[i][j] = a[j][i] = -1
-        return a
+        return chain, (1,) * (rank - 1) + (2,)
+    if letter == "D" and rank >= 3:  # the fork edge (rank-2, rank); D3 = A3
+        return chain[:-1] + [(rank - 3, rank - 1)], (1,) * rank
+    if letter == "E" and rank in (6, 7, 8):  # alpha_2 hangs off alpha_4
+        return [(0, 2), (1, 3)] + chain[2:], (1,) * rank
     if letter == "F" and rank == 4:
-        a = chain(4)
-        a[2][1] = -2  # alpha_1, alpha_2 long; alpha_3, alpha_4 short
-        return a
+        return chain, (2, 2, 1, 1)
     if letter == "G" and rank == 2:
-        return [[2, -3], [-1, 2]]  # alpha_1 short
+        return chain, (1, 3)
     raise ValueError(f"invalid simple component {letter}{rank}")
+
+
+def _cartan(edges: Iterable[tuple[int, int]], d: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The Cartan matrix of a Dynkin diagram with root lengths d: 2 on the
+    diagonal, a_ij = -max(d_i, d_j) / d_i on an edge, 0 elsewhere."""
+    a = [[2 * (i == j) for j in range(len(d))] for i in range(len(d))]
+    for i, j in edges:
+        long = max(d[i], d[j])
+        a[i][j], a[j][i] = -(long // d[i]), -(long // d[j])
+    return tuple(map(tuple, a))
 
 
 def _positive_closure(cartan: Sequence[Sequence[int]]) -> list[RootVector]:
@@ -105,42 +105,19 @@ def _positive_closure(cartan: Sequence[Sequence[int]]) -> list[RootVector]:
     and s_i beta is then a positive root of lower height, so every positive
     root is reached from a simple one by raising steps."""
     n = len(cartan)
+    rows = [[(k, a) for k, a in enumerate(row) if a] for row in cartan]  # i and its neighbours
     roots = {tuple(int(k == i) for k in range(n)) for i in range(n)}
     frontier = list(roots)
     while frontier:
         beta = frontier.pop()
-        for i, row in enumerate(cartan):
-            c = sum(a * b for a, b in zip(row, beta))
+        for i, row in enumerate(rows):
+            c = sum(a * beta[k] for k, a in row)
             if c < 0:
                 up = beta[:i] + (beta[i] - c,) + beta[i + 1:]
                 if up not in roots:
                     roots.add(up)
                     frontier.append(up)
     return sorted(roots, key=lambda r: (sum(r), r))
-
-
-def _symmetrizer(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Positive ints d_i with d_i * cartan[i][j] == d_j * cartan[j][i].
-
-    The first vertex of each connected component gets d = 1, the ratios are
-    forced along edges, and one lcm of the denominators clears them all.
-    Only the ratios matter for pairings.
-    """
-    n = len(cartan)
-    d: list[Fraction | None] = [None] * n
-    for start in range(n):
-        if d[start] is not None:
-            continue
-        d[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if j != i and cartan[i][j] != 0 and d[j] is None:
-                    d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
-                    stack.append(j)
-    scale = lcm(*(x.denominator for x in d))
-    return tuple(int(x * scale) for x in d)
 
 
 def _exact(c):
@@ -261,37 +238,29 @@ class RootSystem:
         self.components: tuple[tuple[str, int], ...] = _components(components)
         self.rank: int = sum(r for _, r in self.components)
 
-        cartan = [[0] * self.rank for _ in range(self.rank)]
-        positives: list[RootVector] = []
+        edges: list[tuple[int, int]] = []
         spans: list[tuple[int, int]] = []
-        offset = 0
+        d: tuple[int, ...] = ()
         for letter, rank in self.components:
-            block = _simple_cartan(letter, rank)
-            for i in range(rank):
-                for j in range(rank):
-                    cartan[offset + i][offset + j] = block[i][j]
-            pad = (0,) * offset
-            tail = (0,) * (self.rank - offset - rank)
-            positives.extend(pad + r + tail for r in _positive_closure(block))
-            spans.append((offset, offset + rank))
-            offset += rank
-        self.cartan: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in cartan)
+            block, lengths = _simple_type(letter, rank)
+            edges += [(i + len(d), j + len(d)) for i, j in block]
+            spans.append((len(d), len(d) + rank))
+            d += lengths
+        self.cartan: tuple[tuple[int, ...], ...] = _cartan(edges, d)
         # alphas[j] is alpha_{j+1} in fundamental-weight coordinates, and
         # alpha_support[j] its nonzero entries (k, a): j and its neighbours
         self.alphas: tuple[tuple[int, ...], ...] = tuple(zip(*self.cartan))
         self.alpha_support = tuple(tuple((k, a) for k, a in enumerate(alpha) if a)
                                    for alpha in self.alphas)
-        self.positive_roots: tuple[RootVector, ...] = tuple(
-            sorted(positives, key=lambda r: (sum(r), r)))
+        self.positive_roots: tuple[RootVector, ...] = tuple(_positive_closure(self.cartan))
         # positive_weights[i] is positive_roots[i] in fundamental-weight coordinates
         self.positive_weights: tuple[RootVector, ...] = tuple(
             tuple(sum(a * b for a, b in zip(row, beta)) for row in self.cartan)
             for beta in self.positive_roots)
         self.component_spans: tuple[tuple[int, int], ...] = tuple(spans)
-        self.symmetrizer: tuple[int, ...] = _symmetrizer(self.cartan)
+        self.symmetrizer: tuple[int, ...] = d
         # coroots[i] is beta_vee = 2 beta / (beta, beta) in simple-coroot coordinates,
         # with (alpha_k, alpha_k) = 2 d_k, so <lam, beta_vee> = sum_k lam_k c_k(beta)
-        d = self.symmetrizer
         coroots = []
         for beta, bw in zip(self.positive_roots, self.positive_weights):
             norm = sum(b * dk * w for b, dk, w in zip(beta, d, bw))
@@ -608,7 +577,8 @@ def subsystem_components(rs: RootSystem, J: Iterable[int]):
 
     Returns a list of (letter, rank, vertices) triples where vertices are
     0-based original indices arranged in Bourbaki order for the detected
-    type.  The arrangement is checked against the reference Cartan matrix.
+    type.  The arrangement is checked against the Cartan matrix that
+    ``_cartan`` builds from the type's table.
     """
     verts0 = [j - 1 for j in index_set(rs, J)]
     pieces = []
@@ -627,7 +597,7 @@ def subsystem_components(rs: RootSystem, J: Iterable[int]):
         seen |= comp
         pieces.append(_classify_piece(rs.cartan, sorted(comp)))
     for letter, rank, order in pieces:
-        ref = _simple_cartan(letter, rank)
+        ref = _cartan(*_simple_type(letter, rank))
         for a in range(rank):
             for b in range(rank):
                 if rs.cartan[order[a]][order[b]] != ref[a][b]:

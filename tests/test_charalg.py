@@ -115,17 +115,20 @@ def test_closed_form_dimension_matches_weyl_dim(emb):
 
 # -- the recursion with stored string tails against the whole-string one -------
 
-# every simple system of rank <= 4 with G2, and the G of every registry and
-# branch-sweep embedding, each with the largest dimension it is compared up to:
-# 2 000, except A1, taken at 0..300, and the four products that would walk 1
-# to 55 million string starts there (0.2 to 18 million dominant weights),
-# which stop at 200
+# every simple system of rank <= 4 with G2, the G of every registry and
+# branch-sweep embedding, and four products that put a B or F component next
+# to another type, whose symmetrizer scales each component on its own; each
+# with the largest dimension it is compared up to: 2 000, except A1, taken at
+# 0..300, the four products that would walk 1 to 55 million string starts
+# there (0.2 to 18 million dominant weights), which stop at 200, and A2,B2
+# and F4,A1, which stop at 1 000 and 500 (about 1 s and 2 s)
 REFERENCE_SYSTEMS = {
     "A1": 301, "A2": 2000, "A3": 2000, "A4": 2000, "A5": 2000, "A6": 2000, "A7": 2000,
     "B2": 2000, "B3": 2000, "B4": 2000, "C2": 2000, "C3": 2000, "C4": 2000,
     "D4": 2000, "D5": 2000, "D6": 2000, "E6": 2000, "F4": 2000, "G2": 2000,
     "B2,B2": 2000, "G2,G2,G2": 2000,
     "A1,A1": 200, "A1,A1,A1": 200, "A2,A2": 200, "A2,A2,A2": 200,
+    "A2,B2": 1000, "C2,B2": 2000, "B3,G2": 2000, "F4,A1": 500,
 }
 
 

@@ -31,6 +31,7 @@ from frobcrit.rootsys import (
 from oracles import (
     eps_cartan,
     eps_positive_roots,
+    eps_simple_roots,
     eps_vector_of_root,
     reflection_orbit_positive_roots,
 )
@@ -71,6 +72,12 @@ def test_build_root_system_shares_one_system_per_component_tuple():
 @pytest.mark.parametrize("spec, error, message", [
     ("A17", ValueError, "refusing a root system of rank 17: the cap is 16"),
     ([("A", 0)], ValueError, "invalid simple component A0"),
+    ("B1", ValueError, "invalid simple component B1"),
+    ("D2", ValueError, "invalid simple component D2"),
+    ("E5", ValueError, "invalid simple component E5"),
+    ("E9", ValueError, "invalid simple component E9"),
+    ("F3", ValueError, "invalid simple component F3"),
+    ("G3", ValueError, "invalid simple component G3"),
     ([("A", True)], TypeError, "rank must be an integer, got True"),
     ([], ValueError, "a root system needs at least one component"),
     ("X2", ValueError, "cannot parse root-system component 'X2'"),
@@ -388,6 +395,40 @@ def test_symmetrizer_is_positive_ints_symmetrizing_the_cartan_matrix(spec):
     assert all(type(x) is int and x > 0 for x in d)
     assert all(d[i] * a[i][j] == d[j] * a[j][i]
                for i in range(rs.rank) for j in range(rs.rank))
+
+
+SIMPLE_TYPES = [f"{letter}{n}" for letter, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                for n in range(low, MAX_RANK + 1)] + ["E6", "E7", "E8", "F4", "G2"]
+
+
+@pytest.mark.parametrize("spec", SIMPLE_TYPES)
+def test_symmetrizer_is_half_the_squared_lengths_of_the_simple_roots(spec):
+    letter, n = spec[0], int(spec[1:])
+    if letter in "ABCD":  # the epsilon model, scaled so that a short root has d = 1
+        squares = [sum(x * x for x in alpha) for alpha in eps_simple_roots(letter, n)]
+        lengths = tuple(Fraction(s, min(squares)) for s in squares)
+    else:
+        lengths = {"E": (1,) * n, "F": (2, 2, 1, 1), "G": (1, 3)}[letter]
+    assert build_root_system(spec).symmetrizer == lengths
+
+
+@pytest.mark.parametrize("spec", ["B2,A1", "A2,B2", "F4,A1", "G2,F4", "C2,B2", "B3,G2",
+                                  "D4,B4,C4,A4", ",".join(["A1"] * 16)])
+def test_product_tables_are_the_factors_padded_into_place(spec):
+    rs = build_root_system(spec)
+    factors = [build_root_system([comp]) for comp in rs.components]
+    assert rs.symmetrizer == sum((f.symmetrizer for f in factors), ())
+    cartan = [[0] * rs.rank for _ in range(rs.rank)]
+    padded = []
+    for (lo, hi), f in zip(rs.component_spans, factors):
+        for i, row in enumerate(f.cartan):
+            cartan[lo + i][lo:hi] = row
+        head, tail = (0,) * lo, (0,) * (rs.rank - hi)
+        padded += [(head + beta + tail, head + co + tail)
+                   for beta, co in zip(f.positive_roots, f.coroots)]
+    assert rs.cartan == tuple(map(tuple, cartan))
+    padded.sort(key=lambda pair: (sum(pair[0]), pair[0]))
+    assert list(zip(rs.positive_roots, rs.coroots)) == padded
 
 
 # -- the rank cap ----------------------------------------------------------------
