@@ -43,7 +43,7 @@ from .embed import CriterionInput
 from .rootsys import MAX_RANK, Weight, _require_int, build_root_system, coords_text
 from .weyl import verify_st_decomp
 
-# verify-identities --max-rank 10 checks 8 258 (system, J) pairs in ~3.3 s; 16 would be 524 354
+# verify-identities --max-rank 10 checks 8 258 (system, J) pairs in ~1.5-2 s; 16 would be 524 354
 VERIFY_PAIR_CAP = 10_000
 
 # the most digits a number in the input may be written with, an exponent

@@ -50,9 +50,12 @@ class Embedding:
         self.h = h
         rows = tuple(tuple(_exact(x) for x in row) for row in restriction)
         if len(rows) != h.rank or any(len(r) != g.rank for r in rows):
-            raise ValueError(
-                f"restriction matrix must be {h.rank} x {g.rank}, got "
-                f"{len(rows)} x {len(rows[0]) if rows else 0}")
+            if len(set(map(len, rows))) > 1:  # ragged: name its first row of the wrong length
+                i = next(i for i, r in enumerate(rows, 1) if len(r) != g.rank)
+                got = f"row {i} of length {len(rows[i - 1])}"
+            else:
+                got = f"{len(rows)} x {len(rows[0]) if rows else 0}"
+            raise ValueError(f"restriction matrix must be {h.rank} x {g.rank}, got {got}")
         self.restriction = rows
         self.label = str(label)
         self.twist_exponent = twist_exponent

@@ -25,8 +25,11 @@ breadth-first pass; ``orbit_layers`` gives where each layer starts, so on
 the regular orbit the sign eps(w) of every row.  The same cache keeps
 ``weyl.rho_shifts``, every w of W with rho - w rho, its height and its
 sign, for the Racah-Speiser sum, and the orbit labels of ``criteria``.
-``RootSystem.weyl_order`` is |W| from the components in closed form, and
-``orbit_size`` the size of the orbit of a dominant weight.  ``_layout`` is
+``parabolic_weyl_order`` is |W_J| from the heights of R_J^+, the positive
+roots supported on J (``positive_roots_on``), ``RootSystem.weyl_order`` is
+|W|, and ``orbit_size`` the size of the orbit of a dominant weight; no
+subdiagram is classified for them.  ``subsystem_components`` classifies one,
+in Bourbaki's vertex order, for ``embed.levi``.  ``_layout`` is
 the one layout of packed int keys, for ``weyl`` and both ``charalg.branch``
 kernels, beside its packer, unpacker and top-bit test.
 
@@ -45,18 +48,11 @@ import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from itertools import compress
+from math import prod
 from typing import Iterable, Sequence
 
 RootVector = tuple[int, ...]
-
-_EXCEPTIONAL_ORDERS = {
-    ("E", 6): 51840,
-    ("E", 7): 2903040,
-    ("E", 8): 696729600,
-    ("F", 4): 1152,
-    ("G", 2): 12,
-}
 
 _SPEC_RE = re.compile(r"^([A-G])([0-9]+)$")
 
@@ -278,10 +274,7 @@ class RootSystem:
         self.two_rho_vee: tuple[int, ...] = tuple(map(sum, zip(*coroots)))
         # the layout of the packed w rho keys of ``weyl``: (w rho)_k is a coroot height up to sign
         self.rho_layout = _layout(self.rank, self.coroot_height)
-        # |W|, in closed form from the components: no subdiagram is classified
-        self.weyl_order: int = 1
-        for letter, rank in self.components:
-            self.weyl_order *= component_weyl_order(letter, rank)
+        self.weyl_order: int = parabolic_weyl_order(self, None)
 
     def spec_string(self) -> str:
         return ",".join(f"{letter}{rank}" for letter, rank in self.components)
@@ -573,7 +566,8 @@ def is_regular_dominant(weight: Weight) -> bool:
 
 
 def subsystem_components(rs: RootSystem, J: Iterable[int]):
-    """Classify the Dynkin subdiagram on the vertex set J (1-based).
+    """Classify the Dynkin subdiagram on the vertex set J (1-based), for
+    ``embed.levi``, which needs Bourbaki's vertex order.
 
     Returns a list of (letter, rank, vertices) triples where vertices are
     0-based original indices arranged in Bourbaki order for the detected
@@ -666,19 +660,21 @@ def _classify_piece(cartan, verts: list[int]) -> tuple[str, int, tuple[int, ...]
     return ("C", n, tuple(path))
 
 
-def component_weyl_order(letter: str, rank: int) -> int:
-    if letter == "A":
-        return factorial(rank + 1)
-    if letter in ("B", "C"):
-        return 2 ** rank * factorial(rank)
-    if letter == "D":
-        return 2 ** (rank - 1) * factorial(rank)
-    return _EXCEPTIONAL_ORDERS[(letter, rank)]
+def positive_roots_on(rs: RootSystem, members: tuple[int, ...]) -> list[RootVector]:
+    """R_J^+, the positive roots supported on J = ``members`` (an
+    ``index_set``), in the order of ``positive_roots``: the columns outside J
+    are read once, and a root is kept where they are all 0."""
+    roots = rs.positive_roots
+    outside = [col for k, col in enumerate(zip(*roots)) if k + 1 not in members]
+    if not outside:
+        return list(roots)
+    return list(compress(roots, map(operator.not_, map(any, zip(*outside)))))
 
 
-def parabolic_weyl_order(rs: RootSystem, J: Iterable[int]) -> int:
-    """|W_J|, computed in closed form from the subdiagram classification."""
-    order = 1
-    for letter, rank, _ in subsystem_components(rs, J):
-        order *= component_weyl_order(letter, rank)
-    return order
+def parabolic_weyl_order(rs: RootSystem, J: Iterable[int] | None) -> int:
+    """|W_J| = prod over beta in R_J^+ of (ht beta + 1) / ht beta, None
+    meaning all nodes (Macdonald, Math. Ann. 199 (1972); Kostant, Amer. J.
+    Math. 81 (1959)): the heights of R_J^+ alone decide it, so no subdiagram
+    is classified."""
+    heights = list(map(sum, positive_roots_on(rs, index_set(rs, J))))
+    return prod(h + 1 for h in heights) // prod(heights)

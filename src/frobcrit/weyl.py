@@ -35,6 +35,7 @@ from .rootsys import (
     descend,
     index_set,
     parabolic_weyl_order,
+    positive_roots_on,
     reflect_word,
     rho_J,
     root_to_weight,
@@ -182,7 +183,8 @@ def walk_parabolic(rs: RootSystem, J: Iterable[int] | None = None,
     """The keys (packed w rho) and lexicographically first reduced words of
     the elements of W_J, in shortlex order of the words.
 
-    The order |W_J| is computed in closed form first; if it exceeds the cap
+    The order |W_J| is read off the heights of R_J^+ first
+    (``rootsys.parabolic_weyl_order``); if it exceeds the cap
     (argument, else FROBCRIT_ENUM_CAP, else 10^6) the walk is refused and
     the exception carries the exact order.
     """
@@ -223,7 +225,7 @@ def walk_parabolic(rs: RootSystem, J: Iterable[int] | None = None,
         layer = next_keys, next_words
     if len(keys) != order:
         raise AssertionError(
-            f"enumerated {len(keys)} elements of W_J, closed form says {order}")
+            f"enumerated {len(keys)} elements of W_J, the root heights say {order}")
     return keys, words
 
 
@@ -250,18 +252,12 @@ def rho_shifts(rs: RootSystem, most: int):
     return _keep(key, rows, (rs.rank + 2) * len(rows))
 
 
-def _positive_roots_of(rs: RootSystem, members: tuple[int, ...]) -> list[RootVector]:
-    """R_J^+: the positive roots supported on J."""
-    outside = [k for k in range(rs.rank) if k + 1 not in members]
-    return [beta for beta in rs.positive_roots if not any(beta[k] for k in outside)]
-
-
 def longest_element(rs: RootSystem, J: Iterable[int] | None = None) -> WeylElement:
     """w_0^J, by the greedy descent: repeatedly reflect -rho_J toward dominance."""
     members = index_set(rs, J)
     _, applied = descend(rs, (-rho_J(rs, members)).coords, members)
     w = from_word(rs, reversed(applied))
-    if w.length() != len(_positive_roots_of(rs, members)):
+    if w.length() != len(positive_roots_on(rs, members)):
         raise AssertionError("greedy longest element has wrong length")
     return w
 
@@ -269,7 +265,7 @@ def longest_element(rs: RootSystem, J: Iterable[int] | None = None) -> WeylEleme
 def verify_st_decomp(rs: RootSystem, J: Iterable[int]) -> tuple[Weight, Weight, bool]:
     """Check sum of R_J^+ == rho_J - w_0^J(rho_J); returns (lhs, rhs, equal)."""
     members = index_set(rs, J)
-    total = map(sum, zip((0,) * rs.rank, *_positive_roots_of(rs, members)))
+    total = map(sum, zip((0,) * rs.rank, *positive_roots_on(rs, members)))
     lhs = root_to_weight(rs, tuple(total))
     rj = rho_J(rs, members)
     rhs = rj - longest_element(rs, members).act(rj)

@@ -3,8 +3,8 @@
 Deliberately naive re-derivations: epsilon-coordinate root models for the
 classical types, reflection-orbit root generation, the inverse Cartan matrix
 and root coordinates over Fraction, a tree walk of a Weyl orbit, a
-brute-force Weyl group closure with determinant signs, Kostant partition
-counting, the alternating-sum Weyl character formula, Freudenthal's
+brute-force Weyl group closure with determinant signs, the closed-form
+order of each simple Weyl group, Kostant partition counting, the alternating-sum Weyl character formula, Freudenthal's
 recursion with every string summed to its top, and the W_H-invariance check
 of a restricted character on tuples.  None of it reuses the package's
 Weyl-group or character machinery beyond single reflections.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from frobcrit.rootsys import RootSystem, Weight, build_root_system, descend, reflect
@@ -267,6 +268,23 @@ def character_multiplicity_oracle(rs: RootSystem, lam: Weight, mu: Weight,
 def a1_tensor(a: int, b: int) -> list[int]:
     """Clebsch-Gordan for sl2: highest weights of (a) x (b)."""
     return list(range(abs(a - b), a + b + 1, 2))
+
+
+_EXCEPTIONAL_WEYL_ORDERS = {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
+                            ("F", 4): 1152, ("G", 2): 12}
+
+
+def closed_weyl_order(letter: str, n: int) -> int:
+    """|W| of a simple type in closed form, as Bourbaki's Plates I-IX give
+    it: (n + 1)! for A_n, 2^n n! for B_n and C_n, 2^(n-1) n! for D_n, and
+    the five exceptional orders."""
+    if letter == "A":
+        return math.factorial(n + 1)
+    if letter in "BC":
+        return 2 ** n * math.factorial(n)
+    if letter == "D":
+        return 2 ** (n - 1) * math.factorial(n)
+    return _EXCEPTIONAL_WEYL_ORDERS[(letter, n)]
 
 
 def permutation_inversion_histogram(n: int) -> dict[int, int]:

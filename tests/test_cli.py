@@ -535,6 +535,19 @@ def test_min_p(capsys):
     }
 
 
+@pytest.mark.parametrize("matrix,got", [
+    ([[1, 1], [1]], "row 2 of length 1"),
+    ([[1], [1, 1]], "row 1 of length 1"),
+    ([[1, 0, 1], [1, 1]], "row 1 of length 3"),
+    ([[1], [1]], "2 x 1"),
+])
+def test_min_p_names_the_shape_of_a_wrong_matrix(capsys, matrix, got):
+    desc = {"custom": {"g": "A2", "h": "A1,A1", "matrix": matrix}}
+    code, out, err = run(capsys, "min-p", json.dumps(desc))
+    assert (code, out) == (2, "")
+    assert err == f"error: bad custom embedding: restriction matrix must be 2 x 2, got {got}\n"
+
+
 def test_branch(capsys):
     desc = {"builder": "diagonal", "params": {"h": "A1", "k": 2}}
     code, out, _ = run(capsys, "branch", json.dumps(desc), "1,1")

@@ -124,6 +124,13 @@ def test_restriction_shape_is_checked():
                   [[1, 0], [0, 1]], label="bad-shape")
     with pytest.raises(ValueError):
         restrict(identity("A2"), Weight([1]))
+    # a ragged matrix is named by its first row of the wrong length
+    a2, a1a1 = build_root_system("A2"), build_root_system("A1,A1")
+    for rows, got in [([[1, 1], [1]], "row 2 of length 1"), ([[1], [1, 1]], "row 1 of length 1"),
+                      ([[1, 1], [1, 1, 0], [1]], "row 2 of length 3"),
+                      ([[1, 0, 0], [0, 1, 0]], "2 x 3")]:
+        with pytest.raises(ValueError, match=rf"^restriction matrix must be 2 x 2, got {got}$"):
+            Embedding(a2, a1a1, rows, label="custom")
 
 
 # -- frozen restriction matrices ---------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,11 +17,11 @@ from frobcrit.rootsys import (
     _unpack,
     build_root_system,
     cartan_pairing,
-    component_weyl_order,
     is_dominant,
     is_regular_dominant,
     parabolic_weyl_order,
     parse_spec,
+    positive_roots_on,
     rho,
     rho_J,
     root_classes,
@@ -29,6 +30,7 @@ from frobcrit.rootsys import (
 )
 
 from oracles import (
+    closed_weyl_order,
     eps_cartan,
     eps_positive_roots,
     eps_simple_roots,
@@ -327,7 +329,7 @@ def test_classification_of_full_diagram_is_identity(spec):
     assert sorted(order) == list(range(rs.rank))
 
 
-# -- Weyl group orders in closed form ----------------------------------------
+# -- Weyl group orders from the heights of the positive roots ----------------
 
 @pytest.mark.parametrize("letter,rank,order", [
     ("A", 1, 2), ("A", 2, 6), ("A", 3, 24),
@@ -337,7 +339,50 @@ def test_classification_of_full_diagram_is_identity(spec):
     ("E", 6, 51840), ("E", 7, 2903040), ("E", 8, 696729600),
 ])
 def test_component_weyl_order(letter, rank, order):
-    assert component_weyl_order(letter, rank) == order
+    assert build_root_system([(letter, rank)]).weyl_order == order
+
+
+def _simple_types_up_to_rank(max_rank):
+    return [f"{letter}{n}" for letter, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+            for n in range(low, max_rank + 1)]
+
+
+SIMPLE_TYPES = _simple_types_up_to_rank(MAX_RANK) + ["E6", "E7", "E8", "F4", "G2"]
+
+
+# every J of these: 2 626 index sets, 256 of them of E8
+ORDER_SPECS = (_simple_types_up_to_rank(8) + ["E6", "E7", "E8", "F4", "G2"]
+               + ["A2,B2", "G2,A1,C3", "B3,G2", "A1,A1,A1,A1"])
+
+
+def _every_J(rs):
+    return itertools.chain.from_iterable(
+        itertools.combinations(range(1, rs.rank + 1), size) for size in range(rs.rank + 1))
+
+
+@pytest.mark.parametrize("spec", ORDER_SPECS)
+def test_parabolic_weyl_order_is_the_closed_form_over_the_classified_pieces(spec):
+    rs = build_root_system(spec)
+    for J in _every_J(rs):
+        pieces = subsystem_components(rs, J)
+        expected = math.prod(closed_weyl_order(letter, rank) for letter, rank, _ in pieces)
+        assert parabolic_weyl_order(rs, J) == expected, (spec, J)
+
+
+@pytest.mark.parametrize("spec", ORDER_SPECS)
+def test_positive_roots_on_J_are_the_roots_supported_on_J_in_order(spec):
+    rs = build_root_system(spec)
+    for J in _every_J(rs):
+        supported = [beta for beta in rs.positive_roots
+                     if all(beta[k] == 0 for k in range(rs.rank) if k + 1 not in J)]
+        assert positive_roots_on(rs, J) == supported, (spec, J)
+
+
+@pytest.mark.parametrize("spec", SIMPLE_TYPES)
+def test_weyl_order_of_every_simple_type_is_the_closed_form(spec):
+    # B6 and E6 both have 36 positive roots, and |W| 46 080 and 51 840:
+    # the heights decide it, not the number of roots
+    assert build_root_system(spec).weyl_order == closed_weyl_order(spec[0], int(spec[1:]))
 
 
 def test_parabolic_weyl_order():
@@ -395,10 +440,6 @@ def test_symmetrizer_is_positive_ints_symmetrizing_the_cartan_matrix(spec):
     assert all(type(x) is int and x > 0 for x in d)
     assert all(d[i] * a[i][j] == d[j] * a[j][i]
                for i in range(rs.rank) for j in range(rs.rank))
-
-
-SIMPLE_TYPES = [f"{letter}{n}" for letter, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
-                for n in range(low, MAX_RANK + 1)] + ["E6", "E7", "E8", "F4", "G2"]
 
 
 @pytest.mark.parametrize("spec", SIMPLE_TYPES)
