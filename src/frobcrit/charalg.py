@@ -16,8 +16,9 @@ per root: the numerator checks alternation by it, and the restriction
 kernel names a broken pair by it.
 ``_branch_by_numerator`` builds no character of G: it divides the
 restricted Weyl numerator by the factors that are not over positive
-H-roots, and reads the multiplicities off the H-dominant keys once the
-quotient is alternating under the rho_H-shifted reflections.
+H-roots, read off the embedding's ``root_images`` on every call, and reads
+the multiplicities off the H-dominant keys once the quotient is alternating
+under the rho_H-shifted reflections.
 ``_branch_by_restriction`` runs every other call, and every call the
 numerator declines: it restricts the dominant multiplicities orbit by
 orbit, checks that the result is integral, and decomposes it on its
@@ -34,7 +35,6 @@ constituents are listed, so it does not depend on the order of the tables.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 import operator
@@ -554,19 +554,17 @@ def _broken_pair(h: RootSystem, counts: dict, layout: tuple) -> ValueError:
         f"restriction is not a character of H")
 
 
-@functools.lru_cache(maxsize=64)
-def _numerator_certificate(g: RootSystem, h: RootSystem, restriction: tuple) -> tuple | None:
+def _numerator_certificate(emb: Embedding) -> tuple | None:
     """The restrictions Q of the positive G-roots left once one is taken over
     each positive H-root, when the restriction matrix is integral, no
     positive G-root restricts to 0 and every positive H-root is the
     restriction of a positive G-root; None otherwise."""
-    if any(type(x) is not int for row in restriction for x in row):
+    if any(type(x) is not int for row in emb.restriction for x in row):
         return None  # Embedding keeps an integral entry as an int
-    images = [tuple([sum(map(operator.mul, row, bw)) for row in restriction])
-              for bw in g.positive_weights]
+    images = list(emb.root_images)
     if not all(map(any, images)):
         return None
-    for target in h.positive_weights:
+    for target in emb.h.positive_weights:
         if target not in images:
             return None
         images.remove(target)
@@ -621,7 +619,7 @@ def _branch_by_numerator(emb: Embedding, lam: Weight) -> dict[Weight, int] | Non
     ``_branch_by_restriction`` then names the witness.
     """
     g, h, rows = emb.g, emb.h, emb.restriction
-    extra = _numerator_certificate(g, h, rows)
+    extra = _numerator_certificate(emb)
     if extra is None:
         return None
     # |<w(lam + rho), alpha_k_vee>| <= top, so every coordinate of the

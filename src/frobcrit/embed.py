@@ -8,6 +8,11 @@ special linear groups) project to the semisimple coordinates, i.e. row k of
 the matrix is the pairing of the restricted weight with the k-th simple
 coroot of H.
 
+Borel compatibility (B_H = B cap H) makes every positive H-root the
+restriction of a positive G-root.  ``Embedding.root_images`` restricts the
+positive G-roots once, on first read; ``validate``, ``root_fiber`` and the
+numerator certificate of ``charalg`` all read that one table.
+
 Each builder stamps a structured ``label`` used by the Donkin-pair registry
 for provenance matching, e.g. ``"levi:C2:J=[1]"`` or ``"so_in_sl:n=6"``.
 
@@ -18,6 +23,7 @@ for provenance matching, e.g. ``"levi:C2:J=[1]"`` or ``"so_in_sl:n=6"``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .rootsys import (
@@ -29,6 +35,7 @@ from .rootsys import (
     build_root_system,
     index_set,
     require_rank,
+    root_to_weight,
     subsystem_components,
 )
 
@@ -64,6 +71,12 @@ class Embedding:
     def restrict_coords(self, coords: Sequence) -> tuple:
         """The restriction matrix times G fundamental-weight coordinates."""
         return tuple(sum(r * c for r, c in zip(row, coords)) for row in self.restriction)
+
+    @cached_property
+    def root_images(self) -> tuple[tuple, ...]:
+        """The restriction of each positive G-root, in H fundamental
+        coordinates and ``g.positive_roots`` order, restricted on first read."""
+        return tuple(map(self.restrict_coords, self.g.positive_weights))
 
     def __repr__(self) -> str:
         return f"Embedding({self.label!r})"
@@ -116,36 +129,46 @@ def validate(emb: Embedding) -> list[str]:
     The load-bearing check: every positive root of H must be the restriction
     of at least one positive root of G, otherwise Borel compatibility
     (B_H = B cap H) is broken and every criterion downstream is meaningless.
+    A ``root_lift`` must cover every positive root gamma of H, and each
+    vector it lifts gamma to must be a G-root restricting to gamma.
     """
     violations: list[str] = []
-    g_restrictions = {emb.restrict_coords(bw) for bw in emb.g.positive_weights}
+    g_restrictions = set(emb.root_images)
     for gamma, target in zip(emb.h.positive_roots, emb.h.positive_weights):
         if target not in g_restrictions:
             violations.append(
                 f"positive root {gamma} of {emb.h.spec_string()} is not the "
                 f"restriction of any positive root of {emb.g.spec_string()}")
     if emb.root_lift is not None:
-        for gamma in emb.h.positive_roots:
+        images = dict(zip(emb.g.positive_roots, emb.root_images))
+        images.update({tuple(-c for c in beta): tuple(-x for x in image)
+                       for beta, image in images.items()})
+        for gamma, target in zip(emb.h.positive_roots, emb.h.positive_weights):
             if gamma not in emb.root_lift:
                 violations.append(f"root_lift is missing the positive root {gamma}")
+                continue
+            for beta in emb.root_lift[gamma]:
+                if images.get(tuple(beta)) != target:
+                    violations.append(
+                        f"root_lift lifts the positive root {gamma} to {beta}, which is "
+                        f"not a root of {emb.g.spec_string()} restricting to it")
     return violations
 
 
-def root_fiber(emb: Embedding, gamma: RootVector) -> tuple[RootVector, ...]:
+def root_fiber(emb: Embedding, gamma: Sequence[int]) -> tuple[RootVector, ...]:
     """G-roots spanning the gamma root space of Lie(H) inside Lie(G).
 
     Uses the explicit lift when the builder supplied one, else the full
-    restriction fiber over gamma among all (positive and negative) G-roots.
+    restriction fiber over gamma among all (positive and negative) G-roots,
+    read off ``root_images``.
     """
+    gamma = tuple(gamma)
+    target = root_to_weight(emb.h, gamma).coords  # refuses a gamma of the wrong rank
     if emb.root_lift is not None and gamma in emb.root_lift:
         return emb.root_lift[gamma]
-    if len(gamma) != emb.h.rank:
-        raise ValueError("root rank mismatch")
-    target = tuple(sum(a * b for a, b in zip(row, gamma)) for row in emb.h.cartan)
     negated = tuple(-c for c in target)
     fiber = []
-    for beta, bw in zip(emb.g.positive_roots, emb.g.positive_weights):
-        image = emb.restrict_coords(bw)
+    for beta, image in zip(emb.g.positive_roots, emb.root_images):
         if image == target:
             fiber.append(beta)
         if image == negated:
@@ -200,16 +223,13 @@ def levi(rs, J: Iterable[int]) -> Embedding:
     order = [v for _, _, verts in pieces for v in verts]
     h = build_root_system([(letter, rank) for letter, rank, _ in pieces])
     rows = [[1 if j == v else 0 for j in range(g.rank)] for v in order]
+    # gamma's coordinates on the vertices J; ``validate`` checks each lift
     lift: dict[RootVector, tuple[RootVector, ...]] = {}
-    gpos = set(g.positive_roots)
     for gamma in h.positive_roots:
         beta = [0] * g.rank
         for k, v in enumerate(order):
             beta[v] = gamma[k]
-        beta_t = tuple(beta)
-        if beta_t not in gpos:  # subsystem closure guarantees this
-            raise AssertionError(f"Levi lift of {gamma} is not a root of G")
-        lift[gamma] = (beta_t,)
+        lift[gamma] = (tuple(beta),)
     label = f"levi:{g.spec_string()}:J={list(members)}"
     return Embedding(g, h, rows, label, root_lift=lift)
 

@@ -12,6 +12,7 @@ Weyl-group or character machinery beyond single reflections.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -386,3 +387,30 @@ def reference_broken_pairs(h: RootSystem, restricted: dict) -> list:
                 if restricted.get(image, 0) != m:
                     broken.append((nu, image) if c < 0 else (image, nu))
     return broken
+
+
+def reference_numerator_certificate(emb) -> tuple | None:
+    """The restrictions of the positive G-roots, in ``g.positive_roots``
+    order, with the first one over each positive H-root struck out; None
+    for a fractional restriction matrix, a positive G-root restricting to
+    0, or a positive H-root over which no positive G-root is left."""
+    def weight(rs, root):  # root coordinates to fundamental ones, by the Cartan matrix
+        return tuple(sum(rs.cartan[i][j] * root[j] for j in range(rs.rank))
+                     for i in range(rs.rank))
+
+    if any(Fraction(x).denominator != 1 for row in emb.restriction for x in row):
+        return None
+    images = [tuple(sum(row[j] * w[j] for j in range(emb.g.rank)) for row in emb.restriction)
+              for w in (weight(emb.g, beta) for beta in emb.g.positive_roots)]
+    if any(all(c == 0 for c in image) for image in images):
+        return None
+    wanted = collections.Counter(weight(emb.h, gamma) for gamma in emb.h.positive_roots)
+    kept = []
+    for image in images:
+        if wanted[image]:
+            wanted[image] -= 1
+        else:
+            kept.append(image)
+    if any(wanted.values()):
+        return None
+    return tuple(kept)

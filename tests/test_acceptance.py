@@ -117,6 +117,18 @@ def registry_embeddings():
     return out
 
 
+# the embeddings of the branch-sweep benchmark workload
+SWEEP = [getattr(embed, name)(*args) for name, args in (
+    ("folding_E6F4", ()), ("folding_B3G2", ()),
+    ("folding_AC", (2,)), ("folding_AC", (3,)), ("folding_AC", (4,)),
+    ("folding_DB", (4,)), ("folding_DB", (5,)),
+    ("so_in_sl", (5,)), ("so_in_sl", (6,)), ("so_in_sl", (8,)),
+    ("diagonal", ("A1", 2)), ("diagonal", ("A1", 3)), ("diagonal", ("A2", 2)),
+    ("diagonal", ("A2", 3)), ("diagonal", ("B2", 2)), ("diagonal", ("G2", 3)),
+    ("levi", ("E6", (1, 3, 4, 5, 6))), ("levi", ("B4", (2, 3, 4))),
+    ("levi", ("A5", (1, 2, 4, 5))), ("levi", ("F4", (1, 2, 3))))]
+
+
 def test_steinberg_decomposition_identity_everywhere():
     start = time.monotonic()
     checked = 0

@@ -39,9 +39,10 @@ from oracles import (
     brute_weyl_with_signs,
     character_multiplicity_oracle,
     reference_freudenthal,
+    reference_numerator_certificate,
     root_coordinates,
 )
-from test_acceptance import dominant_weights_upto, registry_embeddings
+from test_acceptance import SWEEP, dominant_weights_upto, registry_embeddings
 
 
 def W(*coords):
@@ -380,7 +381,7 @@ def reference_branch(emb, lam):
 
 
 def certified(emb):
-    return _numerator_certificate(emb.g, emb.h, emb.restriction) is not None
+    return _numerator_certificate(emb) is not None
 
 
 @pytest.mark.parametrize("emb", registry_embeddings(), ids=lambda e: e.label)
@@ -600,18 +601,27 @@ def test_refusal_texts_are_pinned_and_the_numerator_declines_them(emb, weights):
         assert str(caught.value) == text, coords
 
 
-@pytest.mark.parametrize("emb", [
+UNCERTIFIED = [
     levi(build_root_system("E6"), (1, 3, 4, 5, 6)),
     levi(build_root_system("B4"), (2, 3, 4)),
     levi(build_root_system("F4"), (1, 2, 3)),
 ] + [emb for emb, _ in EDGE_EMBEDDINGS + NON_CHARACTERS
-     if emb.label in ("half", "double", "skew", "A2:[3,2]")], ids=lambda e: e.label)
+     if emb.label in ("half", "double", "skew", "A2:[3,2]")]
+
+
+@pytest.mark.parametrize("emb", UNCERTIFIED, ids=lambda e: e.label)
 def test_numerator_certificate_fails(emb):
     # a fractional matrix, a positive G-root restricting to 0, or an H-root
     # that is the restriction of no positive G-root
     assert not certified(emb)
     lam = Weight([1] * emb.g.rank)
     assert _branch_by_numerator(emb, lam) is None
+
+
+@pytest.mark.parametrize("emb", list({e.label: e for e in registry_embeddings() + SWEEP
+                                       + UNCERTIFIED}.values()), ids=lambda e: e.label)
+def test_numerator_certificate_is_the_images_less_one_per_h_root(emb):
+    assert _numerator_certificate(emb) == reference_numerator_certificate(emb)
 
 
 def test_twisted_diagonal_enters_the_numerator_and_declines(monkeypatch):

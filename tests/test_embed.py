@@ -1,7 +1,11 @@
+import itertools
+import sys
 from fractions import Fraction
 
 import pytest
 
+from frobcrit import cli, embed
+from frobcrit.charalg import _numerator_certificate
 from frobcrit.embed import (
     CriterionInput,
     Embedding,
@@ -80,6 +84,17 @@ def _validate_reference(emb):
         for gamma in emb.h.positive_roots:
             if gamma not in emb.root_lift:
                 violations.append(f"root_lift is missing the positive root {gamma}")
+                continue
+            # each lifted vector is +-beta for a positive G-root beta, and
+            # restricts to gamma
+            for vec in emb.root_lift[gamma]:
+                negated = tuple(-c for c in vec)
+                is_root = vec in emb.g.positive_roots or negated in emb.g.positive_roots
+                if not (is_root and _restrict_reference(emb, root_to_weight(emb.g, vec))
+                        == root_to_weight(emb.h, gamma)):
+                    violations.append(
+                        f"root_lift lifts the positive root {gamma} to {vec}, which is "
+                        f"not a root of {emb.g.spec_string()} restricting to it")
     return violations
 
 
@@ -105,17 +120,94 @@ def _outcome(call, *args):
 
 
 _A1 = build_root_system("A1")
+_C2 = build_root_system("C2")
 
+# A1 inside C2 at alpha_1, lifted to alpha_2 (which restricts to -gamma) and
+# to (5, 7) (not a root of C2): both validated clean while only the presence
+# of a lift was checked
+BAD_LIFTS = [
+    Embedding(_C2, _A1, [[1, 0]], "lift-to-alpha2", root_lift={(1,): ((0, 1),)}),
+    Embedding(_C2, _A1, [[1, 0]], "lift-to-non-root", root_lift={(1,): ((5, 7),)}),
+]
 
-@pytest.mark.parametrize("emb", registry_embeddings() + [
+REFERENCE_CASES = registry_embeddings() + [
     Embedding(_A1, _A1, [[Fraction(-1)]], label="flip"),
     Embedding(build_root_system("A2"), _A1, [["1/2", "3/2"]], label="half-integral"),
     Embedding(build_root_system("A2"), _A1, [["1/2", "1/2"]], label="half-broken"),
-], ids=lambda e: e.label)
+] + BAD_LIFTS
+
+
+@pytest.mark.parametrize("emb", REFERENCE_CASES, ids=lambda e: e.label)
 def test_validate_and_root_fiber_match_the_weight_reference(emb):
     assert validate(emb) == _validate_reference(emb)
     for gamma in emb.h.positive_roots:
         assert _outcome(root_fiber, emb, gamma) == _outcome(_root_fiber_reference, emb, gamma)
+
+
+@pytest.mark.parametrize("emb", REFERENCE_CASES, ids=lambda e: e.label)
+def test_root_images_are_the_restrictions_of_the_positive_roots_in_order(emb):
+    assert emb.root_images == tuple(
+        _restrict_reference(emb, root_to_weight(emb.g, beta)).coords
+        for beta in emb.g.positive_roots)
+
+
+@pytest.mark.parametrize("spec", ["A4", "B4", "C4", "D5", "E6", "E7", "E8", "F4", "G2",
+                                  "B3", "C3", "A2,B2"])
+def test_every_levi_lift_validates_clean(spec):
+    g = build_root_system(spec)
+    for k in range(1, g.rank + 1):
+        for J in itertools.combinations(range(1, g.rank + 1), k):
+            assert validate(levi(g, J)) == [], J
+
+
+def test_a_lift_must_restrict_to_its_root():
+    for emb, vec in zip(BAD_LIFTS, [(0, 1), (5, 7)]):
+        assert validate(emb) == [f"root_lift lifts the positive root (1,) to {vec}, "
+                                 f"which is not a root of C2 restricting to it"]
+    # -beta is a lift when beta restricts to -gamma
+    emb = Embedding(_C2, _A1, [[-1, 0]], "lift-to-minus-alpha1", root_lift={(1,): ((-1, 0),)})
+    assert validate(emb) == []
+
+
+def _count_restrict_coords(monkeypatch):
+    """The coordinates of every restrict_coords call made from anywhere but
+    embed.restrict, which restricts one weight and not the table."""
+    calls = []
+    original = Embedding.restrict_coords
+
+    def counted(self, coords):
+        if sys._getframe(1).f_code is not embed.restrict.__code__:
+            calls.append(coords)
+        return original(self, coords)
+
+    monkeypatch.setattr(Embedding, "restrict_coords", counted)
+    return calls
+
+
+@pytest.mark.parametrize("build", [lambda: folding_B3G2(), lambda: so_in_sl(6),
+                                   lambda: levi(build_root_system("F4"), (2, 3, 4))],
+                         ids=["folding_B3G2", "so_in_sl:6", "levi:F4"])
+def test_the_positive_roots_are_restricted_once_per_embedding(build, monkeypatch):
+    emb = build()
+    calls = _count_restrict_coords(monkeypatch)
+    for expected in (len(emb.g.positive_roots), 0):  # a fresh embedding, then a second pass
+        del calls[:]
+        assert validate(emb) == []
+        for gamma in emb.h.positive_roots:
+            root_fiber(emb, gamma)
+        _numerator_certificate(emb)
+        assert len(calls) == expected
+
+
+def test_two_checks_on_one_builder_descriptor_restrict_the_roots_once(monkeypatch, capsys):
+    # cli._built shares the embedding between the two calls
+    cli._built.cache_clear()
+    calls = _count_restrict_coords(monkeypatch)
+    request = '{"embedding": {"builder": "folding_DB", "params": {"n": 5}}, "J": [1], "p": 3}'
+    for _ in range(2):
+        assert cli.main(["check", request]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(calls) == len(build_root_system("D5").positive_roots)
 
 
 def test_restriction_shape_is_checked():
@@ -277,18 +369,31 @@ def test_root_fiber_identity():
     emb = identity("C2")
     for gamma in emb.g.positive_roots:
         assert root_fiber(emb, gamma) == (gamma,)
+        assert root_fiber(emb, list(gamma)) == (gamma,)
 
 
 def test_root_fiber_diagonal():
     emb = diagonal("A1", 2)
     fiber = root_fiber(emb, (1,))
     assert set(fiber) == {(1, 0), (0, 1)}
+    assert root_fiber(emb, [1]) == fiber
+
+
+def test_root_fiber_of_a_lift_takes_any_sequence():
+    emb = levi("C2", [1])
+    assert root_fiber(emb, [1]) == root_fiber(emb, (1,)) == ((1, 0),)
+    # the rank is checked before the lift is read
+    for gamma in ([1, 0], (1, 0), []):
+        with pytest.raises(ValueError, match="^root rank mismatch$"):
+            root_fiber(emb, gamma)
 
 
 def test_root_fiber_missing_root():
     emb = diagonal("A1", 2)
     with pytest.raises(ValueError):
         root_fiber(emb, (3,))
+    with pytest.raises(ValueError, match=r"^no G-root restricts to the H-root \(3,\)$"):
+        root_fiber(emb, [3])
 
 
 # -- twist detection -----------------------------------------------------------

@@ -39,7 +39,7 @@ from frobcrit.rootsys import (
 from frobcrit.weyl import enumerate_parabolic, rho_shifts
 
 from oracles import orbit_walk, reference_broken_pairs
-from test_acceptance import dominant_weights_upto, registry_embeddings
+from test_acceptance import SWEEP, dominant_weights_upto, registry_embeddings
 from test_charalg import EDGE_EMBEDDINGS, NON_CHARACTERS
 from test_weyl import _systems_up_to_rank
 
@@ -377,18 +377,6 @@ def test_branch_restricts_once_on_every_path(emb, lam, text, monkeypatch):
 
 
 # -- the H side on dominant keys ---------------------------------------------------
-
-# the embeddings of the branch-sweep benchmark workload
-SWEEP = [getattr(embed, name)(*args) for name, args in (
-    ("folding_E6F4", ()), ("folding_B3G2", ()),
-    ("folding_AC", (2,)), ("folding_AC", (3,)), ("folding_AC", (4,)),
-    ("folding_DB", (4,)), ("folding_DB", (5,)),
-    ("so_in_sl", (5,)), ("so_in_sl", (6,)), ("so_in_sl", (8,)),
-    ("diagonal", ("A1", 2)), ("diagonal", ("A1", 3)), ("diagonal", ("A2", 2)),
-    ("diagonal", ("A2", 3)), ("diagonal", ("B2", 2)), ("diagonal", ("G2", 3)),
-    ("levi", ("E6", (1, 3, 4, 5, 6))), ("levi", ("B4", (2, 3, 4))),
-    ("levi", ("A5", (1, 2, 4, 5))), ("levi", ("F4", (1, 2, 3))))]
-
 
 @pytest.mark.parametrize("emb", SWEEP, ids=lambda e: e.label)
 def test_sweep_embeddings_match_the_tuple_reference(emb, monkeypatch):
