@@ -23,7 +23,11 @@ under the rho_H-shifted reflections.
 numerator declines: it restricts the dominant multiplicities orbit by
 orbit, checks that the result is integral, and decomposes it on its
 H-dominant keys alone, about 4 % of the keys on the branch-sweep
-benchmark, which one mask on the top bits of the digits finds.  An
+benchmark, which one mask on the top bits of the digits finds.  The
+multiset is W_H-invariant when every simple reflection of H lifts to W_G
+(``Embedding.reflection_lifts``, one descent per coweight, read once per
+embedding), and only a matrix without that certificate has its invariance
+checked, by spreading each dominant key over its W_H-orbit.  An
 invariant multiset is decomposed by the Racah-Speiser (Brauer-Klimyk) sum,
 which needs no H-character, when W_H is listed and no more of its w lie
 under the span of the keys' heights than there are keys, and else peeled
@@ -152,8 +156,16 @@ class DominantCharacter:
         return sum(m * orbit_size(self.rs, _zeros(mu)) for mu, m in self.multiplicities.items())
 
     def weights(self) -> dict[tuple, int]:
-        """The full character: every weight, an int tuple, with its multiplicity."""
+        """The full character: every weight, an int tuple, with its
+        multiplicity.  A module of dimension above FROBCRIT_ENUM_CAP (default
+        10^6) is refused before any orbit is listed, with its exact dimension."""
         if self._full is None:
+            dim, cap = self.dimension(), _resolve_cap(None)
+            if dim > cap:
+                raise ValueError(
+                    f"refusing to list the weights of the module of {self.rs.spec_string()} "
+                    f"with highest weight {coords_text(self.highest.coords)}: its dimension "
+                    f"is {dim}, cap is {cap}")
             self._full = {nu: m for mu, m in self.multiplicities.items()
                           for nu in weyl_orbit(self.rs, Weight(mu))}
         return self._full
@@ -423,7 +435,7 @@ def _branch_by_restriction(emb: Embedding, lam: Weight) -> dict[Weight, int]:
     refused by ``_broken_pair``.  Raises at a negative n_nu."""
     h = emb.h
     counts, layout = _restricted_counts(emb, lam)
-    virtual = _dominant_count(h, counts, layout)
+    virtual = _dominant_count(h, counts, layout, all(emb.reflection_lifts))
     if virtual is None:
         raise _broken_pair(h, counts, layout)
     key = _height_order(h)
@@ -436,11 +448,15 @@ def _branch_by_restriction(emb: Embedding, lam: Weight) -> dict[Weight, int]:
             for nu in sorted(virtual, key=key, reverse=True) if virtual[nu]}
 
 
-def _dominant_count(h: RootSystem, counts: dict, layout: tuple) -> dict | None:
+def _dominant_count(h: RootSystem, counts: dict, layout: tuple,
+                    invariant: bool) -> dict | None:
     """{nu: n_nu} at the H-dominant keys of ``counts``, packed with room for
     every W_H-image of a dominant key and every nu + rho - w rho
     (``_restricted_counts``), or the first negative n_nu of the peel alone;
-    None unless the keys are W_H-invariant.
+    None unless the keys are W_H-invariant, which is checked only when
+    ``invariant`` is false: every restriction through an embedding whose
+    simple reflections of H all lift to W_G (``Embedding.reflection_lifts``)
+    is invariant.
 
     The dominant keys are read off by one mask, as a coordinate is >= 0
     exactly when the top bit of its digit is set, and only they are
@@ -465,14 +481,15 @@ def _dominant_count(h: RootSystem, counts: dict, layout: tuple) -> dict | None:
     digits = _unpack(dominant, layout)
     nus = list(zip(*digits))
     mults = list(map(counts.__getitem__, dominant))
-    if sum(map(orbit_size, itertools.repeat(h), map(_zeros, nus))) != len(counts):
-        return None
-    memo: dict[tuple, list[int]] = {}
-    spread: dict[int, int] = {}
-    for nu, m in zip(nus, mults):
-        spread.update(dict.fromkeys(_orbit_keys(h, nu, powers, memo), m))
-    if spread != counts:
-        return None
+    if not invariant:
+        if sum(map(orbit_size, itertools.repeat(h), map(_zeros, nus))) != len(counts):
+            return None
+        memo: dict[tuple, list[int]] = {}
+        spread: dict[int, int] = {}
+        for nu, m in zip(nus, mults):
+            spread.update(dict.fromkeys(_orbit_keys(h, nu, powers, memo), m))
+        if spread != counts:
+            return None
     lower = [kappa - _pack(h.positive_weights[b], powers)
              for kappa, nu in zip(dominant, nus) for b in root_classes(h, _zeros(nu))[0]
              if sum(map(operator.mul, h.coroots[b], nu)) > 0]

@@ -12,6 +12,9 @@ Borel compatibility (B_H = B cap H) makes every positive H-root the
 restriction of a positive G-root.  ``Embedding.root_images`` restricts the
 positive G-roots once, on first read; ``validate``, ``root_fiber`` and the
 numerator certificate of ``charalg`` all read that one table.
+``Embedding.reflection_lifts``, also read once, certifies that every
+restricted G-character is W_H-invariant, which ``charalg.branch`` then
+does not check.
 
 Each builder stamps a structured ``label`` used by the Donkin-pair registry
 for provenance matching, e.g. ``"levi:C2:J=[1]"`` or ``"so_in_sl:n=6"``.
@@ -22,6 +25,8 @@ for provenance matching, e.g. ``"levi:C2:J=[1]"`` or ``"so_in_sl:n=6"``.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -31,8 +36,10 @@ from .rootsys import (
     RootVector,
     Weight,
     _exact,
+    _pack,
     _require_int,
     build_root_system,
+    descend,
     index_set,
     require_rank,
     root_to_weight,
@@ -77,6 +84,44 @@ class Embedding:
         """The restriction of each positive G-root, in H fundamental
         coordinates and ``g.positive_roots`` order, restricted on first read."""
         return tuple(map(self.restrict_coords, self.g.positive_weights))
+
+    @cached_property
+    def reflection_lifts(self) -> tuple[bool, ...]:
+        """For each simple root alpha_i of H, whether some w in W_G has
+        R w = s_i R on G-weights, R the restriction matrix; decided on first read.
+
+        Where every entry holds, Res(e^{w mu}) = e^{s_i Res mu}, so every
+        restricted G-character is W_H-invariant.  R w = s_i R says that
+        x = w^{-1} maps the G-coweight h_j = R^T alpha_j_vee of each row j to
+        h'_j = h_j - a_ji h_i, a the Cartan matrix of H.  With R scaled to
+        integers, the rows are packed as z = sum_j B^j h_j and
+        z' = sum_j B^j h'_j; x exists exactly when z and z' descend to the
+        same dominant point, since a W_G-orbit meets the dominant chamber
+        once (Humphreys, Reflection Groups and Coxeter Groups, 1.12), and
+        then u z = u' z' for the descents u, u' gives u h_j = u' h'_j digit
+        by digit, so x = u'^{-1} u: <alpha_l, u h_j> = <u^{-1} alpha_l, h_j>
+        pairs h_j with a root, so it is at most M = 3 max_j sum_k |R_jk| in
+        size, as |<beta, alpha_k_vee>| <= 3, that of u' h'_j at most 4 M,
+        and B = 10 M + 1.  A coweight h is descended by ``rootsys.descend``
+        as the weight nu with (nu, beta) = <beta, h>, which W_G moves with
+        it: nu_l = <alpha_l, h> / d_l, scaled by lcm(d) to integers.  One
+        descent of at most |Phi_G^+| steps per coweight, and no Weyl group
+        is walked.
+        """
+        g, h = self.g, self.h
+        scale = math.lcm(*(x.denominator for row in self.restriction for x in row))
+        rows = [[int(x * scale) for x in row] for row in self.restriction]
+        powers = [(30 * max(sum(map(abs, row)) for row in rows) + 1) ** j for j in range(h.rank)]
+        units = [math.lcm(*g.symmetrizer) // d for d in g.symmetrizer]
+
+        def weight(f):  # nu for the coweight mu -> sum_k f_k mu_k, times lcm(d)
+            return [u * sum(map(operator.mul, f, alpha)) for u, alpha in zip(units, g.alphas)]
+
+        z = weight([_pack(col, powers) for col in zip(*rows)])
+        top = descend(g, z)[0]
+        # z' = z - pack(alpha_i) h_i, alpha_i holding the a_ji
+        return tuple(descend(g, [a - _pack(alpha, powers) * b for a, b in zip(z, weight(row))])[0]
+                     == top for alpha, row in zip(h.alphas, rows))
 
     def __repr__(self) -> str:
         return f"Embedding({self.label!r})"
@@ -129,8 +174,8 @@ def validate(emb: Embedding) -> list[str]:
     The load-bearing check: every positive root of H must be the restriction
     of at least one positive root of G, otherwise Borel compatibility
     (B_H = B cap H) is broken and every criterion downstream is meaningless.
-    A ``root_lift`` must cover every positive root gamma of H, and each
-    vector it lifts gamma to must be a G-root restricting to gamma.
+    A ``root_lift`` must lift every positive root gamma of H to at least one
+    vector, and each must be a G-root restricting to gamma.
     """
     violations: list[str] = []
     g_restrictions = set(emb.root_images)
@@ -147,6 +192,8 @@ def validate(emb: Embedding) -> list[str]:
             if gamma not in emb.root_lift:
                 violations.append(f"root_lift is missing the positive root {gamma}")
                 continue
+            if not emb.root_lift[gamma]:
+                violations.append(f"root_lift lifts the positive root {gamma} to no vector")
             for beta in emb.root_lift[gamma]:
                 if images.get(tuple(beta)) != target:
                     violations.append(

@@ -5,8 +5,9 @@ classical types, reflection-orbit root generation, the inverse Cartan matrix
 and root coordinates over Fraction, a tree walk of a Weyl orbit, a
 brute-force Weyl group closure with determinant signs, the closed-form
 order of each simple Weyl group, Kostant partition counting, the alternating-sum Weyl character formula, Freudenthal's
-recursion with every string summed to its top, and the W_H-invariance check
-of a restricted character on tuples.  None of it reuses the package's
+recursion with every string summed to its top, the W_H-invariance check
+of a restricted character on tuples, and the lift of each simple reflection
+of H to W_G by search over every Weyl matrix.  None of it reuses the package's
 Weyl-group or character machinery beyond single reflections.
 """
 
@@ -414,3 +415,22 @@ def reference_numerator_certificate(emb) -> tuple | None:
     if any(wanted.values()):
         return None
     return tuple(kept)
+
+
+@functools.lru_cache(maxsize=None)
+def _weyl_matrices(rs: RootSystem) -> tuple:
+    return tuple(brute_weyl_with_signs(rs))
+
+
+def reference_lifts(emb) -> tuple[bool, ...]:
+    """For each simple root alpha_i of H, whether some w in W_G has
+    R w = s_i R, R the restriction matrix: every w of ``brute_weyl_with_signs``
+    on fundamental coordinates is tried, so |W_G| is kept small by callers."""
+    g, h, rows = emb.g, emb.h, emb.restriction
+    products = {tuple(tuple(sum(row[r] * w[r][c] for r in range(g.rank)) for c in range(g.rank))
+                      for row in rows)
+                for w in _weyl_matrices(g)}
+    # (s_i nu)_j = nu_j - a_ji nu_i on H fundamental coordinates
+    return tuple(tuple(tuple(rows[j][c] - h.cartan[j][i] * rows[i][c] for c in range(g.rank))
+                       for j in range(h.rank)) in products
+                 for i in range(h.rank))

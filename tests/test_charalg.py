@@ -89,6 +89,23 @@ def test_weyl_orbit_refuses_an_orbit_above_the_enumeration_cap(monkeypatch):
     assert [key[-1] for key in rootsys._orbit_tables] == ["size"]
 
 
+def test_weights_refuses_a_module_above_the_enumeration_cap(monkeypatch):
+    # E6 at omega_1 + omega_6 has dimension 650: refused at a cap of 649 before
+    # any orbit is listed, with the exact dimension, and listed at 650
+    ch = freudenthal(build_root_system("E6"), W(1, 0, 0, 0, 0, 1))
+    listed = []
+    orbit = charalg.weyl_orbit
+    monkeypatch.setattr(charalg, "weyl_orbit", lambda *args: listed.append(args) or orbit(*args))
+    monkeypatch.setenv("FROBCRIT_ENUM_CAP", "649")
+    with pytest.raises(ValueError, match=r"refusing to list the weights of the module of E6 with "
+                                         r"highest weight \(1, 0, 0, 0, 0, 1\): its dimension "
+                                         r"is 650, cap is 649$"):
+        ch.weights()
+    assert not listed
+    monkeypatch.setenv("FROBCRIT_ENUM_CAP", "650")
+    assert sum(ch.weights().values()) == ch.dimension() == 650 and listed
+
+
 # -- dimensions (frozen values, classical tables) ------------------------------
 
 @pytest.mark.parametrize("spec,lam,dim", [

@@ -85,6 +85,8 @@ def _validate_reference(emb):
             if gamma not in emb.root_lift:
                 violations.append(f"root_lift is missing the positive root {gamma}")
                 continue
+            if len(emb.root_lift[gamma]) == 0:
+                violations.append(f"root_lift lifts the positive root {gamma} to no vector")
             # each lifted vector is +-beta for a positive G-root beta, and
             # restricts to gamma
             for vec in emb.root_lift[gamma]:
@@ -122,12 +124,13 @@ def _outcome(call, *args):
 _A1 = build_root_system("A1")
 _C2 = build_root_system("C2")
 
-# A1 inside C2 at alpha_1, lifted to alpha_2 (which restricts to -gamma) and
-# to (5, 7) (not a root of C2): both validated clean while only the presence
-# of a lift was checked
+# A1 inside C2 at alpha_1, lifted to alpha_2 (which restricts to -gamma), to
+# (5, 7) (not a root of C2) and to no vector at all: each validated clean
+# while only the presence of a lift was checked
 BAD_LIFTS = [
     Embedding(_C2, _A1, [[1, 0]], "lift-to-alpha2", root_lift={(1,): ((0, 1),)}),
     Embedding(_C2, _A1, [[1, 0]], "lift-to-non-root", root_lift={(1,): ((5, 7),)}),
+    Embedding(_C2, _A1, [[1, 0]], "lift-to-nothing", root_lift={(1,): ()}),
 ]
 
 REFERENCE_CASES = registry_embeddings() + [
@@ -164,6 +167,7 @@ def test_a_lift_must_restrict_to_its_root():
     for emb, vec in zip(BAD_LIFTS, [(0, 1), (5, 7)]):
         assert validate(emb) == [f"root_lift lifts the positive root (1,) to {vec}, "
                                  f"which is not a root of C2 restricting to it"]
+    assert validate(BAD_LIFTS[2]) == ["root_lift lifts the positive root (1,) to no vector"]
     # -beta is a lift when beta restricts to -gamma
     emb = Embedding(_C2, _A1, [[-1, 0]], "lift-to-minus-alpha1", root_lift={(1,): ((-1, 0),)})
     assert validate(emb) == []

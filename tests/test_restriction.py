@@ -21,8 +21,9 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from frobcrit import charalg, embed, rootsys
+from frobcrit import charalg, embed, rootsys, weyl
 from frobcrit.charalg import branch, freudenthal, restricted_character, weyl_dim, weyl_orbit
 from frobcrit.embed import Embedding, diagonal, folding_E6F4, levi, so_in_sl
 from frobcrit.rootsys import (
@@ -38,7 +39,7 @@ from frobcrit.rootsys import (
 )
 from frobcrit.weyl import enumerate_parabolic, rho_shifts
 
-from oracles import orbit_walk, reference_broken_pairs
+from oracles import orbit_walk, reference_broken_pairs, reference_lifts
 from test_acceptance import SWEEP, dominant_weights_upto, registry_embeddings
 from test_charalg import EDGE_EMBEDDINGS, NON_CHARACTERS
 from test_weyl import _systems_up_to_rank
@@ -294,6 +295,19 @@ def _spied(monkeypatch, name):
     return outputs
 
 
+def _calls(monkeypatch, module, name):
+    """The arguments of every call of ``module.<name>``, in the order made."""
+    calls = []
+    fn = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 @functools.lru_cache(maxsize=None)
 def _rho_shift_heights(h):
     """<rho - w rho, 2 rho_vee> for every w in W_H, ascending."""
@@ -543,6 +557,132 @@ def test_more_w_under_the_span_than_keys_descend_every_key(spec, lam, monkeypatc
         assert charalg._branch_by_restriction(emb, lam) == {lam: 1}
         assert len(peeled) == calls
         assert (emb.h.components, "rho") not in rootsys._orbit_tables
+
+
+# -- the invariance certificate ----------------------------------------------------
+
+def _principal(spec):
+    """The principal A1 in G: Res mu = <mu, 2 rho_vee>."""
+    g = build_root_system(spec)
+    return Embedding(g, build_root_system("A1"), [g.two_rho_vee], f"principal:{spec}")
+
+
+def _small_builder_embeddings():
+    """Every builder at every parameter whose G has rank <= 4, Levi
+    subgroups at every J."""
+    out = [embed.identity(spec) for spec in _systems_up_to_rank(4)]
+    for spec in _systems_up_to_rank(4):
+        rank = build_root_system(spec).rank
+        out += [levi(spec, J) for size in range(1, rank + 1)
+                for J in itertools.combinations(range(1, rank + 1), size)]
+    for spec in _systems_up_to_rank(2):
+        rank = build_root_system(spec).rank
+        out += [diagonal(spec, k) for k in range(2, 4 // rank + 1)]
+        out += [embed.frobenius_twisted_diagonal(spec, p) for p in (2, 3)]
+    out += [embed.folding_AC(2), embed.folding_DB(4), embed.folding_B3G2()]
+    out += [so_in_sl(n) for n in (3, 4, 5)]
+    return out + [_principal(spec) for spec in _systems_up_to_rank(4)]
+
+
+def test_the_certificate_is_the_brute_force_lift_on_every_small_embedding():
+    embeddings = [emb for emb in registry_embeddings() if emb.g.rank <= 4]
+    embeddings += _small_builder_embeddings()
+    assert len(embeddings) > 500
+    for emb in embeddings:
+        assert emb.reflection_lifts == reference_lifts(emb), emb.label
+
+
+_SIMPLE_UP_TO_8 = [s for s in _systems_up_to_rank(8) if "," not in s] + ["E6", "E7", "E8"]
+
+
+@pytest.mark.parametrize("emb", [
+    *(embed.identity(spec) for spec in _SIMPLE_UP_TO_8 + ["B16", "C16", "D16", "A16"]),
+    *(_principal(spec) for spec in _SIMPLE_UP_TO_8),
+    embed.folding_DB(16), folding_E6F4(), *registry_embeddings(), *SWEEP,
+    *(levi("E8", J) for J in itertools.combinations(range(1, 9), 4)),
+], ids=lambda e: e.label)
+def test_every_builder_embedding_is_certified(emb, monkeypatch):
+    # one descent per coweight: no Weyl group is walked and no table kept
+    monkeypatch.setattr(rootsys, "_orbit_tables", {})
+    monkeypatch.setattr(rootsys, "_table_total", 0)
+    walks = _calls(monkeypatch, weyl, "walk_parabolic")
+    fresh = Embedding(emb.g, emb.h, emb.restriction, emb.label)
+    assert all(fresh.reflection_lifts)
+    assert not walks and not rootsys._orbit_tables
+
+
+def test_no_witness_with_a_broken_pair_is_certified():
+    broken = []
+    for emb in WITNESS_CASES:
+        for lam in dominant_weights_upto(emb.g, 60):
+            try:
+                pairs = reference_broken_pairs(emb.h, restricted_character(emb, lam))
+            except ValueError:  # a non-integral weight
+                continue
+            if pairs:
+                broken.append(emb.label)
+                assert not all(emb.reflection_lifts), (emb.label, lam)
+                break
+        if emb.g.weyl_order <= 1152:
+            assert emb.reflection_lifts == reference_lifts(emb), emb.label
+    assert len(broken) >= 5
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_systems_up_to_rank(3)), st.sampled_from(_systems_up_to_rank(2)),
+       st.data())
+def test_the_certificate_is_the_brute_force_lift_on_small_matrices(g_spec, h_spec, data):
+    g, h = build_root_system(g_spec), build_root_system(h_spec)
+    row = st.lists(st.integers(-2, 2), min_size=g.rank, max_size=g.rank)
+    emb = Embedding(g, h, data.draw(st.lists(row, min_size=h.rank, max_size=h.rank)), "fuzz")
+    assert emb.reflection_lifts == reference_lifts(emb)
+    if all(emb.reflection_lifts):
+        for lam in _fundamental(g.rank):
+            assert reference_broken_pairs(h, restricted_character(emb, lam)) == [], lam
+
+
+def _certified_cases():
+    cases = {id(emb): emb for emb in registry_embeddings() + SWEEP + WITNESS_CASES}
+    return [emb for emb in cases.values() if all(emb.reflection_lifts)]
+
+
+def test_a_certified_count_is_the_checked_count():
+    # skipping the orbit-size sum and the spread changes no count: every
+    # certified case of this file, at every weight of dimension <= 200 (every
+    # k-th one past 60 weights)
+    compared = 0
+    for emb in _certified_cases():
+        weights = dominant_weights_upto(emb.g, 200)
+        for lam in weights[::-(-len(weights) // 60)]:
+            try:
+                counts, layout = charalg._restricted_counts(emb, lam)
+            except ValueError:  # a non-integral weight
+                continue
+            certified = charalg._dominant_count(emb.h, counts, layout, True)
+            assert certified is not None
+            assert certified == charalg._dominant_count(emb.h, counts, layout, False), \
+                (emb.label, lam)
+            compared += 1
+    assert compared > 1000
+
+
+def test_a_certified_branch_builds_no_w_h_orbit_table(monkeypatch):
+    # levi:E6 restricted to A5 with cold tables: the invariance check spread
+    # each dominant key over its W(A5)-orbit, building A5's orbit tables
+    monkeypatch.setattr(rootsys, "_orbit_tables", {})
+    monkeypatch.setattr(rootsys, "_table_total", 0)
+    monkeypatch.setattr(charalg, "_char_cache", {})
+    tables = _calls(monkeypatch, charalg, "orbit_table")
+    sizes = _calls(monkeypatch, charalg, "orbit_size")
+    emb = levi("E6", (1, 3, 4, 5, 6))
+    for lam in (Weight([0, 0, 0, 0, 0, 2]), Weight([1, 0, 0, 0, 0, 1])):
+        assert branch(emb, lam) == reference_kernel(emb, lam)
+    assert all(emb.reflection_lifts)
+    assert [args for args in tables + sizes if args[0] == emb.h] == []
+    assert any(args[0] == emb.g for args in tables)  # the G side reads its tables
+    counts, layout = charalg._restricted_counts(emb, Weight([0, 0, 0, 0, 0, 2]))
+    charalg._dominant_count(emb.h, counts, layout, False)
+    assert any(args[0] == emb.h for args in tables) and any(args[0] == emb.h for args in sizes)
 
 
 # -- the orbit tables --------------------------------------------------------------
