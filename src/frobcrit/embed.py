@@ -112,7 +112,8 @@ class Embedding:
         scale = math.lcm(*(x.denominator for row in self.restriction for x in row))
         rows = [[int(x * scale) for x in row] for row in self.restriction]
         powers = [(30 * max(sum(map(abs, row)) for row in rows) + 1) ** j for j in range(h.rank)]
-        units = [math.lcm(*g.symmetrizer) // d for d in g.symmetrizer]
+        unit = math.lcm(*g.symmetrizer)
+        units = [unit // d for d in g.symmetrizer]
 
         def weight(f):  # nu for the coweight mu -> sum_k f_k mu_k, times lcm(d)
             return [u * sum(map(operator.mul, f, alpha)) for u, alpha in zip(units, g.alphas)]
