@@ -187,9 +187,12 @@ def freudenthal(rs: RootSystem, lam: Weight, depth: int | None = None) -> Domina
     <mu, beta_vee> = 0; so one string is walked per W_mu-orbit of positive
     roots (``root_classes``), weighted by the orbit's size.  With ``depth``,
     only the mu with lam - mu at most ``depth`` simple roots deep are listed,
-    each exact: the recursion at mu reads only weights above it.
+    each exact: the recursion at mu reads only weights above it.  A closure
+    that grows past FROBCRIT_ENUM_CAP (default 10^6) dominant weights is
+    refused as it grows.
     """
     require_dominant_integral(rs, lam, "highest weight")
+    cap = _resolve_cap(None)
 
     # the symmetrizer is integral, so everything below is integer arithmetic
     # on tuples: each positive root in weight and in root coordinates, and
@@ -205,6 +208,11 @@ def freudenthal(rs: RootSystem, lam: Weight, depth: int | None = None) -> Domina
     while frontier:
         nxt = []
         for mu_t in frontier:
+            if len(dom) > cap:
+                raise ValueError(
+                    f"refusing the module of {rs.spec_string()} with highest weight "
+                    f"{coords_text(lam.coords)}: it has more than {cap} dominant "
+                    f"weights, cap is {cap}")
             diff = dom[mu_t]
             for bw, beta, _ in pos:
                 cand = tuple(map(operator.sub, mu_t, bw))

@@ -26,12 +26,15 @@ the regular orbit the sign eps(w) of every row.  The same cache keeps
 ``weyl.rho_shifts``, every w of W with rho - w rho, its height and its
 sign, for the Racah-Speiser sum, and the orbit labels of ``criteria``.
 ``parabolic_weyl_order`` is |W_J| from the heights of R_J^+, the positive
-roots supported on J (``positive_roots_on``), ``RootSystem.weyl_order`` is
+roots supported on J (``positive_roots_on``, one AND per root against its
+bitmask in ``RootSystem.support_masks``), ``RootSystem.weyl_order`` is
 |W|, and ``orbit_size`` the size of the orbit of a dominant weight; no
 subdiagram is classified for them.  ``subsystem_components`` classifies one,
 in Bourbaki's vertex order, for ``embed.levi``.  ``_layout`` is
 the one layout of packed int keys, for ``weyl`` and both ``charalg.branch``
-kernels, beside its packer, unpacker and top-bit test.
+kernels, beside its packer, unpacker and top-bit test; the coroot table is
+kept packed by columns in it too (``RootSystem.coroot_columns``), for
+``weyl``'s length.
 
 The symmetrizer and the coroot table are integers, and every pairing
 <lam, gamma_vee> in the package reads ``RootSystem.coroots`` as
@@ -48,7 +51,6 @@ import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
 from math import prod
 from typing import Iterable, Sequence
 
@@ -249,6 +251,9 @@ class RootSystem:
         self.alpha_support = tuple(tuple((k, a) for k, a in enumerate(alpha) if a)
                                    for alpha in self.alphas)
         self.positive_roots: tuple[RootVector, ...] = tuple(_positive_closure(self.cartan))
+        # support_masks[i] has bit k set where positive_roots[i] has a nonzero entry k
+        self.support_masks: tuple[int, ...] = tuple(
+            sum(1 << k for k, c in enumerate(beta) if c) for beta in self.positive_roots)
         # positive_weights[i] is positive_roots[i] in fundamental-weight coordinates
         self.positive_weights: tuple[RootVector, ...] = tuple(
             tuple(sum(a * b for a, b in zip(row, beta)) for row in self.cartan)
@@ -274,6 +279,12 @@ class RootSystem:
         self.two_rho_vee: tuple[int, ...] = tuple(map(sum, zip(*coroots)))
         # the layout of the packed w rho keys of ``weyl``: (w rho)_k is a coroot height up to sign
         self.rho_layout = _layout(self.rank, self.coroot_height)
+        # coroot_columns[k] packs the c_k(beta) of every positive root beta, one
+        # digit each in coroot_layout, so sum_k lam_k coroot_columns[k] packs
+        # every <lam, beta_vee>; for lam = w rho each is a coroot height up to sign
+        self.coroot_layout = _layout(len(coroots), self.coroot_height)
+        self.coroot_columns: tuple[int, ...] = tuple(
+            _pack(col, self.coroot_layout[1]) for col in zip(*coroots))
         self.weyl_order: int = parabolic_weyl_order(self, None)
 
     def spec_string(self) -> str:
@@ -662,13 +673,10 @@ def _classify_piece(cartan, verts: list[int]) -> tuple[str, int, tuple[int, ...]
 
 def positive_roots_on(rs: RootSystem, members: tuple[int, ...]) -> list[RootVector]:
     """R_J^+, the positive roots supported on J = ``members`` (an
-    ``index_set``), in the order of ``positive_roots``: the columns outside J
-    are read once, and a root is kept where they are all 0."""
-    roots = rs.positive_roots
-    outside = [col for k, col in enumerate(zip(*roots)) if k + 1 not in members]
-    if not outside:
-        return list(roots)
-    return list(compress(roots, map(operator.not_, map(any, zip(*outside)))))
+    ``index_set``), in the order of ``positive_roots``: a root is kept where
+    its support mask meets no node outside J."""
+    outside = (1 << rs.rank) - 1 - sum(1 << (j - 1) for j in members)
+    return [beta for beta, mask in zip(rs.positive_roots, rs.support_masks) if not mask & outside]
 
 
 def parabolic_weyl_order(rs: RootSystem, J: Iterable[int] | None) -> int:

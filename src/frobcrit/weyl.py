@@ -6,7 +6,11 @@ which determines w because rho is regular (Stembridge, MSJ Memoirs 11,
 to sign, so in the layout ``RootSystem.rho_layout`` (``rootsys._layout``,
 reach the height of the highest coroot) the top bit of digit k of
 key + offset is set exactly when x_k > 0 (x_k is never 0).  Equality, hashing
-and ``is_identity`` read the key, and ``length`` unpacks it.  ``from_word``
+and ``is_identity`` read the key.  ``length`` unpacks it and forms one packed
+product sum_k x_k ``RootSystem.coroot_columns[k]``, whose digit for beta is
+<w rho, beta_vee>, again a nonzero coroot height up to sign, so ``coroot_layout``
+(the same reach) has room for it: l(w) is |Phi^+| less the top bits set
+(Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7).  ``from_word``
 reflects rho along the reversed word by ``rootsys.reflect_word``; the
 integer matrix of w on fundamental-weight coordinates is built only when
 ``.matrix`` is read: its column k is w omega_k, reflected the same way.
@@ -14,7 +18,10 @@ Words are tuples of 1-based indices and compose left to right, i.e.
 ``from_word(rs, (1, 2))`` is s_1 composed with s_2, applied as s_1(s_2(v)).
 ``walk_parabolic``, the one walker of W, lists W_J as the tree of
 lexicographically first reduced words, one top-bit test and one mask per
-child, with no seen-set; ``enumerate_parabolic`` and ``rho_shifts`` read it.
+child, with no seen-set; ``enumerate_parabolic`` (which builds its elements
+inline) and ``rho_shifts`` read it.  R_J^+ is read by support mask
+(``rootsys.positive_roots_on``), and once per call: ``verify_st_decomp``
+normalises J and reads R_J^+ once, for the sum and for w_0^J's length check.
 """
 
 from __future__ import annotations
@@ -37,7 +44,6 @@ from .rootsys import (
     parabolic_weyl_order,
     positive_roots_on,
     reflect_word,
-    rho_J,
     root_to_weight,
 )
 
@@ -121,10 +127,18 @@ class WeylElement:
 
     def length(self) -> int:
         """Number of positive roots beta that w^{-1} sends to negative roots,
-        those with <w rho, beta_vee> = <rho, w^{-1} beta_vee> < 0."""
+        those with <w rho, beta_vee> = <rho, w^{-1} beta_vee> < 0: every
+        pairing is packed in one product sum_k (w rho)_k coroot_columns[k],
+        and the top bits of its digits mark the pairings > 0 (none is 0)."""
         rs = self.rs
-        x = next(zip(*_unpack([self.key], rs.rho_layout)))
-        return sum(1 for c in rs.coroots if sum(map(operator.mul, x, c)) < 0)
+        half, powers, offset = rs.rho_layout
+        rest, x = self.key + offset, []
+        for _ in powers:
+            rest, digit = divmod(rest, 2 * half)
+            x.append(digit - half)
+        top = rs.coroot_layout[2]
+        pairings = sum(map(operator.mul, x, rs.coroot_columns)) + top
+        return len(rs.coroots) - (pairings & top).bit_count()
 
     def inverse(self) -> "WeylElement":
         return from_word(self.rs, reversed(self.word))
@@ -163,9 +177,11 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
 
 def _resolve_cap(cap: int | None, env_name: str = _ENUM_CAP_ENV,
                  default: int = DEFAULT_ENUM_CAP) -> int:
-    """The cap argument, else the positive integer in env_name, else default."""
+    """The positive cap argument, else the positive integer in env_name, else default."""
     if cap is not None:
-        return _require_int(cap, "cap")
+        if _require_int(cap, "cap") < 1:
+            raise ValueError(f"cap must be a positive integer, got {cap!r}")
+        return cap
     env = os.environ.get(env_name)
     if env is None:
         return default
@@ -233,7 +249,13 @@ def enumerate_parabolic(rs: RootSystem, J: Iterable[int] | None = None,
                         cap: int | None = None) -> list[WeylElement]:
     """All elements of W_J in shortlex order of their words, each with its
     lexicographically first reduced word, built from ``walk_parabolic``."""
-    return [_element(rs, key, word) for key, word in zip(*walk_parabolic(rs, J, cap))]
+    new, elements = object.__new__, []
+    # ``_element`` inlined, saving a call per element (51 840 of them on W(E6))
+    for key, word in zip(*walk_parabolic(rs, J, cap)):
+        el = new(WeylElement)
+        el.rs, el.key, el.word, el._matrix = rs, key, word, None
+        elements.append(el)
+    return elements
 
 
 def rho_shifts(rs: RootSystem, most: int):
@@ -252,23 +274,32 @@ def rho_shifts(rs: RootSystem, most: int):
     return _keep(key, rows, (rs.rank + 2) * len(rows))
 
 
+def _longest(rs: RootSystem, members: tuple[int, ...], count: int) -> tuple[Weight, WeylElement]:
+    """rho_J and w_0^J for J = ``members`` (an ``index_set``) with
+    |R_J^+| = ``count``, by the greedy descent: repeatedly reflect -rho_J
+    toward dominance."""
+    rj = Weight([int(k in members) for k in range(1, rs.rank + 1)])
+    _, applied = descend(rs, (-rj).coords, members)
+    w = from_word(rs, reversed(applied))
+    if w.length() != count:
+        raise AssertionError("greedy longest element has wrong length")
+    return rj, w
+
+
 def longest_element(rs: RootSystem, J: Iterable[int] | None = None) -> WeylElement:
     """w_0^J, by the greedy descent: repeatedly reflect -rho_J toward dominance."""
     members = index_set(rs, J)
-    _, applied = descend(rs, (-rho_J(rs, members)).coords, members)
-    w = from_word(rs, reversed(applied))
-    if w.length() != len(positive_roots_on(rs, members)):
-        raise AssertionError("greedy longest element has wrong length")
-    return w
+    return _longest(rs, members, len(positive_roots_on(rs, members)))[1]
 
 
 def verify_st_decomp(rs: RootSystem, J: Iterable[int]) -> tuple[Weight, Weight, bool]:
-    """Check sum of R_J^+ == rho_J - w_0^J(rho_J); returns (lhs, rhs, equal)."""
+    """Check sum of R_J^+ == rho_J - w_0^J(rho_J); returns (lhs, rhs, equal).
+    J is normalised and R_J^+ read once, for the sum and w_0^J's length."""
     members = index_set(rs, J)
-    total = map(sum, zip((0,) * rs.rank, *positive_roots_on(rs, members)))
-    lhs = root_to_weight(rs, tuple(total))
-    rj = rho_J(rs, members)
-    rhs = rj - longest_element(rs, members).act(rj)
+    roots = positive_roots_on(rs, members)
+    lhs = root_to_weight(rs, tuple(map(sum, zip((0,) * rs.rank, *roots))))
+    rj, w0 = _longest(rs, members, len(roots))
+    rhs = rj - w0.act(rj)
     return lhs, rhs, lhs == rhs
 
 
@@ -277,5 +308,5 @@ def steinberg_weights(rs: RootSystem, J: Iterable[int], p: int) -> tuple[Weight,
     if _require_int(p, "p") < 2:
         raise ValueError(f"p must be at least 2, got {p}")
     members = index_set(rs, J)
-    rj = rho_J(rs, members)
-    return (p - 1) * rj, (1 - p) * longest_element(rs, members).act(rj)
+    rj, w0 = _longest(rs, members, len(positive_roots_on(rs, members)))
+    return (p - 1) * rj, (1 - p) * w0.act(rj)

@@ -6,9 +6,12 @@ and root coordinates over Fraction, a tree walk of a Weyl orbit, a
 brute-force Weyl group closure with determinant signs, the closed-form
 order of each simple Weyl group, Kostant partition counting, the alternating-sum Weyl character formula, Freudenthal's
 recursion with every string summed to its top, the W_H-invariance check
-of a restricted character on tuples, and the lift of each simple reflection
-of H to W_G by search over every Weyl matrix.  None of it reuses the package's
-Weyl-group or character machinery beyond single reflections.
+of a restricted character on tuples, the lift of each simple reflection
+of H to W_G by search over every Weyl matrix, and the coroot sweep for the
+length of a Weyl element and the column scan for R_J^+ that the packed
+product and the support masks replaced.  None of it reuses the package's
+Weyl-group or character machinery beyond single reflections and the
+unpacking of an element's key.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ import collections
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
-from frobcrit.rootsys import RootSystem, Weight, build_root_system, descend, reflect
+from frobcrit.rootsys import RootSystem, Weight, _unpack, build_root_system, descend, reflect
 
 
 # ---------------------------------------------------------------------------
@@ -434,3 +438,25 @@ def reference_lifts(emb) -> tuple[bool, ...]:
     return tuple(tuple(tuple(rows[j][c] - h.cartan[j][i] * rows[i][c] for c in range(g.rank))
                        for j in range(h.rank)) in products
                  for i in range(h.rank))
+
+
+# ---------------------------------------------------------------------------
+# Weyl-element length and R_J^+, one root at a time
+
+
+def reference_length(w) -> int:
+    """l(w) as the number of coroots beta_vee with <w rho, beta_vee> < 0,
+    one dot product per positive root, w rho unpacked from w's key."""
+    rs = w.rs
+    x = next(zip(*_unpack([w.key], rs.rho_layout)))
+    return sum(1 for c in rs.coroots if sum(map(operator.mul, x, c)) < 0)
+
+
+def reference_positive_roots_on(rs: RootSystem, members: tuple[int, ...]) -> list:
+    """R_J^+ in the order of ``rs.positive_roots``: the columns of the root
+    table outside J are read, and a root is kept where they are all 0."""
+    roots = rs.positive_roots
+    outside = [col for k, col in enumerate(zip(*roots)) if k + 1 not in members]
+    if not outside:
+        return list(roots)
+    return list(itertools.compress(roots, map(operator.not_, map(any, zip(*outside)))))

@@ -106,6 +106,20 @@ def test_weights_refuses_a_module_above_the_enumeration_cap(monkeypatch):
     assert sum(ch.weights().values()) == ch.dimension() == 650 and listed
 
 
+def test_freudenthal_refuses_a_closure_above_the_enumeration_cap(monkeypatch):
+    # A1 at (198) has the 100 dominant weights (198), (196), ..., (0), and (200) has 101
+    a1 = build_root_system("A1")
+    monkeypatch.setenv("FROBCRIT_ENUM_CAP", "100")
+    assert len(freudenthal(a1, W(198)).multiplicities) == 100
+    for top in (200, 10 ** 7):
+        with pytest.raises(ValueError, match=rf"^refusing the module of A1 with highest weight "
+                                             rf"\({top}\): it has more than 100 dominant "
+                                             rf"weights, cap is 100$"):
+            freudenthal(a1, W(top))
+    # the peel's calls, bounded by depth, stay under the cap
+    assert len(freudenthal(a1, W(10 ** 7), depth=10).multiplicities) == 11
+
+
 # -- dimensions (frozen values, classical tables) ------------------------------
 
 @pytest.mark.parametrize("spec,lam,dim", [

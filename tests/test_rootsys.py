@@ -35,6 +35,7 @@ from oracles import (
     eps_positive_roots,
     eps_simple_roots,
     eps_vector_of_root,
+    reference_positive_roots_on,
     reflection_orbit_positive_roots,
 )
 from test_weyl import _systems_up_to_rank
@@ -375,7 +376,9 @@ def test_positive_roots_on_J_are_the_roots_supported_on_J_in_order(spec):
     for J in _every_J(rs):
         supported = [beta for beta in rs.positive_roots
                      if all(beta[k] == 0 for k in range(rs.rank) if k + 1 not in J)]
-        assert positive_roots_on(rs, J) == supported, (spec, J)
+        # the support masks against the column scan they replaced, too
+        assert positive_roots_on(rs, J) == supported == reference_positive_roots_on(rs, J), \
+            (spec, J)
 
 
 @pytest.mark.parametrize("spec", SIMPLE_TYPES)

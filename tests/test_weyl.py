@@ -1,11 +1,17 @@
+import collections
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frobcrit import rootsys, weyl
 from frobcrit.rootsys import (
     RootSystem,
     Weight,
     build_root_system,
     cartan_pairing,
+    parabolic_weyl_order,
     reflect,
     reflect_word,
     rho,
@@ -24,7 +30,12 @@ from frobcrit.weyl import (
     verify_st_decomp,
 )
 
-from oracles import brute_weyl_with_signs, permutation_inversion_histogram, root_coordinates
+from oracles import (
+    brute_weyl_with_signs,
+    permutation_inversion_histogram,
+    reference_length,
+    root_coordinates,
+)
 
 
 # -- elements and words ------------------------------------------------------
@@ -108,6 +119,33 @@ def test_act_root():
     assert s1.act_root((1, 0)) == (-1, 0)
     assert s1.act_root((0, 1)) == (1, 1)
     assert s1.act_root((1, 1)) == (0, 1)
+
+
+# every simple type of rank <= 4, G2, F4 and two products
+LENGTH_SPECS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4",
+                "G2", "F4", "A2,B2", "G2,A1"]
+
+
+@pytest.mark.parametrize("spec", LENGTH_SPECS)
+def test_packed_length_matches_the_coroot_sweep_on_every_element(spec):
+    rs = build_root_system(spec)
+    for w in enumerate_parabolic(rs):
+        assert w.length() == reference_length(w) == len(w.word), (spec, w.word)
+
+
+@pytest.mark.parametrize("spec", ["E6", "E7", "E8"])
+def test_packed_length_matches_the_coroot_sweep_on_sampled_parabolics(spec):
+    # 12 index sets with |W_J| <= 1 500, drawn per system, and the longest
+    # element of W, every one of whose pairings <w rho, beta_vee> is negative
+    rs = build_root_system(spec)
+    index_sets = [J for size in range(1, rs.rank + 1)
+                  for J in itertools.combinations(range(1, rs.rank + 1), size)
+                  if parabolic_weyl_order(rs, J) <= 1500]
+    for J in random.Random(spec).sample(index_sets, 12):
+        for w in enumerate_parabolic(rs, J):
+            assert w.length() == reference_length(w) == len(w.word), (spec, J, w.word)
+    w0 = longest_element(rs)
+    assert w0.length() == reference_length(w0) == len(rs.positive_roots)
 
 
 # -- enumeration -------------------------------------------------------------
@@ -292,6 +330,12 @@ def test_cap_argument_must_be_an_int():
         enumerate_parabolic(build_root_system("A3"), cap=23.9)
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_cap_argument_below_one_is_refused_like_the_env_value(cap):
+    with pytest.raises(ValueError, match=f"^cap must be a positive integer, got {cap}$"):
+        enumerate_parabolic(build_root_system("A2"), cap=cap)
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5", ""])
 def test_bad_cap_env_names_the_variable(monkeypatch, value):
     monkeypatch.setenv("FROBCRIT_ENUM_CAP", value)
@@ -363,6 +407,24 @@ def test_verify_st_decomp_all_subsets(spec):
         J = tuple(j + 1 for j in range(n) if mask >> j & 1)
         lhs, rhs, ok = verify_st_decomp(rs, J)
         assert ok, (spec, J, lhs.coords, rhs.coords)
+
+
+def test_verify_st_decomp_reads_J_and_R_J_once(monkeypatch):
+    e8 = build_root_system("E8")  # building it reads R^+ too
+    calls = collections.Counter()
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in ("index_set", "positive_roots_on"):
+        wrapper = counted(name, getattr(rootsys, name))
+        for module in (rootsys, weyl):
+            monkeypatch.setattr(module, name, wrapper)
+    lhs, rhs, equal = verify_st_decomp(e8, (4, 1, 3, 1))
+    assert equal and calls == {"index_set": 1, "positive_roots_on": 1}
 
 
 def test_steinberg_weights_frozen():
