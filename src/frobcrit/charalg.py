@@ -9,31 +9,30 @@ tail supplies the rest.  Full characters come from Weyl-orbit expansion.
 ``branch`` has two kernels, both on packed keys in the one layout of
 ``rootsys._layout``: an H-weight nu is the int pack(nu) = sum_j nu_j radix^j,
 so a restriction or a reflection is integer arithmetic.  ``_orbit_keys`` is
-the one orbit sum, read off the orbit tables (``rootsys.orbit_table``, kept
-across calls), for W_G on the G side and W_H on the H side.  ``_unmatched``
-compares every key with its image under each simple reflection, one pass
-per root: the numerator checks alternation by it, and the restriction
-kernel names a broken pair by it.
-``_branch_by_numerator`` builds no character of G: it divides the
-restricted Weyl numerator by the factors that are not over positive
-H-roots, read off the embedding's ``root_images`` on every call, and reads
-the multiplicities off the H-dominant keys once the quotient is alternating
-under the rho_H-shifted reflections.
+the one orbit sum, read off the W_G orbit tables (``rootsys.orbit_table``,
+kept across calls).  An embedding is certified when every simple reflection
+of H lifts to W_G (``Embedding.reflection_lifts``, one descent per coweight,
+read once per embedding); then every restricted G-character is
+W_H-invariant, and that certificate is the one place where ``branch`` learns
+it.
+``_branch_by_numerator`` runs only on certified embeddings and builds no
+character of G: it divides the restricted Weyl numerator by the factors
+that are not over positive H-roots, read off the embedding's
+``root_images`` on every call, and reads the multiplicities off the
+H-dominant keys of the quotient.
 ``_branch_by_restriction`` runs every other call, and every call the
 numerator declines: it restricts the dominant multiplicities orbit by
-orbit, checks that the result is integral, and decomposes it on its
-H-dominant keys alone, about 4 % of the keys on the branch-sweep
-benchmark, which one mask on the top bits of the digits finds.  The
-multiset is W_H-invariant when every simple reflection of H lifts to W_G
-(``Embedding.reflection_lifts``, one descent per coweight, read once per
-embedding), and only a matrix without that certificate has its invariance
-checked, by spreading each dominant key over its W_H-orbit.  An
-invariant multiset is decomposed by the Racah-Speiser (Brauer-Klimyk) sum,
+orbit and checks that the result is integral.  On an uncertified embedding
+``_broken_pair`` compares every key with its image under each simple
+reflection of H, one pass per root, and refuses the multiset at a broken
+pair.  An invariant multiset is decomposed on its H-dominant keys alone,
+about 4 % of the keys on the branch-sweep benchmark, which one mask on the
+top bits of the digits finds: by the Racah-Speiser (Brauer-Klimyk) sum,
 which needs no H-character, when W_H is listed and no more of its w lie
 under the span of the keys' heights than there are keys, and else peeled
-by H-characters from the top; any other multiset is refused at a broken
-pair.  A refusal names its witness by ``_height_order``, the order in which
-constituents are listed, so it does not depend on the order of the tables.
+by H-characters from the top.  A refusal names its witness by
+``_height_order``, the order in which constituents are listed, so it does
+not depend on the order of the tables.
 """
 
 from __future__ import annotations
@@ -53,6 +52,7 @@ from .rootsys import (
     _layout,
     _nonnegative,
     _pack,
+    _resolve_cap,
     _unpack,
     build_root_system,
     coords_text,
@@ -64,7 +64,7 @@ from .rootsys import (
     require_dominant_integral,
     root_classes,
 )
-from .weyl import _resolve_cap, rho_shifts
+from .weyl import rho_shifts
 
 DEFAULT_BRANCH_CAP = 50_000
 _BRANCH_CAP_ENV = "FROBCRIT_BRANCH_CAP"
@@ -343,7 +343,7 @@ def _restricted_counts(emb: Embedding, lam: Weight):
     max_gamma <lam, gamma_vee> for every weight mu of the module.  With h
     the height of the highest coroot of H, the layout's reach
     max(4, h) bound + h + 1 leaves room for a simple reflection of a key
-    (|nu_j - nu_i a_ij| <= 4 bound, ``_unmatched``), for every W_H-image of
+    (|nu_j - nu_i a_ij| <= 4 bound, ``_broken_pair``), for every W_H-image of
     an H-dominant key (|<kappa, beta_vee>| <= h bound) and for
     nu + rho - w rho at a dominant key nu (its coordinates are 1 - h to
     bound + h + 1).  Packing is linear, so pack(Res(v)) = sum_k f_k v_k, and
@@ -390,24 +390,6 @@ def restricted_character(emb: Embedding, lam: Weight) -> dict[tuple, int]:
     return dict(zip(zip(*_unpack(counts, layout)), counts.values()))
 
 
-def _unmatched(poly: dict, digits: list[list[int]], h: RootSystem, layout: tuple,
-               shift: int, expected: list) -> list[tuple[int, int]]:
-    """(key, image) for each key of ``poly`` and simple root alpha_i of H where
-    poly at image = key - (d_i + shift) pack(alpha_i), d_i the key's digit i,
-    is not the key's entry of ``expected`` (a missing image reads None).
-    The image is s_i nu for shift 0 and s_i(nu + rho_H) - rho_H for shift 1,
-    packed as long as the digits have room for it."""
-    out = []
-    for alpha, d in zip(h.alphas, digits):
-        a = _pack(alpha, layout[1])
-        images = [key - (x + shift) * a for key, x in zip(poly, d)]
-        found = list(map(poly.get, images))
-        if found != expected:
-            out += [(key, image) for key, image, v, e in zip(poly, images, found, expected)
-                    if v != e]
-    return out
-
-
 def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
     """Decompose the restriction of the irreducible G-module to H.
 
@@ -420,10 +402,13 @@ def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
     50 000) is refused before any multiplicity is computed, and the
     exception carries the exact dimension.
 
-    A certified embedding with |W_G| <= _NUMERATOR_MAX_ORDER, at a module of
-    dimension at least _NUMERATOR_DIM_PER_ELEMENT |W_G|, goes to
+    An embedding whose simple reflections of H all lift to W_G
+    (``Embedding.reflection_lifts``), with |W_G| <= _NUMERATOR_MAX_ORDER, at
+    a module of dimension at least _NUMERATOR_DIM_PER_ELEMENT |W_G|, goes to
     ``_branch_by_numerator``; every other call, and every call it declines,
     to ``_branch_by_restriction``, which names the witness of a refusal.
+    Only an embedding without that certificate has its restricted character
+    checked for W_H-invariance (``_broken_pair``).
     """
     cap = _resolve_cap(None, _BRANCH_CAP_ENV, DEFAULT_BRANCH_CAP)
     dim = weyl_dim(emb.g, lam)
@@ -438,14 +423,18 @@ def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
 
 
 def _branch_by_restriction(emb: Embedding, lam: Weight) -> dict[Weight, int]:
-    """``branch`` from the restricted character: a W_H-invariant multiset,
-    sum_nu n_nu ch V(nu), is decomposed by ``_dominant_count``, and any other
-    refused by ``_broken_pair``.  Raises at a negative n_nu."""
+    """``branch`` from the restricted character: a multiset through an
+    embedding without ``Embedding.reflection_lifts`` is first refused at a
+    broken pair if it has one (``_broken_pair``); a W_H-invariant multiset,
+    sum_nu n_nu ch V(nu), is decomposed by ``_dominant_count``.  Raises at a
+    negative n_nu."""
     h = emb.h
     counts, layout = _restricted_counts(emb, lam)
-    virtual = _dominant_count(h, counts, layout, all(emb.reflection_lifts))
-    if virtual is None:
-        raise _broken_pair(h, counts, layout)
+    if not all(emb.reflection_lifts):
+        broken = _broken_pair(h, counts, layout)
+        if broken is not None:
+            raise broken
+    virtual = _dominant_count(h, counts, layout)
     key = _height_order(h)
     negative = [nu for nu, n in virtual.items() if n < 0]
     if negative:
@@ -456,48 +445,32 @@ def _branch_by_restriction(emb: Embedding, lam: Weight) -> dict[Weight, int]:
             for nu in sorted(virtual, key=key, reverse=True) if virtual[nu]}
 
 
-def _dominant_count(h: RootSystem, counts: dict, layout: tuple,
-                    invariant: bool) -> dict | None:
-    """{nu: n_nu} at the H-dominant keys of ``counts``, packed with room for
-    every W_H-image of a dominant key and every nu + rho - w rho
-    (``_restricted_counts``), or the first negative n_nu of the peel alone;
-    None unless the keys are W_H-invariant, which is checked only when
-    ``invariant`` is false: every restriction through an embedding whose
-    simple reflections of H all lift to W_G (``Embedding.reflection_lifts``)
-    is invariant.
+def _dominant_count(h: RootSystem, counts: dict, layout: tuple) -> dict:
+    """{nu: n_nu} at the H-dominant keys of ``counts``, a W_H-invariant
+    multiset (by ``Embedding.reflection_lifts``, or else by ``_broken_pair``
+    finding no broken pair), packed with room for every nu + rho - w rho
+    (``_restricted_counts``); or the first negative n_nu of the peel alone.
 
     The dominant keys are read off by one mask, as a coordinate is >= 0
     exactly when the top bit of its digit is set, and only they are
-    unpacked.  The counts are W_H-invariant exactly when they equal the
-    counts spread over the W_H-orbit of each dominant key (every count is
-    >= 1); the orbits are checked to hold as many weights as there are keys
-    before any is listed, so a broken multiset lists no orbit larger than
-    itself.  Invariant keys holding kappa - beta at each dominant key kappa
-    and positive root beta with <kappa, beta_vee> > 0 (checked once per
-    W_kappa-orbit of beta, ``root_classes``) are saturated, and every dominant
-    weight below a key is a key (Humphreys, Introduction to Lie Algebras and
-    Representation Theory, 13.4 Lemma B); so is every nu with n_nu != 0.
+    unpacked; no W_H-orbit is listed.  Keys holding kappa - beta at each
+    dominant key kappa and positive root beta with <kappa, beta_vee> > 0
+    (checked once per W_kappa-orbit of beta, ``root_classes``) are
+    saturated, and every dominant weight below a key is a key (Humphreys,
+    Introduction to Lie Algebras and Representation Theory, 13.4 Lemma B);
+    so is every nu with n_nu != 0.
     The Racah-Speiser sum runs over the w with <rho - w rho, 2 rho_vee> at
     most the span of the keys' heights (``rho_shifts``), each over the
     dominant keys low enough for nu + rho - w rho to be a key; it is taken
     when W_H is listed and no more w lie under the span than there are keys.
-    Any other invariant multiset, as the adjoint module of a large H, is
-    peeled (``_peeled_count``).
+    Any other multiset, as the adjoint module of a large H, is peeled
+    (``_peeled_count``).
     """
     _, powers, offset = layout
     dominant = list(itertools.compress(counts, _nonnegative(counts, offset)))
     digits = _unpack(dominant, layout)
     nus = list(zip(*digits))
     mults = list(map(counts.__getitem__, dominant))
-    if not invariant:
-        if sum(map(orbit_size, itertools.repeat(h), map(_zeros, nus))) != len(counts):
-            return None
-        memo: dict[tuple, list[int]] = {}
-        spread: dict[int, int] = {}
-        for nu, m in zip(nus, mults):
-            spread.update(dict.fromkeys(_orbit_keys(h, nu, powers, memo), m))
-        if spread != counts:
-            return None
     lower = [kappa - _pack(h.positive_weights[b], powers)
              for kappa, nu in zip(dominant, nus) for b in root_classes(h, _zeros(nu))[0]
              if sum(map(operator.mul, h.coroots[b], nu)) > 0]
@@ -560,12 +533,27 @@ def _peeled_count(h: RootSystem, nus: list, mults: list, floor: int | None) -> d
     return virtual
 
 
-def _broken_pair(h: RootSystem, counts: dict, layout: tuple) -> ValueError:
-    """The refusal of ``counts``, which is not W_H-invariant, at the broken
-    pair highest in ``_height_order``."""
-    digits = _unpack(counts, layout)
+def _broken_pair(h: RootSystem, counts: dict, layout: tuple) -> ValueError | None:
+    """The refusal of ``counts`` at the broken pair highest in
+    ``_height_order``, or None when there is none.  A broken pair is a key
+    nu and its image s_i nu = nu - nu_i pack(alpha_i) under a simple
+    reflection of H whose counts differ (a missing image reads None), found
+    in one pass per simple root; with none, every s_i maps the keys onto
+    themselves with their counts, and the s_i generate W_H, so the multiset
+    is W_H-invariant.  The layout has room for every image
+    (``_restricted_counts``)."""
+    expected = list(counts.values())
+    broken = []
+    for alpha, d in zip(h.alphas, _unpack(counts, layout)):
+        a = _pack(alpha, layout[1])
+        images = [k - x * a for k, x in zip(counts, d)]
+        found = list(map(counts.get, images))
+        if found != expected:
+            broken += [(k, image) for k, image, v, e in zip(counts, images, found, expected)
+                       if v != e]
+    if not broken:
+        return None
     key = _height_order(h)
-    broken = _unmatched(counts, digits, h, layout, 0, list(counts.values()))
     flat = [k for pair in broken for k in pair]
     weight = dict(zip(flat, zip(*_unpack(flat, layout))))
     # s_i nu - nu is a multiple of alpha_i, so the lower weight of a pair
@@ -636,26 +624,26 @@ def _branch_by_numerator(emb: Embedding, lam: Weight) -> dict[Weight, int] | Non
 
     and dividing the right side by the factors over Q (``_numerator_
     certificate``) leaves Res(ch V(lam)) prod_{alpha > 0} (1 - e^{-alpha})
-    over the positive H-roots.  When that quotient is alternating under the
-    rho_H-shifted simple reflections, Res(ch V(lam)) is W_H-invariant and its
-    multiplicity n_nu is the quotient at each H-dominant nu.  No character of
-    G is computed.  None when the embedding is not certified, a division is
-    not exact, the quotient is not alternating or some n_nu is negative:
+    over the positive H-roots.  On an embedding certified by
+    ``Embedding.reflection_lifts``, Res(ch V(lam)) is W_H-invariant, so that
+    quotient is alternating under the rho_H-shifted simple reflections by
+    itself, and its value at each H-dominant nu is the multiplicity n_nu.
+    No character of G is computed.  None when the embedding lacks either
+    certificate, a division is not exact or some n_nu is negative:
     ``_branch_by_restriction`` then names the witness.
     """
     g, h, rows = emb.g, emb.h, emb.restriction
-    extra = _numerator_certificate(emb)
+    extra = _numerator_certificate(emb) if all(emb.reflection_lifts) else None
     if extra is None:
         return None
     # |<w(lam + rho), alpha_k_vee>| <= top, so every coordinate of the
     # numerator, and of each partial quotient (in its convex hull), is at
     # most bound in size; a line's base point, |x_j / gamma_j| + 1 steps
     # of gamma from x with |gamma_j| the largest entry, stays within
-    # 2 bound + max|gamma|, and a reflected image within 4 (bound + 1) + 1
-    # (|a_ij| <= 3)
+    # 2 bound + max|gamma|
     top = max(sum(map(operator.mul, lam.coords, co)) + sum(co) for co in g.coroots)
     bound = (top + 1) * max(sum(map(abs, row)) for row in rows)
-    layout = _layout(h.rank, 4 * (bound + 1) + 1 + max(
+    layout = _layout(h.rank, 2 * bound + max(
         [abs(x) for gamma in extra for x in gamma], default=0))
     f = [_pack(col, layout[1]) for col in zip(*rows)]  # pack(Res omega_k)
     keys = _orbit_keys(g, [c + 1 for c in lam.coords], f, {})
@@ -671,11 +659,8 @@ def _branch_by_numerator(emb: Embedding, lam: Weight) -> dict[Weight, int] | Non
         if poly is None:
             return None
 
-    values = list(poly.values())
-    digits = _unpack(poly, layout)
-    if _unmatched(poly, digits, h, layout, 1, list(map(operator.neg, values))):
-        return None
-    found = [(nu, n) for nu, n in zip(zip(*digits), values) if min(nu) >= 0]
+    found = [(nu, n) for nu, n in zip(zip(*_unpack(poly, layout)), poly.values())
+             if min(nu) >= 0]
     if any(n < 0 for _, n in found):
         return None
     key = _height_order(h)

@@ -22,9 +22,9 @@ from typing import Iterable, NamedTuple
 from .embed import (CriterionInput, Embedding, detect_twist, restrict, rho_h,
                     root_fiber, validate)
 from .registry import lookup_donkin
-from .rootsys import (Weight, _keep, _kept, _require_int, coords_text, index_set,
-                      parabolic_weyl_order, require_dominant_integral, rho_J)
-from .weyl import WeylElement, _resolve_cap, walk_parabolic
+from .rootsys import (Weight, _keep, _kept, _require_int, _resolve_cap, coords_text,
+                      index_set, parabolic_weyl_order, require_dominant_integral, rho_J)
+from .weyl import WeylElement, walk_parabolic
 
 ORBIT_LABEL_CAP = 100
 

@@ -22,9 +22,11 @@ with a given support at once, as indices into the fundamental orbits
 (``fundamental_orbit``), and keeps it across calls; it is the one orbit
 enumerator of the package, and it and ``fundamental_orbit`` are each one
 breadth-first pass; ``orbit_layers`` gives where each layer starts, so on
-the regular orbit the sign eps(w) of every row.  The same cache keeps
-``weyl.rho_shifts``, every w of W with rho - w rho, its height and its
-sign, for the Racah-Speiser sum, and the orbit labels of ``criteria``.
+the regular orbit the sign eps(w) of every row; an orbit above
+FROBCRIT_ENUM_CAP (``_resolve_cap``) is refused before its table is built.
+The same cache keeps ``weyl.rho_shifts``, every w of W with rho - w rho,
+its height and its sign, for the Racah-Speiser sum, and the orbit labels of
+``criteria``.
 ``parabolic_weyl_order`` is |W_J| from the heights of R_J^+, the positive
 roots supported on J (``positive_roots_on``, one AND per root against its
 bitmask in ``RootSystem.support_masks``), ``RootSystem.weyl_order`` is
@@ -48,6 +50,7 @@ any positive scale of each component's form, so no output depends on it.
 from __future__ import annotations
 
 import operator
+import os
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -62,6 +65,9 @@ _SPEC_RE = re.compile(r"^([A-G])([0-9]+)$")
 # grows about as rank^3.5 (0.07 s on identity:B16, 0.8 s on identity:B32,
 # Python 3.11 on 2 vCPUs)
 MAX_RANK = 16
+
+DEFAULT_ENUM_CAP = 10 ** 6
+_ENUM_CAP_ENV = "FROBCRIT_ENUM_CAP"
 
 
 def _simple_type(letter: str, rank: int) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
@@ -190,6 +196,27 @@ def _require_int(value, what: str) -> int:
     # bools are ints to Python but not to a JSON reader; floats would truncate
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _resolve_cap(cap: int | None, env_name: str = _ENUM_CAP_ENV,
+                 default: int = DEFAULT_ENUM_CAP) -> int:
+    """The positive cap argument, else the positive integer in env_name, else
+    default: the one parser of FROBCRIT_ENUM_CAP and FROBCRIT_BRANCH_CAP, for
+    this module, ``weyl``, ``charalg`` and ``criteria``."""
+    if cap is not None:
+        if _require_int(cap, "cap") < 1:
+            raise ValueError(f"cap must be a positive integer, got {cap!r}")
+        return cap
+    env = os.environ.get(env_name)
+    if env is None:
+        return default
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0  # refused below, like any value under 1
+    if value < 1:
+        raise ValueError(f"{env_name} must be a positive integer, got {env!r}")
     return value
 
 
@@ -503,7 +530,9 @@ def orbit_table(rs: RootSystem, support: tuple[int, ...]):
     first from mu's row, all zeros, one layer per reflection (on the regular
     orbit, the layer of w is its length); s_i moves each column through its
     fundamental orbit's action table.  The table is root data of rs, kept
-    across calls.
+    across calls.  An orbit of more than FROBCRIT_ENUM_CAP (default 10^6)
+    points, its size read off ``orbit_size`` before any work is done, is
+    refused with its exact size, whether or not its table is kept.
     """
     return _orbit_rows(rs, support)[0]
 
@@ -512,14 +541,20 @@ def orbit_layers(rs: RootSystem, support: tuple[int, ...]) -> list[int]:
     """The row at which each breadth-first layer of ``orbit_table(rs,
     support)`` starts, and its row count last.  On the regular orbit (support
     every node) the rows of layer l are the w of length l, so the sign
-    eps(w) of a row is the parity of its layer."""
+    eps(w) of a row is the parity of its layer.  Refused like ``orbit_table``."""
     return _orbit_rows(rs, support)[1]
 
 
 def _orbit_rows(rs: RootSystem, support: tuple[int, ...]):
     key = (rs.components, support)
-    if key in _orbit_tables:
-        return _orbit_tables[key][0]
+    kept, cap = _kept(key), _resolve_cap(None)
+    size = kept[1][-1] if kept else orbit_size(
+        rs, tuple([i for i in range(1, rs.rank + 1) if i - 1 not in support]))
+    if size > cap:
+        raise ValueError(f"refusing the orbit table of {rs.spec_string()} on the support "
+                         f"{[k + 1 for k in support]}: the orbit has {size} points, cap is {cap}")
+    if kept:
+        return kept
     acts = [fundamental_orbit(rs, k)[1] for k in support]
     start = (0,) * len(support)
     rows, seen, layer, starts = [start], {start}, [start], [0]

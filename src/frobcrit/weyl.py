@@ -27,7 +27,6 @@ normalises J and reads R_J^+ once, for the sum and for w_0^J's length check.
 from __future__ import annotations
 
 import operator
-import os
 from typing import Iterable, Sequence
 
 from .rootsys import (
@@ -38,6 +37,7 @@ from .rootsys import (
     _kept,
     _pack,
     _require_int,
+    _resolve_cap,
     _unpack,
     descend,
     index_set,
@@ -46,9 +46,6 @@ from .rootsys import (
     reflect_word,
     root_to_weight,
 )
-
-DEFAULT_ENUM_CAP = 10 ** 6
-_ENUM_CAP_ENV = "FROBCRIT_ENUM_CAP"
 
 
 class EnumerationCapExceeded(ValueError):
@@ -173,25 +170,6 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
             raise ValueError(f"simple reflection index {i} outside 1..{rs.rank}")
     x = reflect_word(rs, (1,) * rs.rank, reversed(letters))
     return _element(rs, _pack(x, rs.rho_layout[1]), letters)
-
-
-def _resolve_cap(cap: int | None, env_name: str = _ENUM_CAP_ENV,
-                 default: int = DEFAULT_ENUM_CAP) -> int:
-    """The positive cap argument, else the positive integer in env_name, else default."""
-    if cap is not None:
-        if _require_int(cap, "cap") < 1:
-            raise ValueError(f"cap must be a positive integer, got {cap!r}")
-        return cap
-    env = os.environ.get(env_name)
-    if env is None:
-        return default
-    try:
-        value = int(env)
-    except ValueError:
-        value = 0  # refused below, like any value under 1
-    if value < 1:
-        raise ValueError(f"{env_name} must be a positive integer, got {env!r}")
-    return value
 
 
 def walk_parabolic(rs: RootSystem, J: Iterable[int] | None = None,

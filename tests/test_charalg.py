@@ -412,7 +412,8 @@ def reference_branch(emb, lam):
 
 
 def certified(emb):
-    return _numerator_certificate(emb) is not None
+    """Whether the divided numerator takes the embedding: both certificates."""
+    return _numerator_certificate(emb) is not None and all(emb.reflection_lifts)
 
 
 @pytest.mark.parametrize("emb", registry_embeddings(), ids=lambda e: e.label)
@@ -446,6 +447,11 @@ EDGE_EMBEDDINGS = [
     (diagonal("A1", 2), [(0, 0), (3, 2)]),
     (frobenius_twisted_diagonal("A1", 2), [(1, 1), (0, 1), (3, 1)]),
     (frobenius_twisted_diagonal("A2", 3), [(1, 0, 1, 0), (0, 0, 1, 1)]),
+    # a numerator certificate without reflection_lifts: the restriction
+    # kernel answers, refusing at a broken pair or a negative coefficient,
+    # and at (5, 5), an invariant character, decomposing
+    (Embedding(build_root_system("A2"), build_root_system("A1"), [[3, -1]],
+               label="A2:[3,-1]"), [(2, 1), (4, 0), (2, 2), (3, 3), (5, 5)]),
 ]
 
 
@@ -615,6 +621,14 @@ REFUSAL_TEXTS = {
     ("A2:double", (2, 2)): "negative residual multiplicity -1 at (5, 2)",
     ("G2:double", (1, 0)): "negative residual multiplicity -1 at (0, 1)",
     ("G2:double", (0, 1)): "negative residual multiplicity -1 at (3, 0)",
+    ("A2:[3,-1]", (2, 1)): "weight (-1) of the restricted character is not dominant and has "
+                           "multiplicity 1, but its reflection (1) has 2; restriction is not "
+                           "a character of H",
+    ("A2:[3,-1]", (4, 0)): "weight (-2) of the restricted character is not dominant and has "
+                           "multiplicity 1, but its reflection (2) has 0; restriction is not "
+                           "a character of H",
+    ("A2:[3,-1]", (2, 2)): "negative residual multiplicity -1 at (8)",
+    ("A2:[3,-1]", (3, 3)): "negative residual multiplicity -1 at (13)",
 }
 
 

@@ -409,19 +409,20 @@ def test_sweep_embeddings_match_the_tuple_reference(emb, monkeypatch):
 ], ids=["double", "triple", "not-invariant", "E8-orbit"])
 def test_keys_that_are_not_saturated_or_invariant_go_to_the_descent(emb, lam, text, monkeypatch):
     # keys that are not saturated are peeled, and keys that are not
-    # W_H-invariant refused at a broken pair.  double restricts to the keys
-    # (+-2) at (1), triple to (+-6), (0) at (2): invariant, but n_nu < 0 at
-    # a weight that is not a key.  The dominant key rho of E8 has an orbit
-    # of 696 729 600 weights against 2 keys, and is declined before any
-    # orbit is listed
+    # W_H-invariant refused at a broken pair before _dominant_count is
+    # called.  double restricts to the keys (+-2) at (1), triple to (+-6),
+    # (0) at (2): invariant, but n_nu < 0 at a weight that is not a key.  The
+    # dominant key rho of E8 has an orbit of 696 729 600 weights against 2
+    # keys, and the broken-pair scan lists no orbit of W_H
     counted = _spied(monkeypatch, "_dominant_count")
     peeled = _spied(monkeypatch, "_peeled_count")
+    tables = _calls(monkeypatch, charalg, "orbit_table")
     with pytest.raises(ValueError) as caught:
         charalg._branch_by_restriction(emb, Weight(lam))
     assert str(caught.value).startswith(text)
     invariant = text.startswith("negative")
-    assert [out is not None for out in counted] == [invariant]
-    assert len(peeled) == invariant
+    assert len(counted) == len(peeled) == invariant
+    assert invariant or [args for args in tables if args[0] == emb.h] == []
 
 
 def test_unsaturated_keys_build_no_character_larger_than_the_module():
@@ -641,34 +642,32 @@ def test_the_certificate_is_the_brute_force_lift_on_small_matrices(g_spec, h_spe
             assert reference_broken_pairs(h, restricted_character(emb, lam)) == [], lam
 
 
-def _certified_cases():
-    cases = {id(emb): emb for emb in registry_embeddings() + SWEEP + WITNESS_CASES}
-    return [emb for emb in cases.values() if all(emb.reflection_lifts)]
-
-
 def test_a_certified_count_is_the_checked_count():
-    # skipping the orbit-size sum and the spread changes no count: every
-    # certified case of this file, at every weight of dimension <= 200 (every
+    # the broken-pair scan, which a certified call skips, finds a pair
+    # exactly where the tuple oracle does, and so none on a certified case:
+    # every case of this file, at every weight of dimension <= 200 (every
     # k-th one past 60 weights)
-    compared = 0
-    for emb in _certified_cases():
+    cases = {id(emb): emb for emb in registry_embeddings() + SWEEP + WITNESS_CASES}
+    compared, broken = Counter(), 0
+    for emb in cases.values():
         weights = dominant_weights_upto(emb.g, 200)
         for lam in weights[::-(-len(weights) // 60)]:
             try:
                 counts, layout = charalg._restricted_counts(emb, lam)
             except ValueError:  # a non-integral weight
                 continue
-            certified = charalg._dominant_count(emb.h, counts, layout, True)
-            assert certified is not None
-            assert certified == charalg._dominant_count(emb.h, counts, layout, False), \
-                (emb.label, lam)
-            compared += 1
-    assert compared > 1000
+            restricted = dict(zip(zip(*charalg._unpack(counts, layout)), counts.values()))
+            pairs = reference_broken_pairs(emb.h, restricted)
+            found = charalg._broken_pair(emb.h, counts, layout)
+            assert (found is None) == (pairs == []), (emb.label, lam)
+            compared[all(emb.reflection_lifts)] += 1
+            broken += found is not None
+    assert compared[True] > 1000 and compared[False] > 100 and broken >= 10
 
 
 def test_a_certified_branch_builds_no_w_h_orbit_table(monkeypatch):
-    # levi:E6 restricted to A5 with cold tables: the invariance check spread
-    # each dominant key over its W(A5)-orbit, building A5's orbit tables
+    # levi:E6 restricted to A5 with cold tables: the certificate stands in
+    # for any invariance check, and no table of W(A5) is built or read
     monkeypatch.setattr(rootsys, "_orbit_tables", {})
     monkeypatch.setattr(rootsys, "_table_total", 0)
     monkeypatch.setattr(charalg, "_char_cache", {})
@@ -678,11 +677,14 @@ def test_a_certified_branch_builds_no_w_h_orbit_table(monkeypatch):
     for lam in (Weight([0, 0, 0, 0, 0, 2]), Weight([1, 0, 0, 0, 0, 1])):
         assert branch(emb, lam) == reference_kernel(emb, lam)
     assert all(emb.reflection_lifts)
-    assert [args for args in tables + sizes if args[0] == emb.h] == []
+    # nor does an uncertified one whose restriction is W_H-invariant: the
+    # broken-pair scan finds no pair, and n_(1) = -2 is refused
+    skew = _custom("A2", "A1", [[1, -1]], "skew")
+    assert not all(skew.reflection_lifts)
+    with pytest.raises(ValueError, match=r"^negative residual multiplicity -2 at \(1\)$"):
+        branch(skew, Weight([1, 1]))
+    assert [args for args in tables + sizes if args[0] in (emb.h, skew.h)] == []
     assert any(args[0] == emb.g for args in tables)  # the G side reads its tables
-    counts, layout = charalg._restricted_counts(emb, Weight([0, 0, 0, 0, 0, 2]))
-    charalg._dominant_count(emb.h, counts, layout, False)
-    assert any(args[0] == emb.h for args in tables) and any(args[0] == emb.h for args in sizes)
 
 
 # -- the orbit tables --------------------------------------------------------------
@@ -710,6 +712,32 @@ def test_orbit_tables_list_each_orbit_once(spec):
         zeros = [i + 1 for i in range(rs.rank) if i not in support]
         assert len(rows) == order // parabolic_weyl_order(rs, zeros), (spec, support)
         assert set(rows) == set(orbit_walk(rs, mu)) and len(set(rows)) == len(rows)
+
+
+def test_orbit_tables_refuse_an_orbit_above_the_enumeration_cap(monkeypatch):
+    # a weight of A3 with support {1, 2} has an orbit of 24 / 2 = 12 points:
+    # refused at a cap of 11 before its table is built, built at 12, and
+    # refused again at 11 once the table is kept
+    monkeypatch.setattr(rootsys, "_orbit_tables", {})
+    monkeypatch.setattr(rootsys, "_table_total", 0)
+    a3 = build_root_system("A3")
+    text = (r"^refusing the orbit table of A3 on the support \[1, 2\]: the orbit has "
+            r"12 points, cap is 11$")
+    monkeypatch.setenv("FROBCRIT_ENUM_CAP", "11")
+    for entry in (orbit_table, orbit_layers):
+        with pytest.raises(ValueError, match=text):
+            entry(a3, (0, 1))
+    assert [key[-1] for key in rootsys._orbit_tables] == ["size"]
+    monkeypatch.setenv("FROBCRIT_ENUM_CAP", "12")
+    assert len(orbit_table(a3, (0, 1))[0]) == orbit_layers(a3, (0, 1))[-1] == 12
+    monkeypatch.setenv("FROBCRIT_ENUM_CAP", "11")
+    for entry in (orbit_table, orbit_layers):
+        with pytest.raises(ValueError, match=text):
+            entry(a3, (0, 1))
+    # by default the regular orbit of E8 is refused by its size alone
+    monkeypatch.delenv("FROBCRIT_ENUM_CAP")
+    with pytest.raises(ValueError, match=r"the orbit has 696729600 points, cap is 1000000$"):
+        orbit_layers(build_root_system("E8"), tuple(range(8)))
 
 
 @pytest.mark.parametrize("spec", _systems_up_to_rank(4) + ["E6"])

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from frobcrit import rootsys, weyl
 from frobcrit.rootsys import (
+    DEFAULT_ENUM_CAP,
     RootSystem,
     Weight,
     build_root_system,
@@ -19,7 +20,6 @@ from frobcrit.rootsys import (
     root_to_weight,
 )
 from frobcrit.weyl import (
-    DEFAULT_ENUM_CAP,
     EnumerationCapExceeded,
     WeylElement,
     enumerate_parabolic,
