@@ -428,7 +428,9 @@ def test_branch_matches_full_character_reference(emb):
 
 
 def test_registry_embeddings_are_certified_but_the_levis():
-    assert [e.label for e in registry_embeddings() if not certified(e)] == ["levi:C2:J=[1]"]
+    embs = registry_embeddings()
+    assert [e.label for e in embs if _numerator_certificate(e) is None] == ["levi:C2:J=[1]"]
+    assert [e.label for e in embs if not certified(e)] == ["levi:C2:J=[1]"]
 
 
 EDGE_EMBEDDINGS = [
@@ -658,9 +660,20 @@ UNCERTIFIED = [
 def test_numerator_certificate_fails(emb):
     # a fractional matrix, a positive G-root restricting to 0, or an H-root
     # that is the restriction of no positive G-root
-    assert not certified(emb)
+    assert _numerator_certificate(emb) is None
     lam = Weight([1] * emb.g.rank)
     assert _branch_by_numerator(emb, lam) is None
+
+
+def test_a_numerator_certificate_without_reflection_lifts_is_declined():
+    # the divided numerator needs both certificates, even where the
+    # restriction is a character of H
+    emb = next(e for e, _ in EDGE_EMBEDDINGS if e.label == "A2:[3,-1]")
+    assert _numerator_certificate(emb) is not None and not all(emb.reflection_lifts)
+    assert not certified(emb)
+    for coords in [(2, 1), (2, 2), (5, 5)]:
+        assert _branch_by_numerator(emb, Weight(coords)) is None, coords
+    assert branch(emb, W(5, 5)) == _branch_by_restriction(emb, W(5, 5)) != {}
 
 
 @pytest.mark.parametrize("emb", list({e.label: e for e in registry_embeddings() + SWEEP
