@@ -33,6 +33,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__, embed, registry
 from .criteria import (
+    CONCLUSION_TAGS,
     CriterionReport,
     check_main,
     conjugated_borel_check,
@@ -112,8 +113,16 @@ def embedding_to_json(e: embed.Embedding) -> dict:
     }
 
 
+def _labels_json(words) -> list[list[int]] | None:
+    return [list(w) for w in words] if words is not None else None
+
+
 def report_to_json(report: CriterionReport) -> dict:
     inp = report.input
+    # check_main gives every conclusion of a report the same orbit words: their
+    # list is built once and shared, so the writer renders it once
+    words = report.conclusions[0].orbit_labels if report.conclusions else None
+    labels = _labels_json(words)
     return {
         "schema": "frobcrit-report/1",
         "input": {
@@ -144,8 +153,8 @@ def report_to_json(report: CriterionReport) -> dict:
                 "statement": c.statement,
                 "theorem": c.theorem,
                 "orbit_count": c.orbit_count,
-                "orbit_labels": [list(w) for w in c.orbit_labels]
-                if c.orbit_labels is not None else None,
+                "orbit_labels": labels if c.orbit_labels is words
+                else _labels_json(c.orbit_labels),
             }
             for c in report.conclusions
         ],
@@ -164,21 +173,62 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: _LITERAL, typ
 
 def _indented(obj, newline: str = "\n") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, each line after the first opened by
-    ``newline``: scalars by exact type (strings through the C encoder), a list of plain ints in
-    one join, and a value of any other type through ``json.dumps``, its newlines re-indented."""
-    scalar = _SCALARS.get(type(obj))
+    ``newline``: scalars by exact type (strings through the C encoder), a list of plain ints
+    or of plain strs in one join, and a value of any other type through ``json.dumps``, its
+    newlines re-indented.  The pieces go to one list, joined once."""
+    parts: list[str] = []
+    _write(obj, newline, parts, {})
+    return "".join(parts)
+
+
+def _write(obj, newline: str, parts: list[str], memo: dict) -> None:
+    """Append the text of ``obj`` to ``parts``.  ``memo`` maps (id, newline) of each
+    container written so far, other than a flat list, to its slice of ``parts``, then to its
+    text once it recurs: a container met again at the same depth is rendered once.  It lives
+    for one call of ``_indented``, since an id names one object only while it is alive."""
+    kind = type(obj)
+    scalar = _SCALARS.get(kind)
     if scalar:
-        return scalar(obj)
-    kind, inner = type(obj), newline + "  "
-    if kind is list or kind is tuple:
-        items = (map(str, obj) if set(map(type, obj)) == {int}
-                 else [_indented(x, inner) for x in obj])
-        return "[" + inner + ("," + inner).join(items) + newline + "]" if obj else "[]"
-    if kind is dict and set(map(type, obj)) <= {str}:
-        return "{" + inner + ("," + inner).join([
-            encode_basestring_ascii(k) + ": " + _indented(v, inner)
-            for k, v in sorted(obj.items())]) + newline + "}" if obj else "{}"
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
+        parts.append(scalar(obj))
+        return
+    if not (kind is list or kind is tuple or kind is dict and set(map(type, obj)) <= {str}):
+        parts.append(json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline))
+        return
+    if not obj:
+        parts.append("{}" if kind is dict else "[]")
+        return
+    inner = newline + "  "
+    sep = "," + inner
+    if kind is not dict:
+        types = set(map(type, obj))
+        if types == {int} or types == {str}:
+            parts += ("[", inner, sep.join(map(_SCALARS[types.pop()], obj)), newline, "]")
+            return
+    key = (id(obj), newline)
+    seen = memo.get(key)
+    if seen is not None:
+        if type(seen) is slice:
+            seen = memo[key] = "".join(parts[seen])
+        parts.append(seen)
+        return
+    start, opened = len(parts), ("{" if kind is dict else "[") + inner
+    if kind is dict:
+        for k, v in sorted(obj.items()):
+            scalar = _SCALARS.get(type(v))
+            if scalar:
+                parts.append(opened + encode_basestring_ascii(k) + ": " + scalar(v))
+            else:
+                parts.append(opened + encode_basestring_ascii(k) + ": ")
+                _write(v, inner, parts, memo)
+            opened = sep
+        parts.append(newline + "}")
+    else:
+        for x in obj:
+            parts.append(opened)
+            _write(x, inner, parts, memo)
+            opened = sep
+        parts.append(newline + "]")
+    memo[key] = slice(start, len(parts))
 
 
 def _emit_json(obj, out) -> None:
@@ -354,6 +404,11 @@ def _validate_expect(expect) -> None:
         valid, what = _EXPECT_KEYS[key]
         if not valid(value):
             raise InputError(f"expect {key!r} must be {what}, got {json.dumps(value)}")
+        # a misspelt tag could never be excluded, and never included
+        for tag in value if _EXPECT_KEYS[key] is _TAG_LIST else ():
+            if tag not in CONCLUSION_TAGS:
+                raise InputError(f"unknown conclusion tag {tag!r} in expect {key!r}; "
+                                 f"expected one of {', '.join(CONCLUSION_TAGS)}")
 
 
 def _check_expectations(report: CriterionReport, expect: dict) -> bool:

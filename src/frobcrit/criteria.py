@@ -30,11 +30,25 @@ ORBIT_LABEL_CAP = 100
 
 SURJECTIVITY_SOURCES = ("donkin-registry", "large-p", "user-asserted", "none")
 
+# every tag a conclusion can carry, as report_schema.json lists them: the six
+# that a splitting gives, in the order a CONDITIONAL statement names them
+CONCLUSION_TAGS = ("SPLIT_PJ", "GLOBALLY_F_REGULAR", "CANONICAL_SPLIT", "COR72_HPJ",
+                   "COR73_FLAG", "COHOMOLOGY_VANISHING", "CONDITIONAL")
 
-# Miller-Rabin on the first 13 prime bases decides primality exactly below
-# this bound (Sorenson and Webster, 2015)
+
+# Miller-Rabin on the first k prime bases decides primality exactly below
+# psi_k, the least strong pseudoprime to all of them (OEIS A014233; Jaeschke,
+# Math. Comp. 61 (1993); Sorenson and Webster, Math. Comp. 86 (2017)):
+#   k       1     2          3           4              5                  6
+#   psi_k   2047  1373653    25326001    3215031751     2152302898747      3474749660383
+#   k       7, 8              9, 10, 11              12                         13
+#   psi_k   341550071728321   3825123056546413051    318665857834031151167461   PRIMALITY_BOUND
+# so each n is tested on the first k bases for the least k with n < psi_k
 PRIMALITY_BOUND = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_TIERS = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+             (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9),
+             (318665857834031151167461, 12), (PRIMALITY_BOUND, 13))
 
 
 def _is_prime(n: int) -> bool:
@@ -47,10 +61,13 @@ def _is_prime(n: int) -> bool:
     for b in _MR_BASES:
         if n % b == 0:
             return n == b
+    if n < 1849:  # 43 ** 2, and no prime below 43 divides n
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for b in _MR_BASES:
+    k = next(k for psi, k in _MR_TIERS if n < psi)
+    for b in _MR_BASES[:k]:
         x = pow(b, d, n)
         if x in (1, n - 1):
             continue
@@ -216,8 +233,10 @@ def check_main(inp: CriterionInput) -> CriterionReport:
             "COR73_FLAG": full,
             "COHOMOLOGY_VANISHING": full,
         }
-        count = parabolic_weyl_order(emb.g, J)
+        # |W_J| is the number of kept orbit words, if any, else read off R_J^+;
         # FROBCRIT_ENUM_CAP is read, and a bad one refused, only under the label cap
+        words = _kept((emb.g.components, J, "words"))
+        count = len(words) if words is not None else parabolic_weyl_order(emb.g, J)
         words = (_orbit_words(emb.g, J) if count <= ORBIT_LABEL_CAP
                  and count <= _resolve_cap(None) else None)
         if not surjectivity.holds:
@@ -230,33 +249,34 @@ def check_main(inp: CriterionInput) -> CriterionReport:
                 "pending-surjectivity")]
         else:
             divisor = DivisorData((p - 1) * rj, p - 1, J)
-            extra = "; each orbit closure is globally F-regular" if regular else ""
-            statements = [(tag, statement, theorem) for tag, statement, theorem in (
+            # each statement is formatted only when its tag holds
+            statements = [(tag, text(), theorem) for tag, text, theorem in (
                 ("SPLIT_PJ",
-                 f"the induced variety H x_BH (P_J/B) is Frobenius split by a splitting of "
-                 f"weight (p-1)(2 rho_H - rho_J|_H) with p={p}, J={list(J)}, compatibly with "
-                 f"every induced Schubert variety H x_BH X(w), w in W_J",
+                 lambda: f"the induced variety H x_BH (P_J/B) is Frobenius split by a "
+                 f"splitting of weight (p-1)(2 rho_H - rho_J|_H) with p={p}, J={list(J)}, "
+                 f"compatibly with every induced Schubert variety H x_BH X(w), w in W_J",
                  "induced-parabolic-splitting"),
                 ("CANONICAL_SPLIT",
-                 f"rho_H - rho_J|_H = {coords_text(canonical.coords)} is dominant, so the "
+                 lambda: f"rho_H - rho_J|_H = {coords_text(canonical.coords)} is dominant, so the "
                  f"splitting of H x_BH (P_J/B) can be chosen B_H-canonical",
                  "canonical-splitting"),
                 ("GLOBALLY_F_REGULAR",
-                 f"2 rho_H - rho_J|_H = {coords_text(cond1.coords)} is regular dominant, so "
-                 f"H x_BH (P_J/B) and every induced Schubert variety H x_BH X(w), "
+                 lambda: f"2 rho_H - rho_J|_H = {coords_text(cond1.coords)} is regular dominant, "
+                 f"so H x_BH (P_J/B) and every induced Schubert variety H x_BH X(w), "
                  f"w in W_J, is globally F-regular",
                  "induced-parabolic-splitting"),
                 ("COR72_HPJ",
-                 f"Lie(H) + Lie(P_J) separability holds ({lie.source}), so the splitting "
-                 f"descends: H P_J/B is Frobenius split compatibly with the H-orbit "
-                 f"closures H.X(w) for all w in W_J{extra}",
+                 lambda: f"Lie(H) + Lie(P_J) separability holds ({lie.source}), so the "
+                 f"splitting descends: H P_J/B is Frobenius split compatibly with the H-orbit "
+                 f"closures H.X(w) for all w in W_J"
+                 f"{'; each orbit closure is globally F-regular' if regular else ''}",
                  "separable-descent"),
                 ("COR73_FLAG",
-                 "J is the full index set, so G/B itself is Frobenius split compatibly "
+                 lambda: "J is the full index set, so G/B itself is Frobenius split compatibly "
                  "with the closure of every H-orbit H.X(w), w in W",
                  "full-flag-descent"),
                 ("COHOMOLOGY_VANISHING",
-                 "for every dominant lambda and every w in W: H^i of the orbit closure "
+                 lambda: "for every dominant lambda and every w in W: H^i of the orbit closure "
                  "H.X(w) with coefficients in L(lambda) vanishes for i > 0, and "
                  "H^0(G/B, L(lambda)) -> H^0 of the orbit closure is surjective",
                  "full-flag-descent"),

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import given, strategies as st
 
 import frobcrit
 from frobcrit import charalg, cli, criteria, embed, registry, rootsys
@@ -95,6 +96,27 @@ def test_check_expectations_fail(capsys):
     code, _, err = run(capsys, "check", json.dumps(data))
     assert code == 1
     assert "expectation failed" in err
+
+
+@pytest.mark.parametrize("key", ["tags_include", "tags_exclude"])
+def test_check_refuses_an_unknown_tag_in_expect(capsys, key):
+    # a misspelt tag could never be excluded (exit 0) and never included (exit 1)
+    data = dict(CHECK_INPUT, expect={key: ["SPLIT_PJ", "SPLITPJ"]})
+    assert run(capsys, "check", json.dumps(data)) == (
+        2, "", f"error: unknown conclusion tag 'SPLITPJ' in expect '{key}'; expected one of "
+        "SPLIT_PJ, GLOBALLY_F_REGULAR, CANONICAL_SPLIT, COR72_HPJ, COR73_FLAG, "
+        "COHOMOLOGY_VANISHING, CONDITIONAL\n")
+
+
+def test_schema_tags_are_the_tags_check_main_can_emit():
+    enum = load_schema()["definitions"]["conclusion"]["properties"]["tag"]["enum"]
+    assert criteria.CONCLUSION_TAGS == tuple(enum)
+    emb = embed.identity("A2")
+    emitted = {tag for J in ((), (1,), (2,), (1, 2)) for source in criteria.SURJECTIVITY_SOURCES
+               for flag in (None, "holds", "fails")
+               for tag in criteria.check_main(
+                   embed.CriterionInput(emb, J, 2, source, flag)).tags()}
+    assert emitted == set(enum)
 
 
 def test_check_lie_separability_expectation(capsys):
@@ -693,6 +715,57 @@ _WRITER_CASES = [
 @pytest.mark.parametrize("obj", _WRITER_CASES, ids=range(len(_WRITER_CASES)))
 def test_writer_equals_json_dumps_on_edge_cases(obj):
     assert cli._indented(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+_SCALAR_LEAVES = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.integers()
+    | st.integers(-(10 ** 400), 10 ** 400)
+    | st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7fé☃\U0001f600\u2028\ud800'), max_size=6)
+    | st.text(max_size=6))
+
+
+def _json_trees(leaves):
+    return st.recursive(leaves, lambda kids: (
+        st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=4), kids, max_size=4)), max_leaves=16)
+
+
+@st.composite
+def _trees_with_shared_parts(draw):
+    """A JSON tree in which some list, tuple or dict objects recur, at one depth
+    or at several, one of them inside another that recurs too."""
+    containers = st.lists(_SCALAR_LEAVES, min_size=1, max_size=3) | st.dictionaries(
+        st.text(max_size=3), _SCALAR_LEAVES | st.lists(_SCALAR_LEAVES, max_size=2),
+        min_size=1, max_size=3)
+    inner = draw(containers)
+    outer = draw(st.lists(_SCALAR_LEAVES | st.just(inner), min_size=1, max_size=4))
+    return draw(_json_trees(_SCALAR_LEAVES | st.sampled_from([inner, outer, (inner,)])))
+
+
+@given(_trees_with_shared_parts())
+def test_writer_equals_json_dumps_on_generated_trees(obj):
+    assert cli._indented(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_writer_renders_a_list_shared_at_two_depths_at_each():
+    x = [[1, 2], "a"]
+    obj = {"a": x, "b": {"c": x}}
+    assert cli._indented(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    assert cli._indented([x, x, [x]]) == json.dumps([x, x, [x]], indent=2, sort_keys=True)
+
+
+def test_writer_keeps_no_memo_between_calls():
+    # a memo that outlived its call would answer from a changed object's
+    # old text, or from a freed object whose id a new one reuses
+    x = [[1, 2], "a"]
+    obj = {"a": x, "b": [x, x]}
+    assert cli._indented(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    x[0].append(3)
+    x.append({"k": None})
+    assert cli._indented(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    for i in range(200):
+        fresh = {"k": [[i], str(i)]}
+        assert cli._indented(fresh) == json.dumps(fresh, indent=2, sort_keys=True)
 
 
 _EXAMPLE_NAMES = ("minimal-rank", "sp4", "sln-son:4", "sln-son:5", "sln-son:6", "sln-son:7",

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from frobcrit.criteria import (
     PRIMALITY_BOUND,
@@ -262,6 +263,63 @@ def test_is_prime_matches_trial_division():
                                318665857834031151167461])
 def test_is_prime_rejects_carmichael_and_strong_pseudoprimes(n):
     assert not _is_prime(n)
+
+
+# psi_k, the least strong pseudoprime to each of the first k prime bases, for
+# k = 1, ..., 12 (OEIS A014233; Jaeschke, Math. Comp. 61 (1993); Sorenson and
+# Webster, Math. Comp. 86 (2017)); psi_13 is PRIMALITY_BOUND
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+       3825123056546413051, 318665857834031151167461)
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n, base):
+    """Whether odd n > base passes the strong Fermat test to ``base``."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(base, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _thirteen_bases(n):
+    """Primality below PRIMALITY_BOUND by trial division and all 13 bases."""
+    if n < 2 or n in PRIME_BASES:
+        return n in PRIME_BASES
+    return (all(n % b for b in PRIME_BASES)
+            and all(_strong_probable_prime(n, b) for b in PRIME_BASES))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_each_primality_tier_holds_at_its_pseudoprime(k):
+    # psi_k fools the first k bases, so _is_prime must use more of them there;
+    # the largest prime below psi_k must still pass the k bases it is tested on
+    psi = PSI[k - 1]
+    assert all(_strong_probable_prime(psi, b) for b in PRIME_BASES[:k])
+    assert not _is_prime(psi)
+    below = psi - 2
+    while not _thirteen_bases(below):
+        below -= 2
+    assert _is_prime(below)
+
+
+@given(st.one_of(
+    st.integers(0, PRIMALITY_BOUND - 1),
+    st.integers(0, 10 ** 7),
+    st.builds(lambda psi, offset: psi + offset, st.sampled_from(PSI), st.integers(-200, 200))))
+@example(1847)  # the largest prime that trial division alone decides
+@example(1849)  # 43 ** 2, the first composite it leaves to the strong tests
+@example(43 * 47)
+@example(PRIMALITY_BOUND - 1)
+def test_is_prime_equals_the_thirteen_base_answer(n):
+    assert _is_prime(n) == _thirteen_bases(n)
 
 
 def test_is_prime_large_primes_and_bound():
