@@ -25,14 +25,12 @@ from .charalg import (
     BranchCapExceeded,
     branch,
     freudenthal,
-    fundamental_weight_surjectivity_scan,
     weyl_dim,
 )
 from .criteria import (
     CriterionReport,
     check_main,
     conjugated_borel_check,
-    divisor_weights,
     lemma53_min_p,
     thm41_hypotheses,
 )
@@ -42,9 +40,6 @@ from .rootsys import (
     RootSystem,
     Weight,
     build_root_system,
-    cartan_pairing,
-    is_dominant,
-    is_regular_dominant,
     rho,
     rho_J,
     root_to_weight,
@@ -55,22 +50,19 @@ from .weyl import (
     enumerate_parabolic,
     from_word,
     longest_element,
-    steinberg_weights,
     verify_st_decomp,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchCapExceeded", "branch", "freudenthal",
-    "fundamental_weight_surjectivity_scan", "weyl_dim",
+    "BranchCapExceeded", "branch", "freudenthal", "weyl_dim",
     "CriterionInput", "CriterionReport", "check_main", "conjugated_borel_check",
-    "divisor_weights", "lemma53_min_p", "thm41_hypotheses",
+    "lemma53_min_p", "thm41_hypotheses",
     "Embedding", "detect_twist", "restrict", "rho_h", "validate",
     "lookup_donkin",
-    "RootSystem", "Weight", "build_root_system", "cartan_pairing",
-    "is_dominant", "is_regular_dominant", "rho", "rho_J", "root_to_weight",
+    "RootSystem", "Weight", "build_root_system", "rho", "rho_J", "root_to_weight",
     "EnumerationCapExceeded", "WeylElement", "enumerate_parabolic", "from_word",
-    "longest_element", "steinberg_weights", "verify_st_decomp",
+    "longest_element", "verify_st_decomp",
     "__version__",
 ]

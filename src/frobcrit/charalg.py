@@ -43,7 +43,6 @@ import math
 import operator
 from collections import Counter
 from fractions import Fraction
-from typing import NamedTuple
 
 from .embed import Embedding
 from .rootsys import (
@@ -103,11 +102,6 @@ class BranchCapExceeded(ValueError):
             f"refusing to branch the module of {rs.spec_string()} with highest "
             f"weight {coords_text(lam.coords)}: dimension {_dimension_text(dim)}, "
             f"cap is {cap}")
-
-
-def dominant_conjugate(rs: RootSystem, weight: Weight) -> Weight:
-    """The unique dominant element of the Weyl orbit."""
-    return Weight(descend(rs, weight.coords)[0])
 
 
 def _zeros(coords) -> tuple[int, ...]:
@@ -380,14 +374,6 @@ def _restricted_counts(emb: Embedding, lam: Weight):
                 f"{coords_text(Fraction(x, scale) for x in r)}")
         counts = {key // scale: m for key, m in counts.items()}
     return counts, layout
-
-
-def restricted_character(emb: Embedding, lam: Weight) -> dict[tuple, int]:
-    """The restriction to H of the irreducible G-module with highest weight
-    lam, as {H-weight coordinates: multiplicity}, in no particular order;
-    raises at the non-integral weight highest in ``_height_order``."""
-    counts, layout = _restricted_counts(emb, lam)
-    return dict(zip(zip(*_unpack(counts, layout)), counts.values()))
 
 
 def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
@@ -666,25 +652,3 @@ def _branch_by_numerator(emb: Embedding, lam: Weight) -> dict[Weight, int] | Non
     key = _height_order(h)
     found.sort(key=lambda item: key(item[0]), reverse=True)
     return {Weight(nu): n for nu, n in found}
-
-
-class SurjectivityScanRow(NamedTuple):
-    index: int                 # 1-based fundamental weight index on G
-    top_weight: Weight         # leading H-constituent of the restriction
-    top_multiplicity: int
-    multiplicity_one: bool
-
-
-def fundamental_weight_surjectivity_scan(emb: Embedding) -> list[SurjectivityScanRow]:
-    """Leading branching multiplicity for each fundamental weight of G.
-
-    Multiplicity one for the top constituent is the numerical shadow of the
-    restriction map on sections being surjective at that weight.
-    """
-    rows = []
-    for i in range(1, emb.g.rank + 1):
-        lam = Weight([1 if k == i - 1 else 0 for k in range(emb.g.rank)])
-        decomposition = branch(emb, lam)
-        top, mult = next(iter(decomposition.items()))
-        rows.append(SurjectivityScanRow(i, top, mult, mult == 1))
-    return rows

@@ -624,8 +624,7 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # built once, on first use: building it took ~1.3 ms of a ~2.3 ms
-    # in-process `check`, and parse_args keeps no state between calls;
+    # built once, on first use: parse_args keeps no state between calls;
     # the subcommands' parsers are of the same class
     parser = _Parser(
         prog="frobcrit",

@@ -286,19 +286,6 @@ def check_main(inp: CriterionInput) -> CriterionReport:
                            conclusions, divisor)
 
 
-def divisor_weights(inp: CriterionInput) -> DivisorData:
-    """The splitting divisor data ((p-1) rho_J, one component per j in J).
-
-    Only meaningful when the criterion actually produces a splitting;
-    raises otherwise.
-    """
-    report = check_main(inp)
-    if report.divisor is None:
-        raise ValueError(
-            "no P_J-splitting was concluded for this input; divisor data undefined")
-    return report.divisor
-
-
 class Thm41Report(NamedTuple):
     weight: Weight
     p: int
@@ -317,6 +304,7 @@ def thm41_hypotheses(emb: Embedding, lam: Weight, p: int) -> Thm41Report:
     Condition (1) is supplied automatically when lam has Steinberg shape
     (p-1) rho_J for some J; otherwise the caller must argue it separately.
     """
+    min_p = _valid_min_p(emb)
     p = _require_int(p, "p")
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -328,7 +316,7 @@ def thm41_hypotheses(emb: Embedding, lam: Weight, p: int) -> Thm41Report:
     if all(c in (0, p - 1) for c in lam.coords):
         steinberg_J = tuple(i + 1 for i, c in enumerate(lam.coords) if c == p - 1)
     probe = CriterionInput(emb, steinberg_J or (), p, "donkin-registry")
-    surjectivity = _resolve_surjectivity(probe, _embedding_facts(emb)[1])
+    surjectivity = _resolve_surjectivity(probe, min_p)
     return Thm41Report(
         weight=lam,
         p=p,

@@ -44,7 +44,6 @@ sum_k lam_k c_k(gamma).  A product's symmetrizer is its components' d,
 concatenated, each component on its own scale: a pairing reads one
 component, where it is scale-free, and Freudenthal's recursion holds for
 any positive scale of each component's form, so no output depends on it.
-``cartan_pairing`` is the Fraction definition, kept as public API.
 """
 
 from __future__ import annotations
@@ -317,12 +316,6 @@ class RootSystem:
     def spec_string(self) -> str:
         return ",".join(f"{letter}{rank}" for letter, rank in self.components)
 
-    def simple_root(self, i: int) -> RootVector:
-        """The i-th simple root (1-based) in root coordinates."""
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"simple root index {i} out of range 1..{self.rank}")
-        return tuple(int(k == i - 1) for k in range(self.rank))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, RootSystem) and self.components == other.components
 
@@ -360,25 +353,6 @@ def root_to_weight(rs: RootSystem, root: Sequence[int]) -> Weight:
         raise ValueError("root rank mismatch")
     return Weight(sum(rs.cartan[i][j] * root[j] for j in range(rs.rank))
                   for i in range(rs.rank))
-
-
-def cartan_pairing(rs: RootSystem, lam: Weight, root: Sequence[int]) -> Fraction:
-    """<lam, beta_vee> for beta given in root coordinates.
-
-    With the symmetrizer d, (lam, beta) = sum_i lam_i c_i d_i up to the global
-    form scale, and (beta, beta) = sum_j c_j d_j (A c)_j; the pairing
-    2 (lam, beta) / (beta, beta) is scale-free.
-    """
-    if len(lam) != rs.rank or len(root) != rs.rank:
-        raise ValueError("rank mismatch in pairing")
-    d = rs.symmetrizer
-    numer = 2 * sum(lam.coords[i] * root[i] * d[i] for i in range(rs.rank))
-    denom = sum(root[j] * d[j]
-                * sum(rs.cartan[j][k] * root[k] for k in range(rs.rank))
-                for j in range(rs.rank))
-    if denom == 0:
-        raise ValueError("pairing against the zero vector")
-    return Fraction(numer, 1) / denom
 
 
 def rho(rs: RootSystem) -> Weight:
@@ -601,14 +575,6 @@ def rho_J(rs: RootSystem, J: Iterable[int]) -> Weight:
     """Sum of the fundamental weights indexed by J (1-based indices)."""
     members = index_set(rs, J)
     return Weight([1 if i + 1 in members else 0 for i in range(rs.rank)])
-
-
-def is_dominant(weight: Weight) -> bool:
-    return weight.is_dominant()
-
-
-def is_regular_dominant(weight: Weight) -> bool:
-    return weight.is_regular_dominant()
 
 
 def subsystem_components(rs: RootSystem, J: Iterable[int]):

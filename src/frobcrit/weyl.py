@@ -279,12 +279,3 @@ def verify_st_decomp(rs: RootSystem, J: Iterable[int]) -> tuple[Weight, Weight, 
     rj, w0 = _longest(rs, members, len(roots))
     rhs = rj - w0.act(rj)
     return lhs, rhs, lhs == rhs
-
-
-def steinberg_weights(rs: RootSystem, J: Iterable[int], p: int) -> tuple[Weight, Weight]:
-    """((p-1) rho_J, (1-p) w_0^J rho_J); requires p >= 2."""
-    if _require_int(p, "p") < 2:
-        raise ValueError(f"p must be at least 2, got {p}")
-    members = index_set(rs, J)
-    rj, w0 = _longest(rs, members, len(positive_roots_on(rs, members)))
-    return (p - 1) * rj, (1 - p) * w0.act(rj)

@@ -1,9 +1,10 @@
 """Independent reference implementations backing the derived test values.
 
 Deliberately naive re-derivations: epsilon-coordinate root models for the
-classical types, reflection-orbit root generation, the inverse Cartan matrix
-and root coordinates over Fraction, a tree walk of a Weyl orbit, a
-brute-force Weyl group closure with determinant signs, the closed-form
+classical types, reflection-orbit root generation, the inverse Cartan matrix,
+root coordinates and the pairing <lam, beta_vee> over Fraction, a tree
+walk of a Weyl orbit, a brute-force Weyl group closure with determinant
+signs, the closed-form
 order of each simple Weyl group, Kostant partition counting, the alternating-sum Weyl character formula, Freudenthal's
 recursion with every string summed to its top, the W_H-invariance check
 of a restricted character on tuples, the lift of each simple reflection
@@ -124,7 +125,7 @@ def reflection_orbit_positive_roots(rs: RootSystem) -> set[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# the simple-root basis over Fraction, and Weyl orbits as a tree
+# the simple-root basis and the pairing over Fraction, and Weyl orbits as a tree
 
 
 @functools.lru_cache(maxsize=None)
@@ -152,6 +153,25 @@ def root_coordinates(rs: RootSystem, weight: Weight) -> tuple[Fraction, ...]:
     inv = cartan_inverse(rs)
     return tuple(sum(inv[i][j] * weight.coords[j] for j in range(rs.rank))
                  for i in range(rs.rank))
+
+
+def cartan_pairing(rs: RootSystem, lam: Weight, root) -> Fraction:
+    """<lam, beta_vee> for beta given in root coordinates, by its definition.
+
+    With the symmetrizer d, (lam, beta) = sum_i lam_i c_i d_i up to the global
+    form scale, and (beta, beta) = sum_j c_j d_j (A c)_j; the pairing
+    2 (lam, beta) / (beta, beta) is scale-free.
+    """
+    if len(lam) != rs.rank or len(root) != rs.rank:
+        raise ValueError("rank mismatch in pairing")
+    d = rs.symmetrizer
+    numer = 2 * sum(lam.coords[i] * root[i] * d[i] for i in range(rs.rank))
+    denom = sum(root[j] * d[j]
+                * sum(rs.cartan[j][k] * root[k] for k in range(rs.rank))
+                for j in range(rs.rank))
+    if denom == 0:
+        raise ValueError("pairing against the zero vector")
+    return Fraction(numer, 1) / denom
 
 
 def orbit_walk(rs: RootSystem, start, alphas=None):

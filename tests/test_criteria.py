@@ -10,7 +10,6 @@ from frobcrit.criteria import (
     _is_prime,
     check_main,
     conjugated_borel_check,
-    divisor_weights,
     lemma53_min_p,
     thm41_hypotheses,
 )
@@ -30,10 +29,11 @@ from frobcrit.embed import (
     so_in_sl,
 )
 from frobcrit.registry import example_sln_son, lookup_donkin
-from frobcrit.rootsys import Weight, build_root_system, cartan_pairing, rho_J
+from frobcrit.rootsys import Weight, build_root_system, rho_J
 from frobcrit.weyl import from_word
 from frobcrit.weyl import identity as weyl_identity
 
+from oracles import cartan_pairing
 from test_acceptance import registry_embeddings
 
 
@@ -352,25 +352,30 @@ def test_rejects_bad_source_and_flag():
 
 
 def test_rejects_invalid_embedding():
-    from fractions import Fraction
-    h = build_root_system("A1")
-    bad = Embedding(h, h, [[Fraction(-1)]], label="flip")
-    with pytest.raises(ValueError, match="validation"):
-        check_main(CriterionInput(bad, (1,), 2))
+    # thm41_hypotheses refuses an embedding that fails validation by
+    # check_main's text
+    a1, a2 = build_root_system("A1"), build_root_system("A2")
+    for bad in (Embedding(a1, a1, [[Fraction(-1)]], label="flip"),
+                Embedding(a2, a1, [[0, 0]], label="collapse")):
+        with pytest.raises(ValueError, match="^embedding fails validation: ") as refused:
+            check_main(CriterionInput(bad, (1,), 2))
+        with pytest.raises(ValueError) as audited:
+            thm41_hypotheses(bad, Weight([1] * bad.g.rank), 2)
+        assert str(audited.value) == str(refused.value)
+    assert str(refused.value) == ("embedding fails validation: positive root (1,) of A1 "
+                                  "is not the restriction of any positive root of A2")
 
 
 # -- divisor data -----------------------------------------------------------------
 
 def test_divisor_weights():
-    data = divisor_weights(CriterionInput(identity("C2"), (1, 2), 3))
+    # a report's divisor is (p-1) rho_J, one component of multiplicity p-1 per
+    # index of J, and there is none when no splitting is concluded
+    data = check_main(CriterionInput(identity("C2"), (1, 2), 3)).divisor
     assert data.weight == Weight([2, 2])
     assert data.multiplicity == 2
     assert data.indices == (1, 2)
-
-
-def test_divisor_weights_refuses_unsplit_input():
-    with pytest.raises(ValueError, match="divisor"):
-        divisor_weights(CriterionInput(diagonal("A1", 3), (1, 2, 3), 2))
+    assert check_main(CriterionInput(diagonal("A1", 3), (1, 2, 3), 2)).divisor is None
 
 
 # -- monotonicity across parabolic sizes --------------------------------------------

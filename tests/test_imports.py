@@ -5,17 +5,22 @@ Every import in ``src/frobcrit`` sits at module level, no module but
 no cycle, each module imports on its own, ``import frobcrit.cli`` loads
 neither ``dataclasses`` nor ``inspect``, and the names the
 benchmark's tracer wraps (``perfbench/tracing.py``, read here, never
-imported or changed) are still bound where it looks for them.
+imported or changed) are still bound where it looks for them.  Every
+public name is either used in the package or listed in README's Library
+section.
 """
 
 import ast
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
+
+import frobcrit
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "frobcrit"
@@ -117,3 +122,29 @@ def test_tracer_targets_still_resolve():
         for part in path.split("."):
             obj = getattr(obj, part)
         assert callable(obj), (module, path)
+
+
+def _used_in_package():
+    """Every bare name read in ``src/frobcrit``, but not inside the function
+    or class that defines a name of that spelling, nor in ``__init__``."""
+    used = set()
+
+    def walk(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        if isinstance(node, ast.Name) and node.id not in defining:
+            used.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            walk(child, defining)
+
+    for name in MODULES:
+        walk(_tree(name), frozenset())
+    return used
+
+
+def test_every_public_name_is_used_in_the_package_or_listed_in_the_readme():
+    library = re.search(r"\n## Library\n(.*?)\n## ", (ROOT / "README.md").read_text(), re.S)[1]
+    listed = set(re.findall(r"^- `(\w+)`", library, re.M))
+    used = _used_in_package()
+    assert [n for n in frobcrit.__all__
+            if n != "__version__" and n not in used and n not in listed] == []

@@ -29,7 +29,6 @@ from frobcrit.weyl import (
     from_word,
     identity,
     longest_element,
-    steinberg_weights,
     verify_st_decomp,
 )
 
@@ -101,7 +100,6 @@ def _index_set_calls(J):
         lambda: enumerate_parabolic(rs, J),
         lambda: longest_element(rs, J),
         lambda: verify_st_decomp(rs, J),
-        lambda: steinberg_weights(rs, J, 3),
         lambda: rho_J(rs, J),
         lambda: subsystem_components(rs, J),
         lambda: levi(rs, J),

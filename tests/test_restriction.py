@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobcrit import charalg, embed, rootsys, weyl
-from frobcrit.charalg import branch, freudenthal, restricted_character, weyl_dim, weyl_orbit
+from frobcrit.charalg import branch, freudenthal, weyl_dim, weyl_orbit
 from frobcrit.embed import Embedding, diagonal, folding_E6F4, levi, so_in_sl
 from frobcrit.rootsys import (
     Weight,
@@ -114,6 +114,14 @@ def walk_branch(emb, lam, restrict=walk_restriction):
             f"negative residual multiplicity {virtual[worst]} at {_text(worst)}")
     return {Weight(nu): virtual[nu]
             for nu in sorted(virtual, key=key, reverse=True) if virtual[nu]}
+
+
+def restricted_character(emb, lam):
+    """The library's restriction to H of the irreducible G-module with highest
+    weight lam, as {H-weight coordinates: multiplicity}, in no particular
+    order; raises at the non-integral weight highest in ``_height_order``."""
+    counts, layout = charalg._restricted_counts(emb, lam)
+    return dict(zip(zip(*rootsys._unpack(counts, layout)), counts.values()))
 
 
 def outcome(fn, emb, lam):
