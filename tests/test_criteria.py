@@ -370,12 +370,18 @@ def test_rejects_invalid_embedding():
 
 def test_divisor_weights():
     # a report's divisor is (p-1) rho_J, one component of multiplicity p-1 per
-    # index of J, and there is none when no splitting is concluded
+    # index of J
     data = check_main(CriterionInput(identity("C2"), (1, 2), 3)).divisor
     assert data.weight == Weight([2, 2])
     assert data.multiplicity == 2
     assert data.indices == (1, 2)
-    assert check_main(CriterionInput(diagonal("A1", 3), (1, 2, 3), 2)).divisor is None
+
+
+def test_divisor_weights_refuses_unsplit_input():
+    # no divisor is reported when no splitting is concluded
+    rep = check_main(CriterionInput(diagonal("A1", 3), (1, 2, 3), 2))
+    assert not rep.conclusions
+    assert rep.divisor is None
 
 
 # -- monotonicity across parabolic sizes --------------------------------------------
