@@ -1,33 +1,41 @@
-"""Command line interface.
+"""usage: frobcrit check INPUT [--format json|text]
+       frobcrit examples list [--format json|text]
+       frobcrit examples run NAME [--format json|text|dot]
+       frobcrit verify-identities [--max-rank N] [--force] [--format json|text]
+       frobcrit min-p EMBEDDING [--format json|text]
+       frobcrit branch EMBEDDING WEIGHT [--format json|text]
+       frobcrit --version
 
-    frobcrit check INPUT [--format json|text]
-    frobcrit examples list
-    frobcrit examples run NAME [--format json|text|dot]
-    frobcrit verify-identities [--max-rank N] [--force]
-    frobcrit min-p EMBEDDING
-    frobcrit branch EMBEDDING WEIGHT
+Exact checks of the Frobenius-splitting criteria for spherical orbit
+closures in flag varieties.
 
-INPUT and EMBEDDING are a file path, ``-`` for stdin, or inline JSON (any
-argument starting with ``{``).  Embedding descriptors name a builder with
+INPUT and EMBEDDING are a file path, - for stdin, or inline JSON (any
+argument starting with {).  Embedding descriptors name a builder with
 parameters, or give a custom restriction matrix:
 
     {"builder": "so_in_sl", "params": {"n": 6}}
     {"custom": {"g": "A1,A1", "h": "A1", "matrix": [["1", "3"]]}}
 
-All rational numbers are rendered as strings ``a/b`` in lowest terms (bare
-``a`` when integral); JSON output is byte-deterministic.  Exit status: 0 on
+WEIGHT is comma-separated fundamental coordinates, such as 1,0 or -1,2.
+Options go before or after the positionals, as --opt value or --opt=value,
+and a long option may be cut to any prefix that names it alone.  An
+argument is an option only when it starts with -- or is -h; -h or --help
+prints this text.
+
+All rational numbers are rendered as strings a/b in lowest terms (bare a
+when integral); JSON output is byte-deterministic.  Exit status: 0 on
 success, 1 when a requested expectation fails, 2 when the input is refused:
-every ``ValueError`` the library raises, and every refusal of the argument
-parser, ends in one ``error:`` line on stderr.
+every ValueError the library raises, and every refusal of the command line,
+ends in one "error:" line on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import re
 import sys
+import types
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -103,7 +111,10 @@ def weight_to_json(w: Weight) -> list[str]:
     return list(map(str, w.coords))
 
 
+@functools.lru_cache(maxsize=64)
 def embedding_to_json(e: embed.Embedding) -> dict:
+    """The JSON block of an embedding, built once per ``Embedding`` object (it hashes by
+    identity) and shared by every report of it, so no caller may change it."""
     return {
         "label": e.label,
         "g": e.g.spec_string(),
@@ -438,29 +449,29 @@ def _cmd_examples_list(args) -> int:
     return 0
 
 
-def _run_example(name: str, fmt: str) -> int:
-    if name == "sp4":
+def _cmd_examples_run(args) -> int:
+    if args.name == "sp4":
         ex = registry.example_sp4()
         verdicts = [conjugated_borel_check(ex.embedding, x, ex.J)
                     for x in ex.conjugators]
         ok = tuple(verdicts) == ex.expected_verdicts
-        if fmt == "dot":
+        if args.format == "dot":
             sys.stdout.write(_sp4_dot(ex, verdicts))
         else:
             expected = list(ex.expected_verdicts)
-            _emit_example(name, [{
+            _emit_example(args.name, [{
                 "embedding": embedding_to_json(ex.embedding),
                 "J": list(ex.J),
                 "conjugator_words": [list(x.word) for x in ex.conjugators],
                 "verdicts": verdicts,
                 "expected_verdicts": expected,
                 "diagram": _diagram_json(ex.diagram),
-            }], [f"conjugated Borel verdicts: {verdicts} expected {expected}"], ok, fmt)
+            }], [f"conjugated Borel verdicts: {verdicts} expected {expected}"], ok, args.format)
         return 0 if ok else 1
-    record, args = _match_example(name)
-    if fmt == "dot":
+    record, params = _match_example(args.name)
+    if args.format == "dot":
         raise InputError("dot output is only available for the sp4 example")
-    inputs = record.inputs(*args)
+    inputs = record.inputs(*params)
     # an expectation on dominance alone is shown as "expected_dominant"
     shown = ({"expected_dominant": record.expect["condition1_dominant"]}
              if set(record.expect) == {"condition1_dominant"} else {"expected": record.expect})
@@ -472,7 +483,7 @@ def _run_example(name: str, fmt: str) -> int:
         results.append({"report": report_to_json(report), **shown, "expectation_met": met})
         lines.append(f"{inp.embedding.label} J={list(inp.J)} p={inp.p}"
                      f" dominant={report.condition1_dominant} tags={list(report.tags())}")
-    _emit_example(name, results, lines, ok, fmt)
+    _emit_example(args.name, results, lines, ok, args.format)
     return 0 if ok else 1
 
 
@@ -555,25 +566,19 @@ def _cmd_verify_identities(args) -> int:
     if pairs > VERIFY_PAIR_CAP:
         raise InputError(f"--max-rank {args.max_rank} would check {pairs} (system, J) "
                          f"pairs, above the cap of {VERIFY_PAIR_CAP}")
-    checked = 0
     failures = []
     for spec in specs:
         rs = build_root_system(spec)
         for mask in range(1 << rs.rank):
             J = [i + 1 for i in range(rs.rank) if mask >> i & 1]
             lhs, rhs, equal = verify_st_decomp(rs, J)
-            checked += 1
             if not equal:
-                failures.append({
-                    "system": spec,
-                    "J": J,
-                    "lhs": weight_to_json(lhs),
-                    "rhs": weight_to_json(rhs),
-                })
+                failures.append({"system": spec, "J": J,
+                                 "lhs": weight_to_json(lhs), "rhs": weight_to_json(rhs)})
     summary = {"max_rank": args.max_rank, "systems": specs,
-               "checked": checked, "failures": failures}
+               "checked": pairs, "failures": failures}
     if args.format == "text":
-        print(f"checked {checked} (system, J) pairs over {len(specs)} systems; "
+        print(f"checked {pairs} (system, J) pairs over {len(specs)} systems; "
               f"failures: {len(failures)}")
         for f in failures:
             print(f"  {f['system']} J={f['J']}: {f['lhs']} != {f['rhs']}")
@@ -614,69 +619,68 @@ def _cmd_branch(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argparse parser whose refusals are InputErrors, so that they end
-    in the one ``error:`` line of ``main`` like every other refusal."""
+# command path -> (handler, positional names, {option: (type, choices, default)}), bool the
+# type of a flag; a group has no handler, and its one positional is the next word of the path
+_FORMAT = {"--format": (str, ("json", "text"), "json")}
+_COMMANDS = {
+    "": (None, ("command",), {"--version": (bool, (), False)}),
+    "check": (_cmd_check, ("input",), _FORMAT),
+    "examples": (None, ("action",), {}),
+    "examples list": (_cmd_examples_list, (), _FORMAT),
+    "examples run": (_cmd_examples_run, ("name",),
+                     {"--format": (str, ("json", "text", "dot"), "json")}),
+    "verify-identities": (_cmd_verify_identities, (), {
+        "--max-rank": (int, (), 4), "--force": (bool, (), False), **_FORMAT}),
+    "min-p": (_cmd_min_p, ("embedding",), _FORMAT),
+    "branch": (_cmd_branch, ("embedding", "weight"), _FORMAT),
+}
 
-    def error(self, message: str):
-        raise InputError(f"{self.prog}: {message}")
 
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # built once, on first use: parse_args keeps no state between calls;
-    # the subcommands' parsers are of the same class
-    parser = _Parser(
-        prog="frobcrit",
-        description="Exact verification of Frobenius-splitting criteria "
-                    "for spherical orbit closures in flag varieties.")
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p, choices=("json", "text")):
-        p.add_argument("--format", choices=choices, default="json",
-                       help="output format (default: json)")
-
-    p_check = sub.add_parser("check", help="run the splitting criterion on one input")
-    p_check.add_argument("input", help="path, - for stdin, or inline JSON")
-    add_format(p_check)
-    p_check.set_defaults(func=_cmd_check)
-
-    p_ex = sub.add_parser("examples", help="list or run the bundled examples")
-    ex_sub = p_ex.add_subparsers(dest="action", required=True)
-    p_list = ex_sub.add_parser("list", help="list example names")
-    add_format(p_list)
-    p_list.set_defaults(func=_cmd_examples_list)
-    p_run = ex_sub.add_parser("run", help="run one example and verify expectations")
-    p_run.add_argument("name")
-    add_format(p_run, ("json", "text", "dot"))
-    p_run.set_defaults(func=lambda args: _run_example(args.name, args.format))
-
-    p_ver = sub.add_parser("verify-identities",
-                           help="sweep the Steinberg-type decomposition identity")
-    p_ver.add_argument("--max-rank", type=int, default=4)
-    p_ver.add_argument("--force", action="store_true",
-                       help="allow --max-rank above 6")
-    add_format(p_ver)
-    p_ver.set_defaults(func=_cmd_verify_identities)
-
-    p_minp = sub.add_parser("min-p", help="large-p surjectivity bound of an embedding")
-    p_minp.add_argument("embedding", help="embedding descriptor (path, -, or JSON)")
-    add_format(p_minp)
-    p_minp.set_defaults(func=_cmd_min_p)
-
-    p_branch = sub.add_parser("branch", help="branch an irreducible through an embedding")
-    p_branch.add_argument("embedding", help="embedding descriptor (path, -, or JSON)")
-    p_branch.add_argument("weight", help="comma-separated fundamental coordinates")
-    add_format(p_branch)
-    p_branch.set_defaults(func=_cmd_branch)
-    return parser
+def _parse(argv: list[str]):
+    """The handler ``argv`` names and its namespace, by the rules in the module docstring."""
+    path, positionals, values = "", [], {}
+    handler, names, options = _COMMANDS[path]
+    tokens = iter([part for t in argv for part in (t.split("=", 1) if t[:2] == "--" else [t])])
+    def refused(message: str, choices=()) -> InputError:
+        shown = f" (choose from {', '.join(map(repr, choices))})" if choices else ""
+        return InputError(f"frobcrit {path}".rstrip() + f": {message}{shown}")
+    for token in tokens:
+        if token == "-h" or token.startswith("--") and token != "--":
+            named = [o for o in ("-h", "--help", *options) if o.startswith(token)]
+            if len(named) != 1:
+                raise refused(f"ambiguous option: {token} could match {', '.join(named)}"
+                              if named else f"unrecognized arguments: {token}")
+            if named[0] in ("-h", "--help", "--version"):
+                print(f"frobcrit {__version__}" if named[0] == "--version" else __doc__)
+                raise SystemExit(0)
+            option, (kind, choices, _) = named[0], options[named[0]]
+            if (value := True if kind is bool else next(tokens, None)) is None:
+                raise refused(f"argument {option}: expected one argument")
+            try:
+                values[option] = kind(value)
+            except ValueError:
+                raise refused(f"argument {option}: invalid {kind.__name__} value: {value!r}")
+            if choices and values[option] not in choices:
+                raise refused(f"argument {option}: invalid choice: {value!r}", choices)
+        elif handler is None:
+            words = [k.rpartition(" ")[2] for k in _COMMANDS if k and k.rpartition(" ")[0] == path]
+            if token not in words:
+                raise refused(f"argument {names[0]}: invalid choice: {token!r}", words)
+            handler, names, options = _COMMANDS[path := f"{path} {token}".lstrip()]
+        else:
+            positionals.append(token)
+    missing, extra = names[len(positionals):], positionals[len(names):]
+    if missing or extra:
+        raise refused(f"unrecognized arguments: {' '.join(extra)}" if extra
+                      else f"the following arguments are required: {', '.join(missing)}")
+    return handler, types.SimpleNamespace(**dict(zip(names, positionals)), **{
+        o[2:].replace("-", "_"): values.get(o, d) for o, (_, _, d) in options.items()})
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        return args.func(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        return handler(args)
     except ValueError as err:  # InputError, and every refusal the library raises
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -684,9 +688,5 @@ def main(argv=None) -> int:
         return 0
 
 
-def console_main() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    console_main()
+    sys.exit(main())

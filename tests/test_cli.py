@@ -337,6 +337,88 @@ def test_help_still_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: frobcrit")
 
 
+# -- the command table ---------------------------------------------------------------
+
+IDENTITY_A2 = '{"builder": "identity", "params": {"h": "A2"}}'
+COMMANDS = "'check', 'examples', 'verify-identities', 'min-p', 'branch'"
+# every kind of refusal of the command line, with its whole text
+_REFUSALS = {
+    "no command": ([], "frobcrit: the following arguments are required: command"),
+    "unknown command": (
+        ["nope"], f"frobcrit: argument command: invalid choice: 'nope' (choose from {COMMANDS})"),
+    "examples without action": (
+        ["examples"], "frobcrit examples: the following arguments are required: action"),
+    "unknown action": (
+        ["examples", "nope"],
+        "frobcrit examples: argument action: invalid choice: 'nope' (choose from 'list', 'run')"),
+    "missing positional": (
+        ["branch", IDENTITY_A2], "frobcrit branch: the following arguments are required: weight"),
+    "missing positionals": (
+        ["branch"], "frobcrit branch: the following arguments are required: embedding, weight"),
+    "extra positional": (["check", "a", "b"], "frobcrit check: unrecognized arguments: b"),
+    "extra positionals": (
+        ["examples", "list", "a", "b"], "frobcrit examples list: unrecognized arguments: a b"),
+    "unknown option": (
+        ["check", "a", "--bogus"], "frobcrit check: unrecognized arguments: --bogus"),
+    "option of another command": (
+        ["check", "--max-rank", "2"], "frobcrit check: unrecognized arguments: --max-rank"),
+    "top-level unknown option": (["--bogus"], "frobcrit: unrecognized arguments: --bogus"),
+    "ambiguous prefix": (
+        ["verify-identities", "--f"],
+        "frobcrit verify-identities: ambiguous option: --f could match --force, --format"),
+    "option without its value": (
+        ["verify-identities", "--max-rank"],
+        "frobcrit verify-identities: argument --max-rank: expected one argument"),
+    "bad int": (
+        ["verify-identities", "--max-rank=2.5"],
+        "frobcrit verify-identities: argument --max-rank: invalid int value: '2.5'"),
+    "bad choice": (
+        ["check", "a", "--format", "dot"],
+        "frobcrit check: argument --format: invalid choice: 'dot' (choose from 'json', 'text')"),
+    "bad choice after =": (
+        ["examples", "run", "sp4", "--format="],
+        "frobcrit examples run: argument --format: invalid choice: '' "
+        "(choose from 'json', 'text', 'dot')"),
+    "flag given a value": (
+        ["verify-identities", "--force=1"],
+        "frobcrit verify-identities: unrecognized arguments: 1"),
+}
+
+
+@pytest.mark.parametrize("argv, text", _REFUSALS.values(), ids=_REFUSALS)
+def test_every_refusal_of_the_command_line_is_one_error_line(capsys, argv, text):
+    assert run(capsys, *argv) == (2, "", f"error: {text}\n")
+
+
+def test_option_forms_read_as_one(capsys):
+    # --opt=value, a unique prefix and an option before the positional all read as --format text
+    inline = json.dumps(CHECK_INPUT)
+    expected = run(capsys, "check", inline, "--format", "text")
+    assert expected[0] == 0 and expected[1].startswith("embedding: identity:A2")
+    for argv in (["check", inline, "--format=text"], ["check", inline, "--form", "text"],
+                 ["check", "--f=text", inline], ["check", "--format", "json", inline,
+                                                  "--format", "text"]):
+        assert run(capsys, *argv) == expected, argv
+
+
+@pytest.mark.parametrize("argv", [["check", "X", "--help"], ["check", "-h"],
+                                  ["examples", "run", "-h"], ["-h"], ["--he"]])
+def test_help_anywhere_prints_the_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: frobcrit check INPUT [--format json|text]\n") and err == ""
+
+
+def test_branch_weight_with_a_leading_minus_reaches_the_weight_parser(capsys):
+    # only a token opening with -- (or -h) is an option, so -1,0 is the weight
+    assert run(capsys, "branch", IDENTITY_A2, "-1,0") == (
+        2, "", "error: highest weight must be dominant integral, got (-1, 0)\n")
+    code, out, _ = run(capsys, "branch", IDENTITY_A2, "--format", "text", "1,0")
+    assert code == 0 and out.startswith("identity:A2: restriction of (1,0)")
+
+
 def test_custom_matrix_floats_refused_exact_strings_accepted(capsys):
     code, out, err = run(capsys, "min-p", json.dumps(
         {"custom": {"g": "A1", "h": "A1", "matrix": [[0.1]]}}))
@@ -659,7 +741,7 @@ def test_reports_validate_across_formats_and_examples(capsys):
         validate_report(json.loads(out))
 
 
-# -- one parser for every call ------------------------------------------------------
+# -- one command table for every call ---------------------------------------------
 
 _SUCCESSIVE_CALLS = [
     ["check", json.dumps(CHECK_INPUT)],
@@ -677,9 +759,9 @@ _SUCCESSIVE_CALLS = [
 
 
 def test_successive_main_calls_match_fresh_processes():
-    # the parser is built once and reused; a call must not see what an
-    # earlier one parsed, whatever its subcommand, format or exit path
-    assert cli._build_parser() is cli._build_parser()
+    # the command table is only read, and each call fills a namespace of its own; a call
+    # must not see what an earlier one parsed, whatever its subcommand, format or exit path
+    assert cli._parse(["check", "x"])[1] is not cli._parse(["check", "x"])[1]
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
     for argv in _SUCCESSIVE_CALLS:
         out, err = io.StringIO(), io.StringIO()

@@ -3,7 +3,8 @@
 Every import in ``src/frobcrit`` sits at module level, no module but
 ``__init__`` imports a name it never uses, the intra-package imports form
 no cycle, each module imports on its own, ``import frobcrit.cli`` loads
-neither ``dataclasses`` nor ``inspect``, and the names the
+neither ``dataclasses`` nor ``inspect``, a ``check`` call loads neither
+``argparse`` nor ``gettext``, and the names the
 benchmark's tracer wraps (``perfbench/tracing.py``, read here, never
 imported or changed) are still bound where it looks for them.  Every
 public name is either used in the package or listed in README's Library
@@ -101,6 +102,20 @@ def test_cli_start_loads_neither_dataclasses_nor_inspect():
          "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_check_loads_neither_argparse_nor_gettext():
+    # the command line is read from one table: argparse would bring gettext at import, and
+    # locale, shutil, bz2 and lzma at its first parse, onto every `frobcrit` call
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    check = '{"embedding": {"builder": "levi", "params": {"g": "C2", "J": [1]}}, "J": [1], "p": 3}'
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys; from frobcrit import cli; "
+         "code = cli.main(['check', sys.argv[1]]); "
+         "print(code, sorted({'argparse', 'gettext'} & set(sys.modules)), file=sys.stderr)",
+         check], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "0 []\n")
+    assert '\n  "schema": "frobcrit-report/1",\n' in proc.stdout
 
 
 def _tracer_targets():
