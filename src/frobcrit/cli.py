@@ -1,4 +1,30 @@
-"""usage: frobcrit check INPUT [--format json|text]
+"""The frobcrit command line; ``USAGE``, which -h prints, says how to call it."""
+
+from __future__ import annotations
+
+import functools
+import json
+import re
+import sys
+import types
+from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+
+from . import __version__, embed, registry
+from .criteria import (
+    CONCLUSION_TAGS,
+    CriterionReport,
+    check_main,
+    conjugated_borel_check,
+    lemma53_min_p,
+)
+from .charalg import branch
+from .embed import CriterionInput
+from .rootsys import MAX_RANK, Weight, _require_int, build_root_system, coords_text
+from .weyl import verify_st_decomp
+
+# a plain string, not the module docstring, so that python -OO keeps it
+USAGE = """usage: frobcrit check INPUT [--format json|text]
        frobcrit examples list [--format json|text]
        frobcrit examples run NAME [--format json|text|dot]
        frobcrit verify-identities [--max-rank N] [--force] [--format json|text]
@@ -28,29 +54,6 @@ success, 1 when a requested expectation fails, 2 when the input is refused:
 every ValueError the library raises, and every refusal of the command line,
 ends in one "error:" line on stderr.
 """
-
-from __future__ import annotations
-
-import functools
-import json
-import re
-import sys
-import types
-from fractions import Fraction
-from json.encoder import encode_basestring_ascii
-
-from . import __version__, embed, registry
-from .criteria import (
-    CONCLUSION_TAGS,
-    CriterionReport,
-    check_main,
-    conjugated_borel_check,
-    lemma53_min_p,
-)
-from .charalg import branch
-from .embed import CriterionInput
-from .rootsys import MAX_RANK, Weight, _require_int, build_root_system, coords_text
-from .weyl import verify_st_decomp
 
 # verify-identities --max-rank 10 checks 8 258 (system, J) pairs in ~1.5-2 s; 16 would be 524 354
 VERIFY_PAIR_CAP = 10_000
@@ -111,10 +114,7 @@ def weight_to_json(w: Weight) -> list[str]:
     return list(map(str, w.coords))
 
 
-@functools.lru_cache(maxsize=64)
 def embedding_to_json(e: embed.Embedding) -> dict:
-    """The JSON block of an embedding, built once per ``Embedding`` object (it hashes by
-    identity) and shared by every report of it, so no caller may change it."""
     return {
         "label": e.label,
         "g": e.g.spec_string(),
@@ -124,57 +124,86 @@ def embedding_to_json(e: embed.Embedding) -> dict:
     }
 
 
-def _labels_json(words) -> list[list[int]] | None:
-    return [list(w) for w in words] if words is not None else None
+# _DEPTH[k] opens a line k levels deep in the report
+_DEPTH = tuple("\n" + "  " * k for k in range(5))
 
 
-def report_to_json(report: CriterionReport) -> dict:
-    inp = report.input
-    # check_main gives every conclusion of a report the same orbit words: their
-    # list is built once and shared, so the writer renders it once
+@functools.lru_cache(maxsize=64)
+def _embedding_text(e: embed.Embedding) -> str:
+    """The embedding block of a report, written once per ``Embedding`` object (it hashes
+    by identity) at the block's depth and shared by every report of it."""
+    return _indented(embedding_to_json(e), _DEPTH[2])
+
+
+def _flat(texts, newline: str) -> str:
+    """A JSON list of rendered scalars, one per line, its closing line opened by ``newline``."""
+    body = ("," + newline + "  ").join(texts)
+    return "[" + newline + "  " + body + newline + "]" if body else "[]"
+
+
+def _numbers(values, newline: str) -> str:
+    """``_flat`` of the str() of each number as a JSON string: no such text needs escaping."""
+    return _flat(['"%s"' % v for v in values], newline)
+
+
+def _labels_text(words) -> str:
+    """A conclusion's orbit labels: null, or each word as a list of its letters."""
+    if words is None:
+        return "null"
+    return _flat([_flat(map(str, w), _DEPTH[4]) for w in words], _DEPTH[3])
+
+
+def report_to_json(report: CriterionReport) -> str:
+    """The ``frobcrit-report/1`` text of a report: byte for byte ``json.dumps`` of its
+    fields with ``indent=2, sort_keys=True``, written in the schema's sorted key order.
+    check_main gives every conclusion of a report the same orbit words, written once."""
+    inp, surj, lie = report.input, report.surjectivity, report.lie_separability
     words = report.conclusions[0].orbit_labels if report.conclusions else None
-    labels = _labels_json(words)
-    return {
-        "schema": "frobcrit-report/1",
-        "input": {
-            "embedding": embedding_to_json(inp.embedding),
-            "J": list(inp.J),
-            "p": inp.p,
-            "surjectivity_source": inp.surjectivity_source,
-            "lie_separability_flag": inp.lie_separability,
-        },
-        "lemma53_min_p": report.lemma53_min_p,
-        "condition1": {
-            "weight": weight_to_json(report.condition1_weight),
-            "dominant": report.condition1_dominant,
-            "regular": report.condition1_regular,
-        },
-        "surjectivity": {
-            "status": report.surjectivity.status,
-            "source": report.surjectivity.source,
-            "detail": report.surjectivity.detail,
-        },
-        "lie_separability": {
-            "status": report.lie_separability.status,
-            "source": report.lie_separability.source,
-        },
-        "conclusions": [
-            {
-                "tag": c.tag,
-                "statement": c.statement,
-                "theorem": c.theorem,
-                "orbit_count": c.orbit_count,
-                "orbit_labels": labels if c.orbit_labels is words
-                else _labels_json(c.orbit_labels),
-            }
-            for c in report.conclusions
-        ],
-        "divisor": {
-            "weight": weight_to_json(report.divisor.weight),
-            "multiplicity": report.divisor.multiplicity,
-            "indices": list(report.divisor.indices),
-        } if report.divisor is not None else None,
-    }
+    labels = _labels_text(words)
+    conclusions = _flat([f"""{{
+      "orbit_count": {_scalar(c.orbit_count)},
+      "orbit_labels": {labels if c.orbit_labels is words else _labels_text(c.orbit_labels)},
+      "statement": {encode_basestring_ascii(c.statement)},
+      "tag": {encode_basestring_ascii(c.tag)},
+      "theorem": {encode_basestring_ascii(c.theorem)}
+    }}""" for c in report.conclusions], _DEPTH[1])
+    div = report.divisor
+    divisor = "null" if div is None else f"""{{
+    "indices": {_flat(map(str, div.indices), _DEPTH[2])},
+    "multiplicity": {div.multiplicity},
+    "weight": {_numbers(div.weight.coords, _DEPTH[2])}
+  }}"""
+    return f"""{{
+  "conclusions": {conclusions},
+  "condition1": {{
+    "dominant": {_LITERAL(report.condition1_dominant)},
+    "regular": {_LITERAL(report.condition1_regular)},
+    "weight": {_numbers(report.condition1_weight.coords, _DEPTH[2])}
+  }},
+  "divisor": {divisor},
+  "input": {{
+    "J": {_flat(map(str, inp.J), _DEPTH[2])},
+    "embedding": {_embedding_text(inp.embedding)},
+    "lie_separability_flag": {_scalar(inp.lie_separability)},
+    "p": {inp.p},
+    "surjectivity_source": {encode_basestring_ascii(inp.surjectivity_source)}
+  }},
+  "lemma53_min_p": {report.lemma53_min_p},
+  "lie_separability": {{
+    "source": {encode_basestring_ascii(lie.source)},
+    "status": {encode_basestring_ascii(lie.status)}
+  }},
+  "schema": "frobcrit-report/1",
+  "surjectivity": {{
+    "detail": {encode_basestring_ascii(surj.detail)},
+    "source": {encode_basestring_ascii(surj.source)},
+    "status": {encode_basestring_ascii(surj.status)}
+  }}
+}}"""
+
+
+class _Json(str):
+    """Text that is already JSON, spliced into the writer's output as it stands."""
 
 
 _LITERAL = {True: "true", False: "false", None: "null"}.__getitem__
@@ -182,28 +211,31 @@ _LITERAL = {True: "true", False: "false", None: "null"}.__getitem__
 _SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: _LITERAL, type(None): _LITERAL}
 
 
+def _scalar(value) -> str:
+    return _SCALARS[type(value)](value)
+
+
 def _indented(obj, newline: str = "\n") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, each line after the first opened by
     ``newline``: scalars by exact type (strings through the C encoder), a list of plain ints
-    or of plain strs in one join, and a value of any other type through ``json.dumps``, its
-    newlines re-indented.  The pieces go to one list, joined once."""
+    or of plain strs in one join, ``_Json`` text as it stands and a value of any other type
+    through ``json.dumps``, the newlines of both re-indented (JSON text holds no raw
+    newline).  The pieces go to one list, joined once."""
     parts: list[str] = []
-    _write(obj, newline, parts, {})
+    _write(obj, newline, parts)
     return "".join(parts)
 
 
-def _write(obj, newline: str, parts: list[str], memo: dict) -> None:
-    """Append the text of ``obj`` to ``parts``.  ``memo`` maps (id, newline) of each
-    container written so far, other than a flat list, to its slice of ``parts``, then to its
-    text once it recurs: a container met again at the same depth is rendered once.  It lives
-    for one call of ``_indented``, since an id names one object only while it is alive."""
+def _write(obj, newline: str, parts: list[str]) -> None:
+    """Append the text of ``obj`` to ``parts``."""
     kind = type(obj)
     scalar = _SCALARS.get(kind)
     if scalar:
         parts.append(scalar(obj))
         return
     if not (kind is list or kind is tuple or kind is dict and set(map(type, obj)) <= {str}):
-        parts.append(json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline))
+        text = obj if kind is _Json else json.dumps(obj, indent=2, sort_keys=True)
+        parts.append(text.replace("\n", newline))
         return
     if not obj:
         parts.append("{}" if kind is dict else "[]")
@@ -215,14 +247,7 @@ def _write(obj, newline: str, parts: list[str], memo: dict) -> None:
         if types == {int} or types == {str}:
             parts += ("[", inner, sep.join(map(_SCALARS[types.pop()], obj)), newline, "]")
             return
-    key = (id(obj), newline)
-    seen = memo.get(key)
-    if seen is not None:
-        if type(seen) is slice:
-            seen = memo[key] = "".join(parts[seen])
-        parts.append(seen)
-        return
-    start, opened = len(parts), ("{" if kind is dict else "[") + inner
+    opened = ("{" if kind is dict else "[") + inner
     if kind is dict:
         for k, v in sorted(obj.items()):
             scalar = _SCALARS.get(type(v))
@@ -230,16 +255,15 @@ def _write(obj, newline: str, parts: list[str], memo: dict) -> None:
                 parts.append(opened + encode_basestring_ascii(k) + ": " + scalar(v))
             else:
                 parts.append(opened + encode_basestring_ascii(k) + ": ")
-                _write(v, inner, parts, memo)
+                _write(v, inner, parts)
             opened = sep
         parts.append(newline + "}")
     else:
         for x in obj:
             parts.append(opened)
-            _write(x, inner, parts, memo)
+            _write(x, inner, parts)
             opened = sep
         parts.append(newline + "]")
-    memo[key] = slice(start, len(parts))
 
 
 def _emit_json(obj, out) -> None:
@@ -401,7 +425,7 @@ def _cmd_check(args) -> int:
     if args.format == "text":
         sys.stdout.write(_report_text(report))
     else:
-        _emit_json(report_to_json(report), sys.stdout)
+        sys.stdout.write(report_to_json(report) + "\n")
     return 0 if _check_expectations(report, expect or {}) else 1
 
 
@@ -480,7 +504,7 @@ def _cmd_examples_run(args) -> int:
         report = check_main(inp)
         met = _check_expectations(report, record.expect)
         ok = ok and met
-        results.append({"report": report_to_json(report), **shown, "expectation_met": met})
+        results.append({"report": _Json(report_to_json(report)), **shown, "expectation_met": met})
         lines.append(f"{inp.embedding.label} J={list(inp.J)} p={inp.p}"
                      f" dominant={report.condition1_dominant} tags={list(report.tags())}")
     _emit_example(args.name, results, lines, ok, args.format)
@@ -637,7 +661,7 @@ _COMMANDS = {
 
 
 def _parse(argv: list[str]):
-    """The handler ``argv`` names and its namespace, by the rules in the module docstring."""
+    """The handler ``argv`` names and its namespace, by the rules in ``USAGE``."""
     path, positionals, values = "", [], {}
     handler, names, options = _COMMANDS[path]
     tokens = iter([part for t in argv for part in (t.split("=", 1) if t[:2] == "--" else [t])])
@@ -651,7 +675,7 @@ def _parse(argv: list[str]):
                 raise refused(f"ambiguous option: {token} could match {', '.join(named)}"
                               if named else f"unrecognized arguments: {token}")
             if named[0] in ("-h", "--help", "--version"):
-                print(f"frobcrit {__version__}" if named[0] == "--version" else __doc__)
+                print(f"frobcrit {__version__}" if named[0] == "--version" else USAGE)
                 raise SystemExit(0)
             option, (kind, choices, _) = named[0], options[named[0]]
             if (value := True if kind is bool else next(tokens, None)) is None:

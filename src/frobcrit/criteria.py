@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple
 from .embed import (CriterionInput, Embedding, detect_twist, restrict, rho_h,
                     root_fiber, validate)
 from .registry import lookup_donkin
-from .rootsys import (Weight, _keep, _kept, _require_int, _resolve_cap, coords_text,
+from .rootsys import (Weight, _exact, _keep, _kept, _require_int, _resolve_cap, coords_text,
                       index_set, parabolic_weyl_order, require_dominant_integral, rho_J)
 from .weyl import WeylElement, walk_parabolic
 
@@ -210,12 +210,13 @@ def check_main(inp: CriterionInput) -> CriterionReport:
         raise ValueError(f"p must be prime, got {inp.p}")
 
     p, J = inp.p, inp.J
-    rh = rho_h(emb)
-    rj = rho_J(emb.g, J)
-    rj_res = restrict(emb, rj)
-    cond1 = 2 * rh - rj_res
-    dominant = cond1.is_dominant()
-    regular = cond1.is_regular_dominant()
+    # rho_H = (1, ..., 1) and rho_J = sum of omega_j over J, so with s_i the sum of
+    # row i of the restriction over J, 2 rho_H - rho_J|_H = (2 - s_i)_i and
+    # rho_H - rho_J|_H = (1 - s_i)_i; a whole Fraction s_i is kept as an int
+    sums = [_exact(sum([row[j - 1] for j in J])) for row in emb.restriction]
+    cond1 = Weight._of(tuple([2 - s for s in sums]))
+    top = max(sums)
+    dominant, regular = top <= 2, top < 2
     surjectivity = _resolve_surjectivity(inp, min_p)
     lie = _resolve_lie(inp)
 
@@ -223,12 +224,11 @@ def check_main(inp: CriterionInput) -> CriterionReport:
     if dominant:
         # which conclusions hold once the splitting exists, in the order the
         # CONDITIONAL statement lists them
-        canonical = rh - rj_res
         full = len(J) == emb.g.rank
         holds = {
             "SPLIT_PJ": True,
             "GLOBALLY_F_REGULAR": regular,
-            "CANONICAL_SPLIT": canonical.is_dominant(),
+            "CANONICAL_SPLIT": top <= 1,
             "COR72_HPJ": lie.status == "holds",
             "COR73_FLAG": full,
             "COHOMOLOGY_VANISHING": full,
@@ -248,7 +248,8 @@ def check_main(inp: CriterionInput) -> CriterionReport:
                 f"({surjectivity.detail}); if it holds, these follow: {would}",
                 "pending-surjectivity")]
         else:
-            divisor = DivisorData((p - 1) * rj, p - 1, J)
+            divisor = DivisorData(Weight._of(tuple(
+                [p - 1 if i in J else 0 for i in range(1, emb.g.rank + 1)])), p - 1, J)
             # each statement is formatted only when its tag holds
             statements = [(tag, text(), theorem) for tag, text, theorem in (
                 ("SPLIT_PJ",
@@ -257,7 +258,7 @@ def check_main(inp: CriterionInput) -> CriterionReport:
                  f"compatibly with every induced Schubert variety H x_BH X(w), w in W_J",
                  "induced-parabolic-splitting"),
                 ("CANONICAL_SPLIT",
-                 lambda: f"rho_H - rho_J|_H = {coords_text(canonical.coords)} is dominant, so the "
+                 lambda: f"rho_H - rho_J|_H = {coords_text(1 - s for s in sums)} is dominant, so the "
                  f"splitting of H x_BH (P_J/B) can be chosen B_H-canonical",
                  "canonical-splitting"),
                 ("GLOBALLY_F_REGULAR",

@@ -144,6 +144,14 @@ class Weight:
     def __init__(self, coords: Iterable) -> None:
         self.coords: tuple[int | Fraction, ...] = tuple(_exact(c) for c in coords)
 
+    @classmethod
+    def _of(cls, coords: tuple) -> "Weight":
+        """The weight of a tuple whose entries are already ints or non-whole
+        Fractions, as ``_exact`` leaves them, taken without ``_exact``."""
+        w = object.__new__(cls)
+        w.coords = coords
+        return w
+
     def __len__(self) -> int:
         return len(self.coords)
 

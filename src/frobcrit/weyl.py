@@ -44,7 +44,6 @@ from .rootsys import (
     parabolic_weyl_order,
     positive_roots_on,
     reflect_word,
-    root_to_weight,
 )
 
 
@@ -252,30 +251,34 @@ def rho_shifts(rs: RootSystem, most: int):
     return _keep(key, rows, (rs.rank + 2) * len(rows))
 
 
-def _longest(rs: RootSystem, members: tuple[int, ...], count: int) -> tuple[Weight, WeylElement]:
-    """rho_J and w_0^J for J = ``members`` (an ``index_set``) with
-    |R_J^+| = ``count``, by the greedy descent: repeatedly reflect -rho_J
+def _longest(rs: RootSystem, members: tuple[int, ...],
+             count: int) -> tuple[tuple[int, ...], tuple[int, ...], WeylElement]:
+    """rho_J, w_0^J(-rho_J) and w_0^J for J = ``members`` (an ``index_set``)
+    with |R_J^+| = ``count``, by the greedy descent: repeatedly reflect -rho_J
     toward dominance."""
-    rj = Weight([int(k in members) for k in range(1, rs.rank + 1)])
-    _, applied = descend(rs, (-rj).coords, members)
+    rj = tuple([int(k in members) for k in range(1, rs.rank + 1)])
+    end, applied = descend(rs, [-c for c in rj], members)
     w = from_word(rs, reversed(applied))
     if w.length() != count:
         raise AssertionError("greedy longest element has wrong length")
-    return rj, w
+    return rj, end, w
 
 
 def longest_element(rs: RootSystem, J: Iterable[int] | None = None) -> WeylElement:
     """w_0^J, by the greedy descent: repeatedly reflect -rho_J toward dominance."""
     members = index_set(rs, J)
-    return _longest(rs, members, len(positive_roots_on(rs, members)))[1]
+    return _longest(rs, members, len(positive_roots_on(rs, members)))[2]
 
 
 def verify_st_decomp(rs: RootSystem, J: Iterable[int]) -> tuple[Weight, Weight, bool]:
     """Check sum of R_J^+ == rho_J - w_0^J(rho_J); returns (lhs, rhs, equal).
-    J is normalised and R_J^+ read once, for the sum and w_0^J's length."""
+    J is normalised and R_J^+ read once, for the sum and w_0^J's length; the
+    sum is taken in root coordinates and rewritten by the Cartan matrix, and
+    w_0^J(rho_J) is -w_0^J(-rho_J), the end point of the descent."""
     members = index_set(rs, J)
     roots = positive_roots_on(rs, members)
-    lhs = root_to_weight(rs, tuple(map(sum, zip((0,) * rs.rank, *roots))))
-    rj, w0 = _longest(rs, members, len(roots))
-    rhs = rj - w0.act(rj)
-    return lhs, rhs, lhs == rhs
+    total = tuple(map(sum, zip((0,) * rs.rank, *roots)))
+    lhs = tuple([sum(map(operator.mul, row, total)) for row in rs.cartan])
+    rj, end, _ = _longest(rs, members, len(roots))
+    rhs = tuple(map(operator.add, rj, end))
+    return Weight._of(lhs), Weight._of(rhs), lhs == rhs

@@ -10,7 +10,8 @@ recursion with every string summed to its top, the W_H-invariance check
 of a restricted character on tuples, the lift of each simple reflection
 of H to W_G by search over every Weyl matrix, and the coroot sweep for the
 length of a Weyl element and the column scan for R_J^+ that the packed
-product and the support masks replaced.  None of it reuses the package's
+product and the support masks replaced, and the report dict that the
+CLI's direct report writer replaced.  None of it reuses the package's
 Weyl-group or character machinery beyond single reflections and the
 unpacking of an element's key.
 """
@@ -480,3 +481,67 @@ def reference_positive_roots_on(rs: RootSystem, members: tuple[int, ...]) -> lis
     if not outside:
         return list(roots)
     return list(itertools.compress(roots, map(operator.not_, map(any, zip(*outside)))))
+
+
+# ---------------------------------------------------------------------------
+# the frobcrit-report/1 object of a criterion report
+
+
+def report_dict(report) -> dict:
+    """The report as the plain dict whose ``json.dumps(..., indent=2,
+    sort_keys=True)`` the CLI prints: the dict the CLI built and serialised
+    before it wrote the text directly.  Every rational is ``str(Fraction)``."""
+    inp, emb = report.input, report.input.embedding
+
+    def labels(words):
+        return [list(w) for w in words] if words is not None else None
+
+    def numbers(w):
+        return [str(Fraction(c)) for c in w.coords]
+
+    return {
+        "schema": "frobcrit-report/1",
+        "input": {
+            "embedding": {
+                "label": emb.label,
+                "g": emb.g.spec_string(),
+                "h": emb.h.spec_string(),
+                "restriction": [[str(Fraction(x)) for x in row] for row in emb.restriction],
+                "twist_exponent": emb.twist_exponent,
+            },
+            "J": list(inp.J),
+            "p": inp.p,
+            "surjectivity_source": inp.surjectivity_source,
+            "lie_separability_flag": inp.lie_separability,
+        },
+        "lemma53_min_p": report.lemma53_min_p,
+        "condition1": {
+            "weight": numbers(report.condition1_weight),
+            "dominant": report.condition1_dominant,
+            "regular": report.condition1_regular,
+        },
+        "surjectivity": {
+            "status": report.surjectivity.status,
+            "source": report.surjectivity.source,
+            "detail": report.surjectivity.detail,
+        },
+        "lie_separability": {
+            "status": report.lie_separability.status,
+            "source": report.lie_separability.source,
+        },
+        "conclusions": [
+            {
+                "tag": c.tag,
+                "statement": c.statement,
+                "theorem": c.theorem,
+                "orbit_count": c.orbit_count,
+                "orbit_labels": labels(c.orbit_labels),
+            }
+            for c in report.conclusions
+        ],
+        "divisor": {
+            "weight": numbers(report.divisor.weight),
+            "multiplicity": report.divisor.multiplicity,
+            "indices": list(report.divisor.indices),
+        } if report.divisor is not None else None,
+    }

@@ -302,7 +302,7 @@ def test_reports_are_schema_valid_tagged_strings():
 
     for inp in inputs:
         report = check_main(inp)
-        payload = report_to_json(report)
+        payload = json.loads(report_to_json(report))
         jsonschema.validate(payload, schema)
         json.dumps(payload)  # round-trips as plain JSON, nothing exotic
         # geometry travels only as tagged strings, never as computed objects

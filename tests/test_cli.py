@@ -1,6 +1,8 @@
 import contextlib
+import functools
 import importlib.resources
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -17,6 +19,8 @@ import frobcrit
 from frobcrit import charalg, cli, criteria, embed, registry, rootsys
 from frobcrit.cli import VERIFY_PAIR_CAP, main
 from frobcrit.rootsys import MAX_RANK, Weight, build_root_system
+
+import oracles
 
 CHECK_INPUT = {
     "embedding": {"builder": "identity", "params": {"h": "A2"}},
@@ -867,14 +871,136 @@ def test_example_names_cover_every_listed_example():
                             ["branch", '{"builder": "folding_B3G2"}', "1,0,1"]],
                          ids=lambda argv: " ".join(argv[:3])[:40])
 def test_writer_equals_json_dumps_on_real_outputs(capsys, monkeypatch, argv):
-    # on the objects every subcommand hands to _emit_json, and on the text it printed
-    emitted = []
-    emit = cli._emit_json
+    # on the objects every subcommand but check hands to _emit_json, with each report text
+    # that examples run splices in standing for the oracle dict of its report; on check's
+    # text against the oracle dict of its report; and on the text each printed
+    emitted, reports = [], []
+    emit, write = cli._emit_json, cli.report_to_json
     monkeypatch.setattr(cli, "_emit_json", lambda obj, out: (emitted.append(obj), emit(obj, out)))
+    monkeypatch.setattr(cli, "report_to_json", lambda r: (reports.append(r), write(r))[1])
     code, out, _ = run(capsys, *argv)
-    assert code == 0 and len(emitted) == 1
-    assert cli._indented(emitted[0]) == json.dumps(emitted[0], indent=2, sort_keys=True)
+    assert code == 0
+    if argv[0] == "check":
+        assert emitted == [] and len(reports) == 1
+        assert out == json.dumps(oracles.report_dict(reports[0]), indent=2, sort_keys=True) + "\n"
+    else:
+        assert len(emitted) == 1
+        plain = emitted[0]
+        if reports:
+            assert [type(r["report"]) for r in plain["results"]] == [cli._Json] * len(reports)
+            plain = {**plain, "results": [{**r, "report": oracles.report_dict(report)}
+                                          for r, report in zip(plain["results"], reports)]}
+        assert cli._indented(emitted[0]) == json.dumps(plain, indent=2, sort_keys=True)
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_writer_splices_rendered_json_reindented():
+    inner = {"k": [1, {"x": None}], "s": "\u2603\n"}
+    text = cli._Json(json.dumps(inner, indent=2, sort_keys=True))
+    for obj, plain in (({"a": [text, 1], "b": text}, {"a": [inner, 1], "b": inner}),
+                       ([[text]], [[inner]]), (text, inner)):
+        assert cli._indented(obj) == json.dumps(plain, indent=2, sort_keys=True)
+    # a str subclass that is not _Json stays a string
+    assert cli._indented([_Text("[1]")]) == json.dumps(["[1]"], indent=2)
+
+
+# -- the report writer and condition (1) against their oracles -------------------
+
+# every criterion-sweep embedding, and a fractional one with a non-ASCII label
+_ORACLE_DESCRIPTORS = [
+    {"builder": "identity", "params": {"h": "A2"}}, {"builder": "identity", "params": {"h": "B3"}},
+    {"builder": "levi", "params": {"g": "C2", "J": [1]}},
+    {"builder": "levi", "params": {"g": "E7", "J": [1, 2, 3]}},
+    {"builder": "levi", "params": {"g": "F4", "J": [2, 3]}},
+    {"builder": "diagonal", "params": {"h": "A1", "k": 2}},
+    {"builder": "diagonal", "params": {"h": "A2", "k": 3}},
+    {"builder": "diagonal", "params": {"h": "G2", "k": 2}},
+    {"builder": "folding_AC", "params": {"m": 2}}, {"builder": "folding_AC", "params": {"m": 3}},
+    {"builder": "folding_DB", "params": {"n": 4}}, {"builder": "folding_DB", "params": {"n": 5}},
+    {"builder": "folding_E6F4"}, {"builder": "folding_B3G2"},
+    {"builder": "so_in_sl", "params": {"n": 5}}, {"builder": "so_in_sl", "params": {"n": 6}},
+    {"builder": "so_in_sl", "params": {"n": 8}},
+    {"builder": "frobenius_twisted_diagonal", "params": {"h": "A1", "p": 2}},
+    {"builder": "frobenius_twisted_diagonal", "params": {"h": "A2", "p": 3}},
+    {"custom": {"g": "A1,A1", "h": "A1", "matrix": [["1", "1"]]}},
+    {"custom": {"g": "A2", "h": "A1", "matrix": [["2", "2"]]}},
+    {"custom": {"g": "A1,A1,A1", "h": "A1", "matrix": [["1", "1/2", "1/2"]],
+                "label": "halves \u2603 caf\u00e9"}},
+]
+
+
+@functools.lru_cache(maxsize=1)
+def _oracle_reports() -> tuple:
+    """check_main's report on every J when G has rank <= 6 (four J above), every
+    surjectivity source, a small and a 12-digit prime, the Lie flag cycling through
+    none, holds and fails."""
+    flags = itertools.cycle((None, "holds", "fails"))
+    reports = []
+    for desc in _ORACLE_DESCRIPTORS:
+        emb = cli.embedding_from_descriptor(desc)
+        n = emb.g.rank
+        choices = ([J for k in range(n + 1) for J in itertools.combinations(range(1, n + 1), k)]
+                   if n <= 6 else [(), (1,), tuple(range(1, n // 2 + 1)), tuple(range(1, n + 1))])
+        for J in choices:
+            for source in criteria.SURJECTIVITY_SOURCES:
+                for p in (5, 999999999989):
+                    reports.append(criteria.check_main(
+                        criteria.CriterionInput(emb, J, p, source, next(flags))))
+    return tuple(reports)
+
+
+def test_report_text_equals_json_dumps_of_the_oracle_dict():
+    seen = set()
+    for report in _oracle_reports():
+        text = cli.report_to_json(report)
+        assert text == json.dumps(oracles.report_dict(report), indent=2, sort_keys=True)
+        tags = report.tags()
+        seen.update(name for name, on in (
+            ("null labels", any(c.orbit_labels is None for c in report.conclusions)),
+            ("conditional", "CONDITIONAL" in tags), ("no conclusions", not tags),
+            ("twisted", report.input.embedding.twist_exponent is not None),
+            ("non-ASCII", not report.input.embedding.label.isascii()),
+            ("fraction", "/" in text)) if on)
+    assert seen == {"null labels", "conditional", "no conclusions", "twisted", "non-ASCII",
+                    "fraction"}
+
+
+def _types(w: Weight) -> list:
+    return list(map(type, w.coords))
+
+
+def test_condition1_on_tuples_equals_the_weight_path():
+    # 2 rho_H - rho_J|_H and rho_H - rho_J|_H through Weight arithmetic, with the same
+    # coordinate types (a whole Fraction is an int), and (p - 1) rho_J for the divisor
+    for report in _oracle_reports():
+        emb, J, p = report.input.embedding, report.input.J, report.input.p
+        rj_res = embed.restrict(emb, rootsys.rho_J(emb.g, J))
+        cond1, canonical = 2 * embed.rho_h(emb) - rj_res, embed.rho_h(emb) - rj_res
+        assert report.condition1_weight == cond1
+        assert _types(report.condition1_weight) == _types(cond1)
+        assert (report.condition1_dominant, report.condition1_regular) == (
+            cond1.is_dominant(), cond1.is_regular_dominant())
+        named = [c for c in report.conclusions if c.tag == "CANONICAL_SPLIT"
+                 or c.tag == "CONDITIONAL" and "CANONICAL_SPLIT" in c.statement]
+        assert bool(named) == (cond1.is_dominant() and canonical.is_dominant())
+        for c in named:
+            if c.tag == "CANONICAL_SPLIT":
+                assert c.statement.startswith(
+                    f"rho_H - rho_J|_H = {rootsys.coords_text(canonical.coords)} is dominant")
+        if report.divisor is not None:
+            divisor = (p - 1) * rootsys.rho_J(emb.g, J)
+            assert report.divisor.weight == divisor
+            assert _types(report.divisor.weight) == _types(divisor)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["check", "--help"]])
+def test_usage_survives_python_OO(argv):
+    # -OO strips docstrings, so the usage text must not be one
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    fresh = subprocess.run([sys.executable, "-OO", "-m", "frobcrit.cli", *argv], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert fresh.returncode == 0 and fresh.stderr == ""
+    assert fresh.stdout.splitlines()[0] == "usage: frobcrit check INPUT [--format json|text]"
 
 
 # -- memoised embeddings, validation and orbit words --------------------------------

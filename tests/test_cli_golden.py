@@ -178,6 +178,12 @@ def corpus_argvs() -> list[list[str]]:
     for data in _check_inputs(rng):
         argvs.append(["check", json.dumps(data)]
                      + (["--format", "text"] if rng.random() < 0.25 else []))
+    # fractional condition (1) weights: 3/2 at J = [2], 1/2 at [1, 2] (no
+    # CANONICAL_SPLIT) and a whole Fraction sum, printed "1", at [2, 3]
+    halves = _custom("A1,A1,A1", "A1", [["1", "1/2", "1/2"]])
+    for J in ([2], [1, 2], [2, 3]):
+        argvs.append(["check", json.dumps({"embedding": halves, "J": J, "p": 5,
+                                           "surjectivity_source": "large-p"})])
     return argvs
 
 

@@ -401,6 +401,29 @@ def test_verify_st_decomp_all_subsets(spec):
         assert ok, (spec, J, lhs.coords, rhs.coords)
 
 
+_RANK8_TYPES = ([f"{letter}{n}" for letter, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                 for n in range(low, 9)] + ["G2", "F4", "E6", "E7", "E8"])
+
+
+def test_verify_st_decomp_equals_the_weight_path_up_to_rank_8():
+    # the tuple sums against Weight arithmetic: sum R_J^+ through root_to_weight, and
+    # rho_J - w_0^J rho_J through longest_element's action, on every (type, J)
+    pairs = 0
+    for spec in _RANK8_TYPES:
+        rs = build_root_system(spec)
+        for mask in range(1 << rs.rank):
+            J = tuple(j + 1 for j in range(rs.rank) if mask >> j & 1)
+            lhs, rhs, equal = verify_st_decomp(rs, J)
+            roots = rootsys.positive_roots_on(rs, J)
+            ref_lhs = root_to_weight(rs, [sum(r[k] for r in roots) for k in range(rs.rank)])
+            rj = rho_J(rs, J)
+            ref_rhs = rj - longest_element(rs, J).act(rj)
+            assert (lhs, rhs, equal) == (ref_lhs, ref_rhs, True), (spec, J)
+            assert {type(c) for c in lhs.coords + rhs.coords} == {int}
+            pairs += 1
+    assert pairs == 2498  # 2 114 as verify-identities --max-rank 8 counts them, and E7, E8
+
+
 def test_verify_st_decomp_reads_J_and_R_J_once(monkeypatch):
     e8 = build_root_system("E8")  # building it reads R^+ too
     calls = collections.Counter()
