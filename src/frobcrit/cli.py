@@ -14,9 +14,9 @@ from . import __version__, embed, registry
 from .criteria import (
     CONCLUSION_TAGS,
     CriterionReport,
+    _valid_min_p,
     check_main,
     conjugated_borel_check,
-    lemma53_min_p,
 )
 from .charalg import branch
 from .embed import CriterionInput
@@ -132,7 +132,13 @@ _DEPTH = tuple("\n" + "  " * k for k in range(5))
 def _embedding_text(e: embed.Embedding) -> str:
     """The embedding block of a report, written once per ``Embedding`` object (it hashes
     by identity) at the block's depth and shared by every report of it."""
-    return _indented(embedding_to_json(e), _DEPTH[2])
+    return f"""{{
+      "g": {encode_basestring_ascii(e.g.spec_string())},
+      "h": {encode_basestring_ascii(e.h.spec_string())},
+      "label": {encode_basestring_ascii(e.label)},
+      "restriction": {_flat([_numbers(row, _DEPTH[4]) for row in e.restriction], _DEPTH[3])},
+      "twist_exponent": {_scalar(e.twist_exponent)}
+    }}"""
 
 
 def _flat(texts, newline: str) -> str:
@@ -202,72 +208,17 @@ def report_to_json(report: CriterionReport) -> str:
 }}"""
 
 
-class _Json(str):
-    """Text that is already JSON, spliced into the writer's output as it stands."""
-
-
 _LITERAL = {True: "true", False: "false", None: "null"}.__getitem__
-# the text of each scalar type the writer knows (bool is not read as int)
-_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: _LITERAL, type(None): _LITERAL}
+# the text of each scalar type report_to_json writes through _scalar
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, type(None): _LITERAL}
 
 
 def _scalar(value) -> str:
     return _SCALARS[type(value)](value)
 
 
-def _indented(obj, newline: str = "\n") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, each line after the first opened by
-    ``newline``: scalars by exact type (strings through the C encoder), a list of plain ints
-    or of plain strs in one join, ``_Json`` text as it stands and a value of any other type
-    through ``json.dumps``, the newlines of both re-indented (JSON text holds no raw
-    newline).  The pieces go to one list, joined once."""
-    parts: list[str] = []
-    _write(obj, newline, parts)
-    return "".join(parts)
-
-
-def _write(obj, newline: str, parts: list[str]) -> None:
-    """Append the text of ``obj`` to ``parts``."""
-    kind = type(obj)
-    scalar = _SCALARS.get(kind)
-    if scalar:
-        parts.append(scalar(obj))
-        return
-    if not (kind is list or kind is tuple or kind is dict and set(map(type, obj)) <= {str}):
-        text = obj if kind is _Json else json.dumps(obj, indent=2, sort_keys=True)
-        parts.append(text.replace("\n", newline))
-        return
-    if not obj:
-        parts.append("{}" if kind is dict else "[]")
-        return
-    inner = newline + "  "
-    sep = "," + inner
-    if kind is not dict:
-        types = set(map(type, obj))
-        if types == {int} or types == {str}:
-            parts += ("[", inner, sep.join(map(_SCALARS[types.pop()], obj)), newline, "]")
-            return
-    opened = ("{" if kind is dict else "[") + inner
-    if kind is dict:
-        for k, v in sorted(obj.items()):
-            scalar = _SCALARS.get(type(v))
-            if scalar:
-                parts.append(opened + encode_basestring_ascii(k) + ": " + scalar(v))
-            else:
-                parts.append(opened + encode_basestring_ascii(k) + ": ")
-                _write(v, inner, parts)
-            opened = sep
-        parts.append(newline + "}")
-    else:
-        for x in obj:
-            parts.append(opened)
-            _write(x, inner, parts)
-            opened = sep
-        parts.append(newline + "]")
-
-
-def _emit_json(obj, out) -> None:
-    out.write(_indented(obj) + "\n")
+def _emit_json(obj) -> None:
+    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _report_text(report: CriterionReport) -> str:
@@ -469,7 +420,7 @@ def _cmd_examples_list(args) -> int:
     if args.format == "text":
         print("\n".join(registry.EXAMPLES))
     else:
-        _emit_json({"examples": list(registry.EXAMPLES)}, sys.stdout)
+        _emit_json({"examples": list(registry.EXAMPLES)})
     return 0
 
 
@@ -504,7 +455,8 @@ def _cmd_examples_run(args) -> int:
         report = check_main(inp)
         met = _check_expectations(report, record.expect)
         ok = ok and met
-        results.append({"report": _Json(report_to_json(report)), **shown, "expectation_met": met})
+        results.append({"report": json.loads(report_to_json(report)), **shown,
+                        "expectation_met": met})
         lines.append(f"{inp.embedding.label} J={list(inp.J)} p={inp.p}"
                      f" dominant={report.condition1_dominant} tags={list(report.tags())}")
     _emit_example(args.name, results, lines, ok, args.format)
@@ -535,8 +487,7 @@ def _emit_example(name: str, results: list, lines: list[str], ok: bool, fmt: str
             print(f"  {line}")
         print(f"expectations met: {ok}")
     else:
-        _emit_json({"example": name, "results": results, "expectations_met": ok},
-                   sys.stdout)
+        _emit_json({"example": name, "results": results, "expectations_met": ok})
 
 
 def _diagram_json(d: registry.OrbitDiagram) -> dict:
@@ -607,17 +558,17 @@ def _cmd_verify_identities(args) -> int:
         for f in failures:
             print(f"  {f['system']} J={f['J']}: {f['lhs']} != {f['rhs']}")
     else:
-        _emit_json(summary, sys.stdout)
+        _emit_json(summary)
     return 0 if not failures else 1
 
 
 def _cmd_min_p(args) -> int:
     emb = embedding_from_descriptor(_load_json_arg(args.embedding, "embedding"))
-    value = lemma53_min_p(emb)
+    value = _valid_min_p(emb)
     if args.format == "text":
         print(f"{emb.label}: lemma53_min_p = {value}")
     else:
-        _emit_json({"embedding": emb.label, "lemma53_min_p": value}, sys.stdout)
+        _emit_json({"embedding": emb.label, "lemma53_min_p": value})
     return 0
 
 
@@ -636,7 +587,7 @@ def _cmd_branch(args) -> int:
             "weight": weight_to_json(lam),
             "branching": [{"weight": weight_to_json(w), "multiplicity": m}
                           for w, m in items],
-        }, sys.stdout)
+        })
     return 0
 
 

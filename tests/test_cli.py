@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
-from hypothesis import given, strategies as st
 
 import frobcrit
 from frobcrit import charalg, cli, criteria, embed, registry, rootsys
@@ -656,6 +655,15 @@ def test_min_p_names_the_shape_of_a_wrong_matrix(capsys, matrix, got):
     assert err == f"error: bad custom embedding: restriction matrix must be 2 x 2, got {got}\n"
 
 
+@pytest.mark.parametrize("g,matrix", [("A2", [[0, 0]]), ("A1", [[2]]), ("A1", [["1/2"]])])
+def test_min_p_refuses_an_embedding_that_fails_validation(capsys, g, matrix):
+    # with check's one line and exit status, not a bound for an embedding check refuses
+    desc = {"custom": {"g": g, "h": "A1", "matrix": matrix}}
+    refused = run(capsys, "min-p", json.dumps(desc))
+    assert refused == run(capsys, "check", json.dumps({"embedding": desc, "J": [1], "p": 3}))
+    assert refused[:2] == (2, "") and refused[2].startswith("error: embedding fails validation: ")
+
+
 def test_branch(capsys):
     desc = {"builder": "diagonal", "params": {"h": "A1", "k": 2}}
     code, out, _ = run(capsys, "branch", json.dumps(desc), "1,1")
@@ -777,82 +785,7 @@ def test_successive_main_calls_match_fresh_processes():
             (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
-# -- the indented writer -----------------------------------------------------------
-
-class _Text(str):
-    pass
-
-
-_WRITER_CASES = [
-    {}, [], (), {"a": {}, "b": [], "c": [[]], "d": [{}], "e": ()}, [[], {}, [[]], [{}]],
-    (1, 2, (3, (4,)), ()), {"t": (1, "x", (True, None)), "u": [(), ((),)]},
-    "snow ☃ café \U0001f600", "\x00\x01\x1f\x7f\"\\/\n\r\t\b\f",
-    {"é\"\n": "ü", "a": ["\ud800", " "], "": ""},
-    [True, False, 1, 0, None, -1, -0], [1, True], [0, False], [None, 0],
-    {"b": True, "i": 1, "f": False, "z": 0, "n": None, "m": -17},
-    [10 ** 3999, -(10 ** 3999) + 7, [10 ** 3999, -1]], {"big": -(10 ** 3998)},
-    # values the writer leaves to json.dumps, nested so that its text is re-indented
-    1.5, [1.5, float("inf"), -0.0, float("nan")], {"x": [1, 2.5], "y": {"z": [[0.5]]}},
-    {"outer": {1: [1, 2], 2: {"k": []}}}, [{True: "a", False: "b"}], _Text("sub"),
-    {"s": [_Text("q\n")]}, {_Text("k"): [1]},
-]
-
-
-@pytest.mark.parametrize("obj", _WRITER_CASES, ids=range(len(_WRITER_CASES)))
-def test_writer_equals_json_dumps_on_edge_cases(obj):
-    assert cli._indented(obj) == json.dumps(obj, indent=2, sort_keys=True)
-
-
-_SCALAR_LEAVES = (
-    st.none() | st.booleans() | st.integers(-3, 3) | st.integers()
-    | st.integers(-(10 ** 400), 10 ** 400)
-    | st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7fé☃\U0001f600\u2028\ud800'), max_size=6)
-    | st.text(max_size=6))
-
-
-def _json_trees(leaves):
-    return st.recursive(leaves, lambda kids: (
-        st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
-        | st.dictionaries(st.text(max_size=4), kids, max_size=4)), max_leaves=16)
-
-
-@st.composite
-def _trees_with_shared_parts(draw):
-    """A JSON tree in which some list, tuple or dict objects recur, at one depth
-    or at several, one of them inside another that recurs too."""
-    containers = st.lists(_SCALAR_LEAVES, min_size=1, max_size=3) | st.dictionaries(
-        st.text(max_size=3), _SCALAR_LEAVES | st.lists(_SCALAR_LEAVES, max_size=2),
-        min_size=1, max_size=3)
-    inner = draw(containers)
-    outer = draw(st.lists(_SCALAR_LEAVES | st.just(inner), min_size=1, max_size=4))
-    return draw(_json_trees(_SCALAR_LEAVES | st.sampled_from([inner, outer, (inner,)])))
-
-
-@given(_trees_with_shared_parts())
-def test_writer_equals_json_dumps_on_generated_trees(obj):
-    assert cli._indented(obj) == json.dumps(obj, indent=2, sort_keys=True)
-
-
-def test_writer_renders_a_list_shared_at_two_depths_at_each():
-    x = [[1, 2], "a"]
-    obj = {"a": x, "b": {"c": x}}
-    assert cli._indented(obj) == json.dumps(obj, indent=2, sort_keys=True)
-    assert cli._indented([x, x, [x]]) == json.dumps([x, x, [x]], indent=2, sort_keys=True)
-
-
-def test_writer_keeps_no_memo_between_calls():
-    # a memo that outlived its call would answer from a changed object's
-    # old text, or from a freed object whose id a new one reuses
-    x = [[1, 2], "a"]
-    obj = {"a": x, "b": [x, x]}
-    assert cli._indented(obj) == json.dumps(obj, indent=2, sort_keys=True)
-    x[0].append(3)
-    x.append({"k": None})
-    assert cli._indented(obj) == json.dumps(obj, indent=2, sort_keys=True)
-    for i in range(200):
-        fresh = {"k": [[i], str(i)]}
-        assert cli._indented(fresh) == json.dumps(fresh, indent=2, sort_keys=True)
-
+# -- every JSON output against json.dumps and the report oracle -------------------
 
 _EXAMPLE_NAMES = ("minimal-rank", "sp4", "sln-son:4", "sln-son:5", "sln-son:6", "sln-son:7",
                   "sln-son:8", "triple-diagonal:A1", "triple-diagonal:A2",
@@ -871,12 +804,12 @@ def test_example_names_cover_every_listed_example():
                             ["branch", '{"builder": "folding_B3G2"}', "1,0,1"]],
                          ids=lambda argv: " ".join(argv[:3])[:40])
 def test_writer_equals_json_dumps_on_real_outputs(capsys, monkeypatch, argv):
-    # on the objects every subcommand but check hands to _emit_json, with each report text
-    # that examples run splices in standing for the oracle dict of its report; on check's
-    # text against the oracle dict of its report; and on the text each printed
+    # check's text against the oracle dict of its report; every other subcommand prints
+    # json.dumps of the object it hands to _emit_json, in which examples run reads each
+    # report's text back into the oracle dict of that report
     emitted, reports = [], []
     emit, write = cli._emit_json, cli.report_to_json
-    monkeypatch.setattr(cli, "_emit_json", lambda obj, out: (emitted.append(obj), emit(obj, out)))
+    monkeypatch.setattr(cli, "_emit_json", lambda obj: (emitted.append(obj), emit(obj)))
     monkeypatch.setattr(cli, "report_to_json", lambda r: (reports.append(r), write(r))[1])
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -885,23 +818,10 @@ def test_writer_equals_json_dumps_on_real_outputs(capsys, monkeypatch, argv):
         assert out == json.dumps(oracles.report_dict(reports[0]), indent=2, sort_keys=True) + "\n"
     else:
         assert len(emitted) == 1
-        plain = emitted[0]
         if reports:
-            assert [type(r["report"]) for r in plain["results"]] == [cli._Json] * len(reports)
-            plain = {**plain, "results": [{**r, "report": oracles.report_dict(report)}
-                                          for r, report in zip(plain["results"], reports)]}
-        assert cli._indented(emitted[0]) == json.dumps(plain, indent=2, sort_keys=True)
+            assert [r["report"] for r in emitted[0]["results"]] == \
+                [oracles.report_dict(report) for report in reports]
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
-
-
-def test_writer_splices_rendered_json_reindented():
-    inner = {"k": [1, {"x": None}], "s": "\u2603\n"}
-    text = cli._Json(json.dumps(inner, indent=2, sort_keys=True))
-    for obj, plain in (({"a": [text, 1], "b": text}, {"a": [inner, 1], "b": inner}),
-                       ([[text]], [[inner]]), (text, inner)):
-        assert cli._indented(obj) == json.dumps(plain, indent=2, sort_keys=True)
-    # a str subclass that is not _Json stays a string
-    assert cli._indented([_Text("[1]")]) == json.dumps(["[1]"], indent=2)
 
 
 # -- the report writer and condition (1) against their oracles -------------------
