@@ -9,8 +9,13 @@ tail supplies the rest.  Full characters come from Weyl-orbit expansion.
 ``branch`` has two kernels, both on packed keys in the one layout of
 ``rootsys._layout``: an H-weight nu is the int pack(nu) = sum_j nu_j radix^j,
 so a restriction or a reflection is integer arithmetic.  ``_orbit_keys`` is
-the one orbit sum, read off the W_G orbit tables (``rootsys.orbit_table``,
-kept across calls).  An embedding is certified when every simple reflection
+the one orbit sum, read off the W_G orbit tables (``rootsys.orbit_table``)
+and the packed restrictions of the fundamental orbits and their multiples
+(``_orbit_values``, one table per G factor, integer restriction columns and
+radix); the packed positive H-roots and rho-shifts are kept per H and radix
+(``_packed_rows``).  All of them live in ``rootsys``'s one bounded store,
+keyed by value, so repeated calls on one embedding rebuild none of them.
+An embedding is certified when every simple reflection
 of H lifts to W_G (``Embedding.reflection_lifts``, one descent per coweight,
 read once per embedding); then every restricted G-character is
 W_H-invariant, and that certificate is the one place where ``branch`` learns
@@ -19,7 +24,8 @@ it.
 character of G: it divides the restricted Weyl numerator by the factors
 that are not over positive H-roots, read off the embedding's
 ``root_images`` on every call, and reads the multiplicities off the
-H-dominant keys of the quotient.
+H-dominant keys of the quotient, found by the top-bit mask, as
+``_dominant_count`` finds its own, and the only keys unpacked.
 ``_branch_by_restriction`` runs every other call, and every call the
 numerator declines: it restricts the dominant multiplicities orbit by
 orbit and checks that the result is integral.  On an uncertified embedding
@@ -48,6 +54,8 @@ from .embed import Embedding
 from .rootsys import (
     RootSystem,
     Weight,
+    _keep,
+    _kept,
     _layout,
     _nonnegative,
     _pack,
@@ -273,38 +281,79 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     require_dominant_integral(rs, lam, "highest weight")
     shifted = [c + 1 for c in lam.coords]
     numer = math.prod(sum(map(operator.mul, shifted, co)) for co in rs.coroots)
-    dim, remainder = divmod(numer, math.prod(map(sum, rs.coroots)))
+    dim, remainder = divmod(numer, rs.dim_denominator)
     if remainder:
         raise AssertionError("Weyl dimension formula returned a non-integer")
     return dim
 
 
-def _orbit_keys(g: RootSystem, mu: tuple, f: list[int], memo: dict):
+class _OrbitValues(dict):
+    """{(k, m): [m f(p) for each point p of ``fundamental_orbit(g, k)``]},
+    f(v) = sum_k f_k v_k with f the packed restriction columns, filled as it
+    is read.  One table per (components of g, integer restriction columns,
+    half of the layout), values all, built by ``_orbit_values`` and kept in
+    ``rootsys``'s store, where it counts the ints it holds."""
+
+    __slots__ = ("g", "f", "key", "size")
+
+    def __init__(self, g: RootSystem, f: list[int], key: tuple) -> None:
+        super().__init__()
+        self.g, self.f, self.key, self.size = g, f, key, 0
+
+    def __missing__(self, km: tuple[int, int]) -> list[int]:
+        k, m = km
+        if m == 1:
+            value = [sum(map(operator.mul, self.f, p)) for p in fundamental_orbit(self.g, k)[0]]
+        else:
+            value = list(map(m.__mul__, self[k, 1]))
+        self[km] = value
+        self.size += len(value)
+        _keep(self.key, self, self.size)  # counted again at its new size
+        return value
+
+
+def _orbit_values(g: RootSystem, cols: tuple, layout: tuple) -> _OrbitValues:
+    """The kept ``_OrbitValues`` of g for the integer restriction columns
+    ``cols``, one per column of g, packed in ``layout``."""
+    key = (g.components, cols, layout[0])
+    table = _kept(key)
+    return _OrbitValues(g, [_pack(c, layout[1]) for c in cols], key) if table is None else table
+
+
+def _packed_rows(rs: RootSystem, layout: tuple, name: str, rows) -> list[int]:
+    """The vectors of rs in the iterable ``rows``, packed in ``layout``; kept
+    in ``rootsys``'s store under (components, half, name), so ``rows`` is
+    read on a miss only."""
+    key = (rs.components, layout[0], name)
+    packed = _kept(key)
+    if packed is None:
+        packed = [_pack(r, layout[1]) for r in rows]
+        _keep(key, packed, len(packed))
+    return packed
+
+
+def _orbit_keys(values: _OrbitValues, mu: tuple):
     """sum_k mu_k f(w omega_k), f(v) = sum_k f_k v_k, for each row w of
-    ``orbit_table(g, support of mu)``: w mu = sum_k mu_k w omega_k, so each
-    orbit element is one integer combination of the fundamental orbits'
-    values, which ``memo`` keeps under (k, mu_k) for calls with the same f."""
+    ``orbit_table(g, support of mu)``, g and f those of ``values``:
+    w mu = sum_k mu_k w omega_k, so each orbit element is one integer
+    combination of the fundamental orbits' values, read off ``values``
+    under (k, mu_k)."""
     support = tuple([k for k, c in enumerate(mu) if c])
     if not support:
         return (0,)
     keys = None
-    for k, col in zip(support, orbit_table(g, support)):
-        vk = memo.get((k, mu[k]))
-        if vk is None:
-            if (k, 1) not in memo:
-                memo[k, 1] = [sum(map(operator.mul, f, p)) for p in fundamental_orbit(g, k)[0]]
-            vk = memo[k, mu[k]] = list(map(mu[k].__mul__, memo[k, 1]))
-        term = map(vk.__getitem__, col)
+    for k, col in zip(support, orbit_table(values.g, support)):
+        term = map(values[k, mu[k]].__getitem__, col)
         keys = term if keys is None else map(operator.add, keys, term)
     return keys
 
 
-def _orbit_counts(g: RootSystem, f: list[int], mults: dict[tuple, int]) -> Counter:
-    """{sum_k f_k (w mu)_k: multiplicity} over every W_G-orbit of ``mults``."""
-    memo: dict[tuple, list[int]] = {}
+def _orbit_counts(values: _OrbitValues, mults: dict[tuple, int]) -> Counter:
+    """{f(w mu): multiplicity} over every W_G-orbit of ``mults``, f the
+    packed restriction of ``values``."""
     by_mult: dict[int, list[int]] = {}
     for mu, m in mults.items():
-        by_mult.setdefault(m, []).extend(_orbit_keys(g, mu, f, memo))
+        by_mult.setdefault(m, []).extend(_orbit_keys(values, mu))
     counts = Counter(by_mult.pop(1, ()))
     for m, keys in by_mult.items():
         for key, c in Counter(keys).items():
@@ -334,33 +383,36 @@ def _restricted_counts(emb: Embedding, lam: Weight):
     lam as packed counts {pack(nu): multiplicity}, and their layout.
 
     bound is at least every coordinate of a key: |<w mu, alpha_k_vee>| <=
-    max_gamma <lam, gamma_vee> for every weight mu of the module.  With h
+    max_gamma <lam, gamma_vee> for every weight mu of the module, read at
+    the highest coroots of G (``RootSystem.highest_coroots``).  With h
     the height of the highest coroot of H, the layout's reach
     max(4, h) bound + h + 1 leaves room for a simple reflection of a key
     (|nu_j - nu_i a_ij| <= 4 bound, ``_broken_pair``), for every W_H-image of
     an H-dominant key (|<kappa, beta_vee>| <= h bound) and for
     nu + rho - w rho at a dominant key nu (its coordinates are 1 - h to
     bound + h + 1).  Packing is linear, so pack(Res(v)) = sum_k f_k v_k, and
-    ``_orbit_counts`` counts those ints.  A fractional restriction matrix is
-    scaled to integers and the scale divided out at the end, which unpacks
-    every key and raises at the non-integral weight highest in
+    ``_orbit_counts`` counts those ints, off the fundamental orbits' packed
+    values kept per factor, columns and layout (``_orbit_values``).  A
+    fractional restriction matrix is scaled to integers
+    (``Embedding.integer_rows``) and the scale divided out at the end, which
+    unpacks every key and raises at the non-integral weight highest in
     ``_height_order`` (the same order on the scaled weights, scale > 0); a
     key whose digits all divide by scale does too.
     """
     g, h = emb.g, emb.h
-    scale = math.lcm(*(x.denominator for row in emb.restriction for x in row))
-    rows = [[int(x * scale) for x in row] for row in emb.restriction]
-    top = max(sum(map(operator.mul, lam.coords, co)) for co in g.coroots)
+    scale, rows = emb.integer_rows
+    top = max(sum(map(operator.mul, lam.coords, co)) for co in g.highest_coroots)
     bound = top * max(sum(map(abs, row)) for row in rows)
     reach = h.coroot_height
     layout = _layout(h.rank, max(4, reach) * bound + reach + 1)
-    f = [_pack(col, layout[1]) for col in zip(*rows)]
+    cols = tuple(zip(*rows))
     # a product's character is the product of its factors', and packing
     # adds over the factors, so the factors' counts convolve
     counts = None
     for (lo, hi), comp in zip(g.component_spans, g.components):
         factor = _cached_character(build_root_system([comp]), Weight(lam.coords[lo:hi]))
-        part = _orbit_counts(factor.rs, f[lo:hi], factor.multiplicities)
+        values = _orbit_values(factor.rs, cols[lo:hi], layout)
+        part = _orbit_counts(values, factor.multiplicities)
         counts = part if counts is None else _convolve(counts, part)
 
     if scale > 1:
@@ -452,12 +504,12 @@ def _dominant_count(h: RootSystem, counts: dict, layout: tuple) -> dict:
     Any other multiset, as the adjoint module of a large H, is peeled
     (``_peeled_count``).
     """
-    _, powers, offset = layout
-    dominant = list(itertools.compress(counts, _nonnegative(counts, offset)))
+    dominant = list(itertools.compress(counts, _nonnegative(counts, layout[2])))
     digits = _unpack(dominant, layout)
     nus = list(zip(*digits))
     mults = list(map(counts.__getitem__, dominant))
-    lower = [kappa - _pack(h.positive_weights[b], powers)
+    roots = _packed_rows(h, layout, "packed roots", h.positive_weights)
+    lower = [kappa - roots[b]
              for kappa, nu in zip(dominant, nus) for b in root_classes(h, _zeros(nu))[0]
              if sum(map(operator.mul, h.coroots[b], nu)) > 0]
     missing = list(itertools.filterfalse(counts.__contains__, lower))
@@ -475,11 +527,11 @@ def _dominant_count(h: RootSystem, counts: dict, layout: tuple) -> dict:
     keys = [dominant[i] for i in order]
     total = [mults[i] for i in order]
     top = heights[-1]
-    for height, shift, odd in shifts[1:]:
+    steps = _packed_rows(h, layout, "packed rho", map(operator.itemgetter(1), shifts))
+    for (height, _, odd), step in zip(shifts[1:], steps[1:]):
         cut = bisect.bisect_right(heights, top - height)
         if not cut:
             break
-        step = _pack(shift, powers)
         found = map(counts.get, map(step.__add__, itertools.islice(keys, cut)),
                     itertools.repeat(0))
         total[:cut] = map(operator.sub if odd else operator.add, total, found)
@@ -618,7 +670,7 @@ def _branch_by_numerator(emb: Embedding, lam: Weight) -> dict[Weight, int] | Non
     certificate, a division is not exact or some n_nu is negative:
     ``_branch_by_restriction`` then names the witness.
     """
-    g, h, rows = emb.g, emb.h, emb.restriction
+    g, h, rows = emb.g, emb.h, emb.integer_rows[1]
     extra = _numerator_certificate(emb) if all(emb.reflection_lifts) else None
     if extra is None:
         return None
@@ -627,13 +679,13 @@ def _branch_by_numerator(emb: Embedding, lam: Weight) -> dict[Weight, int] | Non
     # most bound in size; a line's base point, |x_j / gamma_j| + 1 steps
     # of gamma from x with |gamma_j| the largest entry, stays within
     # 2 bound + max|gamma|
-    top = max(sum(map(operator.mul, lam.coords, co)) + sum(co) for co in g.coroots)
+    top = max(sum(map(operator.mul, lam.coords, co)) + sum(co) for co in g.highest_coroots)
     bound = (top + 1) * max(sum(map(abs, row)) for row in rows)
     layout = _layout(h.rank, 2 * bound + max(
         [abs(x) for gamma in extra for x in gamma], default=0))
-    f = [_pack(col, layout[1]) for col in zip(*rows)]  # pack(Res omega_k)
-    keys = _orbit_keys(g, [c + 1 for c in lam.coords], f, {})
-    keys = list(map((-sum(f)).__add__, keys))
+    values = _orbit_values(g, tuple(zip(*rows)), layout)  # f_k = pack(Res omega_k)
+    keys = _orbit_keys(values, [c + 1 for c in lam.coords])
+    keys = list(map((-sum(values.f)).__add__, keys))
     starts = orbit_layers(g, tuple(range(g.rank)))
     poly = Counter()
     for layer, (a, b) in enumerate(zip(starts, starts[1:])):
@@ -645,10 +697,11 @@ def _branch_by_numerator(emb: Embedding, lam: Weight) -> dict[Weight, int] | Non
         if poly is None:
             return None
 
-    found = [(nu, n) for nu, n in zip(zip(*_unpack(poly, layout)), poly.values())
-             if min(nu) >= 0]
-    if any(n < 0 for _, n in found):
+    dominant = list(itertools.compress(poly, _nonnegative(poly, layout[2])))
+    mults = list(map(poly.__getitem__, dominant))
+    if any(n < 0 for n in mults):
         return None
     key = _height_order(h)
-    found.sort(key=lambda item: key(item[0]), reverse=True)
+    found = sorted(zip(zip(*_unpack(dominant, layout)), mults),
+                   key=lambda item: key(item[0]), reverse=True)
     return {Weight(nu): n for nu, n in found}

@@ -86,6 +86,15 @@ class Embedding:
         return tuple(map(self.restrict_coords, self.g.positive_weights))
 
     @cached_property
+    def integer_rows(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(scale, rows): the least positive integer that makes the
+        restriction matrix integral, and the matrix times it, as int rows;
+        computed on first read, for ``reflection_lifts``, both ``charalg.branch``
+        kernels and the key of their kept tables."""
+        scale = math.lcm(*(x.denominator for row in self.restriction for x in row))
+        return scale, tuple(tuple(int(x * scale) for x in row) for row in self.restriction)
+
+    @cached_property
     def reflection_lifts(self) -> tuple[bool, ...]:
         """For each simple root alpha_i of H, whether some w in W_G has
         R w = s_i R on G-weights, R the restriction matrix; decided on first read.
@@ -94,7 +103,7 @@ class Embedding:
         restricted G-character is W_H-invariant.  R w = s_i R says that
         x = w^{-1} maps the G-coweight h_j = R^T alpha_j_vee of each row j to
         h'_j = h_j - a_ji h_i, a the Cartan matrix of H.  With R scaled to
-        integers, the rows are packed as z = sum_j B^j h_j and
+        integers (``integer_rows``), the rows are packed as z = sum_j B^j h_j and
         z' = sum_j B^j h'_j; x exists exactly when z and z' descend to the
         same dominant point, since a W_G-orbit meets the dominant chamber
         once (Humphreys, Reflection Groups and Coxeter Groups, 1.12), and
@@ -108,9 +117,7 @@ class Embedding:
         descent of at most |Phi_G^+| steps per coweight, and no Weyl group
         is walked.
         """
-        g, h = self.g, self.h
-        scale = math.lcm(*(x.denominator for row in self.restriction for x in row))
-        rows = [[int(x * scale) for x in row] for row in self.restriction]
+        g, h, rows = self.g, self.h, self.integer_rows[1]
         powers = [(30 * max(sum(map(abs, row)) for row in rows) + 1) ** j for j in range(h.rank)]
         unit = math.lcm(*g.symmetrizer)
         units = [unit // d for d in g.symmetrizer]

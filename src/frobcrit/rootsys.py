@@ -25,8 +25,9 @@ breadth-first pass; ``orbit_layers`` gives where each layer starts, so on
 the regular orbit the sign eps(w) of every row; an orbit above
 FROBCRIT_ENUM_CAP (``_resolve_cap``) is refused before its table is built.
 The same cache keeps ``weyl.rho_shifts``, every w of W with rho - w rho,
-its height and its sign, for the Racah-Speiser sum, and the orbit labels of
-``criteria``.
+its height and its sign, for the Racah-Speiser sum, the orbit labels of
+``criteria`` and the packed tables of ``charalg.branch``, all within one
+budget of ints (``_TABLE_BUDGET``).
 ``parabolic_weyl_order`` is |W_J| from the heights of R_J^+, the positive
 roots supported on J (``positive_roots_on``, one AND per root against its
 bitmask in ``RootSystem.support_masks``), ``RootSystem.weyl_order`` is
@@ -307,8 +308,17 @@ class RootSystem:
         # (lam, beta) = sum_k lam_k root_forms[i][k], beta = positive_roots[i]
         self.root_forms: tuple[RootVector, ...] = tuple(
             tuple(map(int.__mul__, beta, d)) for beta in self.positive_roots)
+        heights = list(map(sum, coroots))  # <rho, beta_vee>
         # the height of the highest coroot: |<w rho, alpha_k_vee>| is at most it
-        self.coroot_height: int = max(map(sum, coroots))
+        self.coroot_height: int = max(heights)
+        # each component's highest coroot, whose coefficients bound every
+        # other coroot's there: max_beta <lam, beta_vee> is read at one of
+        # them for dominant lam
+        self.highest_coroots: tuple[RootVector, ...] = tuple(coroots[max(
+            [i for i, mask in enumerate(self.support_masks) if mask & ((1 << hi) - (1 << lo))],
+            key=heights.__getitem__)] for lo, hi in spans)
+        # prod <rho, beta_vee>, the denominator of Weyl's dimension formula
+        self.dim_denominator: int = prod(heights)
         # <lam, 2 rho_vee> = sum_k lam_k two_rho_vee[k], twice the height of lam
         self.two_rho_vee: tuple[int, ...] = tuple(map(sum, zip(*coroots)))
         # the layout of the packed w rho keys of ``weyl``: (w rho)_k is a coroot height up to sign
@@ -454,7 +464,11 @@ def descend(rs: RootSystem, v: Sequence, J: Iterable[int] | None = None):
 # Root data kept across calls, as (value, ints stored): fundamental orbits,
 # orbit tables, root classes, orbit sizes, ``weyl.rho_shifts`` and the words
 # of ``criteria._orbit_words``, keyed by components and k, support, zeros,
-# "rho" or J.
+# "rho" or J; and ``charalg.branch``'s packed tables, keyed by components,
+# integer restriction columns and half (``charalg._orbit_values``, which
+# grows as it is read and is counted again at each new size), or by
+# components, half and a name (``charalg._packed_rows``).  Every key is a
+# value, never an object's id, which a freed object hands on.
 # Past _TABLE_BUDGET ints in all, the oldest are dropped; a dropped entry is
 # rebuilt the same, so the indices of a table still kept stay valid.
 _orbit_tables: dict[tuple, tuple] = {}

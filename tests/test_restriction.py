@@ -13,6 +13,7 @@ order in which an orbit is listed.
 
 import bisect
 import functools
+import gc
 import itertools
 import math
 import operator
@@ -454,7 +455,8 @@ def test_every_w_h_image_of_a_dominant_key_has_room_in_its_digits():
     assert sum(map(operator.mul, kappa, powers)) in counts
     orbit = weyl_orbit(h, Weight(kappa))
     assert max(max(map(abs, nu)) for nu in orbit) == 33 > 16
-    keys = list(charalg._orbit_keys(h, kappa, powers, {}))
+    eye = tuple(tuple(int(i == k) for i in range(h.rank)) for k in range(h.rank))
+    keys = list(charalg._orbit_keys(charalg._orbit_values(h, eye, layout), kappa))
     assert len(set(keys)) == len(orbit) == 1152
     assert set(zip(*charalg._unpack(keys, layout))) == orbit
 
@@ -805,14 +807,86 @@ def test_tables_are_rebuilt_the_same_after_the_cache_is_cleared(spec, monkeypatc
 def test_orbit_table_cache_stays_inside_its_budget(monkeypatch):
     cases = [(folding_E6F4(), (0, 1, 0, 0, 0, 1)), (so_in_sl(6), (1, 1, 0, 1, 0)),
              (diagonal("A2", 3), (1, 0, 2, 1, 1, 1)), (folding_E6F4(), (1, 0, 0, 0, 1, 0))]
+    # branch's packed tables at four radices (half 16 to 256, and 16 to
+    # 4096), each grown by the multiples that the next weight reads
+    cases += [(embed.folding_AC(2), lam) for lam in ((1, 0, 0), (3, 0, 0), (9, 0, 2), (30, 0, 1))]
+    cases += [(diagonal("A1", 2), lam) for lam in ((1, 1), (6, 2), (40, 3), (300, 5))]
     expect = [branch(emb, Weight(lam)) for emb, lam in cases]
     monkeypatch.setattr(rootsys, "_orbit_tables", {})
     monkeypatch.setattr(rootsys, "_table_total", 0)
     monkeypatch.setattr(rootsys, "_TABLE_BUDGET", 3000)
+    packed = 0
     for _ in range(2):
-        assert [branch(emb, Weight(lam)) for emb, lam in cases] == expect
-        held = sum(size for _, size in rootsys._orbit_tables.values())
-        assert held == rootsys._table_total <= 3000
+        for (emb, lam), want in zip(cases, expect):
+            assert branch(emb, Weight(lam)) == want
+            held = sum(size for _, size in rootsys._orbit_tables.values())
+            assert held == rootsys._table_total <= 3000
+            packed += any(isinstance(value, charalg._OrbitValues)
+                          for value, _ in rootsys._orbit_tables.values())
+    assert packed >= len(cases)
+
+
+# -- branch's kept tables ----------------------------------------------------------
+
+def _store_cases():
+    """Every registry embedding, every embedding of the branch-sweep
+    benchmark, two identities and a Frobenius twist, which branch refuses,
+    each at four weights of dimension <= 400, spread from the lowest up."""
+    embs = registry_embeddings() + SWEEP + [
+        embed.identity("B2"), embed.identity("A1,G2"), embed.frobenius_twisted_diagonal("A1", 2)]
+    cases = []
+    for emb in embs:
+        weights = dominant_weights_upto(emb.g, 400)
+        cases += [(emb, lam) for lam in weights[1::-(-len(weights) // 4)]]
+    return cases
+
+
+def test_branch_is_the_same_with_its_tables_cold_warm_or_dropped(monkeypatch):
+    # the kept tables only save work: with an empty store, a full one, and
+    # a budget that drops tables mid-sweep, every outcome is the tuple
+    # oracle's, in value and order
+    cases = _store_cases()
+    expect = [outcome(walk_branch, emb, lam) for emb, lam in cases]
+    monkeypatch.setattr(rootsys, "_orbit_tables", {})
+    monkeypatch.setattr(rootsys, "_table_total", 0)
+    monkeypatch.setattr(charalg, "_char_cache", {})
+    assert [outcome(branch, emb, lam) for emb, lam in cases] == expect
+    assert [outcome(branch, emb, lam) for emb, lam in cases] == expect
+    monkeypatch.setattr(rootsys, "_orbit_tables", {})
+    monkeypatch.setattr(rootsys, "_table_total", 0)
+    monkeypatch.setattr(rootsys, "_TABLE_BUDGET", 5000)
+    seen, dropped = set(), set()
+    for (emb, lam), want in zip(cases, expect):
+        assert outcome(branch, emb, lam) == want, (emb.label, lam)
+        now = {key for key, (value, _) in rootsys._orbit_tables.items()
+               if isinstance(value, charalg._OrbitValues)}
+        dropped |= seen - now
+        seen |= now
+    assert len(dropped) > 10
+
+
+def test_branch_tables_are_keyed_by_value_and_not_by_the_embedding(monkeypatch):
+    # embeddings built, branched and dropped one at a time: a freed
+    # embedding's id is often the next one's, and a table keyed by it would
+    # restrict the next matrix by the last one's columns.  The matrices of
+    # equal row sums share each call's layout
+    monkeypatch.setattr(rootsys, "_orbit_tables", {})
+    monkeypatch.setattr(rootsys, "_table_total", 0)
+    g, h = build_root_system("A1,A1"), build_root_system("A1")
+    weights = [Weight(lam) for lam in ((1, 1), (2, 1), (3, 2), (1, 4))]
+    for rows in ([[1, 1]], [[2, 0]], [[1, 0]], [[0, 2]], [[1, 1]], [[0, 1]], [[2, 0]]):
+        emb = Embedding(g, h, rows, "custom")
+        assert ([outcome(branch, emb, lam) for lam in weights]
+                == [outcome(walk_branch, emb, lam) for lam in weights]), rows
+        del emb
+        gc.collect()
+    # an equal matrix in a new embedding finds every table it reads kept
+    before = dict(rootsys._orbit_tables)
+    emb = Embedding(g, h, [[Fraction(2, 2), 1]], "equal")
+    assert [outcome(branch, emb, lam) for lam in weights] == [
+        outcome(walk_branch, emb, lam) for lam in weights]
+    assert rootsys._orbit_tables.keys() == before.keys()
+    assert all(rootsys._orbit_tables[key][0] is value for key, (value, _) in before.items())
 
 
 def test_char_cache_stays_at_its_bound(monkeypatch):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -159,6 +161,22 @@ def test_positive_roots_match_epsilon_model(letter, lo, hi):
 def test_positive_roots_match_reflection_orbit(spec):
     rs = build_root_system(spec)
     assert set(rs.positive_roots) == reflection_orbit_positive_roots(rs)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + ["A1,C2", "A2,G2", "B2,A1,G2"])
+def test_highest_coroots_give_the_largest_pairing_with_a_dominant_weight(spec):
+    # the bound of both branch kernels, and the denominator of weyl_dim
+    rs = build_root_system(spec)
+    assert len(rs.highest_coroots) == len(rs.components)
+    for co in rs.coroots:  # under its own component's highest coroot, entry by entry
+        assert sum(all(map(operator.le, co, top)) for top in rs.highest_coroots) == 1, co
+    rng = random.Random(spec)
+    for _ in range(40):
+        lam = Weight([rng.randint(0, 5) for _ in range(rs.rank)])
+        expect = max(cartan_pairing(rs, lam, beta) for beta in rs.positive_roots)
+        assert max(sum(map(operator.mul, lam.coords, co)) for co in rs.highest_coroots) == expect
+    assert rs.dim_denominator == math.prod(
+        cartan_pairing(rs, Weight([1] * rs.rank), beta) for beta in rs.positive_roots)
 
 
 @pytest.mark.parametrize("spec", [s for s in _systems_up_to_rank(4) if "," not in s]
