@@ -20,15 +20,16 @@ of H lifts to W_G (``Embedding.reflection_lifts``, one descent per coweight,
 read once per embedding); then every restricted G-character is
 W_H-invariant, and that certificate is the one place where ``branch`` learns
 it.
-``_branch_by_numerator`` runs only on certified embeddings and builds no
-character of G: it divides the restricted Weyl numerator by the factors
-that are not over positive H-roots, read off the embedding's
-``root_images`` on every call, and reads the multiplicities off the
-H-dominant keys of the quotient, found by the top-bit mask, as
-``_dominant_count`` finds its own, and the only keys unpacked.
-``_branch_by_restriction`` runs every other call, and every call the
-numerator declines: it restricts the dominant multiplicities orbit by
-orbit and checks that the result is integral.  On an uncertified embedding
+``branch`` picks one kernel per call, and that kernel answers or raises.
+``_branch_by_numerator`` runs only on certified embeddings that also hold
+a ``_numerator_certificate``, and builds no character of G: it divides the
+restricted Weyl numerator by the factors that are not over positive
+H-roots, read off the embedding's ``root_images`` on every call, and reads
+the coefficients n_nu off the H-dominant keys of the quotient, found by the
+top-bit mask, as ``_dominant_count`` finds its own, and the only keys
+unpacked.  ``_branch_by_restriction`` runs every other call: it restricts
+the dominant multiplicities orbit by orbit and checks that the result is
+integral.  On an uncertified embedding
 ``_broken_pair`` compares every key with its image under each simple
 reflection of H, one pass per root, and refuses the multiset at a broken
 pair.  An invariant multiset is decomposed on its H-dominant keys alone,
@@ -36,8 +37,9 @@ about 4 % of the keys on the branch-sweep benchmark, which one mask on the
 top bits of the digits finds: by the Racah-Speiser (Brauer-Klimyk) sum,
 which needs no H-character, when W_H is listed and no more of its w lie
 under the span of the keys' heights than there are keys, and else peeled
-by H-characters from the top.  A refusal names its witness by
-``_height_order``, the order in which constituents are listed, so it does
+by H-characters from the top.  Both kernels end in ``_constituents``, which
+lists the n_nu in ``_height_order`` or refuses at the highest negative one;
+every refusal names its witness highest in that order, so it does
 not depend on the order of the tables.
 """
 
@@ -440,23 +442,24 @@ def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
     50 000) is refused before any multiplicity is computed, and the
     exception carries the exact dimension.
 
-    An embedding whose simple reflections of H all lift to W_G
-    (``Embedding.reflection_lifts``), with |W_G| <= _NUMERATOR_MAX_ORDER, at
-    a module of dimension at least _NUMERATOR_DIM_PER_ELEMENT |W_G|, goes to
-    ``_branch_by_numerator``; every other call, and every call it declines,
-    to ``_branch_by_restriction``, which names the witness of a refusal.
-    Only an embedding without that certificate has its restricted character
-    checked for W_H-invariance (``_broken_pair``).
+    The kernel is chosen once, up front.  An embedding whose simple
+    reflections of H all lift to W_G (``Embedding.reflection_lifts``) and
+    that has a ``_numerator_certificate``, with |W_G| <= _NUMERATOR_MAX_ORDER,
+    at a module of dimension at least _NUMERATOR_DIM_PER_ELEMENT |W_G|, goes
+    to ``_branch_by_numerator``; every other call to
+    ``_branch_by_restriction``.  Either answers or raises with the same
+    text.  Only an embedding without the reflection certificate has its
+    restricted character checked for W_H-invariance (``_broken_pair``).
     """
     cap = _resolve_cap(None, _BRANCH_CAP_ENV, DEFAULT_BRANCH_CAP)
     dim = weyl_dim(emb.g, lam)
     if dim > cap:
         raise BranchCapExceeded(emb.g, lam, dim, cap)
     order = emb.g.weyl_order
-    if order <= _NUMERATOR_MAX_ORDER and dim >= _NUMERATOR_DIM_PER_ELEMENT * order:
-        result = _branch_by_numerator(emb, lam)
-        if result is not None:
-            return result
+    if (order <= _NUMERATOR_MAX_ORDER and dim >= _NUMERATOR_DIM_PER_ELEMENT * order
+            and all(emb.reflection_lifts)
+            and (extra := _numerator_certificate(emb)) is not None):
+        return _branch_by_numerator(emb, lam, extra)
     return _branch_by_restriction(emb, lam)
 
 
@@ -472,7 +475,12 @@ def _branch_by_restriction(emb: Embedding, lam: Weight) -> dict[Weight, int]:
         broken = _broken_pair(h, counts, layout)
         if broken is not None:
             raise broken
-    virtual = _dominant_count(h, counts, layout)
+    return _constituents(h, _dominant_count(h, counts, layout))
+
+
+def _constituents(h: RootSystem, virtual: dict) -> dict[Weight, int]:
+    """{Weight(nu): n_nu} for the nonzero n_nu of ``virtual``, {nu: n_nu},
+    from the top in ``_height_order``; raises at the highest negative n_nu."""
     key = _height_order(h)
     negative = [nu for nu, n in virtual.items() if n < 0]
     if negative:
@@ -610,8 +618,8 @@ def _numerator_certificate(emb: Embedding) -> tuple | None:
     each positive H-root, when the restriction matrix is integral, no
     positive G-root restricts to 0 and every positive H-root is the
     restriction of a positive G-root; None otherwise."""
-    if any(type(x) is not int for row in emb.restriction for x in row):
-        return None  # Embedding keeps an integral entry as an int
+    if emb.integer_rows[0] != 1:
+        return None
     images = list(emb.root_images)
     if not all(map(any, images)):
         return None
@@ -622,13 +630,13 @@ def _numerator_certificate(emb: Embedding) -> tuple | None:
     return tuple(images)
 
 
-def _divide(poly: dict, gamma: tuple, layout: tuple) -> dict | None:
-    """poly / (1 - e^{-gamma}) on packed keys, or None when a gamma-line of
-    poly does not sum to 0.  The quotient at x is the sum of poly over x,
-    x + gamma, x + 2 gamma, ...; a line is named by its point x - k gamma,
-    k = floor(x_j / gamma_j) for j the largest |gamma_j|, so keys are grouped
-    by digit j and not by their residue mod pack(gamma), which aliases every
-    key when pack(gamma) is 1."""
+def _divide(poly: dict, gamma: tuple, layout: tuple) -> dict:
+    """poly / (1 - e^{-gamma}) on packed keys, which is exact: each gamma-line
+    of poly sums to 0, or an AssertionError names gamma.  The quotient at x
+    is the sum of poly over x, x + gamma, x + 2 gamma, ...; a line is named
+    by its point x - k gamma, k = floor(x_j / gamma_j) for j the largest
+    |gamma_j|, so keys are grouped by digit j and not by their residue mod
+    pack(gamma), which aliases every key when pack(gamma) is 1."""
     half, powers, offset = layout
     j = max(range(len(gamma)), key=lambda i: abs(gamma[i]))
     step, gamma_j, radix, shift = powers[j], gamma[j], 2 * half, _pack(gamma, powers)
@@ -650,30 +658,27 @@ def _divide(poly: dict, gamma: tuple, layout: tuple) -> dict | None:
                 out.update(dict.fromkeys(range(base + a * shift, base + b * shift, -shift),
                                          total))
         if total + line[ks[-1]]:
-            return None
+            raise AssertionError(f"the numerator is not divisible by 1 - e^-{coords_text(gamma)}")
     return out
 
 
-def _branch_by_numerator(emb: Embedding, lam: Weight) -> dict[Weight, int] | None:
+def _branch_by_numerator(emb: Embedding, lam: Weight, extra: tuple) -> dict[Weight, int]:
     """``branch`` by Weyl's character formula, restricted: Res is a ring map, so
 
         Res(ch V(lam)) prod_{beta > 0} (1 - e^{-Res beta})
             = sum_{w in W_G} eps(w) e^{Res(w(lam + rho)) - Res(rho)},
 
-    and dividing the right side by the factors over Q (``_numerator_
-    certificate``) leaves Res(ch V(lam)) prod_{alpha > 0} (1 - e^{-alpha})
-    over the positive H-roots.  On an embedding certified by
-    ``Embedding.reflection_lifts``, Res(ch V(lam)) is W_H-invariant, so that
-    quotient is alternating under the rho_H-shifted simple reflections by
-    itself, and its value at each H-dominant nu is the multiplicity n_nu.
-    No character of G is computed.  None when the embedding lacks either
-    certificate, a division is not exact or some n_nu is negative:
-    ``_branch_by_restriction`` then names the witness.
+    and dividing the right side by the factors over ``extra``, the
+    ``_numerator_certificate`` of the embedding, leaves
+    Res(ch V(lam)) prod_{alpha > 0} (1 - e^{-alpha}) over the positive
+    H-roots.  On an embedding certified by ``Embedding.reflection_lifts``,
+    Res(ch V(lam)) = sum_nu n_nu ch V(nu) is W_H-invariant, so that quotient
+    is sum_nu n_nu sum_{w in W_H} eps(w) e^{w(nu + rho) - rho}, and its value
+    at each H-dominant nu is n_nu, the coefficient that the restriction
+    kernel computes: ``_constituents`` lists them, or raises at the same
+    witness.  No character of G is computed.
     """
     g, h, rows = emb.g, emb.h, emb.integer_rows[1]
-    extra = _numerator_certificate(emb) if all(emb.reflection_lifts) else None
-    if extra is None:
-        return None
     # |<w(lam + rho), alpha_k_vee>| <= top, so every coordinate of the
     # numerator, and of each partial quotient (in its convex hull), is at
     # most bound in size; a line's base point, |x_j / gamma_j| + 1 steps
@@ -694,14 +699,6 @@ def _branch_by_numerator(emb: Embedding, lam: Weight) -> dict[Weight, int] | Non
 
     for gamma in extra:
         poly = _divide(poly, gamma, layout)
-        if poly is None:
-            return None
-
     dominant = list(itertools.compress(poly, _nonnegative(poly, layout[2])))
-    mults = list(map(poly.__getitem__, dominant))
-    if any(n < 0 for n in mults):
-        return None
-    key = _height_order(h)
-    found = sorted(zip(zip(*_unpack(dominant, layout)), mults),
-                   key=lambda item: key(item[0]), reverse=True)
-    return {Weight(nu): n for nu, n in found}
+    return _constituents(h, dict(zip(zip(*_unpack(dominant, layout)),
+                                     map(poly.__getitem__, dominant))))

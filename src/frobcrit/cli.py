@@ -114,16 +114,6 @@ def weight_to_json(w: Weight) -> list[str]:
     return list(map(str, w.coords))
 
 
-def embedding_to_json(e: embed.Embedding) -> dict:
-    return {
-        "label": e.label,
-        "g": e.g.spec_string(),
-        "h": e.h.spec_string(),
-        "restriction": [list(map(str, row)) for row in e.restriction],
-        "twist_exponent": e.twist_exponent,
-    }
-
-
 # _DEPTH[k] opens a line k levels deep in the report
 _DEPTH = tuple("\n" + "  " * k for k in range(5))
 
@@ -435,7 +425,7 @@ def _cmd_examples_run(args) -> int:
         else:
             expected = list(ex.expected_verdicts)
             _emit_example(args.name, [{
-                "embedding": embedding_to_json(ex.embedding),
+                "embedding": json.loads(_embedding_text(ex.embedding)),
                 "J": list(ex.J),
                 "conjugator_words": [list(x.word) for x in ex.conjugators],
                 "verdicts": verdicts,

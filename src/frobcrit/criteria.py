@@ -192,14 +192,20 @@ def _resolve_lie(inp: CriterionInput) -> LieSeparabilityStatus:
     return LieSeparabilityStatus("unknown", "undetermined")
 
 
-def _orbit_words(g, J: tuple[int, ...]) -> tuple:
-    """The words of W_J, one walk per (G, J), kept with the root data of G."""
+def _orbit_words(g, J: tuple[int, ...]) -> tuple[int, tuple | None]:
+    """(|W_J|, the words of W_J), the words None above ORBIT_LABEL_CAP or
+    FROBCRIT_ENUM_CAP: |W_J| is the number of kept words, if any, else read
+    off R_J^+, and the cap is read, and a bad one refused, only under the
+    label cap.  One walk per (G, J), kept with the root data of G."""
     key = (g.components, J, "words")
     words = _kept(key)
+    count = len(words) if words is not None else parabolic_weyl_order(g, J)
+    if count > ORBIT_LABEL_CAP or count > _resolve_cap(None):
+        return count, None
     if words is None:
         words = tuple(walk_parabolic(g, J, ORBIT_LABEL_CAP)[1])
         _keep(key, words, len(words) + sum(map(len, words)))
-    return words
+    return count, words
 
 
 def check_main(inp: CriterionInput) -> CriterionReport:
@@ -233,12 +239,7 @@ def check_main(inp: CriterionInput) -> CriterionReport:
             "COR73_FLAG": full,
             "COHOMOLOGY_VANISHING": full,
         }
-        # |W_J| is the number of kept orbit words, if any, else read off R_J^+;
-        # FROBCRIT_ENUM_CAP is read, and a bad one refused, only under the label cap
-        words = _kept((emb.g.components, J, "words"))
-        count = len(words) if words is not None else parabolic_weyl_order(emb.g, J)
-        words = (_orbit_words(emb.g, J) if count <= ORBIT_LABEL_CAP
-                 and count <= _resolve_cap(None) else None)
+        count, words = _orbit_words(emb.g, J)
         if not surjectivity.holds:
             would = ", ".join(tag for tag, on in holds.items() if on)
             statements = [(

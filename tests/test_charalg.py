@@ -415,6 +415,45 @@ def certified(emb):
     return _numerator_certificate(emb) is not None and all(emb.reflection_lifts)
 
 
+def numerator(emb, lam):
+    """The divided-numerator kernel on a certified embedding, called on its own."""
+    return _branch_by_numerator(emb, lam, _numerator_certificate(emb))
+
+
+def refusal(kernel, emb, lam):
+    """The text of the ValueError that the kernel raises on (emb, lam)."""
+    with pytest.raises(ValueError) as caught:
+        kernel(emb, lam)
+    return str(caught.value)
+
+
+def kernel_spy(monkeypatch):
+    """A function of (emb, lam) that calls ``branch``, answer or refusal, and
+    returns the names of the kernels the call ran, in order."""
+    ran = []
+    for name in ("_branch_by_numerator", "_branch_by_restriction"):
+        def spy(*args, kernel=getattr(charalg, name), name=name):
+            ran.append(name)
+            return kernel(*args)
+        monkeypatch.setattr(charalg, name, spy)
+
+    def kernels(emb, lam):
+        ran.clear()
+        try:
+            branch(emb, lam)
+        except ValueError:
+            pass
+        return ran
+    return kernels
+
+
+def takes_the_numerator(emb, lam):
+    """``branch``'s choice: both certificates, and the size rule."""
+    order = emb.g.weyl_order
+    return (certified(emb) and order <= charalg._NUMERATOR_MAX_ORDER
+            and weyl_dim(emb.g, lam) >= charalg._NUMERATOR_DIM_PER_ELEMENT * order)
+
+
 @pytest.mark.parametrize("emb", registry_embeddings(), ids=lambda e: e.label)
 def test_branch_matches_full_character_reference(emb):
     # branch, and each kernel called on its own whatever branch would choose
@@ -423,7 +462,7 @@ def test_branch_matches_full_character_reference(emb):
         assert list(branch(emb, lam).items()) == expect, (emb.label, lam)
         assert list(_branch_by_restriction(emb, lam).items()) == expect, (emb.label, lam)
         if certified(emb):
-            assert list(_branch_by_numerator(emb, lam).items()) == expect, (emb.label, lam)
+            assert list(numerator(emb, lam).items()) == expect, (emb.label, lam)
 
 
 def test_registry_embeddings_are_certified_but_the_levis():
@@ -456,28 +495,66 @@ EDGE_EMBEDDINGS = [
 ]
 
 
-@pytest.mark.parametrize("emb,weights", EDGE_EMBEDDINGS,
-                         ids=[emb.label for emb, _ in EDGE_EMBEDDINGS])
+def random_certified(seed, count):
+    """``count`` custom embeddings of A1, drawn with ``seed`` (G of rank <= 3,
+    matrix entries -3..4), that hold both certificates, each with three
+    weights drawn from those of dimension <= 1 000, entries 0..4."""
+    rng = random.Random(seed)
+    specs = ["A1", "A2", "B2", "G2", "A1,A1", "A3", "B3", "C3", "A1,A1,A1", "A2,A1"]
+    h, out = build_root_system("A1"), []
+    while len(out) < count:
+        g = build_root_system(rng.choice(specs))
+        matrix = [[rng.randint(-3, 4) for _ in range(g.rank)]]
+        emb = Embedding(g, h, matrix, label=f"random:{g.spec_string()}:{matrix[0]}")
+        if certified(emb):
+            weights = [w.coords for w in dominant_weights_upto(g, 1000) if max(w.coords) <= 4]
+            out.append((emb, rng.sample(weights, 3)))
+    return out
+
+
+# about a third of the draws are refused, each by both kernels with one text
+RANDOM_CERTIFIED = random_certified(37, 24)
+
+
+@pytest.mark.parametrize("emb,weights", EDGE_EMBEDDINGS + RANDOM_CERTIFIED,
+                         ids=[emb.label for emb, _ in EDGE_EMBEDDINGS + RANDOM_CERTIFIED])
 def test_branch_raises_exactly_where_reference_raises(emb, weights):
-    # the divided numerator declines (None) wherever the reference raises
+    # on a certified embedding the divided numerator raises the restriction
+    # kernel's text wherever the reference raises, and agrees with it elsewhere
     for coords in weights:
         lam = Weight(coords)
         try:
             expect = reference_branch(emb, lam)
         except ValueError as err:
             for kernel in (branch, _branch_by_restriction):
-                with pytest.raises(ValueError) as caught:
-                    kernel(emb, lam)
-                for text in ("non-integral", "not a character of H",
+                text = refusal(kernel, emb, lam)
+                for part in ("non-integral", "not a character of H",
                              "negative residual multiplicity"):
-                    assert (text in str(err)) == (text in str(caught.value)), coords
-            assert _branch_by_numerator(emb, lam) is None, coords
+                    assert (part in str(err)) == (part in text), coords
+            if certified(emb):
+                assert "negative residual multiplicity" in str(err), coords
+                assert refusal(numerator, emb, lam) == refusal(
+                    _branch_by_restriction, emb, lam), coords
         else:
             expect = list(expect.items())
             assert list(branch(emb, lam).items()) == expect
             assert list(_branch_by_restriction(emb, lam).items()) == expect
             if certified(emb):
-                assert list(_branch_by_numerator(emb, lam).items()) == expect
+                assert list(numerator(emb, lam).items()) == expect
+
+
+@pytest.mark.parametrize("emb,weights", [
+    (emb, [w.coords for w in dominant_weights_upto(emb.g, 200)])
+    for emb in registry_embeddings()] + EDGE_EMBEDDINGS + RANDOM_CERTIFIED,
+    ids=[e.label for e in registry_embeddings()]
+    + [e.label for e, _ in EDGE_EMBEDDINGS + RANDOM_CERTIFIED])
+def test_each_branch_call_runs_exactly_one_kernel(emb, weights, monkeypatch):
+    # ten of the random calls are refused on the numerator's path
+    kernels = kernel_spy(monkeypatch)
+    for coords in weights:
+        lam = Weight(coords)
+        expect = "_branch_by_numerator" if takes_the_numerator(emb, lam) else "_branch_by_restriction"
+        assert kernels(emb, lam) == [expect], (emb.label, coords)
 
 
 def test_branch_rejects_invariant_non_character():
@@ -636,15 +713,17 @@ REFUSAL_TEXTS = {
 @pytest.mark.parametrize("emb,weights", EDGE_EMBEDDINGS + NON_CHARACTERS,
                          ids=[emb.label for emb, _ in EDGE_EMBEDDINGS + NON_CHARACTERS])
 def test_refusal_texts_are_pinned_and_the_numerator_declines_them(emb, weights):
+    # on a certified embedding the divided numerator refuses with the pinned text too
     for coords in weights:
+        lam = Weight(coords)
         text = REFUSAL_TEXTS.get((emb.label, coords))
         if text is None:
-            assert _branch_by_numerator(emb, Weight(coords)) in (None, branch(emb, Weight(coords)))
+            if certified(emb):
+                assert list(numerator(emb, lam).items()) == list(branch(emb, lam).items())
             continue
-        assert _branch_by_numerator(emb, Weight(coords)) is None, coords
-        with pytest.raises(ValueError) as caught:
-            branch(emb, Weight(coords))
-        assert str(caught.value) == text, coords
+        assert refusal(branch, emb, lam) == text, coords
+        if certified(emb):
+            assert refusal(numerator, emb, lam) == text, coords
 
 
 UNCERTIFIED = [
@@ -656,22 +735,27 @@ UNCERTIFIED = [
 
 
 @pytest.mark.parametrize("emb", UNCERTIFIED, ids=lambda e: e.label)
-def test_numerator_certificate_fails(emb):
+def test_numerator_certificate_fails(emb, monkeypatch):
     # a fractional matrix, a positive G-root restricting to 0, or an H-root
-    # that is the restriction of no positive G-root
+    # that is the restriction of no positive G-root; branch then runs the
+    # restriction kernel, here at the largest module of dimension <= 2 000,
+    # which the size rule admits wherever |W_G| <= 200
     assert _numerator_certificate(emb) is None
-    lam = Weight([1] * emb.g.rank)
-    assert _branch_by_numerator(emb, lam) is None
+    lam = max(dominant_weights_upto(emb.g, 2000), key=functools.partial(weyl_dim, emb.g))
+    assert emb.g.weyl_order > 200 or weyl_dim(emb.g, lam) >= 2 * emb.g.weyl_order
+    assert kernel_spy(monkeypatch)(emb, lam) == ["_branch_by_restriction"]
 
 
-def test_a_numerator_certificate_without_reflection_lifts_is_declined():
+def test_a_numerator_certificate_without_reflection_lifts_is_declined(monkeypatch):
     # the divided numerator needs both certificates, even where the
-    # restriction is a character of H
+    # restriction is a character of H, and |W_G| = 6 and each dimension
+    # (15, 27, 216) admit it
     emb = next(e for e, _ in EDGE_EMBEDDINGS if e.label == "A2:[3,-1]")
     assert _numerator_certificate(emb) is not None and not all(emb.reflection_lifts)
     assert not certified(emb)
+    kernels = kernel_spy(monkeypatch)
     for coords in [(2, 1), (2, 2), (5, 5)]:
-        assert _branch_by_numerator(emb, Weight(coords)) is None, coords
+        assert kernels(emb, Weight(coords)) == ["_branch_by_restriction"], coords
     assert branch(emb, W(5, 5)) == _branch_by_restriction(emb, W(5, 5)) != {}
 
 
@@ -684,24 +768,24 @@ def test_numerator_certificate_is_the_images_less_one_per_h_root(emb):
 def test_twisted_diagonal_enters_the_numerator_and_declines(monkeypatch):
     # n_0 = -1 at (1, 1), and 0 is not a weight of the restriction
     emb = frobenius_twisted_diagonal("A1", 3)
-    assert certified(emb) and _branch_by_numerator(emb, W(1, 1)) is None
-    with pytest.raises(ValueError, match=r"^negative residual multiplicity -1 at \(0\)$"):
-        branch(emb, W(1, 1))
-    # at (1, 3), dimension 8 = 2 |W_G|, branch itself takes the new kernel first
-    calls = []
+    assert certified(emb)
+    text = "negative residual multiplicity -1 at (0)"
+    assert refusal(numerator, emb, W(1, 1)) == refusal(branch, emb, W(1, 1)) == text
+    # at (1, 3), dimension 8 = 2 |W_G|, branch runs the divided numerator
+    # alone, which names the restriction kernel's witness itself
+    assert kernel_spy(monkeypatch)(emb, W(1, 3)) == ["_branch_by_numerator"]
+    assert refusal(branch, emb, W(1, 3)) == "negative residual multiplicity -1 at (6)"
+    assert refusal(_branch_by_restriction, emb, W(1, 3)) == refusal(numerator, emb, W(1, 3))
 
-    def spy(*args):
-        calls.append(_branch_by_numerator(*args))
-        return calls[-1]
 
-    monkeypatch.setattr(charalg, "_branch_by_numerator", spy)
-    with pytest.raises(ValueError) as caught:
-        branch(emb, W(1, 3))
-    assert calls == [None]
-    assert str(caught.value) == "negative residual multiplicity -1 at (6)"
-    with pytest.raises(ValueError) as again:
-        _branch_by_restriction(emb, W(1, 3))
-    assert str(again.value) == str(caught.value)
+def test_divide_is_exact_or_asserts():
+    # e^1 - e^-1 = (1 - e^-2) e^1; a line that does not sum to 0 cannot come
+    # from a numerator, as Res is a ring map, and is an internal fault
+    layout = rootsys._layout(1, 8)
+    one = rootsys._pack((1,), layout[1])
+    assert charalg._divide({one: 1, -one: -1}, (2,), layout) == {one: 1}
+    with pytest.raises(AssertionError, match=r"^the numerator is not divisible by 1 - e\^-\(2\)$"):
+        charalg._divide({one: 1}, (2,), layout)
 
 
 @pytest.mark.parametrize("spec,lam", [("A1", (49999,)), ("A1,A1,A1", (49999, 0, 0)),
@@ -721,9 +805,7 @@ def test_kernels_agree_at_the_largest_certified_inputs_under_the_branch_cap(spec
     # is within 7 % of DEFAULT_BRANCH_CAP
     emb, lam = identity(spec), Weight(lam)
     assert 0.93 * DEFAULT_BRANCH_CAP < weyl_dim(emb.g, lam) <= DEFAULT_BRANCH_CAP
-    found = _branch_by_numerator(emb, lam)
-    assert found is not None
-    assert list(found.items()) == list(_branch_by_restriction(emb, lam).items())
+    assert list(numerator(emb, lam).items()) == list(_branch_by_restriction(emb, lam).items())
 
 
 def test_refusal_text_names_the_highest_weight():

@@ -438,7 +438,8 @@ def test_custom_matrix_floats_refused_exact_strings_accepted(capsys):
         "-3/2", "1/3", "-2", "0", "4", "0", "7", "-3", "-5/2"]
     emb = embed.Embedding(build_root_system(",".join(["A1"] * len(entries))),
                           build_root_system("A1"), [entries], label="entries")
-    assert cli.embedding_to_json(emb)["restriction"] == [[str(Fraction(x)) for x in entries]]
+    restriction = json.loads(cli._embedding_text(emb))["restriction"]
+    assert restriction == [[str(Fraction(x)) for x in entries]]
 
 
 def test_check_bad_lie_flag_refused_with_full_J(capsys):
@@ -930,8 +931,8 @@ def test_memos_are_bounded():
         assert memo.cache_info().maxsize == 64
     # the orbit words live in the root-data store, bounded by the ints it holds
     g = build_root_system("B3")
-    words = criteria._orbit_words(g, (1, 2))
-    assert rootsys._kept((g.components, (1, 2), "words")) is words and len(words) == 6
+    count, words = criteria._orbit_words(g, (1, 2))
+    assert rootsys._kept((g.components, (1, 2), "words")) is words and len(words) == count == 6
     assert rootsys._orbit_tables[g.components, (1, 2), "words"][1] == 6 + sum(map(len, words))
 
 

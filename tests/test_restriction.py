@@ -378,14 +378,16 @@ def test_invariance_check_matches_the_tuple_reference(emb, monkeypatch):
     assert_matches_tuple_reference(emb, dominant_weights_upto(emb.g, 60), monkeypatch)
 
 
-@pytest.mark.parametrize("emb,lam,text", [
-    (diagonal("A1", 2), (1, 1), None),
-    (EDGE_EMBEDDINGS[0][0], (1,), "non-integral H-weight (1/2)"),
-    (EDGE_EMBEDDINGS[2][0], (1, 0), "is not dominant"),
-    (NON_CHARACTERS[0][0], (1,), "negative residual multiplicity -1 at (0)"),
-    (SATURATED[0], (2, 2), "negative residual multiplicity -1 at (0)"),
+@pytest.mark.parametrize("emb,lam,text,restrictions", [
+    (diagonal("A1", 2), (1, 1), None, 1),
+    (EDGE_EMBEDDINGS[0][0], (1,), "non-integral H-weight (1/2)", 1),
+    (EDGE_EMBEDDINGS[2][0], (1, 0), "is not dominant", 1),
+    (NON_CHARACTERS[0][0], (1,), "negative residual multiplicity -1 at (0)", 1),
+    # certified, |W_G| = 4 and dimension 9: the divided numerator refuses it
+    # and restricts no character
+    (SATURATED[0], (2, 2), "negative residual multiplicity -1 at (0)", 0),
 ], ids=["character", "non-integral", "not-invariant", "not-saturated", "negative-residual"])
-def test_branch_restricts_once_on_every_path(emb, lam, text, monkeypatch):
+def test_branch_restricts_once_on_every_path(emb, lam, text, restrictions, monkeypatch):
     calls = []
     restricted_counts = charalg._restricted_counts
 
@@ -395,7 +397,7 @@ def test_branch_restricts_once_on_every_path(emb, lam, text, monkeypatch):
 
     monkeypatch.setattr(charalg, "_restricted_counts", counted)
     result = outcome(branch, emb, Weight(lam))
-    assert len(calls) == 1
+    assert len(calls) == restrictions
     assert (result[0] == "ValueError" and text in result[1]) if text else result
 
 
