@@ -426,11 +426,11 @@ def _cmd_examples_run(args) -> int:
             expected = list(ex.expected_verdicts)
             _emit_example(args.name, [{
                 "embedding": json.loads(_embedding_text(ex.embedding)),
-                "J": list(ex.J),
-                "conjugator_words": [list(x.word) for x in ex.conjugators],
+                "J": ex.J,
+                "conjugator_words": [x.word for x in ex.conjugators],
                 "verdicts": verdicts,
                 "expected_verdicts": expected,
-                "diagram": _diagram_json(ex.diagram),
+                "diagram": ex.diagram._asdict(),
             }], [f"conjugated Borel verdicts: {verdicts} expected {expected}"], ok, args.format)
         return 0 if ok else 1
     record, params = _match_example(args.name)
@@ -478,17 +478,6 @@ def _emit_example(name: str, results: list, lines: list[str], ok: bool, fmt: str
         print(f"expectations met: {ok}")
     else:
         _emit_json({"example": name, "results": results, "expectations_met": ok})
-
-
-def _diagram_json(d: registry.OrbitDiagram) -> dict:
-    return {
-        "nodes": list(d.nodes),
-        "edges": [list(e) for e in d.edges],
-        "closed_orbit_conjugator": dict(sorted(d.closed_orbit_conjugator.items())),
-        "split_compatible": [list(f) for f in d.split_compatible],
-        "pairwise_split": [list(pair) for pair in d.pairwise_split],
-        "unresolved": list(d.unresolved),
-    }
 
 
 def _sp4_dot(ex: registry.Sp4Example, verdicts: list[bool]) -> str:

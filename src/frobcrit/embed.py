@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -352,9 +351,9 @@ def folding_B3G2() -> Embedding:
     return Embedding(g, h, rows, "folding_B3G2")
 
 
-def _so_coords(lam: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
+def _so_coords(lam: Sequence[int], n: int) -> tuple[int, ...]:
     # epsilon-coordinates of the restricted weight: c_k = lam_k + ... + lam_{n-1}
-    c = [sum(lam[k:], Fraction(0)) for k in range(n - 1)] + [Fraction(0)]
+    c = [sum(lam[k:]) for k in range(n - 1)] + [0]
     m = n // 2
     a = [c[k] - c[n - 1 - k] for k in range(m)]
     if n % 2 == 1:
@@ -384,8 +383,8 @@ def so_in_sl(n: int) -> Embedding:
     h = build_root_system(comps)
     cols = []
     for i in range(n - 1):
-        lam = [Fraction(0)] * (n - 1)
-        lam[i] = Fraction(1)
+        lam = [0] * (n - 1)
+        lam[i] = 1
         cols.append(_so_coords(lam, n))
     rows = [[cols[j][i] for j in range(n - 1)] for i in range(h.rank)]
     return Embedding(g, h, rows, f"so_in_sl:n={n}")

@@ -1,19 +1,17 @@
 """Weyl group elements, enumeration and Steinberg-type weight identities.
 
-An element w is keyed by x = w rho packed into one int, sum_k x_k radix^k,
-which determines w because rho is regular (Stembridge, MSJ Memoirs 11,
-2001).  Every x_k = <rho, w^{-1} alpha_k_vee> is the height of a coroot up
-to sign, so in the layout ``RootSystem.rho_layout`` (``rootsys._layout``,
-reach the height of the highest coroot) the top bit of digit k of
-key + offset is set exactly when x_k > 0 (x_k is never 0).  Equality, hashing
-and ``is_identity`` read the key.  ``length`` unpacks it and forms one packed
+An element w is its word and its key: x = w rho packed into one int,
+sum_k x_k radix^k, which determines w because rho is regular (Stembridge,
+MSJ Memoirs 11, 2001).  Every x_k = <rho, w^{-1} alpha_k_vee> is the height
+of a coroot up to sign, so in the layout ``RootSystem.rho_layout``
+(``rootsys._layout``, reach the height of the highest coroot) the top bit of
+digit k of key + offset is set exactly when x_k > 0 (x_k is never 0).
+Equality and hashing read the key.  ``length`` unpacks it and forms one packed
 product sum_k x_k ``RootSystem.coroot_columns[k]``, whose digit for beta is
 <w rho, beta_vee>, again a nonzero coroot height up to sign, so ``coroot_layout``
 (the same reach) has room for it: l(w) is |Phi^+| less the top bits set
 (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7).  ``from_word``
-reflects rho along the reversed word by ``rootsys.reflect_word``; the
-integer matrix of w on fundamental-weight coordinates is built only when
-``.matrix`` is read: its column k is w omega_k, reflected the same way.
+reflects rho along the reversed word by ``rootsys.reflect_word``.
 Words are tuples of 1-based indices and compose left to right, i.e.
 ``from_word(rs, (1, 2))`` is s_1 composed with s_2, applied as s_1(s_2(v)).
 ``walk_parabolic``, the one walker of W, lists W_J as the tree of
@@ -23,7 +21,6 @@ inline) and ``rho_shifts`` read it.  R_J^+ is read by support mask
 (``rootsys.positive_roots_on``), and once per call: ``verify_st_decomp``
 normalises J and reads R_J^+ once, for the sum and for w_0^J's length check.
 """
-
 from __future__ import annotations
 
 import operator
@@ -61,37 +58,11 @@ class EnumerationCapExceeded(ValueError):
 class WeylElement:
     """An element w of W(rs), keyed by x = w rho packed, with a word spelling it.
 
-    ``WeylElement(rs, matrix, word)`` takes w's integer matrix on fundamental
-    coordinates and keeps the word it is given, or else the reduced word that
-    ``descend`` reads off w rho; it refuses a matrix outside W(rs), or one
-    that the word does not build.  Every element carries a word, and
-    products, inverses and both actions step along it.
+    Elements come from ``from_word`` and ``enumerate_parabolic``; both
+    actions step along the word.
     """
 
-    __slots__ = ("rs", "key", "word", "_matrix")
-
-    def __init__(self, rs: RootSystem, matrix, word: tuple[int, ...] | None = None) -> None:
-        matrix = tuple(tuple(_require_int(x, "matrix entry") for x in row) for row in matrix)
-        # descending w rho to rho spells w, so a matrix that those letters
-        # (or the given word) do not rebuild is not w's
-        built = from_word(rs, word if word is not None
-                          else descend(rs, [sum(row) for row in matrix])[1])
-        if built.matrix != matrix:
-            raise ValueError(f"{matrix} is not the matrix of "
-                             + (f"the word {word}" if word is not None
-                                else f"an element of W({rs.spec_string()})"))
-        self.rs, self.key, self.word, self._matrix = rs, built.key, built.word, matrix
-
-    @property
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        """w on fundamental-weight coordinates, built from the word when first read."""
-        if self._matrix is None:
-            n = self.rs.rank
-            # column k is w omega_k = s_{i_1}(...(s_{i_k}(omega_k)))
-            self._matrix = tuple(zip(*(
-                reflect_word(self.rs, [int(i == k) for i in range(n)], reversed(self.word))
-                for k in range(n))))
-        return self._matrix
+    __slots__ = ("rs", "key", "word")
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, WeylElement)
@@ -99,11 +70,6 @@ class WeylElement:
 
     def __hash__(self) -> int:
         return hash(self.key)
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        if self.rs != other.rs:
-            raise ValueError("cannot multiply elements of different Weyl groups")
-        return from_word(self.rs, self.word + other.word)  # not necessarily reduced
 
     def act(self, weight: Weight) -> Weight:
         if len(weight) != self.rs.rank:
@@ -136,12 +102,6 @@ class WeylElement:
         pairings = sum(map(operator.mul, x, rs.coroot_columns)) + top
         return len(rs.coroots) - (pairings & top).bit_count()
 
-    def inverse(self) -> "WeylElement":
-        return from_word(self.rs, reversed(self.word))
-
-    def is_identity(self) -> bool:
-        return self.key == _pack((1,) * self.rs.rank, self.rs.rho_layout[1])
-
     def __repr__(self) -> str:
         return f"WeylElement(word={self.word})"
 
@@ -149,19 +109,15 @@ class WeylElement:
 def _element(rs: RootSystem, key: int, word: tuple[int, ...]) -> WeylElement:
     """The WeylElement with packed w rho = key and the word that spells it."""
     el = object.__new__(WeylElement)
-    el.rs, el.key, el.word, el._matrix = rs, key, word, None
+    el.rs, el.key, el.word = rs, key, word
     return el
-
-
-def identity(rs: RootSystem) -> WeylElement:
-    return _element(rs, _pack((1,) * rs.rank, rs.rho_layout[1]), ())
 
 
 def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     """Compose simple reflections; indices are 1-based, leftmost applied last.
 
-    ``from_word(rs, (1, 2)).act(v)`` is s_1(s_2(v)).  No matrix is built:
-    w rho = s_{i_1} ... s_{i_k} rho is reflected letter by letter.
+    ``from_word(rs, (1, 2)).act(v)`` is s_1(s_2(v)); w rho = s_{i_1} ... s_{i_k} rho
+    is reflected letter by letter.
     """
     letters = tuple(word)
     for i in letters:
@@ -230,7 +186,7 @@ def enumerate_parabolic(rs: RootSystem, J: Iterable[int] | None = None,
     # ``_element`` inlined, saving a call per element (51 840 of them on W(E6))
     for key, word in zip(*walk_parabolic(rs, J, cap)):
         el = new(WeylElement)
-        el.rs, el.key, el.word, el._matrix = rs, key, word, None
+        el.rs, el.key, el.word = rs, key, word
         elements.append(el)
     return elements
 

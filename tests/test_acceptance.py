@@ -36,7 +36,7 @@ from frobcrit.registry import (
     minimal_rank_suite,
 )
 from frobcrit.rootsys import Weight, build_root_system, rho
-from frobcrit.weyl import enumerate_parabolic, longest_element, verify_st_decomp
+from frobcrit.weyl import enumerate_parabolic, from_word, longest_element, verify_st_decomp
 
 from oracles import (
     KostantCounter,
@@ -151,7 +151,7 @@ def test_weyl_enumeration_matches_closed_orders():
         assert len(enumerate_parabolic(rs)) == order
         w0 = longest_element(rs)
         assert w0.length() == len(rs.positive_roots)
-        assert (w0 * w0).is_identity()
+        assert from_word(rs, w0.word + w0.word) == from_word(rs, ())
     assert time.monotonic() - start < 60.0
 
 

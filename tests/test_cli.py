@@ -271,6 +271,11 @@ def test_check_malformed_values_are_refused(capsys, mutate):
     ({"custom": {"g": "A1", "h": "A1", "matrix": [5]}}, [1],
      "error: bad custom embedding: 'matrix' must be a list of rows, each a list of numbers, "
      "got [5]"),
+    ({"custom": 5}, [1], "error: custom embedding descriptor must be a JSON object"),
+    ({"builder": "levi", "params": {"g": "A2", "J": []}}, [1],
+     "error: builder 'levi': a Levi embedding needs a nonempty index set J"),
+    ({"builder": "folding_DB", "params": {"n": 3}}, [1],
+     "error: builder 'folding_DB': folding_DB needs n >= 4"),
 ])
 def test_J_is_checked_once_with_one_text(capsys, embedding, J, text):
     code, out, err = run(capsys, "check", json.dumps({"embedding": embedding, "J": J, "p": 3}))
@@ -385,11 +390,13 @@ _REFUSALS = {
     "flag given a value": (
         ["verify-identities", "--force=1"],
         "frobcrit verify-identities: unrecognized arguments: 1"),
+    "input on stdin not an object": (["check", "-"], "criterion input must be a JSON object"),
 }
 
 
 @pytest.mark.parametrize("argv, text", _REFUSALS.values(), ids=_REFUSALS)
-def test_every_refusal_of_the_command_line_is_one_error_line(capsys, argv, text):
+def test_every_refusal_of_the_command_line_is_one_error_line(capsys, monkeypatch, argv, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO("[1, 2]"))  # read only by `check -`
     assert run(capsys, *argv) == (2, "", f"error: {text}\n")
 
 

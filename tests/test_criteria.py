@@ -31,7 +31,6 @@ from frobcrit.embed import (
 from frobcrit.registry import example_sln_son, lookup_donkin
 from frobcrit.rootsys import Weight, build_root_system, rho_J
 from frobcrit.weyl import from_word
-from frobcrit.weyl import identity as weyl_identity
 
 from oracles import cartan_pairing
 from test_acceptance import registry_embeddings
@@ -445,7 +444,7 @@ def test_conjugated_borel_identity_reduces_to_condition1():
     for emb in (identity("A2"), levi(build_root_system("C2"), (1,)),
                 folding_B3G2(), so_in_sl(5), diagonal("A1", 3)):
         n = emb.g.rank
-        e = weyl_identity(emb.g)
+        e = from_word(emb.g, ())
         for mask in range(2 ** n):
             J = tuple(j + 1 for j in range(n) if mask >> j & 1)
             rep = check_main(CriterionInput(emb, J, 3, "none"))

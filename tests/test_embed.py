@@ -131,6 +131,7 @@ BAD_LIFTS = [
     Embedding(_C2, _A1, [[1, 0]], "lift-to-alpha2", root_lift={(1,): ((0, 1),)}),
     Embedding(_C2, _A1, [[1, 0]], "lift-to-non-root", root_lift={(1,): ((5, 7),)}),
     Embedding(_C2, _A1, [[1, 0]], "lift-to-nothing", root_lift={(1,): ()}),
+    Embedding(_C2, _A1, [[1, 0]], "lift-missing-root", root_lift={}),
 ]
 
 REFERENCE_CASES = registry_embeddings() + [
@@ -168,6 +169,7 @@ def test_a_lift_must_restrict_to_its_root():
         assert validate(emb) == [f"root_lift lifts the positive root (1,) to {vec}, "
                                  f"which is not a root of C2 restricting to it"]
     assert validate(BAD_LIFTS[2]) == ["root_lift lifts the positive root (1,) to no vector"]
+    assert validate(BAD_LIFTS[3]) == ["root_lift is missing the positive root (1,)"]
     # -beta is a lift when beta restricts to -gamma
     emb = Embedding(_C2, _A1, [[-1, 0]], "lift-to-minus-alpha1", root_lift={(1,): ((-1, 0),)})
     assert validate(emb) == []

@@ -27,7 +27,6 @@ from frobcrit.rootsys import (
 from frobcrit.weyl import (
     enumerate_parabolic,
     from_word,
-    identity,
     longest_element,
     verify_st_decomp,
 )
@@ -103,7 +102,7 @@ def _index_set_calls(J):
         lambda: rho_J(rs, J),
         lambda: subsystem_components(rs, J),
         lambda: levi(rs, J),
-        lambda: conjugated_borel_check(levi(rs, [1]), identity(rs), J),
+        lambda: conjugated_borel_check(levi(rs, [1]), from_word(rs, ()), J),
     ]
 
 
