@@ -14,11 +14,12 @@ arithmetic.  Modules:
 - ``cli``: the ``frobcrit`` command
 
 Every record in the package (a criterion input, a report and its
-conclusions, a registry entry) is a ``typing.NamedTuple``: ``dataclasses``
-would bring ``inspect``, ``ast``, ``dis`` and ``tokenize`` onto the import
-path of every ``frobcrit`` start.  A record is immutable; build a changed
-copy with ``_replace`` (a ``CriterionInput`` copy is normalised like a new
-one).
+conclusions, a registry entry) is a ``collections.namedtuple``:
+``typing.NamedTuple`` would bring ``typing``, ``warnings`` and
+``contextlib``, and ``dataclasses`` would bring ``inspect``, ``ast``, ``dis``
+and ``tokenize``, onto the import path of every ``frobcrit`` start.  A
+record is immutable; build a changed copy with ``_replace`` (a
+``CriterionInput`` copy is normalised like a new one).
 """
 
 from .charalg import (

@@ -10,14 +10,16 @@ conclusions are emitted as tagged statements about the induced varieties
 H x_{B_H} (P_J/B), their images in G/B, and the H-orbit closures inside.
 All geometry lives in those statement strings: this module never
 manipulates varieties, only exact weight data.  Every report is an
-immutable NamedTuple, built once when everything in it is known.
+immutable ``collections.namedtuple``, built once when everything in it is
+known.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .embed import (CriterionInput, Embedding, detect_twist, restrict, rho_h,
                     root_fiber, validate)
@@ -80,45 +82,33 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class SurjectivityStatus(NamedTuple):
-    status: str    # "holds" | "unknown"
-    source: str
-    detail: str
+# status: "holds" | "unknown"
+class SurjectivityStatus(namedtuple("SurjectivityStatus", "status source detail")):
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:
         return self.status == "holds"
 
 
-class LieSeparabilityStatus(NamedTuple):
-    status: str    # "holds" | "fails" | "unknown"
-    source: str
+# status: "holds" | "fails" | "unknown"
+LieSeparabilityStatus = namedtuple("LieSeparabilityStatus", "status source")
+
+# orbit_labels: the words of W_J, one per orbit closure, or None above the label cap
+Conclusion = namedtuple("Conclusion", "tag statement theorem orbit_count orbit_labels",
+                        defaults=(None, None))
+
+# weight: (p-1) rho_J on G; multiplicity: p-1, the coefficient of each
+# component; indices: J, one divisor component per index
+DivisorData = namedtuple("DivisorData", "weight multiplicity indices")
 
 
-class Conclusion(NamedTuple):
-    tag: str
-    statement: str
-    theorem: str
-    orbit_count: int | None = None
-    orbit_labels: tuple[tuple[int, ...], ...] | None = None
-
-
-class DivisorData(NamedTuple):
-    weight: Weight           # (p-1) rho_J on G
-    multiplicity: int        # p-1, the coefficient of each component
-    indices: tuple[int, ...]  # J: one divisor component per index
-
-
-class CriterionReport(NamedTuple):
-    input: CriterionInput
-    condition1_weight: Weight
-    condition1_dominant: bool
-    condition1_regular: bool
-    surjectivity: SurjectivityStatus
-    lie_separability: LieSeparabilityStatus
-    lemma53_min_p: int
-    conclusions: list[Conclusion]
-    divisor: DivisorData | None = None
+# input: the CriterionInput; conclusions: a list of Conclusion; divisor: a
+# DivisorData once surjectivity holds, else None
+class CriterionReport(namedtuple(
+        "CriterionReport", "input condition1_weight condition1_dominant condition1_regular "
+        "surjectivity lie_separability lemma53_min_p conclusions divisor", defaults=(None,))):
+    __slots__ = ()
 
     def tags(self) -> tuple[str, ...]:
         return tuple(c.tag for c in self.conclusions)
@@ -288,16 +278,12 @@ def check_main(inp: CriterionInput) -> CriterionReport:
                            conclusions, divisor)
 
 
-class Thm41Report(NamedTuple):
-    weight: Weight
-    p: int
-    condition2_weight: Weight      # 2(p-1) rho_H - lambda|_H
-    condition2_holds: bool
-    canonical_weight: Weight       # (p-1) rho_H - lambda|_H
-    canonical_holds: bool
-    surjectivity: SurjectivityStatus
-    condition1_status: str         # "steinberg-supplied" | "assumed"
-    steinberg_J: tuple[int, ...] | None
+# condition2_weight: 2(p-1) rho_H - lambda|_H; canonical_weight: (p-1) rho_H -
+# lambda|_H; condition1_status: "steinberg-supplied" | "assumed"; steinberg_J:
+# J when lambda = (p-1) rho_J, else None
+Thm41Report = namedtuple(
+    "Thm41Report", "weight p condition2_weight condition2_holds canonical_weight canonical_holds "
+    "surjectivity condition1_status steinberg_J")
 
 
 def thm41_hypotheses(emb: Embedding, lam: Weight, p: int) -> Thm41Report:

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
 
 from .rootsys import (
     RootSystem,
@@ -134,17 +135,9 @@ class Embedding:
         return f"Embedding({self.label!r})"
 
 
-# the fields of CriterionInput: typing.NamedTuple refuses a __new__ in the
-# class body, so the normalising __new__ lives on a subclass
-class _CriterionFields(NamedTuple):
-    embedding: Embedding
-    J: tuple[int, ...]
-    p: int
-    surjectivity_source: str = "donkin-registry"
-    lie_separability: str | None = None  # optional caller assertion: holds/fails
-
-
-class CriterionInput(_CriterionFields):
+# lie_separability is an optional caller assertion: "holds" | "fails"
+class CriterionInput(namedtuple("CriterionInput", "embedding J p surjectivity_source "
+                                "lie_separability", defaults=("donkin-registry", None))):
     """One criterion instance: embedding, parabolic index set, prime.
 
     Every construction path, ``_replace`` and ``_make`` included, runs J
@@ -158,7 +151,7 @@ class CriterionInput(_CriterionFields):
 
     @classmethod
     def _make(cls, iterable):
-        # NamedTuple's _make, which _replace calls, would skip __new__
+        # namedtuple's _make, which _replace calls, would skip __new__
         return cls(*iterable)
 
 

@@ -13,23 +13,20 @@ source of truth: ``frobcrit examples`` judges them with the same code as
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from . import embed
 from .embed import CriterionInput, Embedding
 from .rootsys import _require_int
-from .weyl import WeylElement, from_word
+from .weyl import from_word
 
 _INVOLUTION_BUILDERS = (
     "folding_AC", "folding_DB", "folding_E6F4", "folding_B3G2", "so_in_sl",
 )
 
 
-class DonkinPairRecord(NamedTuple):
-    name: str
-    min_p: int
-    citation: str
-    matches: Callable[[str], bool]
+# matches: label -> bool, whether an embedding's builder label is covered
+DonkinPairRecord = namedtuple("DonkinPairRecord", "name min_p citation matches")
 
 
 def _match_levi(label: str) -> bool:
@@ -56,10 +53,8 @@ DONKIN_RECORDS: tuple[DonkinPairRecord, ...] = (
 )
 
 
-class DonkinLookup(NamedTuple):
-    status: str                      # "yes" | "unknown"
-    record: DonkinPairRecord | None
-    detail: str
+# status: "yes" | "unknown"; record: the matching DonkinPairRecord or None
+DonkinLookup = namedtuple("DonkinLookup", "status record detail")
 
 
 def lookup_donkin(emb: Embedding, p: int) -> DonkinLookup:
@@ -102,22 +97,14 @@ def minimal_rank_suite() -> list[tuple[Embedding, bool]]:
     return [(e, dominant) for e in suite]
 
 
-class OrbitDiagram(NamedTuple):
-    """Closure diagram of the orbit poset: nodes, covers, and annotations."""
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str, str], ...]      # (upper, lower, single|double)
-    closed_orbit_conjugator: dict[str, int]      # node -> 1-based conjugator index
-    split_compatible: tuple[tuple[str, ...], ...]
-    pairwise_split: tuple[tuple[str, str], ...]
-    unresolved: tuple[str, ...]
+# closure diagram of the orbit poset: nodes, covers, and annotations; edges are
+# (upper, lower, single|double), closed_orbit_conjugator maps node -> 1-based
+# conjugator index
+OrbitDiagram = namedtuple("OrbitDiagram", "nodes edges closed_orbit_conjugator split_compatible "
+                          "pairwise_split unresolved")
 
-
-class Sp4Example(NamedTuple):
-    embedding: Embedding
-    J: tuple[int, ...]
-    conjugators: tuple[WeylElement, ...]
-    expected_verdicts: tuple[bool, ...]
-    diagram: OrbitDiagram
+# conjugators: WeylElements, one per closed orbit; expected_verdicts: one bool each
+Sp4Example = namedtuple("Sp4Example", "embedding J conjugators expected_verdicts diagram")
 
 
 def example_sp4() -> Sp4Example:
@@ -195,16 +182,11 @@ def example_frobenius_twist(primes: tuple[int, ...] = (2, 3, 5)) -> list[Criteri
     ]
 
 
-class ExampleRecord(NamedTuple):
-    """A worked example: its criterion inputs and what each report must show.
-
-    A name ending in ``:<...>`` takes one argument, parsed by ``param``.  Only
-    sp4 has no ``inputs``: its conjugated Borel checks are not reports.
-    """
-    name: str
-    inputs: Callable[..., list[CriterionInput]] | None
-    expect: dict
-    param: Callable[[str], object] | None = None
+# a worked example: its criterion inputs and what each report must show.
+# inputs(*args) returns a list of CriterionInput; a name ending in ``:<...>``
+# takes one argument, parsed by param(str).  Only sp4 has no inputs (None):
+# its conjugated Borel checks are not reports.
+ExampleRecord = namedtuple("ExampleRecord", "name inputs expect param", defaults=(None,))
 
 
 EXAMPLES: dict[str, ExampleRecord] = {r.name: r for r in (

@@ -52,10 +52,10 @@ from __future__ import annotations
 import operator
 import os
 import re
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from typing import Iterable, Sequence
 
 RootVector = tuple[int, ...]
 

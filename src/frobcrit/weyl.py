@@ -24,7 +24,7 @@ normalises J and reads R_J^+ once, for the sum and for w_0^J's length check.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .rootsys import (
     RootSystem,
@@ -63,6 +63,9 @@ class WeylElement:
     """
 
     __slots__ = ("rs", "key", "word")
+
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError("WeylElement is not built directly; use from_word or enumerate_parabolic")
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, WeylElement)

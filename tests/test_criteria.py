@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from frobcrit import criteria, embed, registry
 from frobcrit.criteria import (
     PRIMALITY_BOUND,
     CriterionInput,
@@ -363,6 +364,48 @@ def test_rejects_invalid_embedding():
         assert str(audited.value) == str(refused.value)
     assert str(refused.value) == ("embedding fails validation: positive root (1,) of A1 "
                                   "is not the restriction of any positive root of A2")
+
+
+# -- record shapes ----------------------------------------------------------------
+
+# every record's fields and defaults, a frozen table: callers build records by
+# position and by keyword, and read them by name
+RECORD_SHAPES = [
+    (embed, "CriterionInput", "embedding J p surjectivity_source lie_separability",
+     {"surjectivity_source": "donkin-registry", "lie_separability": None}),
+    (criteria, "SurjectivityStatus", "status source detail", {}),
+    (criteria, "LieSeparabilityStatus", "status source", {}),
+    (criteria, "Conclusion", "tag statement theorem orbit_count orbit_labels",
+     {"orbit_count": None, "orbit_labels": None}),
+    (criteria, "DivisorData", "weight multiplicity indices", {}),
+    (criteria, "CriterionReport",
+     "input condition1_weight condition1_dominant condition1_regular surjectivity "
+     "lie_separability lemma53_min_p conclusions divisor", {"divisor": None}),
+    (criteria, "Thm41Report",
+     "weight p condition2_weight condition2_holds canonical_weight canonical_holds "
+     "surjectivity condition1_status steinberg_J", {}),
+    (registry, "DonkinPairRecord", "name min_p citation matches", {}),
+    (registry, "DonkinLookup", "status record detail", {}),
+    (registry, "OrbitDiagram",
+     "nodes edges closed_orbit_conjugator split_compatible pairwise_split unresolved", {}),
+    (registry, "Sp4Example", "embedding J conjugators expected_verdicts diagram", {}),
+    (registry, "ExampleRecord", "name inputs expect param", {"param": None}),
+]
+
+
+@pytest.mark.parametrize("module,name,fields,defaults", RECORD_SHAPES,
+                         ids=[r[1] for r in RECORD_SHAPES])
+def test_record_fields_defaults_and_repr_are_pinned(module, name, fields, defaults):
+    cls = getattr(module, name)
+    assert (cls._fields, cls._field_defaults) == (tuple(fields.split()), defaults)
+    if cls is CriterionInput:
+        # _make, which _replace calls, normalises J like a new input
+        record = CriterionInput._make([levi("C2", [1]), [2, 1, 2], 3])
+        assert record.J == (1, 2)
+    else:
+        record = cls._make(range(len(cls._fields)))
+    assert repr(record) == f"{name}({', '.join(f'{f}={v!r}' for f, v in record._asdict().items())})"
+    assert record._replace()._asdict() == record._asdict()
 
 
 # -- divisor data -----------------------------------------------------------------

@@ -3,8 +3,9 @@
 Every import in ``src/frobcrit`` sits at module level, no module but
 ``__init__`` imports a name it never uses, the intra-package imports form
 no cycle, each module imports on its own, ``import frobcrit.cli`` loads
-neither ``dataclasses`` nor ``inspect``, a ``check`` call loads neither
-``argparse`` nor ``gettext``, and the names the
+neither ``dataclasses`` nor ``inspect``, a ``check`` call under ``-S`` loads
+none of ``argparse``, ``gettext``, ``typing``, ``warnings`` and
+``contextlib``, and the names the
 benchmark's tracer wraps (``perfbench/tracing.py``, read here, never
 imported or changed) are still bound where it looks for them.  Every
 public name is either used in the package or listed in README's Library
@@ -94,8 +95,8 @@ def test_module_imports_alone_in_a_fresh_interpreter(name):
 
 
 def test_cli_start_loads_neither_dataclasses_nor_inspect():
-    # records are NamedTuples: a dataclass would pull dataclasses, inspect and
-    # their imports onto every `frobcrit` start
+    # records are collections.namedtuples: a dataclass would pull dataclasses,
+    # inspect and their imports onto every `frobcrit` start
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, frobcrit.cli; "
@@ -106,13 +107,16 @@ def test_cli_start_loads_neither_dataclasses_nor_inspect():
 
 def test_check_loads_neither_argparse_nor_gettext():
     # the command line is read from one table: argparse would bring gettext at import, and
-    # locale, shutil, bz2 and lzma at its first parse, onto every `frobcrit` call
+    # locale, shutil, bz2 and lzma at its first parse, onto every `frobcrit` call; records
+    # are collections.namedtuples: typing.NamedTuple would bring typing, and with it
+    # warnings and contextlib (site imports typing on some hosts, hence -S)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     check = '{"embedding": {"builder": "levi", "params": {"g": "C2", "J": [1]}}, "J": [1], "p": 3}'
     proc = subprocess.run(
         [sys.executable, "-S", "-c", "import sys; from frobcrit import cli; "
          "code = cli.main(['check', sys.argv[1]]); "
-         "print(code, sorted({'argparse', 'gettext'} & set(sys.modules)), file=sys.stderr)",
+         "print(code, sorted({'argparse', 'gettext', 'typing', 'warnings', 'contextlib'} "
+         "& set(sys.modules)), file=sys.stderr)",
          check], env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "0 []\n")
     assert '\n  "schema": "frobcrit-report/1",\n' in proc.stdout

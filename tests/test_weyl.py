@@ -81,6 +81,15 @@ def test_from_word_refuses_non_int_letters(bad):
         from_word(build_root_system("C2"), bad)
 
 
+@pytest.mark.parametrize("args", [(), (1, 2)])
+def test_weyl_element_is_not_built_directly(args):
+    # a bare WeylElement would have no word to print nor a key to compare
+    with pytest.raises(TypeError) as raised:
+        weyl.WeylElement(*args)
+    assert str(raised.value) == (
+        "WeylElement is not built directly; use from_word or enumerate_parabolic")
+
+
 def test_braid_relations():
     a2 = build_root_system("A2")
     assert from_word(a2, (1, 2, 1)) == from_word(a2, (2, 1, 2))
