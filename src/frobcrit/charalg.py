@@ -6,7 +6,7 @@ at mu, one root string per W_mu-orbit of positive roots, weighted by the
 orbit's size, is read up to its first dominant point, whose stored string
 tail supplies the rest.  Full characters come from Weyl-orbit expansion.
 
-``branch`` has two kernels, both on packed keys in the one layout of
+``branch`` has three kernels, all on packed keys in the one layout of
 ``rootsys._layout``: an H-weight nu is the int pack(nu) = sum_j nu_j radix^j,
 so a restriction or a reflection is integer arithmetic.  ``_orbit_keys`` is
 the one orbit sum, read off the W_G orbit tables (``rootsys.orbit_table``)
@@ -17,9 +17,9 @@ radix); the packed positive H-roots and rho-shifts are kept per H and radix
 keyed by value, so repeated calls on one embedding rebuild none of them.
 An embedding is certified when every simple reflection
 of H lifts to W_G (``Embedding.reflection_lifts``, one descent per coweight,
-read once per embedding); then every restricted G-character is
-W_H-invariant, and that certificate is the one place where ``branch`` learns
-it.
+read once per embedding); then every restricted W_G-orbit sum, and so every
+restricted G-character, is W_H-invariant, and that certificate is the one
+place where ``branch`` learns it.
 ``branch`` picks one kernel per call, and that kernel answers or raises.
 ``_branch_by_numerator`` runs only on certified embeddings that also hold
 a ``_numerator_certificate``, and builds no character of G: it divides the
@@ -27,7 +27,12 @@ restricted Weyl numerator by the factors that are not over positive
 H-roots, read off the embedding's ``root_images`` on every call, and reads
 the coefficients n_nu off the H-dominant keys of the quotient, found by the
 top-bit mask, as ``_dominant_count`` finds its own, and the only keys
-unpacked.  ``_branch_by_restriction`` runs every other call: it restricts
+unpacked.  ``_branch_by_orbit_sums`` runs on the other certified calls of a
+simple G with an integral matrix and a listed W_H: it sums the
+decompositions N_mu of the restricted orbit sums of the module's dominant
+weights mu, each scattered once by Racah-Speiser from the orbit's keys
+(``_orbit_sum_table``) and kept in the store.  ``_branch_by_restriction``
+runs every other call: it restricts
 the dominant multiplicities orbit by orbit and checks that the result is
 integral.  On an uncertified embedding
 ``_broken_pair`` compares every key with its image under each simple
@@ -37,7 +42,7 @@ about 4 % of the keys on the branch-sweep benchmark, which one mask on the
 top bits of the digits finds: by the Racah-Speiser (Brauer-Klimyk) sum,
 which needs no H-character, when W_H is listed and no more of its w lie
 under the span of the keys' heights than there are keys, and else peeled
-by H-characters from the top.  Both kernels end in ``_constituents``, which
+by H-characters from the top.  Every kernel ends in ``_constituents``, which
 lists the n_nu in ``_height_order`` or refuses at the highest negative one;
 every refusal names its witness highest in that order, so it does
 not depend on the order of the tables.
@@ -135,7 +140,7 @@ def weyl_orbit(rs: RootSystem, weight: Weight) -> set[tuple[Fraction, ...]]:
     scaled = [[tuple([mu[k] * x for x in p]) for p in fundamental_orbit(rs, k)[0]]
               for k in support]
     return {tuple(map(sum, zip(*map(list.__getitem__, scaled, row))))
-            for row in zip(*orbit_table(rs, support))}
+            for row in zip(*orbit_table(rs, support, cap))}
 
 
 def _height_order(h: RootSystem):
@@ -175,7 +180,8 @@ class DominantCharacter:
         return self._full
 
 
-def freudenthal(rs: RootSystem, lam: Weight, depth: int | None = None) -> DominantCharacter:
+def freudenthal(rs: RootSystem, lam: Weight, depth: int | None = None,
+                cap: int | None = None) -> DominantCharacter:
     """Weight multiplicities of the irreducible module with highest weight lam.
 
     One recursion for every root system, simple or a product, over the
@@ -192,11 +198,11 @@ def freudenthal(rs: RootSystem, lam: Weight, depth: int | None = None) -> Domina
     roots (``root_classes``), weighted by the orbit's size.  With ``depth``,
     only the mu with lam - mu at most ``depth`` simple roots deep are listed,
     each exact: the recursion at mu reads only weights above it.  A closure
-    that grows past FROBCRIT_ENUM_CAP (default 10^6) dominant weights is
-    refused as it grows.
+    that grows past the cap (argument, else FROBCRIT_ENUM_CAP, else 10^6)
+    dominant weights is refused as it grows.
     """
     require_dominant_integral(rs, lam, "highest weight")
-    cap = _resolve_cap(None)
+    cap = _resolve_cap(cap)
 
     # the symmetrizer is integral, so everything below is integer arithmetic
     # on tuples: each positive root in weight and in root coordinates, and
@@ -264,11 +270,11 @@ def freudenthal(rs: RootSystem, lam: Weight, depth: int | None = None) -> Domina
     return DominantCharacter(rs, lam, mults)
 
 
-def _cached_character(rs: RootSystem, lam: Weight) -> DominantCharacter:
+def _cached_character(rs: RootSystem, lam: Weight, cap: int | None = None) -> DominantCharacter:
     key = (rs.components, lam.coords)
     char = _char_cache.get(key)
     if char is None:
-        char = _char_cache[key] = freudenthal(rs, lam)
+        char = _char_cache[key] = freudenthal(rs, lam, None, cap)
         if len(_char_cache) > _CHAR_CACHE_SIZE:
             del _char_cache[next(iter(_char_cache))]
     return char
@@ -334,9 +340,9 @@ def _packed_rows(rs: RootSystem, layout: tuple, name: str, rows) -> list[int]:
     return packed
 
 
-def _orbit_keys(values: _OrbitValues, mu: tuple):
+def _orbit_keys(values: _OrbitValues, mu: tuple, cap: int | None = None):
     """sum_k mu_k f(w omega_k), f(v) = sum_k f_k v_k, for each row w of
-    ``orbit_table(g, support of mu)``, g and f those of ``values``:
+    ``orbit_table(g, support of mu, cap)``, g and f those of ``values``:
     w mu = sum_k mu_k w omega_k, so each orbit element is one integer
     combination of the fundamental orbits' values, read off ``values``
     under (k, mu_k)."""
@@ -344,18 +350,19 @@ def _orbit_keys(values: _OrbitValues, mu: tuple):
     if not support:
         return (0,)
     keys = None
-    for k, col in zip(support, orbit_table(values.g, support)):
+    for k, col in zip(support, orbit_table(values.g, support, cap)):
         term = map(values[k, mu[k]].__getitem__, col)
         keys = term if keys is None else map(operator.add, keys, term)
     return keys
 
 
-def _orbit_counts(values: _OrbitValues, mults: dict[tuple, int]) -> Counter:
+def _orbit_counts(values: _OrbitValues, mults: dict[tuple, int],
+                  cap: int | None = None) -> Counter:
     """{f(w mu): multiplicity} over every W_G-orbit of ``mults``, f the
     packed restriction of ``values``."""
     by_mult: dict[int, list[int]] = {}
     for mu, m in mults.items():
-        by_mult.setdefault(m, []).extend(_orbit_keys(values, mu))
+        by_mult.setdefault(m, []).extend(_orbit_keys(values, mu, cap))
     counts = Counter(by_mult.pop(1, ()))
     for m, keys in by_mult.items():
         for key, c in Counter(keys).items():
@@ -380,9 +387,20 @@ def _convolve(a: dict[int, int], b: dict[int, int]) -> Counter:
     return out
 
 
-def _restricted_counts(emb: Embedding, lam: Weight):
+def _restriction_layout(emb: Embedding, lam: Weight) -> tuple:
+    """The layout of the packed restriction of the G-module with highest
+    weight lam, scaled by ``Embedding.integer_rows`` (``_restricted_counts``)."""
+    h, rows = emb.h, emb.integer_rows[1]
+    top = max(sum(map(operator.mul, lam.coords, co)) for co in emb.g.highest_coroots)
+    bound = top * max(sum(map(abs, row)) for row in rows)
+    reach = h.coroot_height
+    return _layout(h.rank, max(4, reach) * bound + reach + 1)
+
+
+def _restricted_counts(emb: Embedding, lam: Weight, cap: int | None = None):
     """The restriction to H of the irreducible G-module with highest weight
-    lam as packed counts {pack(nu): multiplicity}, and their layout.
+    lam as packed counts {pack(nu): multiplicity}, and their layout
+    (``_restriction_layout``); an orbit above ``cap`` points is refused.
 
     bound is at least every coordinate of a key: |<w mu, alpha_k_vee>| <=
     max_gamma <lam, gamma_vee> for every weight mu of the module, read at
@@ -403,18 +421,15 @@ def _restricted_counts(emb: Embedding, lam: Weight):
     """
     g, h = emb.g, emb.h
     scale, rows = emb.integer_rows
-    top = max(sum(map(operator.mul, lam.coords, co)) for co in g.highest_coroots)
-    bound = top * max(sum(map(abs, row)) for row in rows)
-    reach = h.coroot_height
-    layout = _layout(h.rank, max(4, reach) * bound + reach + 1)
+    layout = _restriction_layout(emb, lam)
     cols = tuple(zip(*rows))
     # a product's character is the product of its factors', and packing
     # adds over the factors, so the factors' counts convolve
     counts = None
     for (lo, hi), comp in zip(g.component_spans, g.components):
-        factor = _cached_character(build_root_system([comp]), Weight(lam.coords[lo:hi]))
+        factor = _cached_character(build_root_system([comp]), Weight(lam.coords[lo:hi]), cap)
         values = _orbit_values(factor.rs, cols[lo:hi], layout)
-        part = _orbit_counts(values, factor.multiplicities)
+        part = _orbit_counts(values, factor.multiplicities, cap)
         counts = part if counts is None else _convolve(counts, part)
 
     if scale > 1:
@@ -440,42 +455,136 @@ def branch(emb: Embedding, lam: Weight) -> dict[Weight, int]:
     highest in ``_height_order``), which is how inconsistent embeddings
     surface.  A module whose dimension exceeds FROBCRIT_BRANCH_CAP (default
     50 000) is refused before any multiplicity is computed, and the
-    exception carries the exact dimension.
+    exception carries the exact dimension.  FROBCRIT_ENUM_CAP is read once
+    per call and handed to every table that the call reads.
 
-    The kernel is chosen once, up front.  An embedding whose simple
-    reflections of H all lift to W_G (``Embedding.reflection_lifts``) and
-    that has a ``_numerator_certificate``, with |W_G| <= _NUMERATOR_MAX_ORDER,
-    at a module of dimension at least _NUMERATOR_DIM_PER_ELEMENT |W_G|, goes
-    to ``_branch_by_numerator``; every other call to
-    ``_branch_by_restriction``.  Either answers or raises with the same
-    text.  Only an embedding without the reflection certificate has its
-    restricted character checked for W_H-invariance (``_broken_pair``).
+    The kernel is chosen once, up front, among three, and it answers or
+    raises with the same text as the others.  The orbit sums qualify on an
+    embedding whose simple reflections of H all lift to W_G
+    (``Embedding.reflection_lifts``), with a simple G, an integral
+    restriction matrix and a W_H that ``rho_shifts`` lists for the module's
+    dimension.  A certified embedding that has a ``_numerator_certificate``,
+    with |W_G| <= _NUMERATOR_MAX_ORDER, goes to ``_branch_by_numerator`` at a
+    module of dimension at least |W_G|^2 where the orbit sums qualify, and
+    at least _NUMERATOR_DIM_PER_ELEMENT |W_G| elsewhere (products among
+    them); else a call where they qualify goes to ``_branch_by_orbit_sums``.
+    Every other call, products, uncertified or fractional matrices and large
+    W_H among them, goes to ``_branch_by_restriction``; only there, on an
+    embedding without the reflection certificate, is the restricted
+    character checked for W_H-invariance (``_broken_pair``).
     """
     cap = _resolve_cap(None, _BRANCH_CAP_ENV, DEFAULT_BRANCH_CAP)
     dim = weyl_dim(emb.g, lam)
     if dim > cap:
         raise BranchCapExceeded(emb.g, lam, dim, cap)
-    order = emb.g.weyl_order
-    if (order <= _NUMERATOR_MAX_ORDER and dim >= _NUMERATOR_DIM_PER_ELEMENT * order
-            and all(emb.reflection_lifts)
-            and (extra := _numerator_certificate(emb)) is not None):
-        return _branch_by_numerator(emb, lam, extra)
-    return _branch_by_restriction(emb, lam)
+    cap = _resolve_cap(None)
+    if all(emb.reflection_lifts):
+        order = emb.g.weyl_order
+        sums = (len(emb.g.components) == 1 and emb.integer_rows[0] == 1
+                and (shifts := rho_shifts(emb.h, dim)) is not None)
+        # where the orbit sums compete, the numerator pays for itself only
+        # from dim >= |W_G|^2 on (CHANGES.md); products keep the ratio
+        per = order if sums else _NUMERATOR_DIM_PER_ELEMENT
+        if (order <= _NUMERATOR_MAX_ORDER and dim >= per * order
+                and (extra := _numerator_certificate(emb)) is not None):
+            return _branch_by_numerator(emb, lam, extra, cap)
+        if sums:
+            return _branch_by_orbit_sums(emb, lam, shifts, cap)
+    return _branch_by_restriction(emb, lam, cap)
 
 
-def _branch_by_restriction(emb: Embedding, lam: Weight) -> dict[Weight, int]:
+def _branch_by_restriction(emb: Embedding, lam: Weight, cap: int | None = None) -> dict[Weight, int]:
     """``branch`` from the restricted character: a multiset through an
     embedding without ``Embedding.reflection_lifts`` is first refused at a
     broken pair if it has one (``_broken_pair``); a W_H-invariant multiset,
     sum_nu n_nu ch V(nu), is decomposed by ``_dominant_count``.  Raises at a
     negative n_nu."""
     h = emb.h
-    counts, layout = _restricted_counts(emb, lam)
+    cap = _resolve_cap(cap)
+    counts, layout = _restricted_counts(emb, lam, cap)
     if not all(emb.reflection_lifts):
         broken = _broken_pair(h, counts, layout)
         if broken is not None:
             raise broken
-    return _constituents(h, _dominant_count(h, counts, layout))
+    return _constituents(h, _dominant_count(h, counts, layout, cap))
+
+
+def _branch_by_orbit_sums(emb: Embedding, lam: Weight, shifts: list,
+                          cap: int | None = None) -> dict[Weight, int]:
+    """``branch`` on a certified embedding of a simple G with an integral
+    matrix, orbit by orbit: ch V(lam) = sum_mu m_mu (orbit sum of mu) over its
+    dominant weights, and on a certified embedding each restricted orbit sum
+    is W_H-invariant, sum_nu N_mu(nu) ch V(nu), so n_nu = sum_mu m_mu N_mu(nu).
+    N_mu depends on G, H, the matrix and mu alone, so it is kept in
+    ``rootsys``'s store (``_orbit_sum_table``) and each call reads only the
+    tables of its module's mu and the character of G.  A kept N_mu of an
+    orbit above ``cap`` points is refused with ``orbit_table``'s text, at
+    the first such mu in Freudenthal order, as the restriction kernel
+    refuses it.  ``shifts`` is ``rho_shifts(h, ...)``, listed."""
+    g, h = emb.g, emb.h
+    cap = _resolve_cap(cap)
+    rows = emb.integer_rows[1]
+    prefix = (g.components, h.components, tuple(zip(*rows)))
+    layout = None
+    total: dict[tuple, int] = {}
+    get = total.get
+    for mu, m in _cached_character(g, lam, cap).multiplicities.items():
+        entry = _kept(prefix + (mu,))
+        if entry is None:
+            if layout is None:
+                layout = _restriction_layout(emb, lam)
+            entry = _orbit_sum_table(emb, prefix, mu, layout, shifts, cap)
+        elif entry[0] > cap:
+            orbit_table(g, tuple([k for k, c in enumerate(mu) if c]), cap)  # refuses
+        for nu, n in entry[1].items():
+            total[nu] = get(nu, 0) + m * n
+    return _constituents(h, total)
+
+
+def _orbit_sum_table(emb: Embedding, prefix: tuple, mu: tuple, layout: tuple,
+                     shifts: list, cap: int) -> tuple:
+    """(|W_G mu|, N_mu) for the restricted W_G-orbit sum of mu, N_mu = {nu:
+    n_nu} over the H-dominant nu with n_nu != 0, kept in ``rootsys``'s store
+    under ``prefix`` + (mu,) and counted by the ints it holds.
+
+    By Racah-Speiser, n_nu = sum_{w in W_H} eps(w) c(nu + rho - w rho) for
+    the counts c of the orbit's keys, so each key kappa and w add
+    eps(w) c(kappa) at nu = kappa - (rho - w rho) when nu is dominant, found
+    by the top-bit mask.  Every term of every such sum has this form, so the
+    scatter is complete, and only these kappa and w can give a dominant nu:
+    coordinates of rho - w rho are at least 1 - ht(theta_H_vee), so every
+    coordinate of kappa is too, and <rho - w rho, 2 rho_vee> is at most
+    kappa's height, as dominant nu have heights >= 0.  ``layout`` has room
+    for every such nu (``_restriction_layout``); the work is at most keys
+    times w, and no H-character is built, however far from saturated the
+    keys are."""
+    g, h = emb.g, emb.h
+    _, powers, offset = layout
+    cols = prefix[2]
+    keys = list(_orbit_keys(_orbit_values(g, cols, layout), mu, cap))
+    # <kappa, 2 rho_vee> is linear in kappa: one more orbit sum, of plain
+    # ints, under half 0, which no layout has
+    heights = _orbit_keys(_orbit_values(g, tuple(
+        [(sum(map(operator.mul, h.two_rho_vee, col)),) for col in cols]), (0, (1,), 0)), mu, cap)
+    low = _pack((h.coroot_height - 1,) * h.rank, powers)
+    counts = Counter(itertools.compress(zip(heights, keys),
+                                        _nonnegative(map(low.__add__, keys), offset)))
+    order = sorted(counts, reverse=True)
+    tops = [-height for height, _ in order]
+    kappas = [kappa for _, kappa in order]
+    mults = list(map(counts.__getitem__, order))
+    steps = _packed_rows(h, layout, "packed rho", map(operator.itemgetter(1), shifts))
+    table: Counter = Counter()
+    for (height, _, odd), step in zip(shifts, steps):
+        cut = bisect.bisect_right(tops, -height)
+        if not cut:
+            break
+        nus = list(map(step.__rsub__, itertools.islice(kappas, cut)))
+        for nu, c in itertools.compress(zip(nus, mults), _nonnegative(nus, offset)):
+            table[nu] += -c if odd else c
+    found = [nu for nu, n in table.items() if n]
+    value = (len(keys), dict(zip(zip(*_unpack(found, layout)), map(table.__getitem__, found))))
+    return _keep(prefix + (mu,), value, 1 + len(found) * (h.rank + 1))
 
 
 def _constituents(h: RootSystem, virtual: dict) -> dict[Weight, int]:
@@ -491,7 +600,8 @@ def _constituents(h: RootSystem, virtual: dict) -> dict[Weight, int]:
             for nu in sorted(virtual, key=key, reverse=True) if virtual[nu]}
 
 
-def _dominant_count(h: RootSystem, counts: dict, layout: tuple) -> dict:
+def _dominant_count(h: RootSystem, counts: dict, layout: tuple,
+                    cap: int | None = None) -> dict:
     """{nu: n_nu} at the H-dominant keys of ``counts``, a W_H-invariant
     multiset (by ``Embedding.reflection_lifts``, or else by ``_broken_pair``
     finding no broken pair), packed with room for every nu + rho - w rho
@@ -528,7 +638,7 @@ def _dominant_count(h: RootSystem, counts: dict, layout: tuple) -> dict:
         key = _height_order(h)
         below = zip(*_unpack(missing, layout))
         floor = max([key(descend(h, mu)[0])[0] for mu in below], default=None)
-        return _peeled_count(h, nus, mults, floor)
+        return _peeled_count(h, nus, mults, floor, cap)
 
     order = sorted(range(len(nus)), key=heights.__getitem__)
     heights = [heights[i] for i in order]
@@ -546,7 +656,8 @@ def _dominant_count(h: RootSystem, counts: dict, layout: tuple) -> dict:
     return {nus[i]: n for i, n in zip(order, total)}
 
 
-def _peeled_count(h: RootSystem, nus: list, mults: list, floor: int | None) -> dict:
+def _peeled_count(h: RootSystem, nus: list, mults: list, floor: int | None,
+                  cap: int | None = None) -> dict:
     """{nu: n_nu} for the W_H-invariant multiset with dominant weights ``nus``
     and multiplicities ``mults``, peeled: the dominant weight nu highest in
     ``_height_order`` holds n_nu, so n_nu ch V(nu) is subtracted on the
@@ -569,8 +680,8 @@ def _peeled_count(h: RootSystem, nus: list, mults: list, floor: int | None) -> d
         if n < 0:
             return {nu: n}
         if n and any(nu):  # V(0) has no weight below 0
-            char = (_cached_character(h, Weight(nu)) if floor is None
-                    else freudenthal(h, Weight(nu), (key(nu)[0] - floor) // 2))
+            char = (_cached_character(h, Weight(nu), cap) if floor is None
+                    else freudenthal(h, Weight(nu), (key(nu)[0] - floor) // 2, cap))
             for mu, m in char.multiplicities.items():
                 if mu not in residual:
                     residual[mu] = 0
@@ -662,7 +773,8 @@ def _divide(poly: dict, gamma: tuple, layout: tuple) -> dict:
     return out
 
 
-def _branch_by_numerator(emb: Embedding, lam: Weight, extra: tuple) -> dict[Weight, int]:
+def _branch_by_numerator(emb: Embedding, lam: Weight, extra: tuple,
+                         cap: int | None = None) -> dict[Weight, int]:
     """``branch`` by Weyl's character formula, restricted: Res is a ring map, so
 
         Res(ch V(lam)) prod_{beta > 0} (1 - e^{-Res beta})
@@ -679,6 +791,7 @@ def _branch_by_numerator(emb: Embedding, lam: Weight, extra: tuple) -> dict[Weig
     witness.  No character of G is computed.
     """
     g, h, rows = emb.g, emb.h, emb.integer_rows[1]
+    cap = _resolve_cap(cap)
     # |<w(lam + rho), alpha_k_vee>| <= top, so every coordinate of the
     # numerator, and of each partial quotient (in its convex hull), is at
     # most bound in size; a line's base point, |x_j / gamma_j| + 1 steps
@@ -689,9 +802,9 @@ def _branch_by_numerator(emb: Embedding, lam: Weight, extra: tuple) -> dict[Weig
     layout = _layout(h.rank, 2 * bound + max(
         [abs(x) for gamma in extra for x in gamma], default=0))
     values = _orbit_values(g, tuple(zip(*rows)), layout)  # f_k = pack(Res omega_k)
-    keys = _orbit_keys(values, [c + 1 for c in lam.coords])
+    keys = _orbit_keys(values, [c + 1 for c in lam.coords], cap)
     keys = list(map((-sum(values.f)).__add__, keys))
-    starts = orbit_layers(g, tuple(range(g.rank)))
+    starts = orbit_layers(g, tuple(range(g.rank)), cap)
     poly = Counter()
     for layer, (a, b) in enumerate(zip(starts, starts[1:])):
         (poly.subtract if layer % 2 else poly.update)(keys[a:b])

@@ -26,8 +26,8 @@ the regular orbit the sign eps(w) of every row; an orbit above
 FROBCRIT_ENUM_CAP (``_resolve_cap``) is refused before its table is built.
 The same cache keeps ``weyl.rho_shifts``, every w of W with rho - w rho,
 its height and its sign, for the Racah-Speiser sum, the orbit labels of
-``criteria`` and the packed tables of ``charalg.branch``, all within one
-budget of ints (``_TABLE_BUDGET``).
+``criteria`` and the packed and orbit-sum tables of ``charalg.branch``, all
+within one budget of ints (``_TABLE_BUDGET``).
 ``parabolic_weyl_order`` is |W_J| from the heights of R_J^+, the positive
 roots supported on J (``positive_roots_on``, one AND per root against its
 bitmask in ``RootSystem.support_masks``), ``RootSystem.weyl_order`` is
@@ -467,8 +467,10 @@ def descend(rs: RootSystem, v: Sequence, J: Iterable[int] | None = None):
 # "rho" or J; and ``charalg.branch``'s packed tables, keyed by components,
 # integer restriction columns and half (``charalg._orbit_values``, which
 # grows as it is read and is counted again at each new size), or by
-# components, half and a name (``charalg._packed_rows``).  Every key is a
-# value, never an object's id, which a freed object hands on.
+# components, half and a name (``charalg._packed_rows``), or by G's and
+# H's components, integer restriction columns and a dominant weight mu
+# (``charalg._orbit_sum_table``).  Every key is a value, never an object's
+# id, which a freed object hands on.
 # Past _TABLE_BUDGET ints in all, the oldest are dropped; a dropped entry is
 # rebuilt the same, so the indices of a table still kept stay valid.
 _orbit_tables: dict[tuple, tuple] = {}
@@ -517,7 +519,7 @@ def fundamental_orbit(rs: RootSystem, k: int):
     return _keep(key, (points, act), (rs.rank + 1) * len(points))
 
 
-def orbit_table(rs: RootSystem, support: tuple[int, ...]):
+def orbit_table(rs: RootSystem, support: tuple[int, ...], cap: int | None = None):
     """The orbit of a dominant weight mu whose nonzero coordinates are
     ``support`` (0-based, increasing): one column per k in ``support``,
     holding the index of w omega_{k+1} in ``fundamental_orbit(rs, k)`` for
@@ -526,24 +528,25 @@ def orbit_table(rs: RootSystem, support: tuple[int, ...]):
     first from mu's row, all zeros, one layer per reflection (on the regular
     orbit, the layer of w is its length); s_i moves each column through its
     fundamental orbit's action table.  The table is root data of rs, kept
-    across calls.  An orbit of more than FROBCRIT_ENUM_CAP (default 10^6)
-    points, its size read off ``orbit_size`` before any work is done, is
-    refused with its exact size, whether or not its table is kept.
+    across calls.  An orbit of more than the cap (argument, else
+    FROBCRIT_ENUM_CAP, else 10^6) points, its size read off ``orbit_size``
+    before any work is done, is refused with its exact size, whether or not
+    its table is kept.
     """
-    return _orbit_rows(rs, support)[0]
+    return _orbit_rows(rs, support, cap)[0]
 
 
-def orbit_layers(rs: RootSystem, support: tuple[int, ...]) -> list[int]:
+def orbit_layers(rs: RootSystem, support: tuple[int, ...], cap: int | None = None) -> list[int]:
     """The row at which each breadth-first layer of ``orbit_table(rs,
     support)`` starts, and its row count last.  On the regular orbit (support
     every node) the rows of layer l are the w of length l, so the sign
     eps(w) of a row is the parity of its layer.  Refused like ``orbit_table``."""
-    return _orbit_rows(rs, support)[1]
+    return _orbit_rows(rs, support, cap)[1]
 
 
-def _orbit_rows(rs: RootSystem, support: tuple[int, ...]):
+def _orbit_rows(rs: RootSystem, support: tuple[int, ...], cap: int | None):
     key = (rs.components, support)
-    kept, cap = _kept(key), _resolve_cap(None)
+    kept, cap = _kept(key), _resolve_cap(cap)
     size = kept[1][-1] if kept else orbit_size(
         rs, tuple([i for i in range(1, rs.rank + 1) if i - 1 not in support]))
     if size > cap:

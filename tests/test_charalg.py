@@ -30,6 +30,7 @@ from frobcrit.embed import (
     so_in_sl,
 )
 from frobcrit.rootsys import Weight, build_root_system, descend, rho
+from frobcrit.weyl import rho_shifts
 
 from oracles import (
     KostantCounter,
@@ -431,7 +432,7 @@ def kernel_spy(monkeypatch):
     """A function of (emb, lam) that calls ``branch``, answer or refusal, and
     returns the names of the kernels the call ran, in order."""
     ran = []
-    for name in ("_branch_by_numerator", "_branch_by_restriction"):
+    for name in ("_branch_by_numerator", "_branch_by_orbit_sums", "_branch_by_restriction"):
         def spy(*args, kernel=getattr(charalg, name), name=name):
             ran.append(name)
             return kernel(*args)
@@ -447,11 +448,30 @@ def kernel_spy(monkeypatch):
     return kernels
 
 
-def takes_the_numerator(emb, lam):
-    """``branch``'s choice: both certificates, and the size rule."""
+def orbit_sums_qualify(emb, lam):
+    """Whether the orbit-sum kernel may take the call: the reflection
+    certificate, a simple G, an integral matrix and W_H listed for the
+    module's dimension."""
+    return (all(emb.reflection_lifts) and len(emb.g.components) == 1
+            and emb.integer_rows[0] == 1
+            and rho_shifts(emb.h, weyl_dim(emb.g, lam)) is not None)
+
+
+def numerator_size(emb, lam):
+    """The least dimension at which ``branch`` takes the divided numerator:
+    |W_G|^2 where the orbit sums qualify, else _NUMERATOR_DIM_PER_ELEMENT |W_G|."""
     order = emb.g.weyl_order
-    return (certified(emb) and order <= charalg._NUMERATOR_MAX_ORDER
-            and weyl_dim(emb.g, lam) >= charalg._NUMERATOR_DIM_PER_ELEMENT * order)
+    return order * (order if orbit_sums_qualify(emb, lam) else charalg._NUMERATOR_DIM_PER_ELEMENT)
+
+
+def expected_kernel(emb, lam):
+    """``branch``'s choice: the divided numerator on both certificates and
+    the size rule, else the orbit sums where they qualify, else the
+    restriction kernel."""
+    if (certified(emb) and emb.g.weyl_order <= charalg._NUMERATOR_MAX_ORDER
+            and weyl_dim(emb.g, lam) >= numerator_size(emb, lam)):
+        return "_branch_by_numerator"
+    return "_branch_by_orbit_sums" if orbit_sums_qualify(emb, lam) else "_branch_by_restriction"
 
 
 @pytest.mark.parametrize("emb", registry_embeddings(), ids=lambda e: e.label)
@@ -549,12 +569,31 @@ def test_branch_raises_exactly_where_reference_raises(emb, weights):
     ids=[e.label for e in registry_embeddings()]
     + [e.label for e, _ in EDGE_EMBEDDINGS + RANDOM_CERTIFIED])
 def test_each_branch_call_runs_exactly_one_kernel(emb, weights, monkeypatch):
-    # ten of the random calls are refused on the numerator's path
+    # some of the random calls are refused on the numerator's path, and
+    # more on the orbit sums'
     kernels = kernel_spy(monkeypatch)
     for coords in weights:
         lam = Weight(coords)
-        expect = "_branch_by_numerator" if takes_the_numerator(emb, lam) else "_branch_by_restriction"
-        assert kernels(emb, lam) == [expect], (emb.label, coords)
+        assert kernels(emb, lam) == [expected_kernel(emb, lam)], (emb.label, coords)
+
+
+def test_every_kernel_is_taken_and_refuses_somewhere():
+    # the calls above, whose kernels that test pins, reach each of the three
+    # kernels both answering and refusing
+    seen = set()
+    for emb, weights in ([(e, [w.coords for w in dominant_weights_upto(e.g, 200)])
+                          for e in registry_embeddings()] + EDGE_EMBEDDINGS + RANDOM_CERTIFIED):
+        for coords in weights:
+            lam = Weight(coords)
+            try:
+                branch(emb, lam)
+                refused = False
+            except ValueError:
+                refused = True
+            seen.add((expected_kernel(emb, lam), refused))
+    assert seen == {(name, refused) for name in ("_branch_by_numerator", "_branch_by_orbit_sums",
+                                                 "_branch_by_restriction")
+                    for refused in (False, True)}
 
 
 def test_branch_rejects_invariant_non_character():
@@ -738,12 +777,14 @@ UNCERTIFIED = [
 def test_numerator_certificate_fails(emb, monkeypatch):
     # a fractional matrix, a positive G-root restricting to 0, or an H-root
     # that is the restriction of no positive G-root; branch then runs the
-    # restriction kernel, here at the largest module of dimension <= 2 000,
-    # which the size rule admits wherever |W_G| <= 200
+    # orbit sums where they qualify and the restriction kernel elsewhere,
+    # here at the largest module of dimension <= 2 000, which the size rule
+    # admits wherever |W_G| <= 200
     assert _numerator_certificate(emb) is None
     lam = max(dominant_weights_upto(emb.g, 2000), key=functools.partial(weyl_dim, emb.g))
-    assert emb.g.weyl_order > 200 or weyl_dim(emb.g, lam) >= 2 * emb.g.weyl_order
-    assert kernel_spy(monkeypatch)(emb, lam) == ["_branch_by_restriction"]
+    assert emb.g.weyl_order > 200 or weyl_dim(emb.g, lam) >= numerator_size(emb, lam)
+    expect = "_branch_by_orbit_sums" if orbit_sums_qualify(emb, lam) else "_branch_by_restriction"
+    assert kernel_spy(monkeypatch)(emb, lam) == [expect]
 
 
 def test_a_numerator_certificate_without_reflection_lifts_is_declined(monkeypatch):

@@ -378,27 +378,34 @@ def test_invariance_check_matches_the_tuple_reference(emb, monkeypatch):
     assert_matches_tuple_reference(emb, dominant_weights_upto(emb.g, 60), monkeypatch)
 
 
-@pytest.mark.parametrize("emb,lam,text,restrictions", [
-    (diagonal("A1", 2), (1, 1), None, 1),
-    (EDGE_EMBEDDINGS[0][0], (1,), "non-integral H-weight (1/2)", 1),
-    (EDGE_EMBEDDINGS[2][0], (1, 0), "is not dominant", 1),
-    (NON_CHARACTERS[0][0], (1,), "negative residual multiplicity -1 at (0)", 1),
+@pytest.mark.parametrize("emb,lam,text,restrictions,orbits", [
+    (diagonal("A1", 2), (1, 1), None, 1, 0),
+    (EDGE_EMBEDDINGS[0][0], (1,), "non-integral H-weight (1/2)", 1, 0),
+    (EDGE_EMBEDDINGS[2][0], (1, 0), "is not dominant", 1, 0),
+    # certified, simple G and integral: the orbit sums restrict each orbit
+    # of the module once, (1) here and then each of the 4 of (2, 1, 0, 0),
+    # and no character
+    (NON_CHARACTERS[0][0], (1,), "negative residual multiplicity -1 at (0)", 0, 1),
+    (so_in_sl(5), (2, 1, 0, 0), None, 0, 4),
     # certified, |W_G| = 4 and dimension 9: the divided numerator refuses it
     # and restricts no character
-    (SATURATED[0], (2, 2), "negative residual multiplicity -1 at (0)", 0),
-], ids=["character", "non-integral", "not-invariant", "not-saturated", "negative-residual"])
-def test_branch_restricts_once_on_every_path(emb, lam, text, restrictions, monkeypatch):
-    calls = []
-    restricted_counts = charalg._restricted_counts
-
-    def counted(*args):
-        calls.append(args)
-        return restricted_counts(*args)
-
-    monkeypatch.setattr(charalg, "_restricted_counts", counted)
+    (SATURATED[0], (2, 2), "negative residual multiplicity -1 at (0)", 0, 0),
+], ids=["character", "non-integral", "not-invariant", "not-saturated", "orbit-sums",
+        "negative-residual"])
+def test_branch_restricts_once_on_every_path(emb, lam, text, restrictions, orbits, monkeypatch):
+    # each call restricts the module once: the whole character, or each of
+    # its orbits into an empty store and none once they are kept
+    monkeypatch.setattr(rootsys, "_orbit_tables", {})
+    monkeypatch.setattr(rootsys, "_table_total", 0)
+    calls = _calls(monkeypatch, charalg, "_restricted_counts")
+    built = _calls(monkeypatch, charalg, "_orbit_sum_table")
     result = outcome(branch, emb, Weight(lam))
     assert len(calls) == restrictions
+    assert len(built) == orbits == (len(freudenthal(emb.g, Weight(lam)).multiplicities)
+                                    if orbits else 0)
     assert (result[0] == "ValueError" and text in result[1]) if text else result
+    assert outcome(branch, emb, Weight(lam)) == result
+    assert len(calls) == 2 * restrictions and len(built) == orbits
 
 
 # -- the H side on dominant keys ---------------------------------------------------
@@ -441,12 +448,14 @@ def test_unsaturated_keys_build_no_character_larger_than_the_module():
     # top key's V(k lam) has k lam / 2 + 1 dominant weights, and the peel
     # stops at the first of them below the top, k lam - 2, which is not a
     # key.  Each V(nu) is built only down to the highest dominant
-    # kappa - beta missing from the keys, so this is two weights, not 10^9
+    # kappa - beta missing from the keys, so this is two weights, not 10^9.
+    # branch takes the orbit sums here, whose scatter builds no H-character
     for k, lam, text in ((3, 6000, "-1 at (17998)"), (10 ** 9, 1, "-1 at (999999998)"),
                          (10 ** 99, 2, f"-1 at ({2 * 10 ** 99 - 2})")):
         emb = _custom("A1", "A1", [[k]], f"A1-A1:[{k}]")
-        with pytest.raises(ValueError, match=re.escape(f"multiplicity {text}")):
-            branch(emb, Weight([lam]))
+        for kernel in (branch, charalg._branch_by_restriction):
+            with pytest.raises(ValueError, match=re.escape(f"multiplicity {text}")):
+                kernel(emb, Weight([lam]))
 
 
 def test_every_w_h_image_of_a_dominant_key_has_room_in_its_digits():
@@ -899,3 +908,113 @@ def test_char_cache_stays_at_its_bound(monkeypatch):
     monkeypatch.setattr(charalg, "_CHAR_CACHE_SIZE", 3)
     assert [branch(emb, lam) for lam in weights] == expect
     assert len(charalg._char_cache) == 3
+
+
+# -- the orbit sums against the full multiset ---------------------------------------
+
+def full_multiset(emb, lam):
+    """``branch`` from the whole restricted multiset: ``_restricted_counts``,
+    decomposed by ``_dominant_count``."""
+    counts, layout = charalg._restricted_counts(emb, lam)
+    return charalg._constituents(emb.h, charalg._dominant_count(emb.h, counts, layout))
+
+
+def orbit_sums(emb, lam):
+    """The orbit-sum kernel called on its own, with all of W_H listed."""
+    return charalg._branch_by_orbit_sums(emb, lam, rho_shifts(emb.h, emb.h.weyl_order))
+
+
+def _orbit_sum_embeddings():
+    """Every builder embedding that the orbit sums may take, certified with
+    an integral matrix and a simple G: branch-sweep's, the Levi embedding of
+    every J of every simple G of rank <= 5, and the identity up to rank 4;
+    each with the dimension bound of its weights."""
+    simple = [s for s in _systems_up_to_rank(5) if "," not in s]
+    embs = [(emb, 1000) for emb in SWEEP]
+    embs += [(levi(spec, J), 150 if len(J) > 3 else 300) for spec in simple
+             for r in [build_root_system(spec).rank]
+             for size in range(1, r + 1) for J in itertools.combinations(range(1, r + 1), size)]
+    embs += [(embed.identity(spec), 500) for spec in simple if build_root_system(spec).rank <= 4]
+    return [(emb, bound) for emb, bound in embs
+            if all(emb.reflection_lifts) and emb.integer_rows[0] == 1
+            and len(emb.g.components) == 1]
+
+
+ORBIT_SUM_EMBEDDINGS = _orbit_sum_embeddings()
+
+
+def test_the_orbit_sum_cases_cover_every_family():
+    labels = [emb.label.split(":")[0] for emb, _ in ORBIT_SUM_EMBEDDINGS]
+    assert labels.count("levi") == 244 and labels.count("identity") == 14
+    assert {"folding_E6F4", "folding_DB", "so_in_sl", "folding_AC", "folding_B3G2"} <= set(labels)
+    assert not any(label.startswith("diagonal") for label in labels)
+
+
+@pytest.mark.parametrize("emb,bound", ORBIT_SUM_EMBEDDINGS,
+                         ids=[emb.label for emb, _ in ORBIT_SUM_EMBEDDINGS])
+def test_orbit_sums_match_the_full_multiset(emb, bound):
+    # in value and order, and each refusal in its text, at every weight of
+    # dimension <= bound, into an empty store and out of a kept one
+    for lam in dominant_weights_upto(emb.g, bound):
+        expect = outcome(full_multiset, emb, lam)
+        assert outcome(orbit_sums, emb, lam) == expect, (emb.label, lam)
+        assert outcome(orbit_sums, emb, lam) == expect, (emb.label, lam)
+
+
+@pytest.mark.parametrize("k,lam,witness", [(2, 1, "0"), (3, 2, "4"), (10 ** 9, 1, "999999998")])
+def test_orbit_sums_refuse_unsaturated_keys_with_the_full_multiset_text(k, lam, witness):
+    # A1 in A1 through [[k]]: the restricted orbit sums are invariant but the
+    # keys are not saturated; the scatter names the first negative n_nu
+    # without building a character of H, even at 10^9
+    emb = _custom("A1", "A1", [[k]], f"A1-A1:[{k}]")
+    text = f"negative residual multiplicity -1 at ({witness})"
+    assert outcome(orbit_sums, emb, Weight([lam])) == ("ValueError", text)
+    assert outcome(full_multiset, emb, Weight([lam])) == ("ValueError", text)
+    assert outcome(branch, emb, Weight([lam])) == ("ValueError", text)
+
+
+def test_a_kept_orbit_sum_is_refused_under_a_lowered_cap_as_a_kept_orbit_table(monkeypatch):
+    # so_in_sl:n=5 at (2, 1, 0, 0): with every table kept, a cap of 20
+    # passes the orbit of (2, 1, 0, 0) (20 points) and refuses the next
+    # weight in Freudenthal order whose orbit is larger, with orbit_table's
+    # text, in both kernels; the kept orbit sums are read, not rebuilt
+    emb, lam = so_in_sl(5), Weight([2, 1, 0, 0])
+    assert charalg._branch_by_restriction(emb, lam) == orbit_sums(emb, lam)
+    built = _calls(monkeypatch, charalg, "_orbit_sum_table")
+    monkeypatch.setenv("FROBCRIT_ENUM_CAP", "20")
+    text = ("refusing the orbit table of A4 on the support [1, 3]: the orbit has 30 points, "
+            "cap is 20")
+    for kernel in (orbit_sums, charalg._branch_by_restriction, branch):
+        assert outcome(kernel, emb, lam) == ("ValueError", text), kernel
+    assert built == []
+
+
+@pytest.mark.parametrize("emb,lam,kernel,peels", [
+    (so_in_sl(5), (2, 1, 0, 0), "_branch_by_orbit_sums", 0),
+    (embed.folding_AC(2), (9, 0, 2), "_branch_by_numerator", 0),
+    (diagonal("A1", 2), (1, 1), "_branch_by_restriction", 0),
+    # keys that are not saturated, and W(A5), not listed for dimension 351:
+    # the restriction kernel peels, building characters of H
+    (_custom("A2", "A1", [[1, -1]], "skew"), (1, 1), "_branch_by_restriction", 1),
+    (levi("E6", (1, 3, 4, 5, 6)), (0, 0, 0, 0, 0, 2), "_branch_by_restriction", 1),
+    (_custom("A1", "A1", [[3]], "A1-A1:[3]"), (2,), "_branch_by_orbit_sums", 0),
+], ids=["orbit-sums", "numerator", "product", "uncertified", "peel", "orbit-sums-refused"])
+def test_branch_reads_the_enumeration_cap_once_per_call(emb, lam, kernel, peels, monkeypatch):
+    # with every store cold, so that each kernel builds its characters and
+    # tables, FROBCRIT_ENUM_CAP is read once, by branch, and handed down
+    reads = Counter()
+
+    class Environ(dict):
+        def get(self, name, default=None):
+            reads[name] += 1
+            return super().get(name, default)
+
+    monkeypatch.setattr(rootsys, "os", type("os", (), {"environ": Environ()}))
+    monkeypatch.setattr(rootsys, "_orbit_tables", {})
+    monkeypatch.setattr(rootsys, "_table_total", 0)
+    monkeypatch.setattr(charalg, "_char_cache", {})
+    ran = _calls(monkeypatch, charalg, kernel)
+    peeled = _calls(monkeypatch, charalg, "_peeled_count")
+    outcome(branch, emb, Weight(lam))
+    assert len(ran) == 1 and len(peeled) == peels
+    assert reads == {"FROBCRIT_BRANCH_CAP": 1, "FROBCRIT_ENUM_CAP": 1}
